@@ -82,12 +82,6 @@ class AssetCatalog:
     dim: int = EMBEDDING_DIM
     assets: list[AssetRecord] = field(default_factory=list)
 
-    def by_id(self, asset_id: str) -> AssetRecord:
-        for a in self.assets:
-            if a.id == asset_id:
-                return a
-        raise KeyError(asset_id)
-
 
 def build_catalog(entries: list[tuple[str, str, tuple[float, float, float]]]) -> AssetCatalog:
     """Catalog from (id, description, size) triples; embeddings computed here."""

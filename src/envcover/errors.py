@@ -65,10 +65,6 @@ class SchemaMismatch(EnvcoverError):
     """An environment lacks an attribute the task schema requires."""
 
 
-class EmptyInput(EnvcoverError):
-    """A rate or aggregate was requested over an empty collection."""
-
-
 class MissingInput(EnvcoverError):
     """A pipeline stage's input artifact is absent from the run directory."""
 

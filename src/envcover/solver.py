@@ -7,12 +7,23 @@ and window. Heights are not searched: an object's bottom height follows from
 its support chain (floor, the top face of the object it rests on, the bottom
 of its container, or the wall-mount height).
 
-The search is depth-first backtracking with forward checking. Variable order
-is largest footprint first (ties by id); value order is a seeded shuffle, so
-a fixed seed and config reproduce the identical solution. Exhausting the
-search space returns an unsat solution; hitting the backtrack budget or the
-wall-clock limit raises SolverTimeout instead, because a capped search proves
-nothing.
+The search is depth-first backtracking with forward checking (Haralick and
+Elliott, 1980). Variable order is largest footprint first (ties by id); value
+order is a seeded shuffle, made once per problem, so a fixed seed and config
+reproduce the identical solution. Exhausting the search space returns an
+unsat solution; hitting the backtrack budget or the wall-clock limit raises
+SolverTimeout instead, because a capped search proves nothing.
+
+Every constraint has a predicate over a full assignment. The kinds that
+dominate the solver's runtime (containment, non_collision, floor/top/wall
+support, near, far, edge, on_top_of, mounted_on_wall) also have a pruner
+that forward checking calls instead of the predicate on each value: it
+filters a position domain by the same float expressions, evaluated once per
+distinct grid coordinate where the predicate splits into an x test and a z
+test. Pruners keep exactly the values, in the same order, that the
+predicate keeps. The predicates remain the reference: consistency checks
+after each assignment, check_assignment and the tests' brute-force oracles
+call them, and so does forward checking for the kinds without a pruner.
 
 Relation predicates here are written against this module's own box math; the
 physics validator re-implements the same semantics table independently.
@@ -23,6 +34,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import product
+from typing import NamedTuple
 
 from .environment import (
     CONTACT_KINDS,
@@ -31,7 +44,6 @@ from .environment import (
     ObjectSpec,
     Placement,
     RELATIVE_KINDS,
-    Room,
     SpatialRelation,
     UNARY_KINDS,
     Window,
@@ -108,14 +120,29 @@ def _overlap_1d(a0, a1, b0, b1) -> float:
     return min(a1, b1) - max(a0, b0)
 
 
+class _RoomBounds(NamedTuple):
+    """A room's axis-aligned bounds as plain floats, read once per problem."""
+
+    id: str
+    x_min: float
+    x_max: float
+    z_min: float
+    z_max: float
+    center: tuple[float, float]
+
+
 class _Geometry:
-    """Per-problem cached footprints and support heights."""
+    """Per-problem cached room bounds, footprints and support heights."""
 
     def __init__(self, rooms, objects, sem: RelationSemantics):
         self.sem = sem
-        self.rooms = {r.id: r for r in rooms}
+        self.rooms = {
+            r.id: _RoomBounds(r.id, r.x_min, r.x_max, r.z_min, r.z_max, r.center) for r in rooms
+        }
         self.objects = {o.id: o for o in objects}
         self.base_y: dict[str, float] = {}
+        # the distinct x and z of each object's position domain
+        self.axes: dict[str, tuple[list[float], list[float]]] = {}
         self.footprints: dict[tuple[str, str], tuple[float, float]] = {}
         for o in objects:
             for d in DIRECTION_VECTORS:
@@ -127,6 +154,18 @@ class _Geometry:
         y = self.base_y[obj_id]
         h = self.objects[obj_id].size[1]
         return (x - fx / 2, y, z - fz / 2, x + fx / 2, y + h, z + fz / 2)
+
+    def placed_box(self, obj_id: str, assign):
+        return self.box(obj_id, assign[f"{obj_id}.pos"], assign[f"{obj_id}.dir"])
+
+    def half_footprint(self, obj_id: str, assign) -> tuple[float, float]:
+        fx, fz = self.footprints[(obj_id, assign[f"{obj_id}.dir"])]
+        return fx / 2, fz / 2
+
+    def y_span(self, obj_id: str) -> tuple[float, float]:
+        """The box's bottom and top, as box() computes them."""
+        y = self.base_y[obj_id]
+        return y, y + self.objects[obj_id].size[1]
 
 
 def _support_plan(objects, relations, sem: RelationSemantics):
@@ -174,7 +213,7 @@ def _support_plan(objects, relations, sem: RelationSemantics):
     return mode, base_y
 
 
-def _shared_wall(a: Room, b: Room):
+def _shared_wall(a: _RoomBounds, b: _RoomBounds):
     """Shared boundary segment of two adjacent rooms, or None.
 
     Returns ("x", wall_coord, lo, hi) for a wall at constant x, or
@@ -192,7 +231,7 @@ def _shared_wall(a: Room, b: Room):
     return None
 
 
-def _wall_of(room: Room, orientation: str):
+def _wall_of(room: _RoomBounds, orientation: str):
     if orientation == "north":
         return ("z", room.z_max, room.x_min, room.x_max)
     if orientation == "south":
@@ -208,6 +247,184 @@ def _positions_on_wall(wall, width: float, res: float) -> list[tuple[float, floa
     if axis == "x":
         return [(coord, c) for c in centers]
     return [(c, coord) for c in centers]
+
+
+# ---------------------------------------------------------------------------
+# forward-checking pruners
+# ---------------------------------------------------------------------------
+#
+# A pruner filters the domain of a constraint's one unassigned variable u:
+# prune(assign, u, values) returns the cells of ``values`` that the
+# constraint's predicate keeps, in their input order. It evaluates the same
+# float expressions as the predicate, with the fixed endpoint's box, the moving
+# footprint and the room bounds hoisted out of the loop, so it keeps exactly
+# what setting u to each value and calling the predicate keeps. u is always a
+# position variable: each object's direction precedes its position in the
+# search order, and distance relations scope positions only.
+#
+# A separable predicate is a test on x and a test on z, joined by "and" or
+# "or". Each test runs once per distinct coordinate of the moving object's
+# position domain (``geo.axes``), and the cells of ``values``, which all come
+# from that domain, are then kept by lookup. For non_collision the cells that
+# fail both tests form the configuration-space obstacle of the placed box
+# (Lozano-Perez, IEEE Trans. Computers 1983).
+
+
+def _keep_all(assign, u, values):
+    return values
+
+
+def _keep_none(assign, u, values):
+    return []
+
+
+def _keep_both(values, axes, x_ok, z_ok) -> list:
+    xs, zs = axes
+    okx = {x for x in xs if x_ok(x)}
+    okz = {z for z in zs if z_ok(z)}
+    if len(okx) == len(xs) and len(okz) == len(zs):
+        return values
+    return [v for v in values if v[0] in okx and v[1] in okz]
+
+
+def _keep_either(values, axes, x_ok, z_ok) -> list:
+    xs, zs = axes
+    okx = {x for x in xs if x_ok(x)}
+    okz = {z for z in zs if z_ok(z)}
+    if len(okx) == len(xs) or len(okz) == len(zs):
+        return values
+    return [v for v in values if v[0] in okx or v[1] in okz]
+
+
+def _keep_axis(values, axes, axis: int, ok) -> list:
+    good = {c for c in axes[axis] if ok(c)}
+    if len(good) == len(axes[axis]):
+        return values
+    return [v for v in values if v[axis] in good]
+
+
+def _containment_pruner(geo, o: str, room: _RoomBounds):
+    x_lo, x_hi = room.x_min - _TOL, room.x_max + _TOL
+    z_lo, z_hi = room.z_min - _TOL, room.z_max + _TOL
+
+    def prune(assign, u, values):
+        hx, hz = geo.half_footprint(o, assign)
+        return _keep_both(
+            values,
+            geo.axes[o],
+            lambda x: x - hx >= x_lo and x + hx <= x_hi,
+            lambda z: z - hz >= z_lo and z + hz <= z_hi,
+        )
+
+    return prune
+
+
+def _edge_pruner(geo, o: str, room: _RoomBounds, limit: float):
+    def prune(assign, u, values):
+        hx, hz = geo.half_footprint(o, assign)
+        return _keep_either(
+            values,
+            geo.axes[o],
+            lambda x: x - hx - room.x_min <= limit or room.x_max - (x + hx) <= limit,
+            lambda z: z - hz - room.z_min <= limit or room.z_max - (z + hz) <= limit,
+        )
+
+    return prune
+
+
+def _wall_back_pruner(geo, o: str, room: _RoomBounds, eps: float):
+    """The back of o's box lies within eps of the wall it faces away from."""
+
+    def prune(assign, u, values):
+        hx, hz = geo.half_footprint(o, assign)
+        axes = geo.axes[o]
+        direction = assign[f"{o}.dir"]
+        if direction == "north":
+            return _keep_axis(values, axes, 1, lambda z: abs(z - hz - room.z_min) <= eps)
+        if direction == "south":
+            return _keep_axis(values, axes, 1, lambda z: abs(room.z_max - (z + hz)) <= eps)
+        if direction == "east":
+            return _keep_axis(values, axes, 0, lambda x: abs(x - hx - room.x_min) <= eps)
+        return _keep_axis(values, axes, 0, lambda x: abs(room.x_max - (x + hx)) <= eps)
+
+    return prune
+
+
+def _non_collision_pruner(geo, a: str, b: str):
+    if _overlap_1d(*geo.y_span(a), *geo.y_span(b)) <= _TOL:
+        return _keep_all
+    a_pos = f"{a}.pos"
+
+    def prune(assign, u, values):
+        moving, fixed = (a, b) if u == a_pos else (b, a)
+        hx, hz = geo.half_footprint(moving, assign)
+        f = geo.placed_box(fixed, assign)
+        return _keep_either(
+            values,
+            geo.axes[moving],
+            lambda x: _overlap_1d(x - hx, x + hx, f[0], f[3]) <= _TOL,
+            lambda z: _overlap_1d(z - hz, z + hz, f[2], f[5]) <= _TOL,
+        )
+
+    return prune
+
+
+def _overlap_spans(cs, h: float, f_lo: float, f_hi: float, extent: float | None) -> dict:
+    """{c: (overlap, s's extent)} for each c whose span [c - h, c + h] overlaps
+    the fixed span [f_lo, f_hi]; extent None means the moving span is s's own."""
+    spans = {}
+    for c in cs:
+        lo, hi = c - h, c + h
+        w = _overlap_1d(lo, hi, f_lo, f_hi)
+        if w > 0:
+            spans[c] = (w, hi - lo if extent is None else extent)
+    return spans
+
+
+def _resting_pruner(geo, s: str, r: str, enough):
+    """s's footprint overlaps r's, and enough(w, width, d, depth) holds.
+
+    w x d is the overlap and width x depth is s's footprint. Overlap and
+    extent are computed once per distinct coordinate; the area test, which
+    couples the axes, runs on the cells that overlap on both. _overlap_1d is
+    symmetric in its two spans, so one loop serves either moving endpoint.
+    """
+    s_pos = f"{s}.pos"
+
+    def prune(assign, u, values):
+        s_moves = u == s_pos
+        moving, fixed = (s, r) if s_moves else (r, s)
+        hx, hz = geo.half_footprint(moving, assign)
+        f = geo.placed_box(fixed, assign)
+        xs, zs = geo.axes[moving]
+        spans_x = _overlap_spans(xs, hx, f[0], f[3], None if s_moves else f[3] - f[0])
+        spans_z = _overlap_spans(zs, hz, f[2], f[5], None if s_moves else f[5] - f[2])
+        return [
+            v
+            for v in values
+            if v[0] in spans_x and v[1] in spans_z and enough(*spans_x[v[0]], *spans_z[v[1]])
+        ]
+
+    return prune
+
+
+def _distance_pruner(s: str, r: str, limit: float, within: bool):
+    """Cells whose squared center distance to the placed partner is <= limit
+    (within) or >= limit.
+
+    (x - px) ** 2 equals (px - x) ** 2 exactly: IEEE subtraction rounds
+    symmetrically, so the operand order of the predicate does not matter.
+    """
+    s_pos, r_pos = f"{s}.pos", f"{r}.pos"
+
+    def prune(assign, u, values):
+        px, pz = assign[r_pos if u == s_pos else s_pos]
+        if within:
+            return [v for v in values if (v[0] - px) ** 2 + (v[1] - pz) ** 2 <= limit]
+        return [v for v in values if (v[0] - px) ** 2 + (v[1] - pz) ** 2 >= limit]
+
+    return prune
+
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +445,9 @@ class CspProblem:
         self.variables: list[CspVariable] = []
         self.domains: dict[str, list] = {}
         self.constraints: list[CspConstraint] = []
-        self._checks: dict[str, object] = {}  # constraint id -> callable
-        self._static_failures: list[str] = []
+        self._checks: dict[str, object] = {}  # constraint id -> predicate
+        self._prunes: dict[str, object] = {}  # constraint id -> pruner
+        self._shuffled: dict[str, list] | None = None
         self._encode()
 
     # -- construction -------------------------------------------------------
@@ -265,7 +483,8 @@ class CspProblem:
             min_fz = min(self.geo.footprints[(o.id, d)][1] for d in fits_any)
             xs = _grid_points(room.x_min + min_fx / 2, room.x_max - min_fx / 2, res)
             zs = _grid_points(room.z_min + min_fz / 2, room.z_max - min_fz / 2, res)
-            cells = [(x, z) for x in xs for z in zs]
+            cells = list(product(xs, zs))
+            self.geo.axes[o.id] = (xs, zs)
             if not cells:
                 raise EncodingError(f"no grid cell fits object {o.id!r} in room {room.id!r}")
             dvar = CspVariable(id=f"{o.id}.dir", entity=o.id, kind="direction")
@@ -314,7 +533,7 @@ class CspProblem:
         geo = self.geo
         room_of = {o.id: geo.rooms[o.room] for o in self.objects}
 
-        def add(cid, kind, scope, check, relaxable=False, priority="physical", rel_idx=None):
+        def add(cid, kind, scope, check, prune=None, relaxable=False, priority="physical", rel_idx=None):
             self.constraints.append(
                 CspConstraint(
                     id=cid,
@@ -326,6 +545,8 @@ class CspProblem:
                 )
             )
             self._checks[cid] = check
+            if prune is not None:
+                self._prunes[cid] = prune
 
         # rooms must not overlap (static: rooms are fixed inputs)
         for i in range(len(self.rooms)):
@@ -350,7 +571,7 @@ class CspProblem:
             room = room_of[o.id]
 
             def contained(assign, o=o, room=room):
-                box = geo.box(o.id, assign[f"{o.id}.pos"], assign[f"{o.id}.dir"])
+                box = geo.placed_box(o.id, assign)
                 return (
                     box[0] >= room.x_min - _TOL
                     and box[2] >= room.z_min - _TOL
@@ -358,15 +579,21 @@ class CspProblem:
                     and box[5] <= room.z_max + _TOL
                 )
 
-            add(f"phys:containment:{o.id}", "room_containment", (o.id,), contained)
+            add(
+                f"phys:containment:{o.id}",
+                "room_containment",
+                (o.id,),
+                contained,
+                _containment_pruner(geo, o.id, room),
+            )
 
         for o in self.objects:
             m, ref = self.support_mode[o.id]
             if m == "top":
 
                 def supported(assign, o=o, ref=ref):
-                    a = geo.box(o.id, assign[f"{o.id}.pos"], assign[f"{o.id}.dir"])
-                    b = geo.box(ref, assign[f"{ref}.pos"], assign[f"{ref}.dir"])
+                    a = geo.placed_box(o.id, assign)
+                    b = geo.placed_box(ref, assign)
                     w = _overlap_1d(a[0], a[3], b[0], b[3])
                     d = _overlap_1d(a[2], a[5], b[2], b[5])
                     if w <= 0 or d <= 0:
@@ -374,12 +601,16 @@ class CspProblem:
                     area = (a[3] - a[0]) * (a[5] - a[2])
                     return w * d >= sem.support_overlap_frac * area - _TOL
 
-                add(f"phys:support:{o.id}", "support", (o.id, ref), supported)
+                def enough(w, width, d, depth):
+                    return w * d >= sem.support_overlap_frac * (width * depth) - _TOL
+
+                prune = _resting_pruner(geo, o.id, ref, enough)
+                add(f"phys:support:{o.id}", "support", (o.id, ref), supported, prune)
             elif m == "in":
 
                 def inside(assign, o=o, ref=ref):
-                    a = geo.box(o.id, assign[f"{o.id}.pos"], assign[f"{o.id}.dir"])
-                    b = geo.box(ref, assign[f"{ref}.pos"], assign[f"{ref}.dir"])
+                    a = geo.placed_box(o.id, assign)
+                    b = geo.placed_box(ref, assign)
                     return (
                         a[0] >= b[0] - sem.support_eps
                         and a[2] >= b[2] - sem.support_eps
@@ -390,11 +621,11 @@ class CspProblem:
 
                 add(f"phys:support:{o.id}", "support", (o.id, ref), inside)
             elif m == "wall":
+                room = room_of[o.id]
 
-                def flush(assign, o=o, room=room_of[o.id]):
-                    pos = assign[f"{o.id}.pos"]
+                def flush(assign, o=o, room=room):
                     direction = assign[f"{o.id}.dir"]
-                    box = geo.box(o.id, pos, direction)
+                    box = geo.placed_box(o.id, assign)
                     back = {
                         "north": box[2] - room.z_min,
                         "south": room.z_max - box[5],
@@ -403,13 +634,15 @@ class CspProblem:
                     }[direction]
                     return abs(back) <= sem.mount_eps
 
-                add(f"phys:support:{o.id}", "support", (o.id,), flush)
+                prune = _wall_back_pruner(geo, o.id, room, sem.mount_eps)
+                add(f"phys:support:{o.id}", "support", (o.id,), flush, prune)
             else:
 
                 def on_floor(assign, o=o):
                     return geo.base_y[o.id] <= _TOL
 
-                add(f"phys:support:{o.id}", "support", (o.id,), on_floor)
+                prune = _keep_all if geo.base_y[o.id] <= _TOL else _keep_none
+                add(f"phys:support:{o.id}", "support", (o.id,), on_floor, prune)
 
         by_room: dict[str, list[ObjectSpec]] = {}
         for o in self.objects:
@@ -422,15 +655,21 @@ class CspProblem:
                         continue  # containment implies overlap by design
 
                     def apart(assign, a=a, b=b):
-                        ba = geo.box(a.id, assign[f"{a.id}.pos"], assign[f"{a.id}.dir"])
-                        bb = geo.box(b.id, assign[f"{b.id}.pos"], assign[f"{b.id}.dir"])
+                        ba = geo.placed_box(a.id, assign)
+                        bb = geo.placed_box(b.id, assign)
                         return (
                             _overlap_1d(ba[0], ba[3], bb[0], bb[3]) <= _TOL
                             or _overlap_1d(ba[1], ba[4], bb[1], bb[4]) <= _TOL
                             or _overlap_1d(ba[2], ba[5], bb[2], bb[5]) <= _TOL
                         )
 
-                    add(f"phys:non_collision:{a.id}+{b.id}", "non_collision", (a.id, b.id), apart)
+                    add(
+                        f"phys:non_collision:{a.id}+{b.id}",
+                        "non_collision",
+                        (a.id, b.id),
+                        apart,
+                        _non_collision_pruner(geo, a.id, b.id),
+                    )
 
         for door in self.doorways:
 
@@ -455,6 +694,7 @@ class CspProblem:
                 rel.kind,
                 scope,
                 check,
+                self._relation_pruner(rel),
                 relaxable=relaxable,
                 priority=rel.priority,
                 rel_idx=idx,
@@ -470,10 +710,10 @@ class CspProblem:
         room = geo.rooms[geo.objects[s].room]
 
         def sbox(assign):
-            return geo.box(s, assign[f"{s}.pos"], assign[f"{s}.dir"])
+            return geo.placed_box(s, assign)
 
         def rbox(assign):
-            return geo.box(r, assign[f"{r}.pos"], assign[f"{r}.dir"])
+            return geo.placed_box(r, assign)
 
         def centers(assign):
             sx, sz = assign[f"{s}.pos"]
@@ -601,6 +841,33 @@ class CspProblem:
             raise EncodingError(f"relation kind {rel.kind!r} has no solver semantics")
         return check
 
+    def _relation_pruner(self, rel: SpatialRelation):
+        """The relation's pruner, or None where forward checking calls its predicate."""
+        sem = self.sem
+        geo = self.geo
+        s = rel.subject
+        r = rel.reference
+        room = geo.rooms[geo.objects[s].room]
+        if rel.kind == "near":
+            return _distance_pruner(s, r, sem.near_max**2 + _TOL, True)
+        if rel.kind == "far":
+            return _distance_pruner(s, r, sem.far_min**2 - _TOL, False)
+        if rel.kind == "edge":
+            return _edge_pruner(geo, s, room, sem.edge_max + _TOL)
+        if rel.kind == "on_top_of":
+            if abs(geo.y_span(s)[0] - geo.y_span(r)[1]) > sem.support_eps:
+                return _keep_none
+
+            def enough(w, width, d, depth):
+                return w * d >= sem.support_overlap_frac * width * depth - _TOL
+
+            return _resting_pruner(geo, s, r, enough)
+        if rel.kind == "mounted_on_wall":
+            if geo.y_span(s)[0] > _TOL:
+                return _wall_back_pruner(geo, s, room, sem.mount_eps)
+            return _keep_none
+        return None
+
     # -- evaluation helpers --------------------------------------------------
 
     def scope_vars(self, constraint: CspConstraint) -> tuple[str, ...]:
@@ -617,6 +884,23 @@ class CspProblem:
             else:
                 out.append(f"{entity}.pos")
         return tuple(out)
+
+    def shuffled_domains(self) -> dict[str, list]:
+        """Every domain in its seeded value order, in variable order.
+
+        The order depends only on the seed and the encoded domains, so it is
+        computed once per problem. Each caller gets its own mapping over
+        shared lists: the search replaces a domain's list when it prunes and
+        never changes a list in place.
+        """
+        if self._shuffled is None:
+            rng = random.Random(self.config.seed)
+            self._shuffled = {}
+            for v in self.variables:
+                values = list(self.domains[v.id])
+                rng.shuffle(values)
+                self._shuffled[v.id] = values
+        return dict(self._shuffled)
 
     def check_assignment(self, assignment: dict, skip: frozenset = frozenset()) -> bool:
         """Evaluate every (non-skipped) constraint under a full assignment."""
@@ -688,7 +972,6 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
     relaxation).
     """
     config = problem.config
-    rng = random.Random(config.seed)
     deadline = time.monotonic() + config.time_limit_s
 
     active = [c for c in problem.constraints if c.id not in skip]
@@ -697,9 +980,7 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
             return Solution(status="unsat", stats={"backtracks": 0, "assignments": 0})
 
     order = [v.id for v in problem.variables]
-    domains = {vid: list(problem.domains[vid]) for vid in order}
-    for vid in order:
-        rng.shuffle(domains[vid])
+    domains = problem.shuffled_domains()
 
     by_var: dict[str, list[CspConstraint]] = {vid: [] for vid in order}
     scope_cache: dict[str, tuple[str, ...]] = {}
@@ -714,6 +995,7 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
     assignment: dict[str, object] = {}
     stats = {"backtracks": 0, "assignments": 0}
     checks = problem._checks
+    prunes = problem._prunes
 
     def consistent_after(vid: str) -> bool:
         for c in by_var[vid]:
@@ -730,15 +1012,20 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
             if len(unassigned) != 1:
                 continue
             u = unassigned[0]
-            keep = []
-            removed = []
-            for value in domains[u]:
-                assignment[u] = value
-                ok = checks[c.id](assignment)
-                del assignment[u]
-                (keep if ok else removed).append(value)
-            if removed:
-                trail.append((u, domains[u]))
+            values = domains[u]
+            prune = prunes.get(c.id)
+            if prune is not None:
+                keep = prune(assignment, u, values)
+            else:
+                check = checks[c.id]
+                keep = []
+                for value in values:
+                    assignment[u] = value
+                    if check(assignment):
+                        keep.append(value)
+                assignment.pop(u, None)
+            if len(keep) != len(values):
+                trail.append((u, values))
                 domains[u] = keep
             if not keep:
                 return False

@@ -2,6 +2,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Examples are derived from each test's code, not drawn at random, and no
+# example has a deadline: results must not depend on luck or machine load.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "envcover" / "fixtures"
 

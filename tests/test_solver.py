@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from envcover.environment import ObjectSpec, SpatialRelation, make_room
+from envcover.environment import UNARY_KINDS, ObjectSpec, SpatialRelation, make_room
 from envcover.errors import CoreUnsat, EncodingError, SolverTimeout
+from envcover.semantics import DIRECTION_VECTORS
 from envcover.solver import SolverConfig, encode, solve, solve_with_relaxation
 
 GRID = SolverConfig(grid_resolution=0.25, seed=0)
@@ -356,3 +359,133 @@ def test_relaxation_never_touches_task_relations():
     ax, az = solution.assignments["a.pos"]
     bx, bz = solution.assignments["b.pos"]
     assert (ax - bx) ** 2 + (az - bz) ** 2 <= 1.5**2 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# forward-checking pruners against their predicates
+# ---------------------------------------------------------------------------
+
+# (label, relation kinds to state) for every constraint that has a pruner;
+# support constraints are labelled by support mode
+PRUNED = {
+    "room_containment": (),
+    "non_collision": (),
+    "support:floor": (),
+    "support:top": ("on_top_of",),
+    "support:wall": ("mounted_on_wall",),
+    "near": ("near",),
+    "far": ("far",),
+    "edge": ("edge",),
+    "on_top_of": ("on_top_of",),
+    "mounted_on_wall": ("mounted_on_wall",),
+}
+
+coord = st.integers(min_value=-300, max_value=300).map(lambda k: k / 100)
+extent = st.integers(min_value=5, max_value=130).map(lambda k: k / 100)
+
+
+def constraint_label(problem, c):
+    if c.kind == "support":
+        return "support:" + problem.support_mode[c.scope[0]][0]
+    return c.kind
+
+
+@pytest.mark.parametrize("label", sorted(PRUNED))
+@given(
+    x0=coord,
+    z0=coord,
+    width=st.integers(min_value=150, max_value=400).map(lambda k: k / 100),
+    depth=st.integers(min_value=150, max_value=400).map(lambda k: k / 100),
+    grid=st.sampled_from([0.1, 0.2, 0.25]),
+    sizes=st.lists(st.tuples(extent, extent, extent), min_size=2, max_size=2),
+    pick=st.randoms(use_true_random=False),
+)
+def test_pruner_equals_the_set_and_check_filter(label, x0, z0, width, depth, grid, sizes, pick):
+    room = make_room("r", x0, z0, round(x0 + width, 2), round(z0 + depth, 2))
+    objects = [obj("a", sizes[0]), obj("b", sizes[1])]
+    relations = [
+        SpatialRelation(kind=kind, subject="a", reference=None if kind in UNARY_KINDS else "b")
+        for kind in PRUNED[label]
+    ]
+    try:
+        problem = encode([room], [], [], objects, relations, SolverConfig(grid_resolution=grid))
+    except EncodingError:
+        assume(False)
+    c = next(c for c in problem.constraints if constraint_label(problem, c) == label)
+    prune, check = problem._prunes[c.id], problem._checks[c.id]
+
+    # the moving endpoint keeps only its direction; the others are placed
+    moving = pick.choice(c.scope)
+    assign = {}
+    for entity in c.scope:
+        assign[f"{entity}.dir"] = pick.choice(sorted(DIRECTION_VECTORS))
+        if entity != moving:
+            assign[f"{entity}.pos"] = pick.choice(problem.domains[f"{entity}.pos"])
+    u = f"{moving}.pos"
+    domain = problem.domains[u]
+    values = pick.sample(domain, pick.randint(1, len(domain)))
+
+    expected = [v for v in values if check({**assign, u: v})]
+    assert prune(assign, u, values) == expected
+
+
+def differential_instance(rng):
+    """A small scene mixing pruned and unpruned relation kinds."""
+    side = rng.choice([3.0, 3.5, 4.0])
+    room = make_room("r", 0, 0, side, side)
+    objects = [
+        obj(f"o{i}", (rng.choice([0.4, 0.6, 0.9]), rng.choice([0.4, 0.8]), rng.choice([0.4, 0.6])))
+        for i in range(3)
+    ] + [obj(f"s{i}", (0.2, rng.choice([0.05, 0.2]), 0.15)) for i in range(2)]
+    relations = []
+    for small in ("s0", "s1"):
+        kind = rng.choice(["on_top_of", "in", "mounted_on_wall", None])
+        if kind == "mounted_on_wall":
+            relations.append(SpatialRelation(kind=kind, subject=small))
+        elif kind is not None:
+            relations.append(SpatialRelation(kind=kind, subject=small, reference=rng.choice(["o0", "o1"])))
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(
+            ["near", "far", "edge", "center", "side_of", "center_aligned", "in_front_of"]
+        )
+        a, b = rng.sample(["o0", "o1", "o2"], 2)
+        priority = rng.choice(["task", "enrichment"])
+        reference = None if kind in UNARY_KINDS else b
+        relations.append(SpatialRelation(kind=kind, subject=a, reference=reference, priority=priority))
+    return [room], objects, relations
+
+
+def relaxation_outcome(problem):
+    try:
+        solution = solve_with_relaxation(problem)
+    except (CoreUnsat, SolverTimeout) as exc:
+        return type(exc).__name__, str(exc)
+    return solution.status, solution.assignments, solution.stats, solution.relaxed
+
+
+def contradiction_instance(rng):
+    """Two objects that must be both near and far: the first rung is unsat."""
+    a = obj("a", (rng.choice([0.4, 0.6, 0.8]), 0.4, rng.choice([0.4, 0.6])))
+    b = obj("b", (rng.choice([0.4, 0.6]), 0.3, rng.choice([0.4, 0.6, 0.8])))
+    relations = [
+        SpatialRelation(kind="near", subject="b", reference="a", priority="enrichment"),
+        SpatialRelation(kind="far", subject="b", reference="a", priority="enrichment"),
+        SpatialRelation(kind="edge", subject=rng.choice(["a", "b"]), priority="enrichment"),
+    ]
+    return [room4()], [a, b], relations
+
+
+def test_pruners_change_no_search_outcome():
+    rng = random.Random(20261018)
+    # (instance, backtrack budget): the mixed scenes may thrash, so a small
+    # budget keeps their timeouts cheap; unsat proofs need the default one
+    instances = [(differential_instance(rng), 300) for _ in range(12)]
+    instances += [(contradiction_instance(rng), 50000) for _ in range(4)]
+    instances += [(([room], objects, relations), 50000) for room, objects, relations in
+                  (random_mini_instance(rng) for _ in range(8))]
+    for trial, ((rooms, objects, relations), budget) in enumerate(instances):
+        config = SolverConfig(grid_resolution=0.25, seed=trial, max_backtracks=budget)
+        pruned = encode(rooms, [], [], objects, relations, config)
+        generic = encode(rooms, [], [], objects, relations, config)
+        generic._prunes.clear()
+        assert relaxation_outcome(pruned) == relaxation_outcome(generic), f"instance {trial}"
