@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--live-endpoint", help="HTTP endpoint for live scene generation")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=float, default=0.1, help="placement grid step in meters")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scene builds")
 
     p = sub.add_parser("validate", help="re-check built scenes for physical plausibility")
     _add_task_flags(p)
@@ -86,20 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--live-endpoint", help="HTTP endpoint for live generation")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=float, default=0.1)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--max-rounds", type=int, default=3)
     return parser
 
 
 def _validate_numbers(args) -> None:
-    for name in ("seed", "grid", "jobs", "budget", "max_rounds"):
-        if not hasattr(args, name):
-            continue
-        value = getattr(args, name)
-        if name == "seed":
-            continue
-        if value <= 0:
+    for name in ("grid", "budget", "max_rounds"):
+        value = getattr(args, name, None)
+        if value is not None and value <= 0:
             raise ConfigError(f"--{name.replace('_', '-')} must be positive, got {value}")
 
 
@@ -125,14 +119,7 @@ def _dispatch(args) -> dict | None:
             raise EnvcoverError("derivation kept violations after refinement")
         return summary
     if args.command == "build":
-        envs = stage_build(
-            paths,
-            bundle,
-            args.live_endpoint,
-            seed=args.seed,
-            grid=args.grid,
-            jobs=args.jobs,
-        )
+        envs = stage_build(paths, bundle, args.live_endpoint, seed=args.seed, grid=args.grid)
         return {"environments": len(envs), "relaxed": sum(len(e.relaxed_relations) for e in envs)}
     if args.command == "validate":
         result = stage_validate(paths, bundle)
@@ -160,7 +147,6 @@ def _dispatch(args) -> dict | None:
             live_endpoint=args.live_endpoint,
             seed=args.seed,
             grid=args.grid,
-            jobs=args.jobs,
             budget=args.budget,
             max_rounds=args.max_rounds,
         )

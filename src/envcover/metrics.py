@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import SchemaMismatch
 from .task_model import BehaviorPlanTree, SubtaskSpec, extract_paths, match_factors, normalize_text
-from .trajectories import LogicalTrajectory, jaccard_index, split_constraints
+from .trajectories import LogicalTrajectory, covered_constraints, jaccard_index
 
 
 @dataclass(frozen=True)
@@ -41,16 +41,9 @@ def path_universe(trees: list[BehaviorPlanTree]) -> set[str]:
     return out
 
 
-def covered_paths(trajectories: list[LogicalTrajectory]) -> set[str]:
-    out: set[str] = set()
-    for t in trajectories:
-        out |= split_constraints(t)
-    return out
-
-
 def logic_coverage(trees: list[BehaviorPlanTree], trajectories: list[LogicalTrajectory]) -> CoverageStat:
     universe = path_universe(trees)
-    covered = covered_paths(trajectories) & universe
+    covered = covered_constraints(trajectories) & universe
     return CoverageStat(covered=len(covered), universe=len(universe))
 
 
@@ -93,7 +86,7 @@ def logic_coverage_atomic(subtasks: list[SubtaskSpec], trajectories: list[Logica
 
 def selection_jaccard(trees: list[BehaviorPlanTree], trajectories: list[LogicalTrajectory]) -> float:
     """Jaccard index between realized constraints and the plan universe."""
-    return jaccard_index(covered_paths(trajectories), path_universe(trees))
+    return jaccard_index(covered_constraints(trajectories), path_universe(trees))
 
 
 def validity_rate(flags: list[bool]) -> float:

@@ -21,7 +21,6 @@ schema.json, action_model.json, catalog.json, cassette.json, and policies/.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +46,7 @@ from .scene import build_environment
 from .schema import TaskSchema, load_schema
 from .simulation import (
     DEFAULT_BUDGET,
+    detected,
     fault_detection_rate,
     load_action_model,
     load_policy,
@@ -170,9 +170,6 @@ def _open_provider_channel(bundle: TaskBundle, live_endpoint: str | None):
             "no exchange source: pass --cassette, --live-endpoint, or keep a "
             "cassette.json next to the task file"
         )
-    if live_endpoint and bundle.cassette_file and not bundle.cassette_file.is_file():
-        # recording into a fresh cassette: nothing to replay yet
-        return RecordingChannel(open_channel(live_endpoint=live_endpoint))
     return open_channel(cassette=cassette, live_endpoint=live_endpoint)
 
 
@@ -293,7 +290,6 @@ def stage_build(
     live_endpoint: str | None = None,
     seed: int = 0,
     grid: float = 0.1,
-    jobs: int = 1,
 ) -> list[EnvironmentSpec]:
     paths.ensure()
     selected = _load_selected(paths)
@@ -301,27 +297,13 @@ def stage_build(
     catalog = load_catalog(str(bundle.catalog_file))
     config = SolverConfig(grid_resolution=grid, seed=seed)
 
-    channels = []
-
-    def build_one(index: int, trajectory):
-        channel = _open_provider_channel(bundle, live_endpoint)
-        channels.append(channel)
-        provider = SceneProvider(channel)
-        return build_environment(
-            provider, catalog, schema, trajectory, f"env-{index:03d}", config
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(build_one, i, t) for i, t in enumerate(selected)
-            ]
-            outcomes = [f.result() for f in futures]
-    else:
-        outcomes = [build_one(i, t) for i, t in enumerate(selected)]
-
-    for channel in channels:
-        _finish_channel(channel, bundle)
+    channel = _open_provider_channel(bundle, live_endpoint)
+    provider = SceneProvider(channel)
+    outcomes = [
+        build_environment(provider, catalog, schema, trajectory, f"env-{i:03d}", config)
+        for i, trajectory in enumerate(selected)
+    ]
+    _finish_channel(channel, bundle)
 
     stats = {}
     environments = []
@@ -414,11 +396,10 @@ def stage_simulate(paths: RunPaths, bundle: TaskBundle, budget: int = DEFAULT_BU
                 "ticks": outcome.ticks,
                 "detail": outcome.detail,
             }
-        detected = any(o.verdict != "pass" for o in outcomes)
         detected_by_label[label] = outcomes
         doc["policies"][label] = {
             "file": file_name,
-            "detected": detected,
+            "detected": detected(outcomes),
             "environments": per_env,
         }
     faulty = {k: v for k, v in detected_by_label.items() if k != REFERENCE_POLICY_LABEL}
@@ -484,7 +465,6 @@ def run_all(
     live_endpoint: str | None = None,
     seed: int = 0,
     grid: float = 0.1,
-    jobs: int = 1,
     budget: int = DEFAULT_BUDGET,
     max_rounds: int = 3,
 ) -> dict:
@@ -515,10 +495,7 @@ def run_all(
             "failing plan"
         )
     timed("collect", lambda: stage_collect(paths))
-    timed(
-        "build",
-        lambda: stage_build(paths, bundle, live_endpoint, seed=seed, grid=grid, jobs=jobs),
-    )
+    timed("build", lambda: stage_build(paths, bundle, live_endpoint, seed=seed, grid=grid))
     timed("validate", lambda: stage_validate(paths, bundle))
     timed("simulate", lambda: stage_simulate(paths, bundle, budget=budget))
     report = timed("report", lambda: stage_report(paths))
@@ -528,7 +505,6 @@ def run_all(
         "config": {
             "seed": seed,
             "grid": grid,
-            "jobs": jobs,
             "budget": budget,
             "max_rounds": max_rounds,
             "live_endpoint": live_endpoint or "",

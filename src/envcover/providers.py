@@ -5,8 +5,7 @@ in live runs) through a channel. Every request is a (kind, body) pair; the
 body is canonicalized JSON and its hash keys the cassette, so a recorded
 session replays byte-for-byte and the pipeline stays deterministic offline.
 
-A channel instance serves one in-flight request at a time; share nothing or
-give each worker its own channel.
+A channel instance serves one in-flight request at a time.
 """
 
 from __future__ import annotations

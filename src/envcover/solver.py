@@ -5,7 +5,10 @@ finite CSP: per object one position variable (grid cells in its room) and one
 direction variable (four cardinals), plus one position variable per doorway
 and window. Heights are not searched: an object's bottom height follows from
 its support chain (floor, the top face of the object it rests on, the bottom
-of its container, or the wall-mount height).
+of its container, or the wall-mount height). Facts about the fixed inputs are
+checked once, at encode time: overlapping rooms, a doorway between detached
+rooms or an object that fits in no grid cell raise EncodingError before any
+search, so every constraint left for the search scopes one or two entities.
 
 The search is depth-first backtracking with forward checking (Haralick and
 Elliott, 1980). Variable order is largest footprint first (ties by id); value
@@ -78,9 +81,8 @@ class CspVariable:
 class CspConstraint:
     id: str
     kind: str  # a relation kind, or a physical kind
-    scope: tuple[str, ...]  # entity ids; arity = len(scope) <= 3
+    scope: tuple[str, ...]  # entity ids; arity = len(scope), 1 or 2
     relaxable: bool = False
-    priority: str = "physical"
     relation_index: int | None = None
 
     @property
@@ -455,6 +457,13 @@ class CspProblem:
     def _encode(self) -> None:
         sem = self.sem
         res = self.config.grid_resolution
+        for i, a in enumerate(self.rooms):
+            for b in self.rooms[i + 1 :]:
+                if (
+                    _overlap_1d(a.x_min, a.x_max, b.x_min, b.x_max) > _TOL
+                    and _overlap_1d(a.z_min, a.z_max, b.z_min, b.z_max) > _TOL
+                ):
+                    raise EncodingError(f"rooms {a.id!r} and {b.id!r} overlap")
         for o in self.objects:
             if o.room not in self.geo.rooms:
                 raise EncodingError(f"object {o.id!r} names unknown room {o.room!r}")
@@ -533,33 +542,19 @@ class CspProblem:
         geo = self.geo
         room_of = {o.id: geo.rooms[o.room] for o in self.objects}
 
-        def add(cid, kind, scope, check, prune=None, relaxable=False, priority="physical", rel_idx=None):
+        def add(cid, kind, scope, check, prune=None, relaxable=False, rel_idx=None):
             self.constraints.append(
                 CspConstraint(
                     id=cid,
                     kind=kind,
                     scope=tuple(scope),
                     relaxable=relaxable,
-                    priority=priority,
                     relation_index=rel_idx,
                 )
             )
             self._checks[cid] = check
             if prune is not None:
                 self._prunes[cid] = prune
-
-        # rooms must not overlap (static: rooms are fixed inputs)
-        for i in range(len(self.rooms)):
-            for j in range(i + 1, len(self.rooms)):
-                a, b = self.rooms[i], self.rooms[j]
-
-                def rooms_ok(assign, a=a, b=b):
-                    return (
-                        _overlap_1d(a.x_min, a.x_max, b.x_min, b.x_max) <= _TOL
-                        or _overlap_1d(a.z_min, a.z_max, b.z_min, b.z_max) <= _TOL
-                    )
-
-                add(f"phys:room_non_overlap:{a.id}+{b.id}", "room_non_overlap", (), rooms_ok)
 
         in_pairs = {
             frozenset((r.subject, r.reference))
@@ -671,20 +666,6 @@ class CspProblem:
                         _non_collision_pruner(geo, a.id, b.id),
                     )
 
-        for door in self.doorways:
-
-            def door_ok(assign, door=door):
-                return assign[f"{door.id}.pos"] is not None
-
-            add(f"phys:door_on_wall:{door.id}", "door_on_wall", (door.id,), door_ok)
-
-        for win in self.windows:
-
-            def win_ok(assign, win=win):
-                return assign[f"{win.id}.pos"] is not None
-
-            add(f"phys:window_in_wall:{win.id}", "window_in_wall", (win.id,), win_ok)
-
         for idx, rel in enumerate(self.relations):
             check = self._relation_check(rel)
             scope = (rel.subject,) if rel.reference is None else (rel.subject, rel.reference)
@@ -696,7 +677,6 @@ class CspProblem:
                 check,
                 self._relation_pruner(rel),
                 relaxable=relaxable,
-                priority=rel.priority,
                 rel_idx=idx,
             )
 
@@ -969,23 +949,19 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
     Returns a sat Solution with placements, or an unsat Solution after the
     search space is exhausted. Raises SolverTimeout when max_backtracks or
     the time limit is hit. ``skip`` names constraint ids to ignore (used by
-    relaxation).
+    relaxation). Overlapping rooms never get here: encode rejects them with
+    EncodingError.
     """
     config = problem.config
     deadline = time.monotonic() + config.time_limit_s
-
-    active = [c for c in problem.constraints if c.id not in skip]
-    for c in active:
-        if c.arity == 0 and not problem._checks[c.id](None):
-            return Solution(status="unsat", stats={"backtracks": 0, "assignments": 0})
 
     order = [v.id for v in problem.variables]
     domains = problem.shuffled_domains()
 
     by_var: dict[str, list[CspConstraint]] = {vid: [] for vid in order}
     scope_cache: dict[str, tuple[str, ...]] = {}
-    for c in active:
-        if c.arity == 0:
+    for c in problem.constraints:
+        if c.id in skip:
             continue
         svars = problem.scope_vars(c)
         scope_cache[c.id] = svars

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -107,3 +108,22 @@ def built_outcomes(selected_trajectories, catalog, task_schema, cassette_records
 @pytest.fixture(scope="session")
 def built_envs(built_outcomes):
     return [o.environment for o in built_outcomes]
+
+
+def run_dir_digest(root) -> str:
+    """sha256 over the sorted `sha256sum` lines of a run dir, manifest.json left out.
+
+    Equals `find . -type f ! -name manifest.json | sort | xargs sha256sum |
+    sha256sum` run inside the directory.
+    """
+    root = Path(root)
+    lines = []
+    for path in sorted(p for p in root.rglob("*") if p.is_file() and p.name != "manifest.json"):
+        rel = path.relative_to(root).as_posix()
+        lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  ./{rel}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+@pytest.fixture(scope="session")
+def dir_digest():
+    return run_dir_digest

@@ -371,13 +371,30 @@ def test_c09_relaxation_drops_enrichment_relations_only():
     assert time.perf_counter() - started < 30.0
 
 
-def test_c10_reruns_are_byte_identical_outside_the_manifest(living_room_dir, tmp_path):
-    # budget: two full runs, every artifact byte-identical except manifest.json, < 5 min
+# Digests of the fixture's run-all directory (see conftest.run_dir_digest) by
+# grid. A change that alters any scene or report byte must update them and
+# say why.
+PINNED_RUN_DIGESTS = {
+    0.2: "dd0d0f87010fb58afd84307d736b909872f5fc3c7ddc70f2eba60b5b8e894bcc",
+    0.1: "361f32e235296631b41b767d43c8ae5652ad9a643b9c5444be46f14793f5f908",
+    0.05: "6d2b5cc6d44ce1906aa514d8b77890a08bd86280551a48896bb795fe94044075",
+}
+
+
+def test_c10_reruns_are_byte_identical_outside_the_manifest(living_room_dir, tmp_path, dir_digest):
+    # budget: two full runs at grid 0.1 plus one each at 0.2 and 0.05, every
+    # artifact byte-identical except manifest.json, and equal to the pinned
+    # digests, < 5 min
     started = time.perf_counter()
     first, second = tmp_path / "first", tmp_path / "second"
     report_a = run_all(str(first), str(living_room_dir))
     report_b = run_all(str(second), str(living_room_dir))
     assert report_a == report_b
+    assert dir_digest(first) == PINNED_RUN_DIGESTS[0.1]
+    for grid in (0.2, 0.05):
+        out = tmp_path / f"grid{grid}"
+        run_all(str(out), str(living_room_dir), grid=grid)
+        assert dir_digest(out) == PINNED_RUN_DIGESTS[grid], f"grid {grid}"
 
     files_a = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
     files_b = sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())

@@ -64,7 +64,7 @@ def test_stage_chain_matches_run_all(full_run, living_room_dir, tmp_path, capsys
     for argv in (
         ["derive", "--task", task, "--out", str(out)],
         ["collect", "--out", str(out)],
-        ["build", "--task", task, "--out", str(out), "--jobs", "2"],
+        ["build", "--task", task, "--out", str(out)],
         ["validate", "--task", task, "--out", str(out)],
         ["simulate", "--task", task, "--out", str(out)],
         ["report", "--out", str(out)],
@@ -91,6 +91,7 @@ def test_manifest_echoes_the_config(full_run):
     manifest = json.loads((full_run / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 0
     assert manifest["config"]["grid"] == 0.1
+    assert "jobs" not in manifest["config"]
     assert [s["name"] for s in manifest["stages"]] == [
         "derive",
         "collect",
@@ -133,11 +134,22 @@ def test_bad_task_path_exits_2(tmp_path, capsys):
     assert "no task file" in capsys.readouterr().err
 
 
-def test_nonpositive_numbers_exit_2(living_room_dir, tmp_path, capsys):
-    code = main(
-        ["build", "--task", str(living_room_dir), "--out", str(tmp_path / "r"), "--jobs", "0"]
-    )
-    assert code == 2
+@pytest.mark.parametrize(
+    "command, flag",
+    [("build", "--grid"), ("simulate", "--budget"), ("derive", "--max-rounds")],
+    ids=["grid", "budget", "max_rounds"],
+)
+def test_nonpositive_numbers_exit_2(command, flag, living_room_dir, tmp_path, capsys):
+    argv = [command, "--task", str(living_room_dir), "--out", str(tmp_path / "r"), flag, "0"]
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_jobs_is_not_an_option(living_room_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["build", "--task", str(living_room_dir), "--out", str(tmp_path / "r"), "--jobs", "2"])
+    assert excinfo.value.code == 2
     assert "--jobs" in capsys.readouterr().err
 
 

@@ -5,7 +5,6 @@ from envcover.metrics import (
     CoverageStat,
     atomic_conditions,
     atomic_universe,
-    covered_paths,
     logic_coverage,
     logic_coverage_atomic,
     path_universe,
@@ -18,7 +17,12 @@ from envcover.task_model import (
     UncertainFactor,
     parse_behavior_plan,
 )
-from envcover.trajectories import LogicalTrajectory, cartesian_trajectories, paths_per_subtask
+from envcover.trajectories import (
+    LogicalTrajectory,
+    cartesian_trajectories,
+    covered_constraints,
+    paths_per_subtask,
+)
 
 
 def small_trees():
@@ -165,5 +169,5 @@ def test_dropping_the_doll_trajectory_loses_exactly_one_path(derived, selected_t
     assert len(remaining) == len(selected) - 1
     stat = logic_coverage(derived.trees, remaining)
     assert (stat.covered, stat.universe) == (6, 7)
-    missing = path_universe(derived.trees) - covered_paths(remaining)
+    missing = path_universe(derived.trees) - covered_constraints(remaining)
     assert len(missing) == 1 and "doll" in next(iter(missing))

@@ -1,0 +1,94 @@
+"""Pipeline provider channels: record mode against a live endpoint, and how
+often the build stage reads the cassette."""
+
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+
+import pytest
+
+from envcover import providers
+from envcover.pipeline import (
+    RunPaths,
+    resolve_bundle,
+    run_all,
+    stage_build,
+    stage_collect,
+    stage_derive,
+)
+from envcover.providers import load_cassette, request_hash
+
+SCENE_KINDS = ["design_floor_plan", "select_objects", "propose_relations"]
+
+
+@pytest.fixture
+def cassette_endpoint(cassette_records):
+    """A local live endpoint that answers every request from the fixture cassette."""
+    by_hash = {r["request_hash"]: r["response_body"] for r in cassette_records}
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            length = int(self.headers["Content-Length"])
+            payload = json.loads(self.rfile.read(length))
+            key = request_hash(payload["kind"], payload["body"])
+            if key not in by_hash:
+                self.send_error(404)
+                return
+            body = json.dumps({"response": by_hash[key]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_record_mode_writes_every_exchange_in_trajectory_order(
+    living_room_dir, cassette_records, cassette_endpoint, tmp_path, dir_digest
+):
+    task = str(living_room_dir)
+    fresh = tmp_path / "recorded.json"
+    run_all(str(tmp_path / "plain"), task, grid=0.2)
+    run_all(str(tmp_path / "live"), task, cassette=str(fresh), live_endpoint=cassette_endpoint, grid=0.2)
+
+    recorded = load_cassette(fresh)
+    kinds = [r["request_kind"] for r in recorded]
+    assert len(recorded) == 16
+    assert kinds[:7] == ["decompose"] + ["identify_factors"] * 3 + ["generate_plan"] * 3
+    assert kinds[7:] == SCENE_KINDS * 3
+    selected = json.loads((tmp_path / "live" / "trajectories" / "selected.json").read_text())
+    scene_ids = [t["trajectory_id"] for t in selected["trajectories"] for _ in SCENE_KINDS]
+    assert [r["request_body"]["trajectory_id"] for r in recorded[7:]] == scene_ids
+    assert [r["request_hash"] for r in recorded] == [r["request_hash"] for r in cassette_records]
+
+    run_all(str(tmp_path / "replayed"), task, cassette=str(fresh), grid=0.2)
+    plain = dir_digest(tmp_path / "plain")
+    assert dir_digest(tmp_path / "live") == plain
+    assert dir_digest(tmp_path / "replayed") == plain
+
+
+def test_build_reads_the_cassette_once(living_room_dir, tmp_path, monkeypatch):
+    paths = RunPaths(tmp_path / "run")
+    bundle = resolve_bundle(str(living_room_dir))
+    stage_derive(paths, bundle)
+    assert len(stage_collect(paths)) == 3
+
+    loads = []
+
+    def counting(path):
+        loads.append(path)
+        return load_cassette(path)
+
+    monkeypatch.setattr(providers, "load_cassette", counting)
+    stage_build(paths, bundle, grid=0.2)
+    assert len(loads) == 1

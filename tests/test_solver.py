@@ -200,10 +200,10 @@ def test_budget_exhaustion_is_a_timeout_not_unsat():
 
 def test_overlapping_rooms_fail_statically_with_no_search():
     rooms = [make_room("a", 0, 0, 4, 4), make_room("b", 2, 2, 6, 6)]
-    problem = encode(rooms, [], [], [], [], GRID)
-    solution = solve(problem)
-    assert solution.status == "unsat"
-    assert solution.stats == {"backtracks": 0, "assignments": 0}
+    with pytest.raises(EncodingError, match="overlap"):
+        encode(rooms, [], [], [], [], GRID)
+    touching = [make_room("a", 0, 0, 4, 4), make_room("b", 4, 0, 8, 4)]
+    assert solve(encode(touching, [], [], [], [], GRID)).status == "sat"
 
 
 # ---------------------------------------------------------------------------
