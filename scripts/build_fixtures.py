@@ -59,11 +59,7 @@ from envcover.simulation import (
 )
 from envcover.solver import SolverConfig
 from envcover.task_model import TaskSpec, UncertainFactor, parse_behavior_plan
-from envcover.trajectories import (
-    cartesian_trajectories,
-    minimal_trajectory_selection,
-    paths_per_subtask,
-)
+from envcover.trajectories import cover_path_sets, paths_per_subtask
 from envcover.validator import validate_physics
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "envcover" / "fixtures" / "clean_living_room"
@@ -532,8 +528,7 @@ def build_records(plan_doc: list, task: TaskSpec) -> tuple[list[dict], list]:
         add(GENERATE_PLAN, generate_plan_request(task.id, st["id"], factors), tree_doc)
 
     trees = parse_behavior_plan(plan_doc, subtask_ids)
-    trajectories = cartesian_trajectories(paths_per_subtask(trees))
-    selected = minimal_trajectory_selection(trajectories)
+    selected = cover_path_sets(paths_per_subtask(trees))
     assert len(selected) == 3, f"expected 3 minimal trajectories, got {len(selected)}"
 
     for trajectory in selected:
@@ -557,9 +552,7 @@ def dry_run(records: list[dict], task: TaskSpec, catalog, schema, actions, polic
     assert result.status == "ok", result.report.violations
     assert [len(paths) for paths in paths_per_subtask(result.trees)] == [3, 2, 2]
 
-    trajectories = cartesian_trajectories(paths_per_subtask(result.trees))
-    assert len(trajectories) == 12
-    selected = minimal_trajectory_selection(trajectories)
+    selected = cover_path_sets(paths_per_subtask(result.trees))
     assert len(selected) == 3
 
     for entry_id, description, _ in CATALOG_ENTRIES:

@@ -26,7 +26,7 @@ class ProviderError(EnvcoverError):
 
 
 class EmptyPathSet(EnvcoverError):
-    """A subtask contributed zero decision paths to a cartesian product."""
+    """A subtask contributed zero decision paths, so no trajectory exists."""
 
 
 class InstanceTooLarge(EnvcoverError):

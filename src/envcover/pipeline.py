@@ -5,7 +5,7 @@ writes its outputs back, so stages can run one at a time or chained by
 run_all. Layout under the run root:
 
     plans/             task, plan document, factors, derivation report
-    trajectories/      universe ids and the selected minimal set
+    trajectories/      universe count and the selected minimal set
     environments/      one serialized environment per selected trajectory
     reports/           build stats, physics, validity, simulation, report
     manifest.json      config echo and wall-clock timings
@@ -21,6 +21,7 @@ schema.json, action_model.json, catalog.json, cassette.json, and policies/.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,8 +56,10 @@ from .simulation import (
 )
 from .solver import SolverConfig
 from .task_model import SubtaskSpec, TaskSpec, UncertainFactor, parse_behavior_plan
+# cartesian_trajectories and minimal_trajectory_selection go unused: bench/tracing.py wraps them here
 from .trajectories import (
     cartesian_trajectories,
+    cover_path_sets,
     deserialize_trajectory,
     minimal_trajectory_selection,
     paths_per_subtask,
@@ -253,11 +256,11 @@ def _load_plans(paths: RunPaths):
 def stage_collect(paths: RunPaths) -> list:
     paths.ensure()
     _, trees = _load_plans(paths)
-    universe = cartesian_trajectories(paths_per_subtask(trees))
-    selected = minimal_trajectory_selection(universe)
+    path_sets = paths_per_subtask(trees)
+    selected = cover_path_sets(path_sets)
     _write_json(
         paths.trajectories / "universe.json",
-        {"count": len(universe), "trajectory_ids": [t.trajectory_id for t in universe]},
+        {"count": math.prod(len(ps) for ps in path_sets)},
     )
     _write_json(
         paths.trajectories / "selected.json",

@@ -127,18 +127,28 @@ class ReplayChannel:
 
 
 class RecordingChannel:
-    """Wraps a live channel and captures every exchange for later replay."""
+    """Replays known exchanges and captures the ones it forwards to a live channel.
 
-    def __init__(self, inner):
+    ``known`` holds cassette records already on disk. A request that matches
+    one, or an exchange captured earlier in this run, is answered from it, so
+    the run sees exactly what a later replay of the cassette will serve.
+    """
+
+    def __init__(self, inner, known=()):
         self._inner = inner
+        self._by_hash = {rec["request_hash"]: rec["response_body"] for rec in known}
         self.records: list[dict] = []
 
     def send(self, kind: str, body):
+        key = request_hash(kind, body)
+        if key in self._by_hash:
+            return self._by_hash[key]
         response = self._inner.send(kind, body)
+        self._by_hash[key] = response
         self.records.append(
             {
                 "request_kind": kind,
-                "request_hash": request_hash(kind, body),
+                "request_hash": key,
                 "request_body": body,
                 "response_body": response,
             }
@@ -195,9 +205,14 @@ def save_cassette(path, records) -> None:
 
 
 def open_channel(cassette=None, live_endpoint=None):
-    """Pick the channel for a run: replay, record-over-live, or live."""
+    """Pick the channel for a run: replay, record-over-live, or live.
+
+    Record mode serves what an existing cassette file already holds and
+    sends only the misses to the live endpoint.
+    """
     if live_endpoint and cassette:
-        return RecordingChannel(HttpChannel(live_endpoint))
+        known = load_cassette(cassette) if Path(cassette).is_file() else []
+        return RecordingChannel(HttpChannel(live_endpoint), known)
     if live_endpoint:
         return HttpChannel(live_endpoint)
     if cassette:

@@ -158,7 +158,8 @@ def parse_behavior_plan(doc, subtask_ids=None) -> list[BehaviorPlanTree]:
     ``subtask_ids`` pairs each tree with its subtask; defaults to s1..sN.
     Raises MalformedDocument for shape problems and StructureError for
     tree-level invariant violations (single-branch queries, empty texts,
-    duplicate responses).
+    duplicate responses) and for a repeated subtask id, which would give two
+    subtasks the same path ids.
     """
     if not isinstance(doc, list):
         raise MalformedDocument(f"plan document must be a list, got {type(doc).__name__}")
@@ -168,6 +169,8 @@ def parse_behavior_plan(doc, subtask_ids=None) -> list[BehaviorPlanTree]:
         raise MalformedDocument(
             f"{len(subtask_ids)} subtask ids for {len(doc)} plan entries"
         )
+    if len(set(subtask_ids)) != len(subtask_ids):
+        raise StructureError(f"duplicate subtask ids in {list(subtask_ids)}")
     trees = []
     for sid, entry in zip(subtask_ids, doc):
         trees.append(BehaviorPlanTree(subtask_id=sid, root=_parse_node(entry, sid)))

@@ -2,8 +2,12 @@
 
 A logical trajectory picks one decision path per subtask; the full space is
 the cartesian product of the per-subtask path sets. Building a scene per
-trajectory is expensive, so the selection pass below keeps a small subset
-whose paths still cover every path in the universe.
+trajectory is expensive, so only a small subset whose paths still cover
+every path in the universe is kept. On the full product that subset has a
+closed form (cover_path_sets, the "each-choice" test set of combinatorial
+testing) and the product itself is never built. The general greedy
+(minimal_trajectory_selection) and the brute-force exhaustive_min_cover
+work on any trajectory list and stay as its oracles.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import EmptyPathSet, InstanceTooLarge
+from .errors import EmptyPathSet, InstanceTooLarge, StructureError
 from .task_model import BehaviorPlanTree, DecisionPath, QueryResponse, extract_paths
 
 
@@ -40,11 +44,41 @@ def cartesian_trajectories(path_sets) -> list[LogicalTrajectory]:
     Lexicographic means the first subtask's path index varies slowest and
     the last subtask's fastest, with path indices in tree declaration order.
     """
+    return [LogicalTrajectory(paths=combo) for combo in product(*_nonempty(path_sets))]
+
+
+def _nonempty(path_sets) -> list[list[DecisionPath]]:
     path_sets = [list(ps) for ps in path_sets]
+    if not path_sets:
+        raise EmptyPathSet("a trajectory needs at least one subtask")
     for i, ps in enumerate(path_sets):
         if not ps:
             raise EmptyPathSet(f"subtask at position {i} has no decision paths")
-    return [LogicalTrajectory(paths=combo) for combo in product(*path_sets)]
+    return path_sets
+
+
+def cover_path_sets(path_sets) -> list[LogicalTrajectory]:
+    """A minimum set of trajectories covering every path, in closed form.
+
+    Trajectory k takes path k of each subtask, or its path 0 once k is at or
+    past that subtask's size, for k below the largest path-set size. Every
+    path appears, and no cover is smaller, since each trajectory holds one
+    path of the largest set. With pairwise distinct path ids this equals
+    minimal_trajectory_selection(cartesian_trajectories(path_sets)), ids and
+    order, without building the product; a shared path id raises
+    StructureError, since the greedy would then select differently.
+    """
+    path_sets = _nonempty(path_sets)
+    seen: set[str] = set()
+    for ps in path_sets:
+        for p in ps:
+            if p.path_id in seen:
+                raise StructureError(f"path id {p.path_id!r} occurs more than once")
+            seen.add(p.path_id)
+    return [
+        LogicalTrajectory(paths=tuple(ps[k] if k < len(ps) else ps[0] for ps in path_sets))
+        for k in range(max(len(ps) for ps in path_sets))
+    ]
 
 
 def split_constraints(trajectory: LogicalTrajectory) -> frozenset[str]:

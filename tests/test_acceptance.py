@@ -375,9 +375,9 @@ def test_c09_relaxation_drops_enrichment_relations_only():
 # grid. A change that alters any scene or report byte must update them and
 # say why.
 PINNED_RUN_DIGESTS = {
-    0.2: "dd0d0f87010fb58afd84307d736b909872f5fc3c7ddc70f2eba60b5b8e894bcc",
-    0.1: "361f32e235296631b41b767d43c8ae5652ad9a643b9c5444be46f14793f5f908",
-    0.05: "6d2b5cc6d44ce1906aa514d8b77890a08bd86280551a48896bb795fe94044075",
+    0.2: "9b854600bd07d1448eeeeb647921bc751f3f5c3c2a14a08e2db6409f3b7069bf",
+    0.1: "efc75f00be4f399b3fc9173b1f8f82bbfc4e4114e2281cbdc5598785b1a4e6ae",
+    0.05: "3b7b8d34a640e3cc0db7a44f3187b2be962c5e80b2d098ecb35617fbd47b585c",
 }
 
 

@@ -2,12 +2,14 @@
 often the build stage reads the cassette."""
 
 import json
+import shutil
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 from envcover import providers
+from envcover.errors import StructureError
 from envcover.pipeline import (
     RunPaths,
     resolve_bundle,
@@ -16,13 +18,19 @@ from envcover.pipeline import (
     stage_collect,
     stage_derive,
 )
-from envcover.providers import load_cassette, request_hash
+from envcover.providers import load_cassette, request_hash, save_cassette
 
 SCENE_KINDS = ["design_floor_plan", "select_objects", "propose_relations"]
 
 
 @pytest.fixture
-def cassette_endpoint(cassette_records):
+def live_requests():
+    """The kind of every request the live endpoint received, in order."""
+    return []
+
+
+@pytest.fixture
+def cassette_endpoint(cassette_records, live_requests):
     """A local live endpoint that answers every request from the fixture cassette."""
     by_hash = {r["request_hash"]: r["response_body"] for r in cassette_records}
 
@@ -30,6 +38,7 @@ def cassette_endpoint(cassette_records):
         def do_POST(self):
             length = int(self.headers["Content-Length"])
             payload = json.loads(self.rfile.read(length))
+            live_requests.append(payload["kind"])
             key = request_hash(payload["kind"], payload["body"])
             if key not in by_hash:
                 self.send_error(404)
@@ -75,6 +84,47 @@ def test_record_mode_writes_every_exchange_in_trajectory_order(
     plain = dir_digest(tmp_path / "plain")
     assert dir_digest(tmp_path / "live") == plain
     assert dir_digest(tmp_path / "replayed") == plain
+
+
+def test_record_mode_replays_a_complete_cassette_without_live_requests(
+    living_room_dir, cassette_endpoint, live_requests, tmp_path, dir_digest
+):
+    task = str(living_room_dir)
+    copy = tmp_path / "cassette.json"
+    shutil.copyfile(living_room_dir / "cassette.json", copy)
+    run_all(str(tmp_path / "plain"), task, grid=0.2)
+    run_all(str(tmp_path / "live"), task, cassette=str(copy), live_endpoint=cassette_endpoint, grid=0.2)
+
+    assert live_requests == []
+    assert copy.read_bytes() == (living_room_dir / "cassette.json").read_bytes()
+    assert dir_digest(tmp_path / "live") == dir_digest(tmp_path / "plain")
+
+
+def test_record_mode_sends_only_the_misses_live(
+    living_room_dir, cassette_records, cassette_endpoint, live_requests, tmp_path, dir_digest
+):
+    task = str(living_room_dir)
+    partial = tmp_path / "derivation_only.json"
+    save_cassette(partial, cassette_records[:7])
+    run_all(str(tmp_path / "plain"), task, grid=0.2)
+    run_all(str(tmp_path / "live"), task, cassette=str(partial), live_endpoint=cassette_endpoint, grid=0.2)
+
+    assert live_requests == SCENE_KINDS * 3
+    assert [r["request_hash"] for r in load_cassette(partial)] == [
+        r["request_hash"] for r in cassette_records
+    ]
+    assert dir_digest(tmp_path / "live") == dir_digest(tmp_path / "plain")
+
+
+def test_collect_rejects_a_repeated_subtask_id(living_room_dir, tmp_path):
+    paths = RunPaths(tmp_path / "run")
+    stage_derive(paths, resolve_bundle(str(living_room_dir)))
+    subtasks_file = paths.plans / "subtasks.json"
+    subtasks = json.loads(subtasks_file.read_text())
+    subtasks[2]["id"] = subtasks[0]["id"]
+    subtasks_file.write_text(json.dumps(subtasks))
+    with pytest.raises(StructureError, match="duplicate subtask ids"):
+        stage_collect(paths)
 
 
 def test_build_reads_the_cassette_once(living_room_dir, tmp_path, monkeypatch):

@@ -66,6 +66,14 @@ def test_parse_rejects_responses_that_collide_after_normalization():
         parse_behavior_plan([{"q?": {"YES": "a", "yes!": "b"}}])
 
 
+def test_parse_rejects_duplicate_subtask_ids():
+    # two bare-leaf subtasks named alike would share the path id "s/"
+    with pytest.raises(StructureError, match="duplicate subtask ids"):
+        parse_behavior_plan(["Water the plant.", "Feed the cat."], ["s", "s"])
+    trees = parse_behavior_plan(["Water the plant.", "Feed the cat."], ["s", "t"])
+    assert [t.subtask_id for t in trees] == ["s", "t"]
+
+
 def test_parse_rejects_malformed_documents():
     with pytest.raises(MalformedDocument):
         parse_behavior_plan({"not": "a list"})

@@ -1,13 +1,20 @@
+import itertools
+import json
+import math
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import envcover.trajectories as tj
-from envcover.errors import EmptyPathSet, InstanceTooLarge
+from envcover.errors import EmptyPathSet, InstanceTooLarge, StructureError
+from envcover.pipeline import RunPaths, stage_collect
 from envcover.task_model import DecisionPath, QueryResponse, parse_behavior_plan
 from envcover.trajectories import (
     LogicalTrajectory,
     cartesian_trajectories,
+    cover_path_sets,
     covered_constraints,
     exhaustive_min_cover,
     jaccard_index,
@@ -86,6 +93,9 @@ def test_living_room_plan_induces_12_trajectories(living_room_plan_doc):
     out = cartesian_trajectories(paths_per_subtask(trees))
     assert len(out) == 12
     assert len(covered_constraints(out)) == 7
+    cover = cover_path_sets(paths_per_subtask(trees))
+    assert indices_of(cover, out) == [0, 7, 8]
+    assert covered_constraints(cover) == covered_constraints(out)
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +108,13 @@ def test_selection_sizes_322_takes_rows_1_8_9():
     # pool holds both paths of the two binary subtasks plus two of the three
     # first-subtask paths, so only row 9 (first with the third path) survives
     # the candidate pass.
-    full = cartesian_trajectories(synthetic_path_sets([3, 2, 2]))
+    sets = synthetic_path_sets([3, 2, 2])
+    full = cartesian_trajectories(sets)
     selected = minimal_trajectory_selection(full)
     assert indices_of(selected, full) == [0, 7, 8]
     assert covered_constraints(selected) == covered_constraints(full)
+    # the closed form picks the same rows: (0, 0, 0), (1, 1, 1), (2, 0, 0)
+    assert indices_of(cover_path_sets(sets), full) == [0, 7, 8]
 
 
 def test_selection_reproduces_three_disjoint_plus_one_candidate_on_4x3():
@@ -150,6 +163,100 @@ def test_selection_calls_split_once_per_trajectory(monkeypatch):
     monkeypatch.setattr(tj, "split_constraints", counting)
     tj.minimal_trajectory_selection(full)
     assert calls["n"] == len(full)
+
+
+# ---------------------------------------------------------------------------
+# closed-form cover
+# ---------------------------------------------------------------------------
+
+
+def ids(trajectories):
+    return [t.trajectory_id for t in trajectories]
+
+
+def test_cover_equals_the_greedy_on_every_small_size_tuple():
+    # all 780 tuples of 1-4 subtasks with 1-5 paths each
+    checked = 0
+    for n in range(1, 5):
+        for sizes in itertools.product(range(1, 6), repeat=n):
+            sets = synthetic_path_sets(sizes)
+            expected = minimal_trajectory_selection(cartesian_trajectories(sets))
+            assert ids(cover_path_sets(sets)) == ids(expected), sizes
+            checked += 1
+    assert checked == 780
+
+
+def test_cover_rejects_empty_path_sets():
+    with pytest.raises(EmptyPathSet):
+        cover_path_sets(synthetic_path_sets([3, 0, 2]))
+    with pytest.raises(EmptyPathSet):
+        cover_path_sets([])
+
+
+def test_cover_rejects_a_shared_path_id():
+    # two bare-leaf subtasks under one id both have the path id "s/"
+    water = DecisionPath(subtask_id="s", steps=(), leaf_action="Water the plant.")
+    feed = DecisionPath(subtask_id="s", steps=(), leaf_action="Feed the cat.")
+    with pytest.raises(StructureError, match="more than once"):
+        cover_path_sets([[water], [feed]])
+    sets = synthetic_path_sets([2, 3])
+    with pytest.raises(StructureError, match="more than once"):
+        cover_path_sets([sets[0], sets[1], sets[0]])
+
+
+@st.composite
+def plan_docs(draw):
+    """Plans of bare leaves, one-query trees and trees nesting a second query."""
+    doc = []
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
+        shape = draw(st.sampled_from(["leaf", "flat", "nested"]))
+        if shape == "leaf":
+            doc.append(f"Do chore {i}.")
+            continue
+        width = draw(st.integers(min_value=2, max_value=4))
+        branches = {f"value {j}": f"Act {i} {j}." for j in range(width)}
+        if shape == "nested":
+            under = draw(st.integers(min_value=0, max_value=width - 1))
+            inner = draw(st.integers(min_value=2, max_value=3))
+            branches[f"value {under}"] = {
+                f"What kind is item {i}?": {f"kind {k}": f"Act {i} {under} {k}." for k in range(inner)}
+            }
+        doc.append({f"What state is item {i} in?": branches})
+    return doc
+
+
+@settings(max_examples=60)
+@given(doc=plan_docs())
+def test_cover_equals_the_greedy_on_parsed_plans_property(doc):
+    path_sets = paths_per_subtask(parse_behavior_plan(doc))
+    assume(math.prod(len(ps) for ps in path_sets) <= 2000)
+    expected = minimal_trajectory_selection(cartesian_trajectories(path_sets))
+    assert ids(cover_path_sets(path_sets)) == ids(expected)
+
+
+def test_collect_keeps_memory_bounded_on_a_huge_product(tmp_path):
+    # 12 subtasks of 6 paths: 6**12 (about 2.2e9) trajectories, 6 selected
+    plan = [
+        {f"What state is item {i} in?": {f"value {j}": f"Act {i} {j}." for j in range(6)}}
+        for i in range(12)
+    ]
+    subtasks = [{"id": f"st{i}", "summary": f"item {i}", "factors": []} for i in range(12)]
+    paths = RunPaths(tmp_path / "run")
+    paths.ensure()
+    (paths.plans / "plan_document.json").write_text(json.dumps(plan))
+    (paths.plans / "subtasks.json").write_text(json.dumps(subtasks))
+
+    tracemalloc.start()
+    try:
+        selected = stage_collect(paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert len(selected) == 6
+    assert len(covered_constraints(selected)) == 72
+    universe = json.loads((paths.trajectories / "universe.json").read_text())
+    assert universe == {"count": 6**12}
 
 
 # ---------------------------------------------------------------------------
