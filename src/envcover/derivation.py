@@ -69,14 +69,15 @@ def verify_independence(subtasks: list[SubtaskSpec]) -> ValidationReport:
     return report
 
 
-def verify_syntax(subtask_id: str, tree: BehaviorPlanTree | None, parse_error=None) -> ValidationReport:
+def verify_syntax(subtask_id: str, parse_error=None) -> ValidationReport:
+    """The parse error of a subtask's plan as a syntax violation, if it had one.
+
+    Every tree comes from parse_behavior_plan, which raises on each
+    structural defect, so the parse error is the whole syntax check.
+    """
     report = ValidationReport()
     if parse_error is not None:
         report.violations.append(Violation("syntax", subtask_id, str(parse_error)))
-        return report
-    if tree is not None:
-        for problem in tree.structural_violations():
-            report.violations.append(Violation("syntax", subtask_id, problem))
     return report
 
 
@@ -84,8 +85,8 @@ def verify_all(subtasks, trees, parse_errors=None) -> ValidationReport:
     """Aggregate report in deterministic order: independence, syntax, grounding."""
     parse_errors = parse_errors or {}
     report = verify_independence(list(subtasks))
-    for subtask, tree in zip(subtasks, trees):
-        report.extend(verify_syntax(subtask.id, tree, parse_errors.get(subtask.id)))
+    for subtask in subtasks:
+        report.extend(verify_syntax(subtask.id, parse_errors.get(subtask.id)))
     for subtask, tree in zip(subtasks, trees):
         if tree is not None and subtask.id not in parse_errors:
             report.extend(validate_tree_grounding(tree, subtask.factors))

@@ -14,12 +14,14 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import SchemaViolation
-from .semantics import CARDINALS, DEFAULT_SEMANTICS, RelationSemantics
+from .semantics import CARDINALS, SUPPORT_EPS, SUPPORT_OVERLAP_FRAC
 
 SCHEMA_VERSION = 1
 
 UNARY_KINDS = frozenset({"edge", "center", "mounted_on_wall"})
 CONTACT_KINDS = frozenset({"in", "on_top_of"})
+# the relations that fix an object's height; never relaxed, at most one per subject
+SUPPORT_KINDS = CONTACT_KINDS | {"mounted_on_wall"}
 DISTANCE_KINDS = frozenset({"near", "far"})
 RELATIVE_KINDS = frozenset({"above", "in_front_of", "side_of", "center_aligned", "face_to"})
 RELATION_KINDS = UNARY_KINDS | CONTACT_KINDS | DISTANCE_KINDS | RELATIVE_KINDS
@@ -281,7 +283,7 @@ def _rect_overlap_area(a, b) -> float:
     return w * d if w > 0 and d > 0 else 0.0
 
 
-def _support_location(env: EnvironmentSpec, obj: ObjectSpec, sem: RelationSemantics) -> str:
+def _support_location(env: EnvironmentSpec, obj: ObjectSpec) -> str:
     """Where an object rests, by geometry alone: "floor", "<id>_top",
     "<id>_in", "wall" (mounted), or "floating"."""
     p = env.placement_of(obj.id)
@@ -293,33 +295,33 @@ def _support_location(env: EnvironmentSpec, obj: ObjectSpec, sem: RelationSemant
             continue
         ob = placed_box(other, env.placement_of(other.id))
         inside = (
-            box[0] >= ob[0] - sem.support_eps
-            and box[2] >= ob[2] - sem.support_eps
-            and box[3] <= ob[3] + sem.support_eps
-            and box[5] <= ob[5] + sem.support_eps
-            and box[4] <= ob[4] + sem.support_eps
+            box[0] >= ob[0] - SUPPORT_EPS
+            and box[2] >= ob[2] - SUPPORT_EPS
+            and box[3] <= ob[3] + SUPPORT_EPS
+            and box[5] <= ob[5] + SUPPORT_EPS
+            and box[4] <= ob[4] + SUPPORT_EPS
         )
-        if inside and abs(box[1] - ob[1]) <= sem.support_eps:
+        if inside and abs(box[1] - ob[1]) <= SUPPORT_EPS:
             return f"{other.id}_in"
     for other in env.objects:
         if other.id == obj.id:
             continue
         ob = placed_box(other, env.placement_of(other.id))
-        if abs(box[1] - ob[4]) <= sem.support_eps:
+        if abs(box[1] - ob[4]) <= SUPPORT_EPS:
             orect = (ob[0], ob[2], ob[3], ob[5])
-            if _rect_overlap_area(rect, orect) >= sem.support_overlap_frac * area:
+            if _rect_overlap_area(rect, orect) >= SUPPORT_OVERLAP_FRAC * area:
                 return f"{other.id}_top"
-    if abs(box[1]) <= sem.support_eps:
+    if abs(box[1]) <= SUPPORT_EPS:
         return "floor"
     mounted = any(
         r.kind == "mounted_on_wall" and r.subject == obj.id for r in env.relations
     )
-    if mounted and box[1] > sem.support_eps:
+    if mounted and box[1] > SUPPORT_EPS:
         return "wall"
     return "floating"
 
 
-def rebuild_metadata(env: EnvironmentSpec, sem: RelationSemantics = DEFAULT_SEMANTICS) -> dict:
+def rebuild_metadata(env: EnvironmentSpec) -> dict:
     """Derive the (entity, attribute) -> value map from geometry alone.
 
     Pure: never mutates the environment. Tracked entities with no matching
@@ -331,7 +333,7 @@ def rebuild_metadata(env: EnvironmentSpec, sem: RelationSemantics = DEFAULT_SEMA
     for obj in env.objects:
         meta[(obj.id, "presence")] = "present"
         meta[(obj.id, "room")] = obj.room
-        meta[(obj.id, "location")] = _support_location(env, obj, sem)
+        meta[(obj.id, "location")] = _support_location(env, obj)
         for key, value in sorted(obj.attributes.items()):
             meta[(obj.id, key)] = value
     for entity in env.tracked_entities:

@@ -42,7 +42,7 @@ class EncodingError(EnvcoverError):
 
 
 class SolverTimeout(EnvcoverError):
-    """Backtrack budget or wall-clock limit hit before the search finished.
+    """Backtrack budget hit before the search finished.
 
     Deliberately distinct from an Unsat result: a timed-out search proves
     nothing about satisfiability.

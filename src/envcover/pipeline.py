@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .assets import AssetCatalog, load_catalog
+from .assets import load_catalog
 from .derivation import DerivationResult, derive
 from .environment import EnvironmentSpec, deserialize_environment, serialize_environment
 from .errors import ConfigError, MissingInput, SchemaViolation
@@ -44,7 +44,7 @@ from .providers import (
     save_cassette,
 )
 from .scene import build_environment
-from .schema import TaskSchema, load_schema
+from .schema import load_schema
 from .simulation import (
     DEFAULT_BUDGET,
     detected,
@@ -195,8 +195,10 @@ def stage_derive(
     paths.ensure()
     task = load_task(bundle.task_file)
     channel = _open_provider_channel(bundle, live_endpoint)
-    result = derive(PlanProvider(channel), task, max_rounds=max_rounds)
-    _finish_channel(channel, bundle)
+    try:
+        result = derive(PlanProvider(channel), task, max_rounds=max_rounds)
+    finally:
+        _finish_channel(channel, bundle)
 
     _write_json(
         paths.plans / "task.json",
@@ -302,11 +304,13 @@ def stage_build(
 
     channel = _open_provider_channel(bundle, live_endpoint)
     provider = SceneProvider(channel)
-    outcomes = [
-        build_environment(provider, catalog, schema, trajectory, f"env-{i:03d}", config)
-        for i, trajectory in enumerate(selected)
-    ]
-    _finish_channel(channel, bundle)
+    try:
+        outcomes = [
+            build_environment(provider, catalog, schema, trajectory, f"env-{i:03d}", config)
+            for i, trajectory in enumerate(selected)
+        ]
+    finally:
+        _finish_channel(channel, bundle)
 
     stats = {}
     environments = []

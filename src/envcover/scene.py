@@ -26,6 +26,7 @@ from .environment import (
     RELATION_KINDS,
     RELATIVE_KINDS,
     Room,
+    SUPPORT_KINDS,
     SpatialRelation,
     Window,
     make_room,
@@ -34,6 +35,7 @@ from .environment import (
 from .errors import CoreUnsat, SchemaViolation, TrajectoryMismatch, UnsatisfiableScene
 from .providers import SceneProvider
 from .schema import TaskSchema, unmet_conditions
+from .semantics import MOUNT_HEIGHT, SUPPORT_EPS, WALL_HEIGHT
 from .solver import SolverConfig, encode, solve_with_relaxation
 from .trajectories import LogicalTrajectory
 
@@ -154,15 +156,16 @@ def parse_relations(raw_relations: list[dict], objects: list[ObjectSpec]) -> lis
 # ---------------------------------------------------------------------------
 
 
-def _fits_inside(inner: ObjectSpec, outer: ObjectSpec, eps: float) -> bool:
+def _fits_inside(inner: ObjectSpec, outer: ObjectSpec) -> bool:
     sx, sy, sz = inner.size
     cx, cy, cz = outer.size
+    eps = SUPPORT_EPS
     if sy > cy + eps:
         return False
     return (sx <= cx + eps and sz <= cz + eps) or (sz <= cx + eps and sx <= cz + eps)
 
 
-def compatibility_conflicts(objects: list[ObjectSpec], relations: list[SpatialRelation], wall_height: float = 3.0, mount_height: float = 1.4, eps: float = 0.01) -> list[dict]:
+def compatibility_conflicts(objects: list[ObjectSpec], relations: list[SpatialRelation]) -> list[dict]:
     """Deterministic pre-solver checks on a proposed relation set.
 
     Returns conflict records: {"rule", "relations": [indices], "message"}.
@@ -180,7 +183,7 @@ def compatibility_conflicts(objects: list[ObjectSpec], relations: list[SpatialRe
 
     support_claims: dict[str, list[int]] = {}
     for i, rel in enumerate(relations):
-        if rel.kind in CONTACT_KINDS or rel.kind == "mounted_on_wall":
+        if rel.kind in SUPPORT_KINDS:
             support_claims.setdefault(rel.subject, []).append(i)
     for subject, indices in support_claims.items():
         if len(indices) > 1:
@@ -210,7 +213,7 @@ def compatibility_conflicts(objects: list[ObjectSpec], relations: list[SpatialRe
     for i, rel in enumerate(relations):
         if rel.kind != "in" or rel.subject not in by_id or rel.reference not in by_id:
             continue
-        if not _fits_inside(by_id[rel.subject], by_id[rel.reference], eps):
+        if not _fits_inside(by_id[rel.subject], by_id[rel.reference]):
             conflict(
                 "containment_capacity",
                 [i],
@@ -221,8 +224,8 @@ def compatibility_conflicts(objects: list[ObjectSpec], relations: list[SpatialRe
         if rel.kind != "mounted_on_wall" or rel.subject not in by_id:
             continue
         obj = by_id[rel.subject]
-        height = float(obj.attributes.get("mount_height", mount_height))
-        if height + obj.size[1] > wall_height + eps:
+        height = float(obj.attributes.get("mount_height", MOUNT_HEIGHT))
+        if height + obj.size[1] > WALL_HEIGHT + SUPPORT_EPS:
             conflict(
                 "mountability",
                 [i],
@@ -282,19 +285,14 @@ def build_environment(
     relations = parse_relations(raw_relations, objects)
 
     rounds = 0
-    sem = config.semantics
-    conflicts = compatibility_conflicts(
-        objects, relations, wall_height=sem.wall_height, mount_height=sem.mount_height
-    )
+    conflicts = compatibility_conflicts(objects, relations)
     while conflicts and rounds < max_revisions:
         rounds += 1
         raw_relations = provider.revise_relations(
             task_id, trajectory_id, _serialize_relations(relations), conflicts
         )
         relations = parse_relations(raw_relations, objects)
-        conflicts = compatibility_conflicts(
-            objects, relations, wall_height=sem.wall_height, mount_height=sem.mount_height
-        )
+        conflicts = compatibility_conflicts(objects, relations)
     if conflicts:
         summary = "; ".join(c["message"] for c in conflicts)
         raise UnsatisfiableScene(
@@ -351,7 +349,7 @@ def build_environment(
         relaxed_relations=relaxed,
         tracked_entities=sorted(schema.tracked_entities),
     )
-    env.metadata = rebuild_metadata(env, sem)
+    env.metadata = rebuild_metadata(env)
     env.validate()
 
     failures = unmet_conditions(schema, trajectory, env.metadata)

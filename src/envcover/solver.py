@@ -4,29 +4,32 @@ Encodes a scene draft (rooms, openings, objects, spatial relations) as a
 finite CSP: per object one position variable (grid cells in its room) and one
 direction variable (four cardinals), plus one position variable per doorway
 and window. Heights are not searched: an object's bottom height follows from
-its support chain (floor, the top face of the object it rests on, the bottom
-of its container, or the wall-mount height). Facts about the fixed inputs are
-checked once, at encode time: overlapping rooms, a doorway between detached
-rooms or an object that fits in no grid cell raise EncodingError before any
-search, so every constraint left for the search scopes one or two entities.
+its support relation (none puts it on the floor; on_top_of on the top face of
+its reference, in on the bottom of its container, mounted_on_wall at the
+mount height), so the support relations are the only support constraints and
+are never relaxed. Facts about the fixed inputs are checked once, at encode
+time: overlapping rooms, a doorway between detached rooms or an object that
+fits in no grid cell raise EncodingError before any search, so every
+constraint left for the search scopes one or two entities.
 
 The search is depth-first backtracking with forward checking (Haralick and
 Elliott, 1980). Variable order is largest footprint first (ties by id); value
 order is a seeded shuffle, made once per problem, so a fixed seed and config
 reproduce the identical solution. Exhausting the search space returns an
-unsat solution; hitting the backtrack budget or the wall-clock limit raises
-SolverTimeout instead, because a capped search proves nothing.
+unsat solution; hitting the backtrack budget, the only cap on the search,
+raises SolverTimeout instead, because a capped search proves nothing. No
+clock is read, so the outcome does not depend on machine load.
 
 Every constraint has a predicate over a full assignment. The kinds that
-dominate the solver's runtime (containment, non_collision, floor/top/wall
-support, near, far, edge, on_top_of, mounted_on_wall) also have a pruner
-that forward checking calls instead of the predicate on each value: it
-filters a position domain by the same float expressions, evaluated once per
-distinct grid coordinate where the predicate splits into an x test and a z
-test. Pruners keep exactly the values, in the same order, that the
-predicate keeps. The predicates remain the reference: consistency checks
-after each assignment, check_assignment and the tests' brute-force oracles
-call them, and so does forward checking for the kinds without a pruner.
+dominate the solver's runtime (containment, non_collision, near, far, edge,
+on_top_of, mounted_on_wall) also have a pruner that forward checking calls
+instead of the predicate on each value: it filters a position domain by the
+same float expressions, evaluated once per distinct grid coordinate where the
+predicate splits into an x test and a z test. Pruners keep exactly the
+values, in the same order, that the predicate keeps. The predicates remain
+the reference: consistency checks after each assignment, check_assignment and
+the tests' brute-force oracles call them, and so does forward checking for
+the kinds without a pruner.
 
 Relation predicates here are written against this module's own box math; the
 physics validator re-implements the same semantics table independently.
@@ -35,25 +38,36 @@ physics validator re-implements the same semantics table independently.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
 
 from .environment import (
-    CONTACT_KINDS,
     DISTANCE_KINDS,
-    Doorway,
     ObjectSpec,
     Placement,
     RELATIVE_KINDS,
+    SUPPORT_KINDS,
     SpatialRelation,
     UNARY_KINDS,
-    Window,
     footprint,
 )
 from .errors import CoreUnsat, EncodingError, SolverTimeout
-from .semantics import DEFAULT_SEMANTICS, DIRECTION_VECTORS, RelationSemantics
+from .semantics import (
+    CENTER_ALIGNED_EPS,
+    CENTER_MAX,
+    DIRECTION_VECTORS,
+    EDGE_MAX,
+    FAR_MIN,
+    FRONT_MAX,
+    MOUNT_EPS,
+    MOUNT_HEIGHT,
+    NEAR_MAX,
+    SIDE_LONG_MAX,
+    SUPPORT_EPS,
+    SUPPORT_OVERLAP_FRAC,
+    WALL_HEIGHT,
+)
 
 _TOL = 1e-9
 
@@ -66,8 +80,6 @@ class SolverConfig:
     grid_resolution: float = 0.1
     seed: int = 0
     max_backtracks: int = 50000
-    time_limit_s: float = 60.0
-    semantics: RelationSemantics = DEFAULT_SEMANTICS
 
 
 @dataclass(frozen=True)
@@ -136,8 +148,7 @@ class _RoomBounds(NamedTuple):
 class _Geometry:
     """Per-problem cached room bounds, footprints and support heights."""
 
-    def __init__(self, rooms, objects, sem: RelationSemantics):
-        self.sem = sem
+    def __init__(self, rooms, objects):
         self.rooms = {
             r.id: _RoomBounds(r.id, r.x_min, r.x_max, r.z_min, r.z_max, r.center) for r in rooms
         }
@@ -170,23 +181,15 @@ class _Geometry:
         return y, y + self.objects[obj_id].size[1]
 
 
-def _support_plan(objects, relations, sem: RelationSemantics):
-    """Support mode per object: how its bottom height is determined.
+def _support_plan(objects, relations) -> dict[str, float]:
+    """Each object's bottom height, from the support relation naming it.
 
-    Returns ({obj_id: (mode, ref_or_None)}, base_y) and rejects cycles.
-    Modes: floor, top (resting on ref's top face), in (container bottom),
-    wall (mounted).
+    An object with no support relation stands on the floor; on_top_of puts
+    it on the reference's top face, in on the container's bottom, and
+    mounted_on_wall at its mount height. Where one subject has several
+    support relations the last one sets the height. Rejects cycles.
     """
-    mode: dict[str, tuple[str, str | None]] = {}
-    for o in objects:
-        mode[o.id] = ("floor", None)
-    for rel in relations:
-        if rel.kind == "on_top_of":
-            mode[rel.subject] = ("top", rel.reference)
-        elif rel.kind == "in":
-            mode[rel.subject] = ("in", rel.reference)
-        elif rel.kind == "mounted_on_wall":
-            mode[rel.subject] = ("wall", None)
+    support = {rel.subject: rel for rel in relations if rel.kind in SUPPORT_KINDS}
     by_id = {o.id: o for o in objects}
     base_y: dict[str, float] = {}
 
@@ -197,22 +200,21 @@ def _support_plan(objects, relations, sem: RelationSemantics):
             raise EncodingError(
                 "support cycle: " + " -> ".join(trail + (obj_id,))
             )
-        m, ref = mode[obj_id]
-        if m == "floor":
+        rel = support.get(obj_id)
+        if rel is None:
             y = 0.0
-        elif m == "top":
-            y = resolve(ref, trail + (obj_id,)) + by_id[ref].size[1]
-        elif m == "in":
-            y = resolve(ref, trail + (obj_id,))
-        else:  # wall
-            obj = by_id[obj_id]
-            y = float(obj.attributes.get("mount_height", sem.mount_height))
+        elif rel.kind == "on_top_of":
+            y = resolve(rel.reference, trail + (obj_id,)) + by_id[rel.reference].size[1]
+        elif rel.kind == "in":
+            y = resolve(rel.reference, trail + (obj_id,))
+        else:  # mounted_on_wall
+            y = float(by_id[obj_id].attributes.get("mount_height", MOUNT_HEIGHT))
         base_y[obj_id] = round(y, 6)
         return base_y[obj_id]
 
     for o in objects:
         resolve(o.id, ())
-    return mode, base_y
+    return base_y
 
 
 def _shared_wall(a: _RoomBounds, b: _RoomBounds):
@@ -442,8 +444,7 @@ class CspProblem:
         self.objects = list(objects)
         self.relations = list(relations)
         self.config = config
-        self.sem = config.semantics
-        self.geo = _Geometry(self.rooms, self.objects, self.sem)
+        self.geo = _Geometry(self.rooms, self.objects)
         self.variables: list[CspVariable] = []
         self.domains: dict[str, list] = {}
         self.constraints: list[CspConstraint] = []
@@ -455,7 +456,6 @@ class CspProblem:
     # -- construction -------------------------------------------------------
 
     def _encode(self) -> None:
-        sem = self.sem
         res = self.config.grid_resolution
         for i, a in enumerate(self.rooms):
             for b in self.rooms[i + 1 :]:
@@ -467,12 +467,10 @@ class CspProblem:
         for o in self.objects:
             if o.room not in self.geo.rooms:
                 raise EncodingError(f"object {o.id!r} names unknown room {o.room!r}")
-            if o.size[1] > sem.wall_height + _TOL:
+            if o.size[1] > WALL_HEIGHT + _TOL:
                 raise EncodingError(f"object {o.id!r} is taller than the walls")
         room_of = {o.id: self.geo.rooms[o.room] for o in self.objects}
-        mode, base_y = _support_plan(self.objects, self.relations, sem)
-        self.geo.base_y = base_y
-        self.support_mode = mode
+        self.geo.base_y = _support_plan(self.objects, self.relations)
 
         # variables and domains
         order = sorted(
@@ -516,7 +514,7 @@ class CspProblem:
                 cells = _positions_on_wall(wall, door.width, res)
             if not cells:
                 raise EncodingError(f"doorway {door.id!r} does not fit on its wall")
-            if door.height > sem.wall_height + _TOL:
+            if door.height > WALL_HEIGHT + _TOL:
                 raise EncodingError(f"doorway {door.id!r} is taller than the walls")
             var = CspVariable(id=f"{door.id}.pos", entity=door.id, kind="opening")
             self.variables.append(var)
@@ -526,7 +524,7 @@ class CspProblem:
             room = self.geo.rooms.get(win.room)
             if room is None:
                 raise EncodingError(f"window {win.id!r} names unknown room {win.room!r}")
-            if win.sill_height + win.height > sem.wall_height + _TOL:
+            if win.sill_height + win.height > WALL_HEIGHT + _TOL:
                 raise EncodingError(f"window {win.id!r} does not fit under the wall height")
             cells = _positions_on_wall(_wall_of(room, win.orientation), win.width, res)
             if not cells:
@@ -538,9 +536,7 @@ class CspProblem:
         self._emit_constraints()
 
     def _emit_constraints(self) -> None:
-        sem = self.sem
         geo = self.geo
-        room_of = {o.id: geo.rooms[o.room] for o in self.objects}
 
         def add(cid, kind, scope, check, prune=None, relaxable=False, rel_idx=None):
             self.constraints.append(
@@ -556,14 +552,8 @@ class CspProblem:
             if prune is not None:
                 self._prunes[cid] = prune
 
-        in_pairs = {
-            frozenset((r.subject, r.reference))
-            for r in self.relations
-            if r.kind == "in"
-        }
-
         for o in self.objects:
-            room = room_of[o.id]
+            room = geo.rooms[o.room]
 
             def contained(assign, o=o, room=room):
                 box = geo.placed_box(o.id, assign)
@@ -582,63 +572,22 @@ class CspProblem:
                 _containment_pruner(geo, o.id, room),
             )
 
-        for o in self.objects:
-            m, ref = self.support_mode[o.id]
-            if m == "top":
+        # relations come before the pairwise non-collision constraints, so
+        # forward checking first cuts a supported object's position domain
+        # down to the cells over its host
+        for idx, rel in enumerate(self.relations):
+            scope = (rel.subject,) if rel.reference is None else (rel.subject, rel.reference)
+            add(
+                f"rel[{idx}]:{rel.kind}:{rel.subject}",
+                rel.kind,
+                scope,
+                self._relation_check(rel),
+                self._relation_pruner(rel),
+                relaxable=rel.priority == "enrichment" and rel.kind not in SUPPORT_KINDS,
+                rel_idx=idx,
+            )
 
-                def supported(assign, o=o, ref=ref):
-                    a = geo.placed_box(o.id, assign)
-                    b = geo.placed_box(ref, assign)
-                    w = _overlap_1d(a[0], a[3], b[0], b[3])
-                    d = _overlap_1d(a[2], a[5], b[2], b[5])
-                    if w <= 0 or d <= 0:
-                        return False
-                    area = (a[3] - a[0]) * (a[5] - a[2])
-                    return w * d >= sem.support_overlap_frac * area - _TOL
-
-                def enough(w, width, d, depth):
-                    return w * d >= sem.support_overlap_frac * (width * depth) - _TOL
-
-                prune = _resting_pruner(geo, o.id, ref, enough)
-                add(f"phys:support:{o.id}", "support", (o.id, ref), supported, prune)
-            elif m == "in":
-
-                def inside(assign, o=o, ref=ref):
-                    a = geo.placed_box(o.id, assign)
-                    b = geo.placed_box(ref, assign)
-                    return (
-                        a[0] >= b[0] - sem.support_eps
-                        and a[2] >= b[2] - sem.support_eps
-                        and a[3] <= b[3] + sem.support_eps
-                        and a[5] <= b[5] + sem.support_eps
-                        and a[4] <= b[4] + sem.support_eps
-                    )
-
-                add(f"phys:support:{o.id}", "support", (o.id, ref), inside)
-            elif m == "wall":
-                room = room_of[o.id]
-
-                def flush(assign, o=o, room=room):
-                    direction = assign[f"{o.id}.dir"]
-                    box = geo.placed_box(o.id, assign)
-                    back = {
-                        "north": box[2] - room.z_min,
-                        "south": room.z_max - box[5],
-                        "east": box[0] - room.x_min,
-                        "west": room.x_max - box[3],
-                    }[direction]
-                    return abs(back) <= sem.mount_eps
-
-                prune = _wall_back_pruner(geo, o.id, room, sem.mount_eps)
-                add(f"phys:support:{o.id}", "support", (o.id,), flush, prune)
-            else:
-
-                def on_floor(assign, o=o):
-                    return geo.base_y[o.id] <= _TOL
-
-                prune = _keep_all if geo.base_y[o.id] <= _TOL else _keep_none
-                add(f"phys:support:{o.id}", "support", (o.id,), on_floor, prune)
-
+        in_pairs = {frozenset((r.subject, r.reference)) for r in self.relations if r.kind == "in"}
         by_room: dict[str, list[ObjectSpec]] = {}
         for o in self.objects:
             by_room.setdefault(o.room, []).append(o)
@@ -666,24 +615,9 @@ class CspProblem:
                         _non_collision_pruner(geo, a.id, b.id),
                     )
 
-        for idx, rel in enumerate(self.relations):
-            check = self._relation_check(rel)
-            scope = (rel.subject,) if rel.reference is None else (rel.subject, rel.reference)
-            relaxable = rel.priority == "enrichment" and rel.kind not in CONTACT_KINDS
-            add(
-                f"rel[{idx}]:{rel.kind}:{rel.subject}",
-                rel.kind,
-                scope,
-                check,
-                self._relation_pruner(rel),
-                relaxable=relaxable,
-                rel_idx=idx,
-            )
-
     # -- relation predicates (solver-side geometry) -------------------------
 
     def _relation_check(self, rel: SpatialRelation):
-        sem = self.sem
         geo = self.geo
         s = rel.subject
         r = rel.reference
@@ -704,37 +638,37 @@ class CspProblem:
 
             def check(assign):
                 sx, sz, rx, rz = centers(assign)
-                return (sx - rx) ** 2 + (sz - rz) ** 2 <= sem.near_max**2 + _TOL
+                return (sx - rx) ** 2 + (sz - rz) ** 2 <= NEAR_MAX**2 + _TOL
 
         elif rel.kind == "far":
 
             def check(assign):
                 sx, sz, rx, rz = centers(assign)
-                return (sx - rx) ** 2 + (sz - rz) ** 2 >= sem.far_min**2 - _TOL
+                return (sx - rx) ** 2 + (sz - rz) ** 2 >= FAR_MIN**2 - _TOL
 
         elif rel.kind == "on_top_of":
 
             def check(assign):
                 a, b = sbox(assign), rbox(assign)
-                if abs(a[1] - b[4]) > sem.support_eps:
+                if abs(a[1] - b[4]) > SUPPORT_EPS:
                     return False
                 w = _overlap_1d(a[0], a[3], b[0], b[3])
                 d = _overlap_1d(a[2], a[5], b[2], b[5])
                 if w <= 0 or d <= 0:
                     return False
-                return w * d >= sem.support_overlap_frac * (a[3] - a[0]) * (a[5] - a[2]) - _TOL
+                return w * d >= SUPPORT_OVERLAP_FRAC * (a[3] - a[0]) * (a[5] - a[2]) - _TOL
 
         elif rel.kind == "in":
 
             def check(assign):
                 a, b = sbox(assign), rbox(assign)
                 return (
-                    a[0] >= b[0] - sem.support_eps
-                    and a[2] >= b[2] - sem.support_eps
-                    and a[3] <= b[3] + sem.support_eps
-                    and a[5] <= b[5] + sem.support_eps
-                    and a[1] >= b[1] - sem.support_eps
-                    and a[4] <= b[4] + sem.support_eps
+                    a[0] >= b[0] - SUPPORT_EPS
+                    and a[2] >= b[2] - SUPPORT_EPS
+                    and a[3] <= b[3] + SUPPORT_EPS
+                    and a[5] <= b[5] + SUPPORT_EPS
+                    and a[1] >= b[1] - SUPPORT_EPS
+                    and a[4] <= b[4] + SUPPORT_EPS
                 )
 
         elif rel.kind == "edge":
@@ -747,14 +681,14 @@ class CspProblem:
                     a[2] - room.z_min,
                     room.z_max - a[5],
                 )
-                return gap <= sem.edge_max + _TOL
+                return gap <= EDGE_MAX + _TOL
 
         elif rel.kind == "center":
 
             def check(assign):
                 sx, sz = assign[f"{s}.pos"]
                 cx, cz = room.center
-                return (sx - cx) ** 2 + (sz - cz) ** 2 <= sem.center_max**2 + _TOL
+                return (sx - cx) ** 2 + (sz - cz) ** 2 <= CENTER_MAX**2 + _TOL
 
         elif rel.kind == "mounted_on_wall":
 
@@ -767,13 +701,13 @@ class CspProblem:
                     "east": a[0] - room.x_min,
                     "west": room.x_max - a[3],
                 }[direction]
-                return abs(back) <= sem.mount_eps and a[1] > _TOL
+                return abs(back) <= MOUNT_EPS and a[1] > _TOL
 
         elif rel.kind == "above":
 
             def check(assign):
                 a, b = sbox(assign), rbox(assign)
-                if a[1] < b[4] - sem.support_eps:
+                if a[1] < b[4] - SUPPORT_EPS:
                     return False
                 w = _overlap_1d(a[0], a[3], b[0], b[3])
                 d = _overlap_1d(a[2], a[5], b[2], b[5])
@@ -786,7 +720,7 @@ class CspProblem:
                 rx, rz = assign[f"{r}.pos"]
                 direction = assign[f"{r}.dir"]
                 fx, fz = geo.footprints[(r, direction)]
-                return _ray_hits(a, rx, rz, direction, sem.front_max + max(fx, fz) / 2)
+                return _ray_hits(a, rx, rz, direction, FRONT_MAX + max(fx, fz) / 2)
 
         elif rel.kind == "side_of":
 
@@ -796,15 +730,15 @@ class CspProblem:
                 fvx, fvz = DIRECTION_VECTORS[assign[f"{r}.dir"]]
                 longitudinal = dx * fvx + dz * fvz
                 lateral = dx * -fvz + dz * fvx
-                return abs(longitudinal) <= sem.side_long_max + _TOL and abs(lateral) > _TOL
+                return abs(longitudinal) <= SIDE_LONG_MAX + _TOL and abs(lateral) > _TOL
 
         elif rel.kind == "center_aligned":
 
             def check(assign):
                 sx, sz, rx, rz = centers(assign)
                 return (
-                    abs(sx - rx) <= sem.center_aligned_eps + _TOL
-                    or abs(sz - rz) <= sem.center_aligned_eps + _TOL
+                    abs(sx - rx) <= CENTER_ALIGNED_EPS + _TOL
+                    or abs(sz - rz) <= CENTER_ALIGNED_EPS + _TOL
                 )
 
         elif rel.kind == "face_to":
@@ -823,28 +757,27 @@ class CspProblem:
 
     def _relation_pruner(self, rel: SpatialRelation):
         """The relation's pruner, or None where forward checking calls its predicate."""
-        sem = self.sem
         geo = self.geo
         s = rel.subject
         r = rel.reference
         room = geo.rooms[geo.objects[s].room]
         if rel.kind == "near":
-            return _distance_pruner(s, r, sem.near_max**2 + _TOL, True)
+            return _distance_pruner(s, r, NEAR_MAX**2 + _TOL, True)
         if rel.kind == "far":
-            return _distance_pruner(s, r, sem.far_min**2 - _TOL, False)
+            return _distance_pruner(s, r, FAR_MIN**2 - _TOL, False)
         if rel.kind == "edge":
-            return _edge_pruner(geo, s, room, sem.edge_max + _TOL)
+            return _edge_pruner(geo, s, room, EDGE_MAX + _TOL)
         if rel.kind == "on_top_of":
-            if abs(geo.y_span(s)[0] - geo.y_span(r)[1]) > sem.support_eps:
+            if abs(geo.y_span(s)[0] - geo.y_span(r)[1]) > SUPPORT_EPS:
                 return _keep_none
 
             def enough(w, width, d, depth):
-                return w * d >= sem.support_overlap_frac * width * depth - _TOL
+                return w * d >= SUPPORT_OVERLAP_FRAC * width * depth - _TOL
 
             return _resting_pruner(geo, s, r, enough)
         if rel.kind == "mounted_on_wall":
             if geo.y_span(s)[0] > _TOL:
-                return _wall_back_pruner(geo, s, room, sem.mount_eps)
+                return _wall_back_pruner(geo, s, room, MOUNT_EPS)
             return _keep_none
         return None
 
@@ -947,13 +880,11 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
     """Backtracking search with forward checking.
 
     Returns a sat Solution with placements, or an unsat Solution after the
-    search space is exhausted. Raises SolverTimeout when max_backtracks or
-    the time limit is hit. ``skip`` names constraint ids to ignore (used by
-    relaxation). Overlapping rooms never get here: encode rejects them with
-    EncodingError.
+    search space is exhausted. Raises SolverTimeout when max_backtracks is
+    hit. ``skip`` names constraint ids to ignore (used by relaxation).
+    Overlapping rooms never get here: encode rejects them with EncodingError.
     """
     config = problem.config
-    deadline = time.monotonic() + config.time_limit_s
 
     order = [v.id for v in problem.variables]
     domains = problem.shuffled_domains()
@@ -1010,8 +941,6 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
     def backtrack(depth: int) -> bool:
         if depth == len(order):
             return True
-        if time.monotonic() > deadline:
-            raise SolverTimeout(f"time limit of {config.time_limit_s}s exceeded")
         vid = order[depth]
         for value in list(domains[vid]):
             assignment[vid] = value
@@ -1030,7 +959,11 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
                 )
         return False
 
-    if not backtrack(0):
+    try:
+        found = backtrack(0)
+    finally:
+        backtrack = None  # the closure refers to itself: break the cycle
+    if not found:
         return Solution(status="unsat", stats=dict(stats))
 
     placements = []

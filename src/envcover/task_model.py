@@ -89,35 +89,6 @@ class BehaviorPlanTree:
     subtask_id: str
     root: Node
 
-    def structural_violations(self) -> list[str]:
-        """Re-run the structural checks parse enforces, without raising.
-
-        Useful when a tree was built programmatically instead of parsed.
-        """
-        problems: list[str] = []
-        _walk_structure(self.root, "root", problems)
-        return problems
-
-
-def _walk_structure(node: Node, where: str, problems: list[str]) -> None:
-    if isinstance(node, Leaf):
-        if not node.action.strip():
-            problems.append(f"{where}: empty action text")
-        return
-    if not node.text.strip():
-        problems.append(f"{where}: empty query text")
-    if len(node.branches) < 2:
-        problems.append(f"{where}: query has {len(node.branches)} branch(es), needs at least 2")
-    seen: set[str] = set()
-    for response, child in node.branches:
-        if not response.strip():
-            problems.append(f"{where}: empty response text")
-        key = normalize_text(response)
-        if key in seen:
-            problems.append(f"{where}: duplicate response {response!r}")
-        seen.add(key)
-        _walk_structure(child, f"{where}/{key or '?'}", problems)
-
 
 def _parse_node(value, where: str) -> Node:
     if isinstance(value, str):

@@ -23,7 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .environment import EnvironmentSpec, Room, placed_box
-from .semantics import DEFAULT_SEMANTICS, DIRECTION_VECTORS, RelationSemantics
+from .semantics import (
+    CENTER_ALIGNED_EPS,
+    CENTER_MAX,
+    DIRECTION_VECTORS,
+    EDGE_MAX,
+    FAR_MIN,
+    FRONT_MAX,
+    MOUNT_EPS,
+    NEAR_MAX,
+    SIDE_LONG_MAX,
+    SUPPORT_EPS,
+    SUPPORT_OVERLAP_FRAC,
+    WALL_HEIGHT,
+)
 from .task_model import Violation
 
 _TOL = 1e-9
@@ -91,7 +104,7 @@ def _ray_reaches(origin_x: float, origin_z: float, direction: str, box, limit: f
     return dist <= limit + _TOL
 
 
-def check_floor_plan(env: EnvironmentSpec, sem: RelationSemantics = DEFAULT_SEMANTICS) -> list[Violation]:
+def check_floor_plan(env: EnvironmentSpec) -> list[Violation]:
     out: list[Violation] = []
     rooms = list(env.rooms)
     for i in range(len(rooms)):
@@ -112,7 +125,7 @@ def check_floor_plan(env: EnvironmentSpec, sem: RelationSemantics = DEFAULT_SEMA
         if door.position is None:
             out.append(Violation("floor_plan", loc, "doorway has no position"))
             continue
-        if door.height > sem.wall_height + _TOL:
+        if door.height > WALL_HEIGHT + _TOL:
             out.append(Violation("floor_plan", loc, "doorway taller than the wall"))
         px, pz = door.position
         sides = [s for s in door.connects if s != "exterior"]
@@ -155,7 +168,7 @@ def check_floor_plan(env: EnvironmentSpec, sem: RelationSemantics = DEFAULT_SEMA
             continue
         if win.sill_height <= _TOL:
             out.append(Violation("floor_plan", loc, "window sill must sit above the floor"))
-        if win.sill_height + win.height > sem.wall_height + _TOL:
+        if win.sill_height + win.height > WALL_HEIGHT + _TOL:
             out.append(Violation("floor_plan", loc, "window does not fit under the wall height"))
         room = env.room_by_id(win.room)
         px, pz = win.position
@@ -171,7 +184,7 @@ def check_floor_plan(env: EnvironmentSpec, sem: RelationSemantics = DEFAULT_SEMA
     return out
 
 
-def check_entities(env: EnvironmentSpec, sem: RelationSemantics = DEFAULT_SEMANTICS) -> list[Violation]:
+def check_entities(env: EnvironmentSpec) -> list[Violation]:
     out: list[Violation] = []
     boxes: dict[str, tuple] = {}
     for obj in env.objects:
@@ -190,15 +203,15 @@ def check_entities(env: EnvironmentSpec, sem: RelationSemantics = DEFAULT_SEMANT
         room = env.room_by_id(obj.room)
         box = boxes[obj.id]
         if not (
-            box[0] >= room.x_min - sem.support_eps
-            and box[2] >= room.z_min - sem.support_eps
-            and box[3] <= room.x_max + sem.support_eps
-            and box[5] <= room.z_max + sem.support_eps
+            box[0] >= room.x_min - SUPPORT_EPS
+            and box[2] >= room.z_min - SUPPORT_EPS
+            and box[3] <= room.x_max + SUPPORT_EPS
+            and box[5] <= room.z_max + SUPPORT_EPS
         ):
             out.append(
                 Violation("entity", obj.id, f"object {obj.id} is outside its room {room.id}")
             )
-        if box[4] > sem.wall_height + sem.support_eps:
+        if box[4] > WALL_HEIGHT + SUPPORT_EPS:
             out.append(Violation("entity", obj.id, f"object {obj.id} pokes through the ceiling"))
 
     ids = [o.id for o in env.objects]
@@ -217,34 +230,34 @@ def check_entities(env: EnvironmentSpec, sem: RelationSemantics = DEFAULT_SEMANT
 
     for obj in env.objects:
         box = boxes[obj.id]
-        if abs(box[1]) <= sem.support_eps:
+        if abs(box[1]) <= SUPPORT_EPS:
             continue  # on the floor
         supported = False
         for other in env.objects:
             if other.id == obj.id:
                 continue
             ob = boxes[other.id]
-            if abs(box[1] - ob[4]) <= sem.support_eps:
+            if abs(box[1] - ob[4]) <= SUPPORT_EPS:
                 w = _overlap(box[0], box[3], ob[0], ob[3])
                 d = _overlap(box[2], box[5], ob[2], ob[5])
                 area = (box[3] - box[0]) * (box[5] - box[2])
-                if w > 0 and d > 0 and w * d >= sem.support_overlap_frac * area - _TOL:
+                if w > 0 and d > 0 and w * d >= SUPPORT_OVERLAP_FRAC * area - _TOL:
                     supported = True
                     break
             if (
-                box[0] >= ob[0] - sem.support_eps
-                and box[2] >= ob[2] - sem.support_eps
-                and box[3] <= ob[3] + sem.support_eps
-                and box[5] <= ob[5] + sem.support_eps
-                and box[1] >= ob[1] - sem.support_eps
-                and box[4] <= ob[4] + sem.support_eps
+                box[0] >= ob[0] - SUPPORT_EPS
+                and box[2] >= ob[2] - SUPPORT_EPS
+                and box[3] <= ob[3] + SUPPORT_EPS
+                and box[5] <= ob[5] + SUPPORT_EPS
+                and box[1] >= ob[1] - SUPPORT_EPS
+                and box[4] <= ob[4] + SUPPORT_EPS
             ):
                 supported = True
                 break
         if not supported and obj.id in mounted:
             room = env.room_by_id(obj.room)
             placement = env.placement_of(obj.id)
-            if _back_gap(box, placement.direction, room) <= sem.mount_eps:
+            if _back_gap(box, placement.direction, room) <= MOUNT_EPS:
                 supported = True
         if not supported:
             out.append(
@@ -257,7 +270,7 @@ def check_entities(env: EnvironmentSpec, sem: RelationSemantics = DEFAULT_SEMANT
     return out
 
 
-def _relation_holds(env: EnvironmentSpec, idx: int, sem: RelationSemantics) -> str | None:
+def _relation_holds(env: EnvironmentSpec, idx: int) -> str | None:
     """None when the relation holds, else a human-readable reason."""
     rel = env.relations[idx]
     subject = env.object_by_id(rel.subject)
@@ -267,19 +280,19 @@ def _relation_holds(env: EnvironmentSpec, idx: int, sem: RelationSemantics) -> s
 
     if rel.kind == "edge":
         gap = _footprint_gap_to_walls(sbox, room)
-        if gap > sem.edge_max + _TOL:
-            return f"nearest wall is {gap:.3f} m away (limit {sem.edge_max})"
+        if gap > EDGE_MAX + _TOL:
+            return f"nearest wall is {gap:.3f} m away (limit {EDGE_MAX})"
         return None
     if rel.kind == "center":
         cx, cz = room.center
         dist = ((scx - cx) ** 2 + (scz - cz) ** 2) ** 0.5
-        if dist > sem.center_max + _TOL:
-            return f"{dist:.3f} m from room center (limit {sem.center_max})"
+        if dist > CENTER_MAX + _TOL:
+            return f"{dist:.3f} m from room center (limit {CENTER_MAX})"
         return None
     if rel.kind == "mounted_on_wall":
         placement = env.placement_of(rel.subject)
         gap = _back_gap(sbox, placement.direction, room)
-        if gap > sem.mount_eps:
+        if gap > MOUNT_EPS:
             return f"back face is {gap:.3f} m off the wall"
         if sbox[1] <= _TOL:
             return "mounted object rests on the floor"
@@ -291,33 +304,33 @@ def _relation_holds(env: EnvironmentSpec, idx: int, sem: RelationSemantics) -> s
 
     if rel.kind in ("near", "far"):
         dist = ((scx - rcx) ** 2 + (scz - rcz) ** 2) ** 0.5
-        if rel.kind == "near" and dist > sem.near_max + _TOL:
-            return f"centers are {dist:.3f} m apart (limit {sem.near_max})"
-        if rel.kind == "far" and dist < sem.far_min - _TOL:
-            return f"centers are {dist:.3f} m apart (minimum {sem.far_min})"
+        if rel.kind == "near" and dist > NEAR_MAX + _TOL:
+            return f"centers are {dist:.3f} m apart (limit {NEAR_MAX})"
+        if rel.kind == "far" and dist < FAR_MIN - _TOL:
+            return f"centers are {dist:.3f} m apart (minimum {FAR_MIN})"
         return None
     if rel.kind == "on_top_of":
-        if abs(sbox[1] - rbox[4]) > sem.support_eps:
+        if abs(sbox[1] - rbox[4]) > SUPPORT_EPS:
             return f"bottom at {sbox[1]:.3f}, top of reference at {rbox[4]:.3f}"
         w = _overlap(sbox[0], sbox[3], rbox[0], rbox[3])
         d = _overlap(sbox[2], sbox[5], rbox[2], rbox[5])
         area = (sbox[3] - sbox[0]) * (sbox[5] - sbox[2])
-        if w <= 0 or d <= 0 or w * d < sem.support_overlap_frac * area - _TOL:
+        if w <= 0 or d <= 0 or w * d < SUPPORT_OVERLAP_FRAC * area - _TOL:
             return "insufficient footprint overlap with the supporting face"
         return None
     if rel.kind == "in":
         if not (
-            sbox[0] >= rbox[0] - sem.support_eps
-            and sbox[2] >= rbox[2] - sem.support_eps
-            and sbox[3] <= rbox[3] + sem.support_eps
-            and sbox[5] <= rbox[5] + sem.support_eps
-            and sbox[1] >= rbox[1] - sem.support_eps
-            and sbox[4] <= rbox[4] + sem.support_eps
+            sbox[0] >= rbox[0] - SUPPORT_EPS
+            and sbox[2] >= rbox[2] - SUPPORT_EPS
+            and sbox[3] <= rbox[3] + SUPPORT_EPS
+            and sbox[5] <= rbox[5] + SUPPORT_EPS
+            and sbox[1] >= rbox[1] - SUPPORT_EPS
+            and sbox[4] <= rbox[4] + SUPPORT_EPS
         ):
             return "subject is not inside the container box"
         return None
     if rel.kind == "above":
-        if sbox[1] < rbox[4] - sem.support_eps:
+        if sbox[1] < rbox[4] - SUPPORT_EPS:
             return "subject bottom is below the reference top"
         w = _overlap(sbox[0], sbox[3], rbox[0], rbox[3])
         d = _overlap(sbox[2], sbox[5], rbox[2], rbox[5])
@@ -328,7 +341,7 @@ def _relation_holds(env: EnvironmentSpec, idx: int, sem: RelationSemantics) -> s
         placement = env.placement_of(rel.reference)
         fx, fz = DIRECTION_VECTORS[placement.direction]
         half = (rbox[3] - rbox[0]) / 2 if fx != 0 else (rbox[5] - rbox[2]) / 2
-        if not _ray_reaches(rcx, rcz, placement.direction, sbox, sem.front_max + half):
+        if not _ray_reaches(rcx, rcz, placement.direction, sbox, FRONT_MAX + half):
             return "subject is not within the reference's facing cone"
         return None
     if rel.kind == "side_of":
@@ -337,13 +350,13 @@ def _relation_holds(env: EnvironmentSpec, idx: int, sem: RelationSemantics) -> s
         dx, dz = scx - rcx, scz - rcz
         longitudinal = dx * fx + dz * fz
         lateral = dx * -fz + dz * fx
-        if abs(longitudinal) > sem.side_long_max + _TOL:
-            return f"longitudinal offset {abs(longitudinal):.3f} m (limit {sem.side_long_max})"
+        if abs(longitudinal) > SIDE_LONG_MAX + _TOL:
+            return f"longitudinal offset {abs(longitudinal):.3f} m (limit {SIDE_LONG_MAX})"
         if abs(lateral) <= _TOL:
             return "subject sits on the reference's axis, not at its side"
         return None
     if rel.kind == "center_aligned":
-        if abs(scx - rcx) > sem.center_aligned_eps + _TOL and abs(scz - rcz) > sem.center_aligned_eps + _TOL:
+        if abs(scx - rcx) > CENTER_ALIGNED_EPS + _TOL and abs(scz - rcz) > CENTER_ALIGNED_EPS + _TOL:
             return "centers share neither axis"
         return None
     if rel.kind == "face_to":
@@ -357,7 +370,7 @@ def _relation_holds(env: EnvironmentSpec, idx: int, sem: RelationSemantics) -> s
     return f"unknown relation kind {rel.kind!r}"
 
 
-def check_relations(env: EnvironmentSpec, sem: RelationSemantics = DEFAULT_SEMANTICS) -> tuple[list[Violation], list[int]]:
+def check_relations(env: EnvironmentSpec) -> tuple[list[Violation], list[int]]:
     violations: list[Violation] = []
     skipped: list[int] = []
     relaxed = set(env.relaxed_relations)
@@ -365,7 +378,7 @@ def check_relations(env: EnvironmentSpec, sem: RelationSemantics = DEFAULT_SEMAN
         if idx in relaxed:
             skipped.append(idx)
             continue
-        reason = _relation_holds(env, idx, sem)
+        reason = _relation_holds(env, idx)
         if reason is not None:
             rel = env.relations[idx]
             violations.append(
@@ -378,10 +391,10 @@ def check_relations(env: EnvironmentSpec, sem: RelationSemantics = DEFAULT_SEMAN
     return violations, skipped
 
 
-def validate_physics(env: EnvironmentSpec, sem: RelationSemantics = DEFAULT_SEMANTICS) -> PhysicsReport:
-    floor = check_floor_plan(env, sem)
-    entity = check_entities(env, sem)
-    relation, skipped = check_relations(env, sem)
+def validate_physics(env: EnvironmentSpec) -> PhysicsReport:
+    floor = check_floor_plan(env)
+    entity = check_entities(env)
+    relation, skipped = check_relations(env)
     return PhysicsReport(
         floor_plan_ok=not floor,
         entity_ok=not entity,

@@ -83,7 +83,7 @@ def test_independent_subtasks_produce_no_violations():
 
 
 def test_syntax_reports_parse_errors():
-    report = verify_syntax("s1", None, parse_error=ValueError("broken"))
+    report = verify_syntax("s1", parse_error=ValueError("broken"))
     assert [v.rule for v in report.violations] == ["syntax"]
 
 

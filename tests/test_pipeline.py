@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from envcover import providers
-from envcover.errors import StructureError
+from envcover.errors import ProviderError, StructureError
 from envcover.pipeline import (
     RunPaths,
     resolve_bundle,
@@ -30,7 +30,13 @@ def live_requests():
 
 
 @pytest.fixture
-def cassette_endpoint(cassette_records, live_requests):
+def refused():
+    """Request hashes the live endpoint answers with an error."""
+    return set()
+
+
+@pytest.fixture
+def cassette_endpoint(cassette_records, live_requests, refused):
     """A local live endpoint that answers every request from the fixture cassette."""
     by_hash = {r["request_hash"]: r["response_body"] for r in cassette_records}
 
@@ -40,7 +46,7 @@ def cassette_endpoint(cassette_records, live_requests):
             payload = json.loads(self.rfile.read(length))
             live_requests.append(payload["kind"])
             key = request_hash(payload["kind"], payload["body"])
-            if key not in by_hash:
+            if key not in by_hash or key in refused:
                 self.send_error(404)
                 return
             body = json.dumps({"response": by_hash[key]}).encode()
@@ -114,6 +120,26 @@ def test_record_mode_sends_only_the_misses_live(
         r["request_hash"] for r in cassette_records
     ]
     assert dir_digest(tmp_path / "live") == dir_digest(tmp_path / "plain")
+
+
+def test_record_mode_keeps_the_live_answers_before_a_failure(
+    living_room_dir, cassette_records, cassette_endpoint, live_requests, refused, tmp_path
+):
+    partial = tmp_path / "derivation_only.json"
+    save_cassette(partial, cassette_records[:7])
+    last = cassette_records[-1]
+    assert last["request_kind"] == "propose_relations"
+    refused.add(last["request_hash"])
+    with pytest.raises(ProviderError):
+        run_all(
+            str(tmp_path / "live"), str(living_room_dir), cassette=str(partial),
+            live_endpoint=cassette_endpoint, grid=0.2,
+        )
+
+    assert live_requests == SCENE_KINDS * 3
+    assert [r["request_hash"] for r in load_cassette(partial)] == [
+        r["request_hash"] for r in cassette_records[:15]
+    ]
 
 
 def test_collect_rejects_a_repeated_subtask_id(living_room_dir, tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -62,8 +63,6 @@ def test_encoding_census_for_one_room_two_objects_one_relation():
         "on_top_of",
         "room_containment",
         "room_containment",
-        "support",
-        "support",
     ]
     relation = [c for c in problem.constraints if c.kind == "on_top_of"]
     assert relation[0].scope == ("book", "sofa")
@@ -344,6 +343,42 @@ def test_task_priority_contradiction_is_core_unsat():
         solve_with_relaxation(problem)
 
 
+def test_support_relations_are_never_relaxed():
+    pic, o = obj("pic", (0.6, 0.45, 0.05)), obj("o", (0.6, 0.4, 0.6))
+    rels = [
+        SpatialRelation(kind="mounted_on_wall", subject="pic", priority="enrichment"),
+        SpatialRelation(kind="center", subject="o", priority="task"),
+        SpatialRelation(kind="edge", subject="o", priority="enrichment"),
+    ]
+    problem = encode([make_room("r", 0, 0, 6, 6)], [], [], [pic, o], rels, GRID)
+    assert solve_with_relaxation(problem).relaxed == ["rel[2]:edge:o"]
+
+
+def test_mounting_at_floor_height_is_core_unsat():
+    pic = obj("pic", (0.6, 0.45, 0.05), mount_height="0")
+    rels = [SpatialRelation(kind="mounted_on_wall", subject="pic", priority="enrichment")]
+    problem = encode([room4()], [], [], [pic], rels, GRID)
+    with pytest.raises(CoreUnsat):
+        solve_with_relaxation(problem)
+
+
+def test_finished_searches_leave_no_reference_cycles():
+    sofa, book = obj("sofa", (2.0, 0.8, 0.9)), obj("book", (0.25, 0.04, 0.18))
+    stacked = [SpatialRelation(kind="on_top_of", subject="book", reference="sofa")]
+    problems = [
+        encode([room4()], [], [], [sofa, book], stacked, GRID),
+        encode([room4()], [], [], *contradictory_distance_scene(), GRID),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for problem in problems:
+            assert solve_with_relaxation(problem).status == "sat"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_relaxation_never_touches_task_relations():
     a = obj("a", (0.6, 0.4, 0.6))
     b = obj("b", (0.6, 0.4, 0.6))
@@ -365,14 +400,10 @@ def test_relaxation_never_touches_task_relations():
 # forward-checking pruners against their predicates
 # ---------------------------------------------------------------------------
 
-# (label, relation kinds to state) for every constraint that has a pruner;
-# support constraints are labelled by support mode
+# (constraint kind, relation kinds to state) for every kind that has a pruner
 PRUNED = {
     "room_containment": (),
     "non_collision": (),
-    "support:floor": (),
-    "support:top": ("on_top_of",),
-    "support:wall": ("mounted_on_wall",),
     "near": ("near",),
     "far": ("far",),
     "edge": ("edge",),
@@ -384,13 +415,7 @@ coord = st.integers(min_value=-300, max_value=300).map(lambda k: k / 100)
 extent = st.integers(min_value=5, max_value=130).map(lambda k: k / 100)
 
 
-def constraint_label(problem, c):
-    if c.kind == "support":
-        return "support:" + problem.support_mode[c.scope[0]][0]
-    return c.kind
-
-
-@pytest.mark.parametrize("label", sorted(PRUNED))
+@pytest.mark.parametrize("kind", sorted(PRUNED))
 @given(
     x0=coord,
     z0=coord,
@@ -400,18 +425,18 @@ def constraint_label(problem, c):
     sizes=st.lists(st.tuples(extent, extent, extent), min_size=2, max_size=2),
     pick=st.randoms(use_true_random=False),
 )
-def test_pruner_equals_the_set_and_check_filter(label, x0, z0, width, depth, grid, sizes, pick):
+def test_pruner_equals_the_set_and_check_filter(kind, x0, z0, width, depth, grid, sizes, pick):
     room = make_room("r", x0, z0, round(x0 + width, 2), round(z0 + depth, 2))
     objects = [obj("a", sizes[0]), obj("b", sizes[1])]
     relations = [
-        SpatialRelation(kind=kind, subject="a", reference=None if kind in UNARY_KINDS else "b")
-        for kind in PRUNED[label]
+        SpatialRelation(kind=k, subject="a", reference=None if k in UNARY_KINDS else "b")
+        for k in PRUNED[kind]
     ]
     try:
         problem = encode([room], [], [], objects, relations, SolverConfig(grid_resolution=grid))
     except EncodingError:
         assume(False)
-    c = next(c for c in problem.constraints if constraint_label(problem, c) == label)
+    c = next(c for c in problem.constraints if c.kind == kind)
     prune, check = problem._prunes[c.id], problem._checks[c.id]
 
     # the moving endpoint keeps only its direction; the others are placed

@@ -223,13 +223,3 @@ def test_match_factors_uses_word_boundaries():
     factor = UncertainFactor("cat", ("YES", "NO"))
     assert match_factors("Is there a cat here?", [factor]) == [factor]
     assert match_factors("Is this delicate?", [factor]) == []
-
-
-def test_structural_violations_on_hand_built_tree():
-    tree = BehaviorPlanTree(
-        subtask_id="s1",
-        root=Query(text="q?", branches=(("YES", Leaf("")),)),
-    )
-    problems = tree.structural_violations()
-    assert any("needs at least 2" in p for p in problems)
-    assert any("empty action" in p for p in problems)
