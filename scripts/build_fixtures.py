@@ -12,9 +12,13 @@ Produces, under src/envcover/fixtures/clean_living_room/:
 - policies/*.json     four behavior-tree policies (one correct, three faulty)
 
 plans.json is the source of truth for the decision trees and is read, not
-written. The script dry-runs the whole pipeline against the fresh cassette
-and refuses to write anything if derivation, scene building, validation, or
-the expected policy verdict matrix fails.
+written. The cassette is recorded, not written by hand: derivation and scene
+building run against a channel whose live side answers from the tables
+below, and the exchanges that channel records are the cassette. The script
+refuses to write anything if derivation, scene building, validation, or the
+expected policy verdict matrix fails.
+
+    python scripts/build_fixtures.py
 """
 
 from __future__ import annotations
@@ -37,14 +41,7 @@ from envcover.providers import (
     PlanProvider,
     ReplayChannel,
     SceneProvider,
-    decompose_request,
-    design_floor_plan_request,
-    generate_plan_request,
-    identify_factors_request,
-    propose_relations_request,
-    request_hash,
     save_cassette,
-    select_objects_request,
 )
 from envcover.scene import build_environment
 from envcover.schema import parse_schema
@@ -58,7 +55,7 @@ from envcover.simulation import (
     scenario_validity,
 )
 from envcover.solver import SolverConfig
-from envcover.task_model import TaskSpec, UncertainFactor, parse_behavior_plan
+from envcover.task_model import TaskSpec
 from envcover.trajectories import cover_path_sets, paths_per_subtask
 from envcover.validator import validate_physics
 
@@ -496,70 +493,50 @@ def trajectory_signature(trajectory) -> tuple:
     return (toy_state, book_present, wipes_present)
 
 
-def build_records(plan_doc: list, task: TaskSpec) -> tuple[list[dict], list]:
-    """Cassette records plus the selected trajectories they cover."""
-    records = []
+class Responder:
+    """A live side for the recording channel, answering from the tables above."""
 
-    def add(kind: str, body, response) -> None:
-        records.append(
-            {
-                "request_kind": kind,
-                "request_hash": request_hash(kind, body),
-                "request_body": body,
-                "response_body": response,
-            }
-        )
+    def __init__(self, plan_doc: list):
+        self.plans = {st["id"]: tree for st, tree in zip(SUBTASKS, plan_doc)}
+        # trajectory id -> (toy_state, book_present, wipes_present), set once
+        # derivation has fixed the trajectories the scenes realize
+        self.signatures: dict[str, tuple] = {}
 
-    add(DECOMPOSE, decompose_request(task), SUBTASKS)
-    for st in SUBTASKS:
-        add(
-            IDENTIFY_FACTORS,
-            identify_factors_request(task.id, st["id"], st["summary"]),
-            FACTORS[st["id"]],
-        )
-    subtask_ids = [st["id"] for st in SUBTASKS]
-    for st, tree_doc in zip(SUBTASKS, plan_doc):
-        factors = tuple(
-            UncertainFactor(
-                name=f["name"], domain=tuple(f["domain"]), aliases=tuple(f.get("aliases", ()))
-            )
-            for f in FACTORS[st["id"]]
-        )
-        add(GENERATE_PLAN, generate_plan_request(task.id, st["id"], factors), tree_doc)
-
-    trees = parse_behavior_plan(plan_doc, subtask_ids)
-    selected = cover_path_sets(paths_per_subtask(trees))
-    assert len(selected) == 3, f"expected 3 minimal trajectories, got {len(selected)}"
-
-    for trajectory in selected:
-        tid = trajectory.trajectory_id
-        toy_state, book_present, wipes_present = trajectory_signature(trajectory)
-        add(DESIGN_FLOOR_PLAN, design_floor_plan_request(task.id, tid), FLOOR_PLAN)
-        objs = objects_for(toy_state, book_present, wipes_present)
-        add(SELECT_OBJECTS, select_objects_request(task.id, tid, ["living_room"]), objs)
-        add(
-            PROPOSE_RELATIONS,
-            propose_relations_request(task.id, tid, objs),
-            relations_for(wipes_present),
-        )
-    return records, selected
+    def send(self, kind: str, body):
+        if kind == DECOMPOSE:
+            return SUBTASKS
+        if kind == IDENTIFY_FACTORS:
+            return FACTORS[body["subtask"]["id"]]
+        if kind == GENERATE_PLAN:
+            return self.plans[body["subtask_id"]]
+        if kind == DESIGN_FLOOR_PLAN:
+            return FLOOR_PLAN
+        toy_state, book_present, wipes_present = self.signatures[body["trajectory_id"]]
+        if kind == SELECT_OBJECTS:
+            return objects_for(toy_state, book_present, wipes_present)
+        if kind == PROPOSE_RELATIONS:
+            return relations_for(wipes_present)
+        raise ValueError(f"the fixture has no answer to a {kind!r} request")
 
 
-def dry_run(records: list[dict], task: TaskSpec, catalog, schema, actions, policies) -> None:
-    """Replay everything and assert the fixture behaves as designed."""
-    plan_provider = PlanProvider(ReplayChannel(records))
-    result = derive(plan_provider, task)
+def record(plan_doc: list, task: TaskSpec, catalog, schema, actions, policies) -> list[dict]:
+    """Run the pipeline against the responder, assert the fixture behaves as
+    designed, and return the exchanges recorded on the way."""
+    responder = Responder(plan_doc)
+    channel = ReplayChannel([], live=responder)
+    result = derive(PlanProvider(channel), task)
     assert result.status == "ok", result.report.violations
     assert [len(paths) for paths in paths_per_subtask(result.trees)] == [3, 2, 2]
 
     selected = cover_path_sets(paths_per_subtask(result.trees))
-    assert len(selected) == 3
+    assert len(selected) == 3, f"expected 3 minimal trajectories, got {len(selected)}"
+    responder.signatures = {t.trajectory_id: trajectory_signature(t) for t in selected}
 
     for entry_id, description, _ in CATALOG_ENTRIES:
         got = retrieve_asset(catalog, description).id
         assert got == entry_id, f"retrieval for {description!r} hit {got!r}"
 
-    scene_provider = SceneProvider(ReplayChannel(records))
+    scene_provider = SceneProvider(channel)
     config = SolverConfig()
     environments = {}
     for i, trajectory in enumerate(selected):
@@ -582,7 +559,8 @@ def dry_run(records: list[dict], task: TaskSpec, catalog, schema, actions, polic
                 f"{label} on {signature}: expected {expected}, got "
                 f"{outcome.verdict} ({outcome.detail})"
             )
-    print(f"dry run ok: {len(records)} records, 3 environments, 4 policies")
+    print(f"fixture ok: {len(channel.records)} records, 3 environments, 4 policies")
+    return channel.records
 
 
 def write_json(path: Path, doc) -> None:
@@ -590,27 +568,30 @@ def write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def main() -> int:
+def write_fixtures(out_dir: Path) -> None:
+    """Record and check the fixture, then write every file of it under out_dir."""
     plan_doc = json.loads((FIXTURE_DIR / "plans.json").read_text())
     task = TaskSpec(
         id=TASK["id"],
         description=TASK["description"],
         environment_type=TASK["environment_type"],
     )
-    records, _ = build_records(plan_doc, task)
     catalog = build_catalog(CATALOG_ENTRIES)
     schema = parse_schema(SCHEMA)
     actions = parse_action_model(ACTION_MODEL)
+    records = record(plan_doc, task, catalog, schema, actions, POLICIES)
 
-    dry_run(records, task, catalog, schema, actions, POLICIES)
-
-    write_json(FIXTURE_DIR / "task.json", TASK)
-    save_cassette(FIXTURE_DIR / "cassette.json", records)
-    write_json(FIXTURE_DIR / "schema.json", SCHEMA)
-    write_json(FIXTURE_DIR / "action_model.json", ACTION_MODEL)
-    save_catalog(catalog, FIXTURE_DIR / "catalog.json")
+    write_json(out_dir / "task.json", TASK)
+    save_cassette(out_dir / "cassette.json", records)
+    write_json(out_dir / "schema.json", SCHEMA)
+    write_json(out_dir / "action_model.json", ACTION_MODEL)
+    save_catalog(catalog, out_dir / "catalog.json")
     for label, doc in POLICIES.items():
-        write_json(FIXTURE_DIR / "policies" / f"{label}.json", doc)
+        write_json(out_dir / "policies" / f"{label}.json", doc)
+
+
+def main() -> int:
+    write_fixtures(FIXTURE_DIR)
     print(f"fixtures written to {FIXTURE_DIR}")
     return 0
 

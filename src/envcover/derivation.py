@@ -18,9 +18,9 @@ from .task_model import (
     BehaviorPlanTree,
     SubtaskSpec,
     TaskSpec,
-    UncertainFactor,
     ValidationReport,
     Violation,
+    factors_from_records,
     parse_behavior_plan,
     validate_tree_grounding,
 )
@@ -35,17 +35,6 @@ class DerivationResult:
     report: ValidationReport
     rounds_used: int
     status: str  # "ok" | "exhausted_rounds"
-
-
-def _factors_from_raw(raw) -> tuple[UncertainFactor, ...]:
-    return tuple(
-        UncertainFactor(
-            name=f["name"],
-            domain=tuple(f["domain"]),
-            aliases=tuple(f.get("aliases", ())),
-        )
-        for f in raw
-    )
 
 
 def verify_independence(subtasks: list[SubtaskSpec]) -> ValidationReport:
@@ -81,16 +70,30 @@ def verify_syntax(subtask_id: str, parse_error=None) -> ValidationReport:
     return report
 
 
-def verify_all(subtasks, trees, parse_errors=None) -> ValidationReport:
-    """Aggregate report in deterministic order: independence, syntax, grounding."""
-    parse_errors = parse_errors or {}
-    report = verify_independence(list(subtasks))
+def _tagged_violations(subtasks, trees, parse_errors) -> list[tuple[tuple[str, str], Violation]]:
+    """Every violation, each with the (stage, subtask_id) whose refinement can clear it.
+
+    Independence overlaps refine the later subtask's factors; syntax and
+    grounding violations refine that subtask's plan document.
+    """
+    tagged = []
+    for i, a in enumerate(subtasks):
+        for b in subtasks[i + 1 :]:
+            tagged += [(("factors", b.id), v) for v in verify_independence([a, b]).violations]
     for subtask in subtasks:
-        report.extend(verify_syntax(subtask.id, parse_errors.get(subtask.id)))
+        report = verify_syntax(subtask.id, parse_errors.get(subtask.id))
+        tagged += [(("plan", subtask.id), v) for v in report.violations]
     for subtask, tree in zip(subtasks, trees):
         if tree is not None and subtask.id not in parse_errors:
-            report.extend(validate_tree_grounding(tree, subtask.factors))
-    return report
+            report = validate_tree_grounding(tree, subtask.factors)
+            tagged += [(("plan", subtask.id), v) for v in report.violations]
+    return tagged
+
+
+def verify_all(subtasks, trees, parse_errors=None) -> ValidationReport:
+    """Aggregate report in deterministic order: independence, syntax, grounding."""
+    tagged = _tagged_violations(list(subtasks), list(trees), parse_errors or {})
+    return ValidationReport([v for _, v in tagged])
 
 
 @dataclass
@@ -115,39 +118,9 @@ class _Working:
 
 def _subtask_specs(items: list[_Working]) -> list[SubtaskSpec]:
     return [
-        SubtaskSpec(id=w.id, summary=w.summary, factors=_factors_from_raw(w.raw_factors))
+        SubtaskSpec(id=w.id, summary=w.summary, factors=factors_from_records(w.raw_factors))
         for w in items
     ]
-
-
-def _refine_targets(report: ValidationReport) -> list[tuple[str, str]]:
-    """(stage, subtask_id) pairs to re-request, deduplicated, in report order.
-
-    Independence violations refine the later subtask's factors; syntax and
-    grounding violations refine that subtask's plan document.
-    """
-    targets: list[tuple[str, str]] = []
-    for v in report.violations:
-        if v.rule == "independence":
-            later = v.location.split("+", 1)[1]
-            target = ("factors", later)
-        else:
-            target = ("plan", v.location.split("/", 1)[0])
-        if target not in targets:
-            targets.append(target)
-    return targets
-
-
-def _messages_for(report: ValidationReport, stage: str, subtask_id: str) -> list[str]:
-    out = []
-    for v in report.violations:
-        if stage == "factors" and v.rule == "independence":
-            if v.location.split("+", 1)[1] == subtask_id:
-                out.append(v.message)
-        elif stage == "plan" and v.rule in ("syntax", "grounding"):
-            if v.location.split("/", 1)[0] == subtask_id:
-                out.append(v.message)
-    return out
 
 
 def derive(provider: PlanProvider, task: TaskSpec, max_rounds: int = 3) -> DerivationResult:
@@ -160,33 +133,37 @@ def derive(provider: PlanProvider, task: TaskSpec, max_rounds: int = 3) -> Deriv
     for w in working:
         w.raw_factors = provider.identify_factors(task.id, w.id, w.summary)
     for w in working:
-        w.raw_plan = provider.generate_plan(task.id, w.id, _factors_from_raw(w.raw_factors))
+        w.raw_plan = provider.generate_plan(task.id, w.id, factors_from_records(w.raw_factors))
         w.reparse()
 
-    def current_report() -> ValidationReport:
-        return verify_all(
+    def current_violations() -> list[tuple[tuple[str, str], Violation]]:
+        return _tagged_violations(
             _subtask_specs(working),
             [w.tree for w in working],
             {w.id: w.parse_error for w in working if w.parse_error is not None},
         )
 
-    report = current_report()
+    tagged = current_violations()
     rounds_used = 1
     by_id = {w.id: w for w in working}
-    while not report.ok and rounds_used < max_rounds:
-        for stage, subtask_id in _refine_targets(report):
+    while tagged and rounds_used < max_rounds:
+        # one refine per (stage, subtask), in report order, with its messages
+        messages: dict[tuple[str, str], list[str]] = {}
+        for target, v in tagged:
+            messages.setdefault(target, []).append(v.message)
+        for (stage, subtask_id), notes in messages.items():
             w = by_id[subtask_id]
-            messages = _messages_for(report, stage, subtask_id)
             previous = w.raw_factors if stage == "factors" else w.raw_plan
-            replacement = provider.refine(stage, subtask_id, previous, messages)
+            replacement = provider.refine(stage, subtask_id, previous, notes)
             if stage == "factors":
                 w.raw_factors = replacement
             else:
                 w.raw_plan = replacement
                 w.reparse()
         rounds_used += 1
-        report = current_report()
+        tagged = current_violations()
 
+    report = ValidationReport([v for _, v in tagged])
     return DerivationResult(
         task=task,
         subtasks=_subtask_specs(working),

@@ -35,14 +35,7 @@ from .metrics import (
     selection_jaccard,
     validity_rate,
 )
-from .providers import (
-    PlanProvider,
-    RecordingChannel,
-    SceneProvider,
-    load_cassette,
-    open_channel,
-    save_cassette,
-)
+from .providers import PlanProvider, SceneProvider, open_channel, save_cassette
 from .scene import build_environment
 from .schema import load_schema
 from .simulation import (
@@ -55,7 +48,13 @@ from .simulation import (
     scenario_validity,
 )
 from .solver import SolverConfig
-from .task_model import SubtaskSpec, TaskSpec, UncertainFactor, parse_behavior_plan
+from .task_model import (
+    SubtaskSpec,
+    TaskSpec,
+    factor_record,
+    factors_from_records,
+    parse_behavior_plan,
+)
 # cartesian_trajectories and minimal_trajectory_selection go unused: bench/tracing.py wraps them here
 from .trajectories import (
     cartesian_trajectories,
@@ -141,8 +140,8 @@ def _write_json_ordered(path: Path, doc) -> None:
     """Like _write_json but keeps dict insertion order.
 
     Branch maps inside plan documents are order-sensitive: response order
-    fixes path enumeration order, which in turn fixes which trajectories the
-    greedy selection keeps. Sorting those keys would silently reorder the
+    fixes path enumeration order, which in turn fixes which trajectories
+    cover_path_sets selects. Sorting those keys would silently reorder the
     whole downstream run.
     """
     path.write_text(json.dumps(doc, indent=2) + "\n")
@@ -152,18 +151,6 @@ def _read_json(path: Path, what: str):
     if not path.is_file():
         raise MissingInput(f"{what} not found at {path}; run the earlier stage first")
     return json.loads(path.read_text())
-
-
-def _persist_records(cassette_file: Path, new_records: list[dict]) -> None:
-    """Merge freshly recorded exchanges into the cassette, first write wins."""
-    existing = load_cassette(cassette_file) if cassette_file.is_file() else []
-    seen = {r["request_hash"] for r in existing}
-    merged = list(existing)
-    for rec in new_records:
-        if rec["request_hash"] not in seen:
-            merged.append(rec)
-            seen.add(rec["request_hash"])
-    save_cassette(cassette_file, merged)
 
 
 def _open_provider_channel(bundle: TaskBundle, live_endpoint: str | None):
@@ -176,9 +163,10 @@ def _open_provider_channel(bundle: TaskBundle, live_endpoint: str | None):
     return open_channel(cassette=cassette, live_endpoint=live_endpoint)
 
 
-def _finish_channel(channel, bundle: TaskBundle) -> None:
-    if isinstance(channel, RecordingChannel) and bundle.cassette_file:
-        _persist_records(bundle.cassette_file, channel.records)
+def _finish_channel(channel, bundle: TaskBundle, live_endpoint: str | None) -> None:
+    """In record mode, write the cassette the channel now holds."""
+    if live_endpoint and bundle.cassette_file:
+        save_cassette(bundle.cassette_file, channel.records)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +186,7 @@ def stage_derive(
     try:
         result = derive(PlanProvider(channel), task, max_rounds=max_rounds)
     finally:
-        _finish_channel(channel, bundle)
+        _finish_channel(channel, bundle, live_endpoint)
 
     _write_json(
         paths.plans / "task.json",
@@ -211,10 +199,7 @@ def stage_derive(
             {
                 "id": st.id,
                 "summary": st.summary,
-                "factors": [
-                    {"name": f.name, "domain": list(f.domain), "aliases": list(f.aliases)}
-                    for f in st.factors
-                ],
+                "factors": [factor_record(f) for f in st.factors],
             }
             for st in result.subtasks
         ],
@@ -240,14 +225,7 @@ def _load_plans(paths: RunPaths):
         SubtaskSpec(
             id=s["id"],
             summary=s["summary"],
-            factors=tuple(
-                UncertainFactor(
-                    name=f["name"],
-                    domain=tuple(f["domain"]),
-                    aliases=tuple(f.get("aliases", ())),
-                )
-                for f in s["factors"]
-            ),
+            factors=factors_from_records(s["factors"]),
         )
         for s in raw_subtasks
     ]
@@ -310,7 +288,7 @@ def stage_build(
             for i, trajectory in enumerate(selected)
         ]
     finally:
-        _finish_channel(channel, bundle)
+        _finish_channel(channel, bundle, live_endpoint)
 
     stats = {}
     environments = []
@@ -379,6 +357,11 @@ def stage_simulate(paths: RunPaths, bundle: TaskBundle, budget: int = DEFAULT_BU
     for policy_file in sorted(bundle.policies_dir.glob("*.json")):
         policy = load_policy(str(policy_file))
         label = policy.label or policy_file.stem
+        if label in policies:
+            raise ConfigError(
+                f"policies {policies[label][0]} and {policy_file.name} both carry "
+                f"the label {label!r}"
+            )
         policies[label] = (policy_file.name, policy)
 
     doc = {"budget": budget, "policies": {}}

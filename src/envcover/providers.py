@@ -1,9 +1,14 @@
-"""Provider channels with record/replay cassettes.
+"""The provider channel and its cassette.
 
 Plan derivation and scene construction both talk to a text provider (an LLM
 in live runs) through a channel. Every request is a (kind, body) pair; the
 body is canonicalized JSON and its hash keys the cassette, so a recorded
 session replays byte-for-byte and the pipeline stays deterministic offline.
+
+One channel class, ReplayChannel, serves every mode: it answers from its
+records and sends a miss to a live endpoint when it has one, recording the
+exchange. Replay, live and record mode differ only in which of the two the
+channel starts with, and in whether the caller saves the records.
 
 A channel instance serves one in-flight request at a time.
 """
@@ -16,6 +21,7 @@ import urllib.request
 from pathlib import Path
 
 from .errors import ProviderError
+from .task_model import factor_record
 
 # request kinds, plan side
 DECOMPOSE = "decompose"
@@ -28,6 +34,9 @@ SELECT_OBJECTS = "select_objects"
 PROPOSE_RELATIONS = "propose_relations"
 REVISE_RELATIONS = "revise_relations"
 
+# seconds a live endpoint gets to answer one request
+HTTP_TIMEOUT_S = 60.0
+
 
 def canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
@@ -39,111 +48,33 @@ def request_hash(kind: str, body) -> str:
 
 
 # ---------------------------------------------------------------------------
-# request body builders (shared with the fixture build script)
-# ---------------------------------------------------------------------------
-
-
-def decompose_request(task) -> dict:
-    return {
-        "task": {
-            "id": task.id,
-            "description": task.description,
-            "environment_type": task.environment_type,
-        }
-    }
-
-
-def identify_factors_request(task_id: str, subtask_id: str, summary: str) -> dict:
-    return {"task_id": task_id, "subtask": {"id": subtask_id, "summary": summary}}
-
-
-def generate_plan_request(task_id: str, subtask_id: str, factors) -> dict:
-    return {
-        "task_id": task_id,
-        "subtask_id": subtask_id,
-        "factors": [
-            {"name": f.name, "domain": list(f.domain), "aliases": list(f.aliases)}
-            for f in factors
-        ],
-    }
-
-
-def refine_request(stage: str, subtask_id: str, previous, violations) -> dict:
-    return {
-        "stage": stage,
-        "subtask_id": subtask_id,
-        "previous": previous,
-        "violations": list(violations),
-    }
-
-
-def design_floor_plan_request(task_id: str, trajectory_id: str) -> dict:
-    return {"task_id": task_id, "trajectory_id": trajectory_id}
-
-
-def select_objects_request(task_id: str, trajectory_id: str, room_ids) -> dict:
-    return {"task_id": task_id, "trajectory_id": trajectory_id, "rooms": list(room_ids)}
-
-
-def propose_relations_request(task_id: str, trajectory_id: str, objects) -> dict:
-    return {
-        "task_id": task_id,
-        "trajectory_id": trajectory_id,
-        "objects": [
-            {"id": o["id"], "room": o["room"], "category": o["category"]} for o in objects
-        ],
-    }
-
-
-def revise_relations_request(task_id: str, trajectory_id: str, previous, conflicts) -> dict:
-    return {
-        "task_id": task_id,
-        "trajectory_id": trajectory_id,
-        "previous": previous,
-        "conflicts": list(conflicts),
-    }
-
-
-# ---------------------------------------------------------------------------
 # channels
 # ---------------------------------------------------------------------------
 
 
 class ReplayChannel:
-    """Serves responses from a recorded cassette, keyed by request hash."""
+    """Serves responses from cassette records, keyed by request hash.
 
-    def __init__(self, records):
-        self._by_hash = {}
-        for rec in records:
-            self._by_hash[rec["request_hash"]] = rec["response_body"]
-
-    def send(self, kind: str, body):
-        key = request_hash(kind, body)
-        if key not in self._by_hash:
-            raise ProviderError(
-                f"cassette has no record for a {kind!r} request (hash {key[:12]}...)"
-            )
-        return self._by_hash[key]
-
-
-class RecordingChannel:
-    """Replays known exchanges and captures the ones it forwards to a live channel.
-
-    ``known`` holds cassette records already on disk. A request that matches
-    one, or an exchange captured earlier in this run, is answered from it, so
-    the run sees exactly what a later replay of the cassette will serve.
+    A request no record answers goes to ``live`` when one is given; the new
+    exchange is appended to ``records``, so a repeat is answered from it and
+    ``records`` is what a later replay of the saved cassette will serve.
+    Without ``live`` a miss is a ProviderError.
     """
 
-    def __init__(self, inner, known=()):
-        self._inner = inner
-        self._by_hash = {rec["request_hash"]: rec["response_body"] for rec in known}
-        self.records: list[dict] = []
+    def __init__(self, records, live=None):
+        self.records = list(records)
+        self.live = live
+        self._by_hash = {rec["request_hash"]: rec["response_body"] for rec in self.records}
 
     def send(self, kind: str, body):
         key = request_hash(kind, body)
         if key in self._by_hash:
             return self._by_hash[key]
-        response = self._inner.send(kind, body)
+        if self.live is None:
+            raise ProviderError(
+                f"cassette has no record for a {kind!r} request (hash {key[:12]}...)"
+            )
+        response = self.live.send(kind, body)
         self._by_hash[key] = response
         self.records.append(
             {
@@ -159,9 +90,8 @@ class RecordingChannel:
 class HttpChannel:
     """POSTs {"kind", "body"} as JSON to a live endpoint, expects {"response"}."""
 
-    def __init__(self, endpoint: str, timeout: float = 60.0):
+    def __init__(self, endpoint: str):
         self.endpoint = endpoint
-        self.timeout = timeout
 
     def send(self, kind: str, body):
         payload = json.dumps({"kind": kind, "body": body}).encode("utf-8")
@@ -169,7 +99,7 @@ class HttpChannel:
             self.endpoint, data=payload, headers={"Content-Type": "application/json"}
         )
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+            with urllib.request.urlopen(req, timeout=HTTP_TIMEOUT_S) as resp:
                 data = json.loads(resp.read().decode("utf-8"))
         except (OSError, ValueError) as exc:
             raise ProviderError(f"live endpoint failed for {kind!r}: {exc}") from exc
@@ -204,20 +134,18 @@ def save_cassette(path, records) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def open_channel(cassette=None, live_endpoint=None):
-    """Pick the channel for a run: replay, record-over-live, or live.
+def open_channel(cassette=None, live_endpoint=None) -> ReplayChannel:
+    """The channel for a run, in replay, live or record mode.
 
-    Record mode serves what an existing cassette file already holds and
-    sends only the misses to the live endpoint.
+    Replay answers from the cassette alone, live sends every new request to
+    the endpoint, and record does both: the cassette file may not exist yet,
+    and the caller saves the channel's ``records`` back to it.
     """
-    if live_endpoint and cassette:
-        known = load_cassette(cassette) if Path(cassette).is_file() else []
-        return RecordingChannel(HttpChannel(live_endpoint), known)
-    if live_endpoint:
-        return HttpChannel(live_endpoint)
-    if cassette:
-        return ReplayChannel(load_cassette(cassette))
-    raise ProviderError("need a cassette, a live endpoint, or both")
+    records = []
+    if cassette and (live_endpoint is None or Path(cassette).is_file()):
+        records = load_cassette(cassette)
+    live = HttpChannel(live_endpoint) if live_endpoint else None
+    return ReplayChannel(records, live)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +177,14 @@ class PlanProvider:
         self.channel = channel
 
     def decompose(self, task) -> list[dict]:
-        out = self.channel.send(DECOMPOSE, decompose_request(task))
+        body = {
+            "task": {
+                "id": task.id,
+                "description": task.description,
+                "environment_type": task.environment_type,
+            }
+        }
+        out = self.channel.send(DECOMPOSE, body)
         subtasks = _expect_list_of_dicts(out, DECOMPOSE, ("id", "summary"))
         ids = [s["id"] for s in subtasks]
         if len(set(ids)) != len(ids):
@@ -259,20 +194,25 @@ class PlanProvider:
         return subtasks
 
     def identify_factors(self, task_id: str, subtask_id: str, summary: str) -> list[dict]:
-        out = self.channel.send(
-            IDENTIFY_FACTORS, identify_factors_request(task_id, subtask_id, summary)
-        )
-        return _checked_factor_list(out, IDENTIFY_FACTORS)
+        body = {"task_id": task_id, "subtask": {"id": subtask_id, "summary": summary}}
+        return _checked_factor_list(self.channel.send(IDENTIFY_FACTORS, body), IDENTIFY_FACTORS)
 
     def generate_plan(self, task_id: str, subtask_id: str, factors):
-        return self.channel.send(
-            GENERATE_PLAN, generate_plan_request(task_id, subtask_id, factors)
-        )
+        body = {
+            "task_id": task_id,
+            "subtask_id": subtask_id,
+            "factors": [factor_record(f) for f in factors],
+        }
+        return self.channel.send(GENERATE_PLAN, body)
 
     def refine(self, stage: str, subtask_id: str, previous, violations):
-        out = self.channel.send(
-            REFINE, refine_request(stage, subtask_id, previous, violations)
-        )
+        body = {
+            "stage": stage,
+            "subtask_id": subtask_id,
+            "previous": previous,
+            "violations": list(violations),
+        }
+        out = self.channel.send(REFINE, body)
         if stage == "factors":
             return _checked_factor_list(out, REFINE)
         return out
@@ -283,28 +223,34 @@ class SceneProvider:
         self.channel = channel
 
     def design_floor_plan(self, task_id: str, trajectory_id: str) -> dict:
-        out = self.channel.send(
-            DESIGN_FLOOR_PLAN, design_floor_plan_request(task_id, trajectory_id)
-        )
+        body = {"task_id": task_id, "trajectory_id": trajectory_id}
+        out = self.channel.send(DESIGN_FLOOR_PLAN, body)
         if not isinstance(out, dict) or "rooms" not in out:
             raise ProviderError("design_floor_plan response needs a 'rooms' list")
         return out
 
     def select_objects(self, task_id: str, trajectory_id: str, room_ids) -> list[dict]:
-        out = self.channel.send(
-            SELECT_OBJECTS, select_objects_request(task_id, trajectory_id, room_ids)
-        )
+        body = {"task_id": task_id, "trajectory_id": trajectory_id, "rooms": list(room_ids)}
+        out = self.channel.send(SELECT_OBJECTS, body)
         return _expect_list_of_dicts(out, SELECT_OBJECTS, ("id", "description", "room", "category"))
 
     def propose_relations(self, task_id: str, trajectory_id: str, objects) -> list[dict]:
-        out = self.channel.send(
-            PROPOSE_RELATIONS, propose_relations_request(task_id, trajectory_id, objects)
-        )
+        body = {
+            "task_id": task_id,
+            "trajectory_id": trajectory_id,
+            "objects": [
+                {"id": o["id"], "room": o["room"], "category": o["category"]} for o in objects
+            ],
+        }
+        out = self.channel.send(PROPOSE_RELATIONS, body)
         return _expect_list_of_dicts(out, PROPOSE_RELATIONS, ("kind", "subject"))
 
     def revise_relations(self, task_id: str, trajectory_id: str, previous, conflicts) -> list[dict]:
-        out = self.channel.send(
-            REVISE_RELATIONS,
-            revise_relations_request(task_id, trajectory_id, previous, conflicts),
-        )
+        body = {
+            "task_id": task_id,
+            "trajectory_id": trajectory_id,
+            "previous": previous,
+            "conflicts": list(conflicts),
+        }
+        out = self.channel.send(REVISE_RELATIONS, body)
         return _expect_list_of_dicts(out, REVISE_RELATIONS, ("kind", "subject"))

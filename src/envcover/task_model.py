@@ -51,6 +51,21 @@ class UncertainFactor:
         return False
 
 
+def factor_record(factor: UncertainFactor) -> dict:
+    """A factor as JSON: the generate_plan request and plans/subtasks.json carry it."""
+    return {"name": factor.name, "domain": list(factor.domain), "aliases": list(factor.aliases)}
+
+
+def factors_from_records(records) -> tuple[UncertainFactor, ...]:
+    """Factors from their JSON records; ``aliases`` may be left out."""
+    return tuple(
+        UncertainFactor(
+            name=r["name"], domain=tuple(r["domain"]), aliases=tuple(r.get("aliases", ()))
+        )
+        for r in records
+    )
+
+
 @dataclass(frozen=True)
 class SubtaskSpec:
     id: str
@@ -230,9 +245,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def extend(self, other: "ValidationReport") -> None:
-        self.violations.extend(other.violations)
 
 
 def match_factors(query_text: str, factors) -> list[UncertainFactor]:

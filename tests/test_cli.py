@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -132,6 +133,20 @@ def test_bad_task_path_exits_2(tmp_path, capsys):
     code = main(["derive", "--task", str(tmp_path / "nowhere"), "--out", str(tmp_path / "r")])
     assert code == 2
     assert "no task file" in capsys.readouterr().err
+
+
+def test_a_repeated_policy_label_exits_2(living_room_dir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(living_room_dir, bundle)
+    relabelled = json.loads((bundle / "policies" / "lackbranch.json").read_text())
+    relabelled["label"] = "correct"
+    (bundle / "policies" / "zz_copy.json").write_text(json.dumps(relabelled))
+    out = tmp_path / "r"
+    code = main(["run-all", "--task", str(bundle), "--out", str(out), "--grid", "0.2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "correct.json" in err and "zz_copy.json" in err
+    assert not (out / "reports" / "simulation.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from envcover import providers
 from envcover.derivation import (
     derive,
     verify_all,
@@ -14,9 +15,9 @@ from envcover.errors import ProviderError
 from envcover.providers import (
     HttpChannel,
     PlanProvider,
-    RecordingChannel,
     ReplayChannel,
     load_cassette,
+    request_hash,
     save_cassette,
 )
 from envcover.task_model import SubtaskSpec, TaskSpec, UncertainFactor, parse_behavior_plan
@@ -154,6 +155,36 @@ def test_broken_plan_is_refined_in_place():
     assert refines[0]["stage"] == "plan" and refines[0]["subtask_id"] == "s2"
 
 
+def renamed(responses, ids):
+    (subtasks,) = responses["decompose"]
+    responses["decompose"] = [
+        [dict(st, id=new_id) for st, new_id in zip(subtasks, ids)]
+    ]
+    return responses
+
+
+def test_a_shared_factor_refines_the_later_subtask_whatever_its_id():
+    responses = renamed(two_subtask_responses(s2_factor="first thing"), ["s1+x", "s2"])
+    responses["refine"] = [[factor("second thing", "yes", "no")], tree_over("second thing")]
+    channel = ScriptedChannel(responses)
+    result = derive(PlanProvider(channel), TASK)
+    refines = [body for kind, body in channel.calls if kind == "refine"]
+    assert [(r["stage"], r["subtask_id"]) for r in refines] == [("factors", "s2"), ("plan", "s2")]
+    assert result.status == "ok"
+
+
+def test_an_ungrounded_plan_is_refined_whatever_its_subtask_id():
+    responses = renamed(two_subtask_responses(), ["s1", "shelf/2"])
+    responses["generate_plan"][1] = tree_over("mystery")
+    responses["refine"] = [tree_over("second thing")]
+    channel = ScriptedChannel(responses)
+    result = derive(PlanProvider(channel), TASK)
+    refines = [body for kind, body in channel.calls if kind == "refine"]
+    assert [(r["stage"], r["subtask_id"]) for r in refines] == [("plan", "shelf/2")]
+    assert any("mystery" in v for v in refines[0]["violations"])
+    assert result.status == "ok"
+
+
 def test_unfixable_violations_exhaust_rounds_without_raising():
     responses = two_subtask_responses(s2_factor="first thing")
     responses["refine"] = [[factor("first thing", "yes", "no")]]  # keeps clashing
@@ -204,6 +235,32 @@ def test_replay_misses_are_reported_with_the_request_kind(cassette_records):
         channel.send("decompose", {"task": {"id": "other", "description": "", "environment_type": ""}})
 
 
+def test_a_replay_hit_never_calls_live(cassette_records):
+    live = ScriptedChannel({})
+    channel = ReplayChannel(cassette_records, live)
+    first = cassette_records[0]
+    assert channel.send(first["request_kind"], first["request_body"]) == first["response_body"]
+    assert live.calls == []
+    assert channel.records == cassette_records
+
+
+def test_a_replay_miss_goes_live_once_and_is_recorded():
+    live = ScriptedChannel(two_subtask_responses())
+    channel = ReplayChannel([], live)
+    body = {"task": {"id": "demo"}}
+    first = channel.send("decompose", body)
+    assert channel.send("decompose", body) == first
+    assert live.calls == [("decompose", body)]
+    assert channel.records == [
+        {
+            "request_kind": "decompose",
+            "request_hash": request_hash("decompose", body),
+            "request_body": body,
+            "response_body": first,
+        }
+    ]
+
+
 # ---------------------------------------------------------------------------
 # record and replay round trip
 # ---------------------------------------------------------------------------
@@ -211,7 +268,7 @@ def test_replay_misses_are_reported_with_the_request_kind(cassette_records):
 
 def test_recorded_session_replays_identically(tmp_path):
     inner = ScriptedChannel(two_subtask_responses())
-    recorder = RecordingChannel(inner)
+    recorder = ReplayChannel([], inner)
     first = derive(PlanProvider(recorder), TASK)
     assert first.status == "ok"
     assert len(recorder.records) == 5
@@ -228,7 +285,7 @@ def test_cassette_preserves_branch_order(tmp_path):
     # response order inside a stored tree is meaningful and must survive a
     # save/load cycle even though the rest of the file is pretty-printed
     inner = ScriptedChannel(two_subtask_responses())
-    recorder = RecordingChannel(inner)
+    recorder = ReplayChannel([], inner)
     derive(PlanProvider(recorder), TASK)
     path = tmp_path / "cassette.json"
     save_cassette(path, recorder.records)
@@ -276,7 +333,8 @@ def test_http_channel_round_trip():
         server.shutdown()
 
 
-def test_http_channel_wraps_transport_failures():
-    channel = HttpChannel("http://127.0.0.1:9/", timeout=0.5)
+def test_http_channel_wraps_transport_failures(monkeypatch):
+    monkeypatch.setattr(providers, "HTTP_TIMEOUT_S", 0.5)
+    channel = HttpChannel("http://127.0.0.1:9/")
     with pytest.raises(ProviderError):
         channel.send("decompose", {"task": {}})

@@ -1,10 +1,11 @@
-"""Pipeline provider channels: record mode against a live endpoint, and how
-often the build stage reads the cassette."""
+"""Pipeline provider channels: record and live mode against a local endpoint,
+and how often the build stage reads the cassette."""
 
 import json
 import shutil
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +143,21 @@ def test_record_mode_keeps_the_live_answers_before_a_failure(
     ]
 
 
+def test_live_mode_without_a_cassette_writes_none(
+    living_room_dir, cassette_endpoint, live_requests, tmp_path, dir_digest
+):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(living_room_dir, bundle)
+    (bundle / "cassette.json").unlink()
+    run_all(str(tmp_path / "plain"), str(living_room_dir), grid=0.2)
+    run_all(str(tmp_path / "live"), str(bundle), live_endpoint=cassette_endpoint, grid=0.2)
+
+    derivation_kinds = ["decompose"] + ["identify_factors"] * 3 + ["generate_plan"] * 3
+    assert live_requests == derivation_kinds + SCENE_KINDS * 3
+    assert not (bundle / "cassette.json").exists()
+    assert dir_digest(tmp_path / "live") == dir_digest(tmp_path / "plain")
+
+
 def test_collect_rejects_a_repeated_subtask_id(living_room_dir, tmp_path):
     paths = RunPaths(tmp_path / "run")
     stage_derive(paths, resolve_bundle(str(living_room_dir)))
@@ -168,3 +184,29 @@ def test_build_reads_the_cassette_once(living_room_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(providers, "load_cassette", counting)
     stage_build(paths, bundle, grid=0.2)
     assert len(loads) == 1
+
+
+def test_record_mode_build_reads_the_cassette_once(
+    living_room_dir, cassette_endpoint, live_requests, tmp_path, monkeypatch
+):
+    copy = tmp_path / "cassette.json"
+    shutil.copyfile(living_room_dir / "cassette.json", copy)
+    paths = RunPaths(tmp_path / "run")
+    bundle = resolve_bundle(str(living_room_dir), cassette=str(copy))
+    stage_derive(paths, bundle, cassette_endpoint)
+    assert len(stage_collect(paths)) == 3
+
+    # counted at the file, so a read from any module shows
+    reads = []
+    read_text = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        if self == copy:
+            reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    stage_build(paths, bundle, cassette_endpoint, grid=0.2)
+    assert len(reads) == 1
+    assert live_requests == []
+    assert copy.read_bytes() == (living_room_dir / "cassette.json").read_bytes()
