@@ -154,12 +154,15 @@ def _read_json(path: Path, what: str):
 
 
 def _open_provider_channel(bundle: TaskBundle, live_endpoint: str | None):
-    cassette = str(bundle.cassette_file) if bundle.cassette_file else None
-    if cassette is None and live_endpoint is None:
-        raise ConfigError(
-            "no exchange source: pass --cassette, --live-endpoint, or keep a "
-            "cassette.json next to the task file"
-        )
+    cassette = bundle.cassette_file
+    if live_endpoint is None:
+        if cassette is None:
+            raise ConfigError(
+                "no exchange source: pass --cassette, --live-endpoint, or keep a "
+                "cassette.json next to the task file"
+            )
+        if not cassette.is_file():
+            raise ConfigError(f"no cassette at {cassette}; pass --live-endpoint to record one")
     return open_channel(cassette=cassette, live_endpoint=live_endpoint)
 
 
@@ -180,9 +183,9 @@ def stage_derive(
     live_endpoint: str | None = None,
     max_rounds: int = 3,
 ) -> DerivationResult:
-    paths.ensure()
     task = load_task(bundle.task_file)
     channel = _open_provider_channel(bundle, live_endpoint)
+    paths.ensure()
     try:
         result = derive(PlanProvider(channel), task, max_rounds=max_rounds)
     finally:
@@ -274,13 +277,13 @@ def stage_build(
     seed: int = 0,
     grid: float = 0.1,
 ) -> list[EnvironmentSpec]:
+    channel = _open_provider_channel(bundle, live_endpoint)
     paths.ensure()
     selected = _load_selected(paths)
     schema = load_schema(str(bundle.schema_file))
     catalog = load_catalog(str(bundle.catalog_file))
     config = SolverConfig(grid_resolution=grid, seed=seed)
 
-    channel = _open_provider_channel(bundle, live_endpoint)
     provider = SceneProvider(channel)
     try:
         outcomes = [

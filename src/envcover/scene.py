@@ -15,7 +15,7 @@ is physically fine but does not realize the requested decision logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .assets import AssetCatalog, retrieve_asset
 from .environment import (
@@ -23,7 +23,6 @@ from .environment import (
     Doorway,
     EnvironmentSpec,
     ObjectSpec,
-    RELATION_KINDS,
     RELATIVE_KINDS,
     Room,
     SUPPORT_KINDS,
@@ -132,22 +131,19 @@ def parse_relations(raw_relations: list[dict], objects: list[ObjectSpec]) -> lis
     """Relations from provider output; priority defaults to the subject's category."""
     category = {o.id: o.category for o in objects}
     out = []
-    for i, raw in enumerate(raw_relations):
-        kind = raw["kind"]
-        if kind not in RELATION_KINDS:
-            raise SchemaViolation(f"relations[{i}] has unknown kind {kind!r}")
+    for raw in raw_relations:
         priority = raw.get("priority")
         if priority is None:
             subject_cat = category.get(raw["subject"], "enrichment")
             priority = "task" if subject_cat == "task_related" else "enrichment"
-        out.append(
-            SpatialRelation(
-                kind=kind,
-                subject=raw["subject"],
-                reference=raw.get("reference"),
-                priority=priority,
-            )
+        rel = SpatialRelation(
+            kind=raw["kind"],
+            subject=raw["subject"],
+            reference=raw.get("reference"),
+            priority=priority,
         )
+        rel.validate()
+        out.append(rel)
     return out
 
 
@@ -313,28 +309,8 @@ def build_environment(
         relation_index_of[cid] for cid in solution.relaxed if relation_index_of[cid] is not None
     )
 
-    placed_doorways = [
-        Doorway(
-            id=d.id,
-            connects=d.connects,
-            width=d.width,
-            height=d.height,
-            position=solution.door_positions[d.id],
-        )
-        for d in doorways
-    ]
-    placed_windows = [
-        Window(
-            id=w.id,
-            room=w.room,
-            orientation=w.orientation,
-            width=w.width,
-            height=w.height,
-            sill_height=w.sill_height,
-            position=solution.window_positions[w.id],
-        )
-        for w in windows
-    ]
+    placed_doorways = [replace(d, position=solution.door_positions[d.id]) for d in doorways]
+    placed_windows = [replace(w, position=solution.window_positions[w.id]) for w in windows]
 
     env = EnvironmentSpec(
         id=env_id,

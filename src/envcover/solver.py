@@ -8,9 +8,10 @@ its support relation (none puts it on the floor; on_top_of on the top face of
 its reference, in on the bottom of its container, mounted_on_wall at the
 mount height), so the support relations are the only support constraints and
 are never relaxed. Facts about the fixed inputs are checked once, at encode
-time: overlapping rooms, a doorway between detached rooms or an object that
-fits in no grid cell raise EncodingError before any search, so every
-constraint left for the search scopes one or two entities.
+time: overlapping rooms, an opening or relation that cannot be placed or
+scoped, a doorway between detached rooms or an object that fits in no grid
+cell raise EncodingError before any search, so every constraint left for
+the search scopes one or two entities.
 
 The search is depth-first backtracking with forward checking (Haralick and
 Elliott, 1980). Variable order is largest footprint first (ties by id); value
@@ -20,16 +21,19 @@ unsat solution; hitting the backtrack budget, the only cap on the search,
 raises SolverTimeout instead, because a capped search proves nothing. No
 clock is read, so the outcome does not depend on machine load.
 
-Every constraint has a predicate over a full assignment. The kinds that
+Each constraint is one CspConstraint: its scope's variables in search order
+(at least two), its predicate over a full assignment and, for the kinds that
 dominate the solver's runtime (containment, non_collision, near, far, edge,
-on_top_of, mounted_on_wall) also have a pruner that forward checking calls
-instead of the predicate on each value: it filters a position domain by the
-same float expressions, evaluated once per distinct grid coordinate where the
-predicate splits into an x test and a z test. Pruners keep exactly the
-values, in the same order, that the predicate keeps. The predicates remain
-the reference: consistency checks after each assignment, check_assignment and
-the tests' brute-force oracles call them, and so does forward checking for
-the kinds without a pruner.
+on_top_of, mounted_on_wall), a pruner. In a static variable order all but a
+constraint's last variable are assigned exactly when its second-to-last one
+is, so solve plans per rung which constraints forward checking runs after
+each assignment; each filters its last variable's domain, and a value that
+survives satisfies the constraint. A pruner keeps exactly the values, in the
+same order, that setting each value and calling the predicate keeps: it
+evaluates the same float expressions, once per distinct grid coordinate
+where the predicate splits into an x test and a z test. The predicates
+remain the reference: check_assignment and the tests' brute-force oracles
+call them, and so does forward checking for the kinds without a pruner.
 
 Relation predicates here are written against this module's own box math; the
 physics validator re-implements the same semantics table independently.
@@ -40,7 +44,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .environment import (
     DISTANCE_KINDS,
@@ -83,23 +87,15 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class CspVariable:
-    id: str
-    entity: str
-    kind: str  # "position" | "direction" | "opening"
-
-
-@dataclass(frozen=True)
 class CspConstraint:
     id: str
     kind: str  # a relation kind, or a physical kind
-    scope: tuple[str, ...]  # entity ids; arity = len(scope), 1 or 2
+    scope: tuple[str, ...]  # entity ids, 1 or 2
+    variables: tuple[str, ...]  # the scope's variable ids in search order, 2 or more
+    check: Callable  # check(assign) -> bool, over a full assignment
+    prune: Callable | None = None  # prune(assign, u, values), or None: set and check
     relaxable: bool = False
     relation_index: int | None = None
-
-    @property
-    def arity(self) -> int:
-        return len(self.scope)
 
 
 @dataclass
@@ -445,11 +441,9 @@ class CspProblem:
         self.relations = list(relations)
         self.config = config
         self.geo = _Geometry(self.rooms, self.objects)
-        self.variables: list[CspVariable] = []
+        self.variables: list[str] = []  # variable ids in search order
         self.domains: dict[str, list] = {}
         self.constraints: list[CspConstraint] = []
-        self._checks: dict[str, object] = {}  # constraint id -> predicate
-        self._prunes: dict[str, object] = {}  # constraint id -> pruner
         self._shuffled: dict[str, list] | None = None
         self._encode()
 
@@ -469,6 +463,15 @@ class CspProblem:
                 raise EncodingError(f"object {o.id!r} names unknown room {o.room!r}")
             if o.size[1] > WALL_HEIGHT + _TOL:
                 raise EncodingError(f"object {o.id!r} is taller than the walls")
+        for idx, rel in enumerate(self.relations):
+            where = f"relation {idx} ({rel.kind} of {rel.subject!r})"
+            for entity in (rel.subject, rel.reference):
+                if entity is not None and entity not in self.geo.objects:
+                    raise EncodingError(f"{where} names unknown object {entity!r}")
+            if rel.reference is None and rel.kind not in UNARY_KINDS:
+                raise EncodingError(f"{where} needs a reference")
+            if rel.reference == rel.subject:
+                raise EncodingError(f"{where} references its own subject")
         room_of = {o.id: self.geo.rooms[o.room] for o in self.objects}
         self.geo.base_y = _support_plan(self.objects, self.relations)
 
@@ -494,14 +497,15 @@ class CspProblem:
             self.geo.axes[o.id] = (xs, zs)
             if not cells:
                 raise EncodingError(f"no grid cell fits object {o.id!r} in room {room.id!r}")
-            dvar = CspVariable(id=f"{o.id}.dir", entity=o.id, kind="direction")
-            pvar = CspVariable(id=f"{o.id}.pos", entity=o.id, kind="position")
-            self.variables += [dvar, pvar]
-            self.domains[dvar.id] = list(DIRECTION_VECTORS)
-            self.domains[pvar.id] = cells
+            self.variables += [f"{o.id}.dir", f"{o.id}.pos"]
+            self.domains[f"{o.id}.dir"] = list(DIRECTION_VECTORS)
+            self.domains[f"{o.id}.pos"] = cells
 
         for door in sorted(self.doorways, key=lambda d: d.id):
             a, b = door.connects
+            for r in (a, b):
+                if r not in self.geo.rooms and (r != "exterior" or a == b):
+                    raise EncodingError(f"doorway {door.id!r} names unknown room {r!r}")
             if "exterior" in (a, b):
                 room = self.geo.rooms[a if b == "exterior" else b]
                 cells = []
@@ -516,41 +520,41 @@ class CspProblem:
                 raise EncodingError(f"doorway {door.id!r} does not fit on its wall")
             if door.height > WALL_HEIGHT + _TOL:
                 raise EncodingError(f"doorway {door.id!r} is taller than the walls")
-            var = CspVariable(id=f"{door.id}.pos", entity=door.id, kind="opening")
-            self.variables.append(var)
-            self.domains[var.id] = cells
+            self.variables.append(f"{door.id}.pos")
+            self.domains[f"{door.id}.pos"] = cells
 
         for win in sorted(self.windows, key=lambda w: w.id):
             room = self.geo.rooms.get(win.room)
             if room is None:
                 raise EncodingError(f"window {win.id!r} names unknown room {win.room!r}")
+            if win.orientation not in DIRECTION_VECTORS:
+                raise EncodingError(
+                    f"window {win.id!r} faces {win.orientation!r}, which is not a cardinal"
+                )
             if win.sill_height + win.height > WALL_HEIGHT + _TOL:
                 raise EncodingError(f"window {win.id!r} does not fit under the wall height")
             cells = _positions_on_wall(_wall_of(room, win.orientation), win.width, res)
             if not cells:
                 raise EncodingError(f"window {win.id!r} is wider than its wall")
-            var = CspVariable(id=f"{win.id}.pos", entity=win.id, kind="opening")
-            self.variables.append(var)
-            self.domains[var.id] = cells
+            self.variables.append(f"{win.id}.pos")
+            self.domains[f"{win.id}.pos"] = cells
 
         self._emit_constraints()
 
     def _emit_constraints(self) -> None:
         geo = self.geo
+        rank = {vid: i for i, vid in enumerate(self.variables)}
 
         def add(cid, kind, scope, check, prune=None, relaxable=False, rel_idx=None):
+            # distance and alignment predicates read footprint centers only,
+            # so their scope takes no direction variable: forward checking
+            # then prunes a position domain as soon as the other endpoint's
+            # position is known
+            parts = (".pos",) if kind in _POSITION_ONLY_KINDS else (".dir", ".pos")
+            variables = sorted((e + part for e in scope for part in parts), key=rank.__getitem__)
             self.constraints.append(
-                CspConstraint(
-                    id=cid,
-                    kind=kind,
-                    scope=tuple(scope),
-                    relaxable=relaxable,
-                    relation_index=rel_idx,
-                )
+                CspConstraint(cid, kind, tuple(scope), tuple(variables), check, prune, relaxable, rel_idx)
             )
-            self._checks[cid] = check
-            if prune is not None:
-                self._prunes[cid] = prune
 
         for o in self.objects:
             room = geo.rooms[o.room]
@@ -581,8 +585,7 @@ class CspProblem:
                 f"rel[{idx}]:{rel.kind}:{rel.subject}",
                 rel.kind,
                 scope,
-                self._relation_check(rel),
-                self._relation_pruner(rel),
+                *self._relation(rel),
                 relaxable=rel.priority == "enrichment" and rel.kind not in SUPPORT_KINDS,
                 rel_idx=idx,
             )
@@ -617,11 +620,14 @@ class CspProblem:
 
     # -- relation predicates (solver-side geometry) -------------------------
 
-    def _relation_check(self, rel: SpatialRelation):
+    def _relation(self, rel: SpatialRelation):
+        """The relation's predicate and its pruner, or None for the pruner
+        where forward checking sets and checks each value."""
         geo = self.geo
         s = rel.subject
         r = rel.reference
         room = geo.rooms[geo.objects[s].room]
+        prune = None
 
         def sbox(assign):
             return geo.placed_box(s, assign)
@@ -640,11 +646,15 @@ class CspProblem:
                 sx, sz, rx, rz = centers(assign)
                 return (sx - rx) ** 2 + (sz - rz) ** 2 <= NEAR_MAX**2 + _TOL
 
+            prune = _distance_pruner(s, r, NEAR_MAX**2 + _TOL, True)
+
         elif rel.kind == "far":
 
             def check(assign):
                 sx, sz, rx, rz = centers(assign)
                 return (sx - rx) ** 2 + (sz - rz) ** 2 >= FAR_MIN**2 - _TOL
+
+            prune = _distance_pruner(s, r, FAR_MIN**2 - _TOL, False)
 
         elif rel.kind == "on_top_of":
 
@@ -657,6 +667,14 @@ class CspProblem:
                 if w <= 0 or d <= 0:
                     return False
                 return w * d >= SUPPORT_OVERLAP_FRAC * (a[3] - a[0]) * (a[5] - a[2]) - _TOL
+
+            def enough(w, width, d, depth):
+                return w * d >= SUPPORT_OVERLAP_FRAC * width * depth - _TOL
+
+            if abs(geo.y_span(s)[0] - geo.y_span(r)[1]) > SUPPORT_EPS:
+                prune = _keep_none
+            else:
+                prune = _resting_pruner(geo, s, r, enough)
 
         elif rel.kind == "in":
 
@@ -683,6 +701,8 @@ class CspProblem:
                 )
                 return gap <= EDGE_MAX + _TOL
 
+            prune = _edge_pruner(geo, s, room, EDGE_MAX + _TOL)
+
         elif rel.kind == "center":
 
             def check(assign):
@@ -702,6 +722,11 @@ class CspProblem:
                     "west": room.x_max - a[3],
                 }[direction]
                 return abs(back) <= MOUNT_EPS and a[1] > _TOL
+
+            if geo.y_span(s)[0] > _TOL:
+                prune = _wall_back_pruner(geo, s, room, MOUNT_EPS)
+            else:
+                prune = _keep_none
 
         elif rel.kind == "above":
 
@@ -753,50 +778,9 @@ class CspProblem:
 
         else:
             raise EncodingError(f"relation kind {rel.kind!r} has no solver semantics")
-        return check
-
-    def _relation_pruner(self, rel: SpatialRelation):
-        """The relation's pruner, or None where forward checking calls its predicate."""
-        geo = self.geo
-        s = rel.subject
-        r = rel.reference
-        room = geo.rooms[geo.objects[s].room]
-        if rel.kind == "near":
-            return _distance_pruner(s, r, NEAR_MAX**2 + _TOL, True)
-        if rel.kind == "far":
-            return _distance_pruner(s, r, FAR_MIN**2 - _TOL, False)
-        if rel.kind == "edge":
-            return _edge_pruner(geo, s, room, EDGE_MAX + _TOL)
-        if rel.kind == "on_top_of":
-            if abs(geo.y_span(s)[0] - geo.y_span(r)[1]) > SUPPORT_EPS:
-                return _keep_none
-
-            def enough(w, width, d, depth):
-                return w * d >= SUPPORT_OVERLAP_FRAC * width * depth - _TOL
-
-            return _resting_pruner(geo, s, r, enough)
-        if rel.kind == "mounted_on_wall":
-            if geo.y_span(s)[0] > _TOL:
-                return _wall_back_pruner(geo, s, room, MOUNT_EPS)
-            return _keep_none
-        return None
+        return check, prune
 
     # -- evaluation helpers --------------------------------------------------
-
-    def scope_vars(self, constraint: CspConstraint) -> tuple[str, ...]:
-        # distance and alignment predicates read footprint centers only, so
-        # their scope must not include direction variables: a tighter scope
-        # lets forward checking prune position domains as soon as the other
-        # endpoint's position is known
-        if constraint.kind in _POSITION_ONLY_KINDS:
-            return tuple(f"{entity}.pos" for entity in constraint.scope)
-        out = []
-        for entity in constraint.scope:
-            if entity in self.geo.objects:
-                out += [f"{entity}.dir", f"{entity}.pos"]
-            else:
-                out.append(f"{entity}.pos")
-        return tuple(out)
 
     def shuffled_domains(self) -> dict[str, list]:
         """Every domain in its seeded value order, in variable order.
@@ -809,10 +793,10 @@ class CspProblem:
         if self._shuffled is None:
             rng = random.Random(self.config.seed)
             self._shuffled = {}
-            for v in self.variables:
-                values = list(self.domains[v.id])
+            for vid in self.variables:
+                values = list(self.domains[vid])
                 rng.shuffle(values)
-                self._shuffled[v.id] = values
+                self._shuffled[vid] = values
         return dict(self._shuffled)
 
     def check_assignment(self, assignment: dict, skip: frozenset = frozenset()) -> bool:
@@ -820,7 +804,7 @@ class CspProblem:
         for c in self.constraints:
             if c.id in skip:
                 continue
-            if not self._checks[c.id](assignment):
+            if not c.check(assignment):
                 return False
         return True
 
@@ -885,50 +869,31 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
     Overlapping rooms never get here: encode rejects them with EncodingError.
     """
     config = problem.config
-
-    order = [v.id for v in problem.variables]
+    order = problem.variables
     domains = problem.shuffled_domains()
 
-    by_var: dict[str, list[CspConstraint]] = {vid: [] for vid in order}
-    scope_cache: dict[str, tuple[str, ...]] = {}
+    # variables are assigned depth-first in a static order, so a constraint
+    # has exactly one unassigned variable, its last, right after its
+    # second-to-last one is assigned: forward checking runs it there
+    plan: dict[str, list[CspConstraint]] = {vid: [] for vid in order}
     for c in problem.constraints:
-        if c.id in skip:
-            continue
-        svars = problem.scope_vars(c)
-        scope_cache[c.id] = svars
-        for vid in svars:
-            by_var[vid].append(c)
+        if c.id not in skip:
+            plan[c.variables[-2]].append(c)
 
     assignment: dict[str, object] = {}
     stats = {"backtracks": 0, "assignments": 0}
-    checks = problem._checks
-    prunes = problem._prunes
-
-    def consistent_after(vid: str) -> bool:
-        for c in by_var[vid]:
-            svars = scope_cache[c.id]
-            if all(v in assignment for v in svars):
-                if not checks[c.id](assignment):
-                    return False
-        return True
 
     def forward_check(vid: str, trail: list) -> bool:
-        for c in by_var[vid]:
-            svars = scope_cache[c.id]
-            unassigned = [v for v in svars if v not in assignment]
-            if len(unassigned) != 1:
-                continue
-            u = unassigned[0]
+        for c in plan[vid]:
+            u = c.variables[-1]
             values = domains[u]
-            prune = prunes.get(c.id)
-            if prune is not None:
-                keep = prune(assignment, u, values)
+            if c.prune is not None:
+                keep = c.prune(assignment, u, values)
             else:
-                check = checks[c.id]
                 keep = []
                 for value in values:
                     assignment[u] = value
-                    if check(assignment):
+                    if c.check(assignment):
                         keep.append(value)
                 assignment.pop(u, None)
             if len(keep) != len(values):
@@ -946,7 +911,7 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
             assignment[vid] = value
             stats["assignments"] += 1
             trail: list = []
-            if consistent_after(vid) and forward_check(vid, trail):
+            if forward_check(vid, trail):
                 if backtrack(depth + 1):
                     return True
             for u, old in reversed(trail):

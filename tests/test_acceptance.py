@@ -199,7 +199,7 @@ def test_c05_unsat_verdicts_match_exhaustive_grid_enumeration():
     started = time.perf_counter()
 
     def brute_force_sat(problem):
-        order = [v.id for v in problem.variables]
+        order = problem.variables
         domains = [problem.domains[vid] for vid in order]
         for combo in itertools.product(*domains):
             if problem.check_assignment(dict(zip(order, combo))):

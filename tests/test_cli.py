@@ -135,6 +135,15 @@ def test_bad_task_path_exits_2(tmp_path, capsys):
     assert "no task file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["derive", "build", "run-all"])
+def test_missing_cassette_in_replay_mode_exits_2(command, living_room_dir, tmp_path, capsys):
+    out = tmp_path / "r"
+    argv = [command, "--task", str(living_room_dir), "--cassette", str(tmp_path / "nope.json")]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "no cassette at" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_repeated_policy_label_exits_2(living_room_dir, tmp_path, capsys):
     bundle = tmp_path / "bundle"
     shutil.copytree(living_room_dir, bundle)

@@ -138,6 +138,25 @@ def test_parse_relations_rejects_unknown_kind():
         parse_relations([{"kind": "levitates_above", "subject": "x"}], [])
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"kind": "near", "subject": "a"}, "needs a reference"),
+        ({"kind": "on_top_of", "subject": "a"}, "needs a reference"),
+        ({"kind": "edge", "subject": "a", "reference": "b"}, "takes no reference"),
+        ({"kind": "near", "subject": "a", "reference": "a"}, "its own subject"),
+        ({"kind": "near", "subject": "a", "reference": "b", "priority": "urgent"}, "priority"),
+    ],
+)
+def test_parse_relations_rejects_what_the_solver_cannot_scope(raw, message):
+    objects = [
+        ObjectSpec(id=i, description="", room="r", size=(1, 1, 1), category="enrichment")
+        for i in ("a", "b")
+    ]
+    with pytest.raises(SchemaViolation, match=message):
+        parse_relations([raw], objects)
+
+
 # ---------------------------------------------------------------------------
 # compatibility rules
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import dataclasses
 import gc
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -31,7 +34,7 @@ def room4():
 
 def brute_force_sat(problem) -> bool:
     """Ground-truth satisfiability by full enumeration of the domains."""
-    order = [v.id for v in problem.variables]
+    order = problem.variables
     domains = [problem.domains[vid] for vid in order]
     for combo in itertools.product(*domains):
         if problem.check_assignment(dict(zip(order, combo))):
@@ -51,7 +54,7 @@ def test_encoding_census_for_one_room_two_objects_one_relation():
     problem = encode([room4()], [], [], [sofa, book], rels, GRID)
 
     # position and direction per object, larger footprint ordered first
-    assert [v.id for v in problem.variables] == [
+    assert problem.variables == [
         "sofa.dir",
         "sofa.pos",
         "book.dir",
@@ -66,7 +69,7 @@ def test_encoding_census_for_one_room_two_objects_one_relation():
     ]
     relation = [c for c in problem.constraints if c.kind == "on_top_of"]
     assert relation[0].scope == ("book", "sofa")
-    assert relation[0].arity == 2
+    assert relation[0].variables == ("sofa.dir", "sofa.pos", "book.dir", "book.pos")
     assert not relation[0].relaxable  # contact relations are never dropped
 
 
@@ -90,6 +93,22 @@ def test_object_wider_than_room_is_an_encoding_error():
 def test_object_taller_than_walls_is_an_encoding_error():
     with pytest.raises(EncodingError):
         encode([room4()], [], [], [obj("x", (1.0, 3.2, 1.0))], [], GRID)
+
+
+@pytest.mark.parametrize(
+    "relation",
+    [
+        SpatialRelation(kind="near", subject="a"),  # binary kind, no reference
+        SpatialRelation(kind="on_top_of", subject="a"),  # support kind, no reference
+        SpatialRelation(kind="near", subject="a", reference="a"),
+        SpatialRelation(kind="far", subject="a", reference="ghost"),
+        SpatialRelation(kind="edge", subject="ghost"),
+    ],
+)
+def test_relation_the_solver_cannot_scope_is_an_encoding_error(relation):
+    objects = [obj("a", (1, 0.5, 1)), obj("b", (1, 0.5, 1))]
+    with pytest.raises(EncodingError, match="relation 0"):
+        encode([room4()], [], [], objects, [relation], GRID)
 
 
 def test_support_cycle_is_an_encoding_error():
@@ -245,6 +264,23 @@ def test_window_sits_inside_its_wall_span():
     x, z = solution.window_positions["win"]
     assert z == pytest.approx(4.0)  # north wall of a 0..4 room
     assert 0.6 - 1e-9 <= x <= 3.4 + 1e-9
+
+
+@pytest.mark.parametrize("connects", [("exterior", "nope"), ("r", "nope"), ("nope", "r")])
+def test_doorway_to_an_unknown_room_is_an_encoding_error(connects):
+    from envcover.environment import Doorway
+
+    door = Doorway(id="door", connects=connects, width=0.9, height=2.1)
+    with pytest.raises(EncodingError, match="doorway 'door' names unknown room 'nope'"):
+        encode([room4()], [door], [], [], [], GRID)
+
+
+def test_window_facing_no_cardinal_is_an_encoding_error():
+    from envcover.environment import Window
+
+    win = Window(id="win", room="r", orientation="up", width=1.2, height=1.0, sill_height=0.9)
+    with pytest.raises(EncodingError, match="window 'win'"):
+        encode([room4()], [], [win], [], [], GRID)
 
 
 def test_window_wider_than_wall_is_an_encoding_error():
@@ -437,7 +473,7 @@ def test_pruner_equals_the_set_and_check_filter(kind, x0, z0, width, depth, grid
     except EncodingError:
         assume(False)
     c = next(c for c in problem.constraints if c.kind == kind)
-    prune, check = problem._prunes[c.id], problem._checks[c.id]
+    prune, check = c.prune, c.check
 
     # the moving endpoint keeps only its direction; the others are placed
     moving = pick.choice(c.scope)
@@ -500,7 +536,8 @@ def contradiction_instance(rng):
     return [room4()], [a, b], relations
 
 
-def test_pruners_change_no_search_outcome():
+def seeded_search_instances():
+    """24 seeded (rooms, objects, relations, config) instances, in a fixed order."""
     rng = random.Random(20261018)
     # (instance, backtrack budget): the mixed scenes may thrash, so a small
     # budget keeps their timeouts cheap; unsat proofs need the default one
@@ -510,7 +547,28 @@ def test_pruners_change_no_search_outcome():
                   (random_mini_instance(rng) for _ in range(8))]
     for trial, ((rooms, objects, relations), budget) in enumerate(instances):
         config = SolverConfig(grid_resolution=0.25, seed=trial, max_backtracks=budget)
+        yield rooms, objects, relations, config
+
+
+def test_pruners_change_no_search_outcome():
+    for trial, (rooms, objects, relations, config) in enumerate(seeded_search_instances()):
         pruned = encode(rooms, [], [], objects, relations, config)
         generic = encode(rooms, [], [], objects, relations, config)
-        generic._prunes.clear()
+        generic.constraints = [dataclasses.replace(c, prune=None) for c in generic.constraints]
         assert relaxation_outcome(pruned) == relaxation_outcome(generic), f"instance {trial}"
+
+
+# sha256 of the canonical JSON of every seeded instance's relaxation outcome:
+# status, assignments, stats and relaxed list, or the exception. A change
+# that means to alter search outcomes (a new search order, backjumping)
+# updates it on purpose, as it does PINNED_RUN_DIGESTS.
+PINNED_SEARCH_OUTCOMES = "02d6c81d31ef47e42e6bd7607953bcb2cf586c83586b3d6d162ff47d8c9f6ffc"
+
+
+def test_search_outcomes_are_pinned():
+    outcomes = [
+        relaxation_outcome(encode(rooms, [], [], objects, relations, config))
+        for rooms, objects, relations, config in seeded_search_instances()
+    ]
+    canonical = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_SEARCH_OUTCOMES
