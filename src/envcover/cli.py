@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import ConfigError, EnvcoverError, SchemaViolation
@@ -93,8 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_numbers(args) -> None:
     for name in ("grid", "budget", "max_rounds"):
         value = getattr(args, name, None)
-        if value is not None and value <= 0:
-            raise ConfigError(f"--{name.replace('_', '-')} must be positive, got {value}")
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigError(
+                f"--{name.replace('_', '-')} must be finite and positive, got {value}"
+            )
 
 
 def _dispatch(args) -> dict | None:

@@ -277,12 +277,12 @@ def stage_build(
     seed: int = 0,
     grid: float = 0.1,
 ) -> list[EnvironmentSpec]:
+    config = SolverConfig(grid_resolution=grid, seed=seed)
     channel = _open_provider_channel(bundle, live_endpoint)
     paths.ensure()
     selected = _load_selected(paths)
     schema = load_schema(str(bundle.schema_file))
     catalog = load_catalog(str(bundle.catalog_file))
-    config = SolverConfig(grid_resolution=grid, seed=seed)
 
     provider = SceneProvider(channel)
     try:
@@ -468,6 +468,7 @@ def run_all(
     """
     import time
 
+    SolverConfig(grid_resolution=grid, seed=seed)  # rejects a bad grid before any stage writes
     paths = RunPaths(out_dir)
     bundle = resolve_bundle(task_path, cassette=cassette, catalog=catalog)
     timings = []

@@ -14,12 +14,19 @@ cell raise EncodingError before any search, so every constraint left for
 the search scopes one or two entities.
 
 The search is depth-first backtracking with forward checking (Haralick and
-Elliott, 1980). Variable order is largest footprint first (ties by id); value
-order is a seeded shuffle, made once per problem, so a fixed seed and config
-reproduce the identical solution. Exhausting the search space returns an
-unsat solution; hitting the backtrack budget, the only cap on the search,
-raises SolverTimeout instead, because a capped search proves nothing. No
-clock is read, so the outcome does not depend on machine load.
+Elliott, 1980). Variable order is largest footprint first (ties by id). The
+search state is one int bitmask per variable (bit-parallel domains: Lecoutre
+and Vion, Constraint Programming Letters 2, 2008): bit i stands for
+problem.domains[vid][i], and a position cell i is (xs[i // nz], zs[i % nz]),
+the product(xs, zs) order of the encoded cells. Value order is a seeded
+permutation of each domain's indices, made once per problem (value_orders);
+the search tries a variable's surviving values in that order, so a fixed seed
+and config reproduce the identical solution. The permutation is the one
+random.shuffle would give the encoded list, drawn by an inline replica of its
+Fisher-Yates loop. Exhausting the search space returns an unsat solution;
+hitting the backtrack budget, the only cap on the search, raises
+SolverTimeout instead, because a capped search proves nothing. No clock is
+read, so the outcome does not depend on machine load.
 
 Each constraint is one CspConstraint: its scope's variables in search order
 (at least two), its predicate over a full assignment and, for the kinds that
@@ -27,13 +34,14 @@ dominate the solver's runtime (containment, non_collision, near, far, edge,
 on_top_of, mounted_on_wall), a pruner. In a static variable order all but a
 constraint's last variable are assigned exactly when its second-to-last one
 is, so solve plans per rung which constraints forward checking runs after
-each assignment; each filters its last variable's domain, and a value that
-survives satisfies the constraint. A pruner keeps exactly the values, in the
-same order, that setting each value and calling the predicate keeps: it
-evaluates the same float expressions, once per distinct grid coordinate
-where the predicate splits into an x test and a z test. The predicates
-remain the reference: check_assignment and the tests' brute-force oracles
-call them, and so does forward checking for the kinds without a pruner.
+each assignment; each filters its last variable's domain mask, and a value
+that survives satisfies the constraint. A pruner keeps exactly the bits that
+setting each value and calling the predicate keeps: it evaluates the same
+float expressions, once per distinct grid coordinate where the predicate
+splits into an x test and a z test, and turns the results into masks. The
+predicates remain the reference: check_assignment and the tests' brute-force
+oracles call them, and so does forward checking, on each set bit, for the
+kinds without a pruner.
 
 Relation predicates here are written against this module's own box math; the
 physics validator re-implements the same semantics table independently.
@@ -41,7 +49,10 @@ physics validator re-implements the same semantics table independently.
 
 from __future__ import annotations
 
+import math
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, NamedTuple
@@ -56,7 +67,7 @@ from .environment import (
     UNARY_KINDS,
     footprint,
 )
-from .errors import CoreUnsat, EncodingError, SolverTimeout
+from .errors import ConfigError, CoreUnsat, EncodingError, SolverTimeout
 from .semantics import (
     CENTER_ALIGNED_EPS,
     CENTER_MAX,
@@ -85,6 +96,13 @@ class SolverConfig:
     seed: int = 0
     max_backtracks: int = 50000
 
+    def __post_init__(self):
+        # a NaN step never ends a grid walk, and an infinite one makes a NaN cell
+        if not (math.isfinite(self.grid_resolution) and self.grid_resolution > 0):
+            raise ConfigError(
+                f"grid resolution must be finite and positive, got {self.grid_resolution}"
+            )
+
 
 @dataclass(frozen=True)
 class CspConstraint:
@@ -93,7 +111,7 @@ class CspConstraint:
     scope: tuple[str, ...]  # entity ids, 1 or 2
     variables: tuple[str, ...]  # the scope's variable ids in search order, 2 or more
     check: Callable  # check(assign) -> bool, over a full assignment
-    prune: Callable | None = None  # prune(assign, u, values), or None: set and check
+    prune: Callable | None = None  # prune(assign, u, mask) -> mask, or None: set and check
     relaxable: bool = False
     relation_index: int | None = None
 
@@ -150,8 +168,8 @@ class _Geometry:
         }
         self.objects = {o.id: o for o in objects}
         self.base_y: dict[str, float] = {}
-        # the distinct x and z of each object's position domain
-        self.axes: dict[str, tuple[list[float], list[float]]] = {}
+        # each object's position grid: the distinct x and z of its domain
+        self.grids: dict[str, _Grid] = {}
         self.footprints: dict[tuple[str, str], tuple[float, float]] = {}
         for o in objects:
             for d in DIRECTION_VECTORS:
@@ -182,10 +200,19 @@ def _support_plan(objects, relations) -> dict[str, float]:
 
     An object with no support relation stands on the floor; on_top_of puts
     it on the reference's top face, in on the container's bottom, and
-    mounted_on_wall at its mount height. Where one subject has several
-    support relations the last one sets the height. Rejects cycles.
+    mounted_on_wall at its mount height. Rejects a subject with more than
+    one support relation, since one height cannot satisfy two of them, and
+    support cycles.
     """
-    support = {rel.subject: rel for rel in relations if rel.kind in SUPPORT_KINDS}
+    support: dict[str, SpatialRelation] = {}
+    for rel in relations:
+        if rel.kind in SUPPORT_KINDS:
+            if rel.subject in support:
+                raise EncodingError(
+                    f"object {rel.subject!r} has more than one support relation: "
+                    f"{support[rel.subject].kind} and {rel.kind}"
+                )
+            support[rel.subject] = rel
     by_id = {o.id: o for o in objects}
     base_y: dict[str, float] = {}
 
@@ -254,79 +281,109 @@ def _positions_on_wall(wall, width: float, res: float) -> list[tuple[float, floa
 # ---------------------------------------------------------------------------
 #
 # A pruner filters the domain of a constraint's one unassigned variable u:
-# prune(assign, u, values) returns the cells of ``values`` that the
-# constraint's predicate keeps, in their input order. It evaluates the same
-# float expressions as the predicate, with the fixed endpoint's box, the moving
-# footprint and the room bounds hoisted out of the loop, so it keeps exactly
-# what setting u to each value and calling the predicate keeps. u is always a
-# position variable: each object's direction precedes its position in the
-# search order, and distance relations scope positions only.
+# prune(assign, u, mask) returns the set bits of ``mask`` whose cells the
+# constraint's predicate keeps. It evaluates the same float expressions as the
+# predicate, with the fixed endpoint's box, the moving footprint and the room
+# bounds hoisted out of the loop, so it keeps exactly what setting u to each
+# value and calling the predicate keeps. u is always a position variable:
+# each object's direction precedes its position in the search order, and
+# distance relations scope positions only.
 #
 # A separable predicate is a test on x and a test on z, joined by "and" or
 # "or". Each test runs once per distinct coordinate of the moving object's
-# position domain (``geo.axes``), and the cells of ``values``, which all come
-# from that domain, are then kept by lookup. For non_collision the cells that
-# fail both tests form the configuration-space obstacle of the placed box
-# (Lozano-Perez, IEEE Trans. Computers 1983).
+# position grid, and _Grid turns the results into the masks of the cells
+# whose x or z passes: the prune is then mask & X & Z or mask & (X | Z). For
+# non_collision the cells that fail both tests form the configuration-space
+# obstacle of the placed box (Lozano-Perez, IEEE Trans. Computers 1983).
 
 
-def _keep_all(assign, u, values):
-    return values
+class _Grid:
+    """An object's position cells, product(xs, zs), as bit positions.
+
+    Cell i is (xs[i // nz], zs[i % nz]), so column k (one x) is the nz bits
+    from k * nz on, and row j (one z) is bit j of every column.
+    """
+
+    __slots__ = ("xs", "zs", "nz", "comb")
+
+    def __init__(self, xs: list[float], zs: list[float]):
+        self.xs, self.zs, self.nz = xs, zs, len(zs)
+        # bit k * nz for every column k: times a row mask, it repeats the row
+        # in every column with no carries, because the row mask is below 1 << nz
+        self.comb = sum(1 << (k * self.nz) for k in range(len(xs)))
+
+    def columns(self, keep) -> int:
+        """The cells of the columns k with keep[k] true; each run of kept
+        columns is one contiguous bit range."""
+        mask, nz, n, k = 0, self.nz, len(keep), 0
+        while k < n:
+            if keep[k]:
+                j = k + 1
+                while j < n and keep[j]:
+                    j += 1
+                mask |= ((1 << ((j - k) * nz)) - 1) << (k * nz)
+                k = j
+            else:
+                k += 1
+        return mask
+
+    def rows(self, keep) -> int:
+        """The cells of the rows j with keep[j] true."""
+        zbits = 0
+        for j, ok in enumerate(keep):
+            if ok:
+                zbits |= 1 << j
+        return self.comb * zbits
 
 
-def _keep_none(assign, u, values):
-    return []
+def _filter_bits(mask: int, keep: Callable[[int], bool]) -> int:
+    """The set bits i of mask for which keep(i) holds, in one pass."""
+    bits = bin(mask)[:1:-1]  # bits[i] is bit i
+    flags = bytearray(bits, "ascii")
+    i = bits.find("1")
+    while i >= 0:
+        if not keep(i):
+            flags[i] = 48  # "0"
+        i = bits.find("1", i + 1)
+    return int(flags[::-1], 2)
 
 
-def _keep_both(values, axes, x_ok, z_ok) -> list:
-    xs, zs = axes
-    okx = {x for x in xs if x_ok(x)}
-    okz = {z for z in zs if z_ok(z)}
-    if len(okx) == len(xs) and len(okz) == len(zs):
-        return values
-    return [v for v in values if v[0] in okx and v[1] in okz]
+def _keep_all(assign, u, mask):
+    return mask
 
 
-def _keep_either(values, axes, x_ok, z_ok) -> list:
-    xs, zs = axes
-    okx = {x for x in xs if x_ok(x)}
-    okz = {z for z in zs if z_ok(z)}
-    if len(okx) == len(xs) or len(okz) == len(zs):
-        return values
-    return [v for v in values if v[0] in okx or v[1] in okz]
-
-
-def _keep_axis(values, axes, axis: int, ok) -> list:
-    good = {c for c in axes[axis] if ok(c)}
-    if len(good) == len(axes[axis]):
-        return values
-    return [v for v in values if v[axis] in good]
+def _keep_none(assign, u, mask):
+    return 0
 
 
 def _containment_pruner(geo, o: str, room: _RoomBounds):
     x_lo, x_hi = room.x_min - _TOL, room.x_max + _TOL
     z_lo, z_hi = room.z_min - _TOL, room.z_max + _TOL
+    grid = geo.grids[o]
 
-    def prune(assign, u, values):
+    def prune(assign, u, mask):
         hx, hz = geo.half_footprint(o, assign)
-        return _keep_both(
-            values,
-            geo.axes[o],
-            lambda x: x - hx >= x_lo and x + hx <= x_hi,
-            lambda z: z - hz >= z_lo and z + hz <= z_hi,
+        return (
+            mask
+            & grid.columns([x - hx >= x_lo and x + hx <= x_hi for x in grid.xs])
+            & grid.rows([z - hz >= z_lo and z + hz <= z_hi for z in grid.zs])
         )
 
     return prune
 
 
 def _edge_pruner(geo, o: str, room: _RoomBounds, limit: float):
-    def prune(assign, u, values):
+    grid = geo.grids[o]
+
+    def prune(assign, u, mask):
         hx, hz = geo.half_footprint(o, assign)
-        return _keep_either(
-            values,
-            geo.axes[o],
-            lambda x: x - hx - room.x_min <= limit or room.x_max - (x + hx) <= limit,
-            lambda z: z - hz - room.z_min <= limit or room.z_max - (z + hz) <= limit,
+        return mask & (
+            grid.columns(
+                [x - hx - room.x_min <= limit or room.x_max - (x + hx) <= limit for x in grid.xs]
+            )
+            | grid.rows(
+                [z - hz - room.z_min <= limit or room.z_max - (z + hz) <= limit for z in grid.zs]
+            )
         )
 
     return prune
@@ -334,18 +391,18 @@ def _edge_pruner(geo, o: str, room: _RoomBounds, limit: float):
 
 def _wall_back_pruner(geo, o: str, room: _RoomBounds, eps: float):
     """The back of o's box lies within eps of the wall it faces away from."""
+    grid = geo.grids[o]
 
-    def prune(assign, u, values):
+    def prune(assign, u, mask):
         hx, hz = geo.half_footprint(o, assign)
-        axes = geo.axes[o]
         direction = assign[f"{o}.dir"]
         if direction == "north":
-            return _keep_axis(values, axes, 1, lambda z: abs(z - hz - room.z_min) <= eps)
+            return mask & grid.rows([abs(z - hz - room.z_min) <= eps for z in grid.zs])
         if direction == "south":
-            return _keep_axis(values, axes, 1, lambda z: abs(room.z_max - (z + hz)) <= eps)
+            return mask & grid.rows([abs(room.z_max - (z + hz)) <= eps for z in grid.zs])
         if direction == "east":
-            return _keep_axis(values, axes, 0, lambda x: abs(x - hx - room.x_min) <= eps)
-        return _keep_axis(values, axes, 0, lambda x: abs(room.x_max - (x + hx)) <= eps)
+            return mask & grid.columns([abs(x - hx - room.x_min) <= eps for x in grid.xs])
+        return mask & grid.columns([abs(room.x_max - (x + hx)) <= eps for x in grid.xs])
 
     return prune
 
@@ -355,29 +412,28 @@ def _non_collision_pruner(geo, a: str, b: str):
         return _keep_all
     a_pos = f"{a}.pos"
 
-    def prune(assign, u, values):
+    def prune(assign, u, mask):
         moving, fixed = (a, b) if u == a_pos else (b, a)
         hx, hz = geo.half_footprint(moving, assign)
         f = geo.placed_box(fixed, assign)
-        return _keep_either(
-            values,
-            geo.axes[moving],
-            lambda x: _overlap_1d(x - hx, x + hx, f[0], f[3]) <= _TOL,
-            lambda z: _overlap_1d(z - hz, z + hz, f[2], f[5]) <= _TOL,
+        grid = geo.grids[moving]
+        return mask & (
+            grid.columns([_overlap_1d(x - hx, x + hx, f[0], f[3]) <= _TOL for x in grid.xs])
+            | grid.rows([_overlap_1d(z - hz, z + hz, f[2], f[5]) <= _TOL for z in grid.zs])
         )
 
     return prune
 
 
-def _overlap_spans(cs, h: float, f_lo: float, f_hi: float, extent: float | None) -> dict:
-    """{c: (overlap, s's extent)} for each c whose span [c - h, c + h] overlaps
-    the fixed span [f_lo, f_hi]; extent None means the moving span is s's own."""
-    spans = {}
+def _overlap_spans(cs, h: float, f_lo: float, f_hi: float, extent: float | None) -> list:
+    """Per c, (overlap, s's extent) where the span [c - h, c + h] overlaps the
+    fixed span [f_lo, f_hi], else None; extent None means the moving span is
+    s's own."""
+    spans = []
     for c in cs:
         lo, hi = c - h, c + h
         w = _overlap_1d(lo, hi, f_lo, f_hi)
-        if w > 0:
-            spans[c] = (w, hi - lo if extent is None else extent)
+        spans.append((w, hi - lo if extent is None else extent) if w > 0 else None)
     return spans
 
 
@@ -386,45 +442,78 @@ def _resting_pruner(geo, s: str, r: str, enough):
 
     w x d is the overlap and width x depth is s's footprint. Overlap and
     extent are computed once per distinct coordinate; the area test, which
-    couples the axes, runs on the cells that overlap on both. _overlap_1d is
-    symmetric in its two spans, so one loop serves either moving endpoint.
+    couples the axes, runs only on the cells that overlap on both. _overlap_1d
+    is symmetric in its two spans, so one loop serves either moving endpoint.
     """
     s_pos = f"{s}.pos"
 
-    def prune(assign, u, values):
+    def prune(assign, u, mask):
         s_moves = u == s_pos
         moving, fixed = (s, r) if s_moves else (r, s)
         hx, hz = geo.half_footprint(moving, assign)
         f = geo.placed_box(fixed, assign)
-        xs, zs = geo.axes[moving]
-        spans_x = _overlap_spans(xs, hx, f[0], f[3], None if s_moves else f[3] - f[0])
-        spans_z = _overlap_spans(zs, hz, f[2], f[5], None if s_moves else f[5] - f[2])
-        return [
-            v
-            for v in values
-            if v[0] in spans_x and v[1] in spans_z and enough(*spans_x[v[0]], *spans_z[v[1]])
-        ]
+        grid = geo.grids[moving]
+        nz = grid.nz
+        spans_x = _overlap_spans(grid.xs, hx, f[0], f[3], None if s_moves else f[3] - f[0])
+        spans_z = _overlap_spans(grid.zs, hz, f[2], f[5], None if s_moves else f[5] - f[2])
+        overlapping = mask & grid.columns(spans_x) & grid.rows(spans_z)
+        return _filter_bits(overlapping, lambda i: enough(*spans_x[i // nz], *spans_z[i % nz]))
 
     return prune
 
 
-def _distance_pruner(s: str, r: str, limit: float, within: bool):
+def _distance_pruner(geo, s: str, r: str, limit: float, within: bool):
     """Cells whose squared center distance to the placed partner is <= limit
     (within) or >= limit.
 
     (x - px) ** 2 equals (px - x) ** 2 exactly: IEEE subtraction rounds
     symmetrically, so the operand order of the predicate does not matter.
+    Along one column the distance falls and then rises with z, also in
+    floats, because each rounding is monotone: the z below pz give a
+    non-increasing sum, those from pz on a non-decreasing one. So the cells
+    of a column inside the limit (<= limit within, < limit else) are one run
+    [a, b) of rows, found by bisection on each side of pz; near keeps the
+    run and far keeps the rest of the column.
     """
     s_pos, r_pos = f"{s}.pos", f"{r}.pos"
 
-    def prune(assign, u, values):
+    def prune(assign, u, mask):
+        moving = s if u == s_pos else r
         px, pz = assign[r_pos if u == s_pos else s_pos]
-        if within:
-            return [v for v in values if (v[0] - px) ** 2 + (v[1] - pz) ** 2 <= limit]
-        return [v for v in values if (v[0] - px) ** 2 + (v[1] - pz) ** 2 >= limit]
+        grid = geo.grids[moving]
+        zs, nz = grid.zs, grid.nz
+        split = bisect_left(zs, pz)  # zs[:split] < pz <= zs[split:]
+        column = (1 << nz) - 1
+        keep = 0
+        for k, x in enumerate(grid.xs):
+            dx2 = (x - px) ** 2
+            if within and dx2 > limit:
+                continue  # adding dz ** 2 >= 0 cannot bring the sum back down
+            if not within and dx2 >= limit:
+                keep |= column << (k * nz)
+                continue
+            lo, hi = 0, split  # first row of the left side that is inside
+            while lo < hi:
+                m = (lo + hi) // 2
+                d = dx2 + (zs[m] - pz) ** 2
+                if (d <= limit) if within else (d < limit):
+                    hi = m
+                else:
+                    lo = m + 1
+            a = lo
+            lo, hi = split, nz  # first row of the right side that is outside
+            while lo < hi:
+                m = (lo + hi) // 2
+                d = dx2 + (zs[m] - pz) ** 2
+                if (d <= limit) if within else (d < limit):
+                    lo = m + 1
+                else:
+                    hi = m
+            run = ((1 << (lo - a)) - 1) << a
+            keep |= (run if within else column ^ run) << (k * nz)
+        return mask & keep
 
     return prune
-
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +533,7 @@ class CspProblem:
         self.variables: list[str] = []  # variable ids in search order
         self.domains: dict[str, list] = {}
         self.constraints: list[CspConstraint] = []
-        self._shuffled: dict[str, list] | None = None
+        self._orders: dict[str, array] | None = None
         self._encode()
 
     # -- construction -------------------------------------------------------
@@ -494,9 +583,9 @@ class CspProblem:
             xs = _grid_points(room.x_min + min_fx / 2, room.x_max - min_fx / 2, res)
             zs = _grid_points(room.z_min + min_fz / 2, room.z_max - min_fz / 2, res)
             cells = list(product(xs, zs))
-            self.geo.axes[o.id] = (xs, zs)
             if not cells:
                 raise EncodingError(f"no grid cell fits object {o.id!r} in room {room.id!r}")
+            self.geo.grids[o.id] = _Grid(xs, zs)
             self.variables += [f"{o.id}.dir", f"{o.id}.pos"]
             self.domains[f"{o.id}.dir"] = list(DIRECTION_VECTORS)
             self.domains[f"{o.id}.pos"] = cells
@@ -646,7 +735,7 @@ class CspProblem:
                 sx, sz, rx, rz = centers(assign)
                 return (sx - rx) ** 2 + (sz - rz) ** 2 <= NEAR_MAX**2 + _TOL
 
-            prune = _distance_pruner(s, r, NEAR_MAX**2 + _TOL, True)
+            prune = _distance_pruner(geo, s, r, NEAR_MAX**2 + _TOL, True)
 
         elif rel.kind == "far":
 
@@ -654,7 +743,7 @@ class CspProblem:
                 sx, sz, rx, rz = centers(assign)
                 return (sx - rx) ** 2 + (sz - rz) ** 2 >= FAR_MIN**2 - _TOL
 
-            prune = _distance_pruner(s, r, FAR_MIN**2 - _TOL, False)
+            prune = _distance_pruner(geo, s, r, FAR_MIN**2 - _TOL, False)
 
         elif rel.kind == "on_top_of":
 
@@ -782,22 +871,23 @@ class CspProblem:
 
     # -- evaluation helpers --------------------------------------------------
 
-    def shuffled_domains(self) -> dict[str, list]:
-        """Every domain in its seeded value order, in variable order.
+    def value_orders(self) -> dict[str, array]:
+        """Per variable, in variable order, the permutation of its domain's
+        indices that the search tries the values in.
 
-        The order depends only on the seed and the encoded domains, so it is
-        computed once per problem. Each caller gets its own mapping over
-        shared lists: the search replaces a domain's list when it prunes and
-        never changes a list in place.
+        The permutations come from one seeded generator, drawn in variable
+        order, so they depend only on the seed and the encoded domain sizes
+        and are computed once per problem; every solve reads the same arrays
+        and none changes them. Each is the order random.shuffle would give
+        the domain's list: _shuffle_indices replays its draws.
         """
-        if self._shuffled is None:
+        if self._orders is None:
             rng = random.Random(self.config.seed)
-            self._shuffled = {}
-            for vid in self.variables:
-                values = list(self.domains[vid])
-                rng.shuffle(values)
-                self._shuffled[vid] = values
-        return dict(self._shuffled)
+            self._orders = {
+                vid: array("l", _shuffle_indices(rng, len(self.domains[vid])))
+                for vid in self.variables
+            }
+        return self._orders
 
     def check_assignment(self, assignment: dict, skip: frozenset = frozenset()) -> bool:
         """Evaluate every (non-skipped) constraint under a full assignment."""
@@ -850,6 +940,30 @@ def _ray_hits(rect_box, ox: float, oz: float, direction: str, max_dist: float | 
     return dist <= max_dist + _TOL
 
 
+def _shuffle_indices(rng: random.Random, n: int) -> list[int]:
+    """list(range(n)) shuffled as rng.shuffle would shuffle it, leaving rng
+    in the same state.
+
+    random.shuffle swaps item i with item randbelow(i + 1) for i from n - 1
+    down to 1, and randbelow(m) draws getrandbits(m.bit_length()) until the
+    draw is below m. This loop makes the same draws, grouped by bit length so
+    that the width is computed once per power of two, with no call per item.
+    """
+    perm = list(range(n))
+    getrandbits = rng.getrandbits
+    top = n - 1
+    while top >= 1:
+        k = (top + 1).bit_length()
+        low = max(1, (1 << (k - 1)) - 1)  # the smallest i whose i + 1 has k bits
+        for i in range(top, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            perm[i], perm[j] = perm[j], perm[i]
+        top = low - 1
+    return perm
+
+
 def encode(rooms, doorways, windows, objects, relations, config: SolverConfig | None = None) -> CspProblem:
     """Build the CSP for a scene draft; raises EncodingError when impossible."""
     return CspProblem(rooms, doorways, windows, objects, relations, config or SolverConfig())
@@ -870,7 +984,9 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
     """
     config = problem.config
     order = problem.variables
-    domains = problem.shuffled_domains()
+    domains = problem.domains
+    orders = problem.value_orders()
+    masks = {vid: (1 << len(domains[vid])) - 1 for vid in order}
 
     # variables are assigned depth-first in a static order, so a constraint
     # has exactly one unassigned variable, its last, right after its
@@ -886,19 +1002,21 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
     def forward_check(vid: str, trail: list) -> bool:
         for c in plan[vid]:
             u = c.variables[-1]
-            values = domains[u]
+            mask = masks[u]
             if c.prune is not None:
-                keep = c.prune(assignment, u, values)
+                keep = c.prune(assignment, u, mask)
             else:
-                keep = []
-                for value in values:
-                    assignment[u] = value
-                    if c.check(assignment):
-                        keep.append(value)
+                domain, check = domains[u], c.check
+
+                def holds(i):
+                    assignment[u] = domain[i]
+                    return check(assignment)
+
+                keep = _filter_bits(mask, holds)
                 assignment.pop(u, None)
-            if len(keep) != len(values):
-                trail.append((u, values))
-                domains[u] = keep
+            if keep != mask:
+                trail.append((u, mask))
+                masks[u] = keep
             if not keep:
                 return False
         return True
@@ -907,15 +1025,21 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
         if depth == len(order):
             return True
         vid = order[depth]
-        for value in list(domains[vid]):
-            assignment[vid] = value
+        domain = domains[vid]
+        # forward checking prunes only later variables, so this node's
+        # surviving values are fixed: read them once, as a string of bits
+        alive = bin(masks[vid] | 1 << len(domain))[:2:-1]  # alive[i] is bit i
+        for i in orders[vid]:
+            if alive[i] != "1":
+                continue
+            assignment[vid] = domain[i]
             stats["assignments"] += 1
             trail: list = []
             if forward_check(vid, trail):
                 if backtrack(depth + 1):
                     return True
             for u, old in reversed(trail):
-                domains[u] = old
+                masks[u] = old
             del assignment[vid]
             stats["backtracks"] += 1
             if stats["backtracks"] > config.max_backtracks:

@@ -170,6 +170,15 @@ def test_nonpositive_numbers_exit_2(command, flag, living_room_dir, tmp_path, ca
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command", ["build", "run-all"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_grid_exits_2(command, value, living_room_dir, tmp_path, capsys):
+    argv = [command, "--task", str(living_room_dir), "--out", str(tmp_path / "r"), f"--grid={value}"]
+    assert main(argv) == 2
+    assert "--grid must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_jobs_is_not_an_option(living_room_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["build", "--task", str(living_room_dir), "--out", str(tmp_path / "r"), "--jobs", "2"])

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from envcover import providers
-from envcover.errors import ProviderError, StructureError
+from envcover.errors import ConfigError, ProviderError, StructureError
 from envcover.pipeline import (
     RunPaths,
     resolve_bundle,
@@ -210,3 +210,10 @@ def test_record_mode_build_reads_the_cassette_once(
     assert len(reads) == 1
     assert live_requests == []
     assert copy.read_bytes() == (living_room_dir / "cassette.json").read_bytes()
+
+
+@pytest.mark.parametrize("grid", [float("nan"), float("inf")])
+def test_run_all_rejects_a_non_finite_grid_before_writing(grid, living_room_dir, tmp_path):
+    with pytest.raises(ConfigError, match="grid resolution"):
+        run_all(str(tmp_path / "r"), str(living_room_dir), grid=grid)
+    assert not (tmp_path / "r").exists()

@@ -10,9 +10,16 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from envcover.environment import UNARY_KINDS, ObjectSpec, SpatialRelation, make_room
-from envcover.errors import CoreUnsat, EncodingError, SolverTimeout
+from envcover.errors import ConfigError, CoreUnsat, EncodingError, SolverTimeout
 from envcover.semantics import DIRECTION_VECTORS
-from envcover.solver import SolverConfig, encode, solve, solve_with_relaxation
+from envcover.solver import (
+    SolverConfig,
+    _distance_pruner,
+    _shuffle_indices,
+    encode,
+    solve,
+    solve_with_relaxation,
+)
 
 GRID = SolverConfig(grid_resolution=0.25, seed=0)
 
@@ -119,6 +126,23 @@ def test_support_cycle_is_an_encoding_error():
     ]
     with pytest.raises(EncodingError):
         encode([room4()], [], [], [a, b], rels, GRID)
+
+
+def test_two_support_relations_for_one_subject_are_an_encoding_error():
+    sofa, table = obj("sofa", (2.0, 0.8, 0.9)), obj("table", (1.2, 0.5, 0.8))
+    book = obj("book", (0.25, 0.04, 0.18))
+    rels = [
+        SpatialRelation(kind="on_top_of", subject="book", reference="sofa"),
+        SpatialRelation(kind="on_top_of", subject="book", reference="table"),
+    ]
+    with pytest.raises(EncodingError, match="'book' has more than one support relation"):
+        encode([room4()], [], [], [sofa, table, book], rels, GRID)
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), float("-inf"), 0.0, -0.1])
+def test_grid_step_must_be_finite_and_positive(step):
+    with pytest.raises(ConfigError, match="grid resolution"):
+        SolverConfig(grid_resolution=step)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +475,17 @@ coord = st.integers(min_value=-300, max_value=300).map(lambda k: k / 100)
 extent = st.integers(min_value=5, max_value=130).map(lambda k: k / 100)
 
 
+def mask_of(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
 @pytest.mark.parametrize("kind", sorted(PRUNED))
 @given(
     x0=coord,
     z0=coord,
     width=st.integers(min_value=150, max_value=400).map(lambda k: k / 100),
     depth=st.integers(min_value=150, max_value=400).map(lambda k: k / 100),
-    grid=st.sampled_from([0.1, 0.2, 0.25]),
+    grid=st.sampled_from([0.05, 0.1, 0.2, 0.25]),
     sizes=st.lists(st.tuples(extent, extent, extent), min_size=2, max_size=2),
     pick=st.randoms(use_true_random=False),
 )
@@ -484,10 +512,81 @@ def test_pruner_equals_the_set_and_check_filter(kind, x0, z0, width, depth, grid
             assign[f"{entity}.pos"] = pick.choice(problem.domains[f"{entity}.pos"])
     u = f"{moving}.pos"
     domain = problem.domains[u]
-    values = pick.sample(domain, pick.randint(1, len(domain)))
+    alive = pick.sample(range(len(domain)), pick.randint(1, len(domain)))
 
-    expected = [v for v in values if check({**assign, u: v})]
-    assert prune(assign, u, values) == expected
+    expected = mask_of(i for i in alive if check({**assign, u: domain[i]}))
+    assert prune(assign, u, mask_of(alive)) == expected
+
+
+@pytest.mark.parametrize("kind", ["near", "far"])
+@pytest.mark.parametrize("where", ["below", "above", "on_a_row"])
+@pytest.mark.parametrize("grid", [0.05, 0.1, 0.25])
+def test_distance_pruner_with_the_partner_off_and_on_the_grid(kind, where, grid):
+    # the partner's z below the moving object's rows, above them, or on one
+    room = make_room("r", 0, 0, 6, 5)
+    objects = [obj("a", (0.5, 0.4, 0.9)), obj("b", (0.3, 0.4, 0.2))]
+    rel = SpatialRelation(kind=kind, subject="a", reference="b")
+    problem = encode([room], [], [], objects, [rel], SolverConfig(grid_resolution=grid))
+    c = next(c for c in problem.constraints if c.kind == kind)
+    domain = problem.domains["a.pos"]
+    zs = sorted({z for _, z in domain})
+    pz = {"below": zs[0] - 0.37, "above": zs[-1] + 0.41, "on_a_row": zs[len(zs) // 3]}[where]
+    for px in (0.15, 2.95, 4.4):
+        assign = {"b.pos": (px, pz)}
+        expected = mask_of(i for i, v in enumerate(domain) if c.check({**assign, "a.pos": v}))
+        assert expected not in (0, mask_of(range(len(domain))))
+        assert c.prune(assign, "a.pos", mask_of(range(len(domain)))) == expected
+
+
+@pytest.mark.parametrize("within", [True, False])
+def test_distance_pruner_keeps_cells_exactly_at_the_limit(within):
+    # limits that some cells attain exactly, so a bisection that is off by
+    # one at the boundary, or a shortcut that tests < for <=, shows
+    room = make_room("r", 0, 0, 4, 3)
+    objects = [obj("a", (0.5, 0.4, 0.5)), obj("b", (0.3, 0.4, 0.3))]
+    problem = encode([room], [], [], objects, [], SolverConfig(grid_resolution=0.1))
+    domain = problem.domains["a.pos"]
+    full = mask_of(range(len(domain)))
+    rng = random.Random(5)
+    for px, pz in [(1.3, 0.9), (0.05, 2.87), (3.0, 1.25)]:
+        assign = {"b.pos": (px, pz)}
+        d2 = [(x - px) ** 2 + (z - pz) ** 2 for x, z in domain]
+        for limit in rng.sample(d2, 20) + [(x - px) ** 2 for x, _ in rng.sample(domain, 5)]:
+            prune = _distance_pruner(problem.geo, "a", "b", limit, within)
+            keep = [d <= limit if within else d >= limit for d in d2]
+            assert prune(assign, "a.pos", full) == mask_of(i for i, ok in enumerate(keep) if ok)
+
+
+def test_value_order_replays_random_shuffle():
+    sizes = [0, 1, 2, 3]
+    for k in range(2, 12):
+        sizes += [2**k - 1, 2**k, 2**k + 1]
+    for n in sizes:
+        ours, stdlib = random.Random(n), random.Random(n)
+        reference = list(range(n))
+        stdlib.shuffle(reference)
+        assert _shuffle_indices(ours, n) == reference, n
+        assert ours.getstate() == stdlib.getstate(), n
+    # a chain of sizes drawn from one generator, as value_orders draws them
+    ours, stdlib = random.Random(7), random.Random(7)
+    for n in (4, 12000, 4, 1, 37, 2, 4096, 0, 3, 1025):
+        reference = list(range(n))
+        stdlib.shuffle(reference)
+        assert _shuffle_indices(ours, n) == reference, n
+    assert ours.getstate() == stdlib.getstate()
+
+
+def test_value_orders_are_shuffled_domain_indices():
+    sofa, book = obj("sofa", (2.0, 0.8, 0.9)), obj("book", (0.25, 0.04, 0.18))
+    rels = [SpatialRelation(kind="on_top_of", subject="book", reference="sofa")]
+    problem = encode([room4()], [], [], [sofa, book], rels, SolverConfig(grid_resolution=0.25, seed=3))
+    orders = problem.value_orders()
+    rng = random.Random(3)
+    assert list(orders) == problem.variables
+    for vid in problem.variables:
+        values = list(problem.domains[vid])
+        rng.shuffle(values)
+        assert [problem.domains[vid][i] for i in orders[vid]] == values
 
 
 def differential_instance(rng):
