@@ -23,7 +23,6 @@ expected policy verdict matrix fails.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -31,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from envcover.assets import build_catalog, retrieve_asset, save_catalog
 from envcover.derivation import derive
+from envcover.jsonio import read_json, write_json
 from envcover.providers import (
     DECOMPOSE,
     DESIGN_FLOOR_PLAN,
@@ -563,24 +563,16 @@ def record(plan_doc: list, task: TaskSpec, catalog, schema, actions, policies) -
     return channel.records
 
 
-def write_json(path: Path, doc) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def write_fixtures(out_dir: Path) -> None:
     """Record and check the fixture, then write every file of it under out_dir."""
-    plan_doc = json.loads((FIXTURE_DIR / "plans.json").read_text())
-    task = TaskSpec(
-        id=TASK["id"],
-        description=TASK["description"],
-        environment_type=TASK["environment_type"],
-    )
+    plan_doc = read_json(FIXTURE_DIR / "plans.json", "plan document")
+    task = TaskSpec(**TASK)
     catalog = build_catalog(CATALOG_ENTRIES)
     schema = parse_schema(SCHEMA)
     actions = parse_action_model(ACTION_MODEL)
     records = record(plan_doc, task, catalog, schema, actions, POLICIES)
 
+    (out_dir / "policies").mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "task.json", TASK)
     save_cassette(out_dir / "cassette.json", records)
     write_json(out_dir / "schema.json", SCHEMA)

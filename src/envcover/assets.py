@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import math
 import struct
 from dataclasses import dataclass, field
 
 from .errors import EmptyCatalog, SchemaViolation
+from .jsonio import read_json, write_json
 from .task_model import normalize_text
 
 EMBEDDING_DIM = 256
@@ -92,12 +92,8 @@ def build_catalog(entries: list[tuple[str, str, tuple[float, float, float]]]) ->
     return AssetCatalog(assets=assets)
 
 
-def load_catalog(path: str) -> AssetCatalog:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"catalog is not valid JSON: {exc}") from exc
+def load_catalog(path) -> AssetCatalog:
+    doc = read_json(path, "catalog")
     if not isinstance(doc, dict) or "assets" not in doc:
         raise SchemaViolation("catalog must be an object with an 'assets' list")
     dim = doc.get("dim", EMBEDDING_DIM)
@@ -120,7 +116,7 @@ def load_catalog(path: str) -> AssetCatalog:
     return AssetCatalog(dim=dim, assets=assets)
 
 
-def save_catalog(catalog: AssetCatalog, path: str) -> None:
+def save_catalog(catalog: AssetCatalog, path) -> None:
     doc = {
         "dim": catalog.dim,
         "assets": [
@@ -133,9 +129,7 @@ def save_catalog(catalog: AssetCatalog, path: str) -> None:
             for a in catalog.assets
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def retrieve_asset(catalog: AssetCatalog, query: str) -> AssetRecord:

@@ -5,13 +5,15 @@ in the x-z plane, doorways and windows with solved positions, objects with
 bounding boxes and solved placements, the spatial relations the layout was
 solved under, and a metadata map regenerated from the geometry. Serialization
 is canonical (sorted keys, fixed float rounding) so identical scenes are
-byte-identical on disk.
+byte-identical on disk. Each part's record is its dataclass fields, by name,
+written and read by one pair of functions: a field with a default may be
+left out of a document, every other field is required.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import SchemaViolation
 from .semantics import CARDINALS, SUPPORT_EPS, SUPPORT_OVERLAP_FRAC
@@ -71,6 +73,8 @@ class Room:
     def validate(self) -> None:
         if len(self.vertices) != 4:
             raise SchemaViolation("room must have 4 vertices", f"rooms[{self.id}]")
+        if any(len(v) != 2 for v in self.vertices):
+            raise SchemaViolation("each vertex must be 2 numbers", f"rooms[{self.id}]")
         xs = {_round(v[0]) for v in self.vertices}
         zs = {_round(v[1]) for v in self.vertices}
         if len(xs) != 2 or len(zs) != 2:
@@ -148,6 +152,8 @@ class Placement:
     direction: str
 
     def validate(self) -> None:
+        if len(self.position) != 3:
+            raise SchemaViolation("position must be 3 numbers", f"placements[{self.object}]")
         if self.direction not in CARDINALS:
             raise SchemaViolation(
                 f"direction must be one of {CARDINALS}", f"placements[{self.object}]"
@@ -226,6 +232,8 @@ class EnvironmentSpec:
                 raise SchemaViolation("doorway must connect two distinct sides", where)
             if door.width <= 0 or door.height <= 0:
                 raise SchemaViolation("doorway needs positive width and height", where)
+            if door.position is not None and len(door.position) != 2:
+                raise SchemaViolation("position must be null or 2 numbers", where)
         for win in self.windows:
             where = f"windows[{win.id}]"
             if win.room not in known_rooms:
@@ -236,6 +244,8 @@ class EnvironmentSpec:
                 raise SchemaViolation("window needs positive width and height", where)
             if win.sill_height < 0:
                 raise SchemaViolation("sill_height cannot be negative", where)
+            if win.position is not None and len(win.position) != 2:
+                raise SchemaViolation("position must be null or 2 numbers", where)
         object_ids = [o.id for o in self.objects]
         if len(set(object_ids)) != len(object_ids):
             raise SchemaViolation("duplicate object ids", "objects")
@@ -246,6 +256,8 @@ class EnvironmentSpec:
                 raise SchemaViolation(f"unknown room {obj.room!r}", where)
             if obj.category not in CATEGORIES:
                 raise SchemaViolation(f"unknown category {obj.category!r}", where)
+            if len(obj.size) != 3:
+                raise SchemaViolation("size must be 3 numbers", where)
             if any(s <= 0 for s in obj.size):
                 raise SchemaViolation("object size must be positive", where)
             for key, value in obj.attributes.items():
@@ -346,6 +358,67 @@ def rebuild_metadata(env: EnvironmentSpec) -> dict:
 # canonical serialization
 # ---------------------------------------------------------------------------
 
+# the fields that hold numbers, by how deep in lists: a number, a point, a
+# list of points
+_NUMBER_DEPTH = {"width": 0, "height": 0, "sill_height": 0, "position": 1, "size": 1, "vertices": 2}
+
+# each part's record is its dataclass fields, by name: (name, number depth or None)
+_PART_FIELDS = {
+    cls: tuple((f.name, _NUMBER_DEPTH.get(f.name)) for f in fields(cls))
+    for cls in (Room, Doorway, Window, ObjectSpec, SpatialRelation, Placement)
+}
+
+
+def _rounded(value, depth: int):
+    if depth == 0:
+        return _round(value)
+    return [_rounded(v, depth - 1) for v in value]
+
+
+def _floats(value, depth: int):
+    """value with every number through float(), lists as tuples; a list where a
+    number belongs is a TypeError, a non-number a ValueError or TypeError."""
+    if depth == 0:
+        return float(value)
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    if depth == 1:
+        return tuple(map(float, value))
+    return tuple([_floats(v, depth - 1) for v in value])
+
+
+def _record(part) -> dict:
+    """A part as JSON: numbers rounded, tuples as lists, None as null."""
+    out = {}
+    for name, depth in _PART_FIELDS[type(part)]:
+        value = getattr(part, name)
+        if value is not None and depth is not None:
+            value = _rounded(value, depth)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[name] = value
+    return out
+
+
+def _part(cls, record):
+    """A part from its record: numbers through float(), lists as tuples.
+
+    A field with a default may be left out. A missing required field or a
+    malformed number raises TypeError or ValueError, which
+    deserialize_environment reports as a SchemaViolation.
+    """
+    kwargs = {}
+    for name, depth in _PART_FIELDS[cls]:
+        if name in record:
+            value = record[name]
+            if depth is not None:
+                if value is not None:
+                    value = _floats(value, depth)
+            elif isinstance(value, list):
+                value = tuple(value)
+            kwargs[name] = value
+    return cls(**kwargs)
+
 
 def _env_to_dict(env: EnvironmentSpec) -> dict:
     meta = rebuild_metadata(env)
@@ -358,73 +431,14 @@ def _env_to_dict(env: EnvironmentSpec) -> dict:
         "task_id": env.task_id,
         "trajectory_id": env.trajectory_id,
         "floor_plan": {
-            "rooms": [
-                {
-                    "id": r.id,
-                    "vertices": [[_round(x), _round(z)] for x, z in r.vertices],
-                    "floor_color": r.floor_color,
-                    "floor_material": r.floor_material,
-                    "wall_color": r.wall_color,
-                    "wall_material": r.wall_material,
-                }
-                for r in env.rooms
-            ],
-            "doorways": [
-                {
-                    "id": d.id,
-                    "connects": list(d.connects),
-                    "width": _round(d.width),
-                    "height": _round(d.height),
-                    "position": [_round(d.position[0]), _round(d.position[1])]
-                    if d.position
-                    else None,
-                }
-                for d in env.doorways
-            ],
-            "windows": [
-                {
-                    "id": w.id,
-                    "room": w.room,
-                    "orientation": w.orientation,
-                    "width": _round(w.width),
-                    "height": _round(w.height),
-                    "sill_height": _round(w.sill_height),
-                    "position": [_round(w.position[0]), _round(w.position[1])]
-                    if w.position
-                    else None,
-                }
-                for w in env.windows
-            ],
+            "rooms": [_record(r) for r in env.rooms],
+            "doorways": [_record(d) for d in env.doorways],
+            "windows": [_record(w) for w in env.windows],
         },
-        "objects": [
-            {
-                "id": o.id,
-                "description": o.description,
-                "room": o.room,
-                "size": [_round(s) for s in o.size],
-                "category": o.category,
-                "attributes": dict(sorted(o.attributes.items())),
-            }
-            for o in env.objects
-        ],
-        "relations": [
-            {
-                "kind": r.kind,
-                "subject": r.subject,
-                "reference": r.reference,
-                "priority": r.priority,
-            }
-            for r in env.relations
-        ],
+        "objects": [_record(o) for o in env.objects],
+        "relations": [_record(r) for r in env.relations],
         "relaxed_relations": list(env.relaxed_relations),
-        "placements": [
-            {
-                "object": p.object,
-                "position": [_round(v) for v in p.position],
-                "direction": p.direction,
-            }
-            for p in env.placements
-        ],
+        "placements": [_record(p) for p in env.placements],
         "tracked_entities": sorted(env.tracked_entities),
         "metadata": nested,
     }
@@ -453,73 +467,18 @@ def deserialize_environment(text: str) -> EnvironmentSpec:
             id=doc["id"],
             task_id=doc["task_id"],
             trajectory_id=doc["trajectory_id"],
-            rooms=[
-                Room(
-                    id=r["id"],
-                    vertices=tuple((float(x), float(z)) for x, z in r["vertices"]),
-                    floor_color=r.get("floor_color", ""),
-                    floor_material=r.get("floor_material", ""),
-                    wall_color=r.get("wall_color", ""),
-                    wall_material=r.get("wall_material", ""),
-                )
-                for r in fp.get("rooms", [])
-            ],
-            doorways=[
-                Doorway(
-                    id=d["id"],
-                    connects=tuple(d["connects"]),
-                    width=float(d["width"]),
-                    height=float(d["height"]),
-                    position=tuple(d["position"]) if d.get("position") else None,
-                )
-                for d in fp.get("doorways", [])
-            ],
-            windows=[
-                Window(
-                    id=w["id"],
-                    room=w["room"],
-                    orientation=w["orientation"],
-                    width=float(w["width"]),
-                    height=float(w["height"]),
-                    sill_height=float(w["sill_height"]),
-                    position=tuple(w["position"]) if w.get("position") else None,
-                )
-                for w in fp.get("windows", [])
-            ],
-            objects=[
-                ObjectSpec(
-                    id=o["id"],
-                    description=o.get("description", ""),
-                    room=o["room"],
-                    size=tuple(float(s) for s in o["size"]),
-                    category=o["category"],
-                    attributes=dict(o.get("attributes", {})),
-                )
-                for o in doc.get("objects", [])
-            ],
-            relations=[
-                SpatialRelation(
-                    kind=r["kind"],
-                    subject=r["subject"],
-                    reference=r.get("reference"),
-                    priority=r.get("priority", "task"),
-                )
-                for r in doc.get("relations", [])
-            ],
-            placements=[
-                Placement(
-                    object=p["object"],
-                    position=tuple(float(v) for v in p["position"]),
-                    direction=p["direction"],
-                )
-                for p in doc.get("placements", [])
-            ],
+            rooms=[_part(Room, r) for r in fp.get("rooms", [])],
+            doorways=[_part(Doorway, d) for d in fp.get("doorways", [])],
+            windows=[_part(Window, w) for w in fp.get("windows", [])],
+            objects=[_part(ObjectSpec, o) for o in doc.get("objects", [])],
+            relations=[_part(SpatialRelation, r) for r in doc.get("relations", [])],
+            placements=[_part(Placement, p) for p in doc.get("placements", [])],
             relaxed_relations=list(doc.get("relaxed_relations", [])),
             tracked_entities=list(doc.get("tracked_entities", [])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        env.validate()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"malformed environment document: {exc!r}") from exc
-    env.validate()
     env.metadata = rebuild_metadata(env)
     stored = doc.get("metadata")
     if stored is not None:

@@ -20,15 +20,15 @@ schema.json, action_model.json, catalog.json, cassette.json, and policies/.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .assets import load_catalog
 from .derivation import DerivationResult, derive
 from .environment import EnvironmentSpec, deserialize_environment, serialize_environment
 from .errors import ConfigError, MissingInput, SchemaViolation
+from .jsonio import read_json, write_json
 from .metrics import (
     logic_coverage,
     logic_coverage_atomic,
@@ -48,13 +48,7 @@ from .simulation import (
     scenario_validity,
 )
 from .solver import SolverConfig
-from .task_model import (
-    SubtaskSpec,
-    TaskSpec,
-    factor_record,
-    factors_from_records,
-    parse_behavior_plan,
-)
+from .task_model import SubtaskSpec, TaskSpec, factors_from_records, parse_behavior_plan
 # cartesian_trajectories and minimal_trajectory_selection go unused: bench/tracing.py wraps them here
 from .trajectories import (
     cartesian_trajectories,
@@ -105,10 +99,9 @@ def resolve_bundle(task_path: str, cassette: str | None = None, catalog: str | N
 
 
 def load_task(path: Path) -> TaskSpec:
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read task file {path}: {exc}") from exc
+    doc = read_json(path, "task file")
+    if not isinstance(doc, dict):
+        raise SchemaViolation("task file must be a JSON object")
     for key in ("id", "description", "environment_type"):
         if key not in doc:
             raise SchemaViolation(f"task file is missing {key!r}")
@@ -132,25 +125,10 @@ class RunPaths:
             d.mkdir(parents=True, exist_ok=True)
 
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _write_json_ordered(path: Path, doc) -> None:
-    """Like _write_json but keeps dict insertion order.
-
-    Branch maps inside plan documents are order-sensitive: response order
-    fixes path enumeration order, which in turn fixes which trajectories
-    cover_path_sets selects. Sorting those keys would silently reorder the
-    whole downstream run.
-    """
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def _read_json(path: Path, what: str):
     if not path.is_file():
         raise MissingInput(f"{what} not found at {path}; run the earlier stage first")
-    return json.loads(path.read_text())
+    return read_json(path, what)
 
 
 def _open_provider_channel(bundle: TaskBundle, live_endpoint: str | None):
@@ -191,31 +169,16 @@ def stage_derive(
     finally:
         _finish_channel(channel, bundle, live_endpoint)
 
-    _write_json(
-        paths.plans / "task.json",
-        {"id": task.id, "description": task.description, "environment_type": task.environment_type},
-    )
-    _write_json_ordered(paths.plans / "plan_document.json", result.plan_document)
-    _write_json(
-        paths.plans / "subtasks.json",
-        [
-            {
-                "id": st.id,
-                "summary": st.summary,
-                "factors": [factor_record(f) for f in st.factors],
-            }
-            for st in result.subtasks
-        ],
-    )
-    _write_json(
+    write_json(paths.plans / "task.json", asdict(task))
+    # response order in the plan's branch maps fixes the paths and so the selection
+    write_json(paths.plans / "plan_document.json", result.plan_document, ordered=True)
+    write_json(paths.plans / "subtasks.json", [asdict(st) for st in result.subtasks])
+    write_json(
         paths.plans / "derivation_report.json",
         {
             "status": result.status,
             "rounds_used": result.rounds_used,
-            "violations": [
-                {"rule": v.rule, "location": v.location, "message": v.message}
-                for v in result.report.violations
-            ],
+            "violations": [asdict(v) for v in result.report.violations],
         },
     )
     return result
@@ -241,11 +204,11 @@ def stage_collect(paths: RunPaths) -> list:
     _, trees = _load_plans(paths)
     path_sets = paths_per_subtask(trees)
     selected = cover_path_sets(path_sets)
-    _write_json(
+    write_json(
         paths.trajectories / "universe.json",
         {"count": math.prod(len(ps) for ps in path_sets)},
     )
-    _write_json(
+    write_json(
         paths.trajectories / "selected.json",
         {"count": len(selected), "trajectories": [serialize_trajectory(t) for t in selected]},
     )
@@ -281,8 +244,8 @@ def stage_build(
     channel = _open_provider_channel(bundle, live_endpoint)
     paths.ensure()
     selected = _load_selected(paths)
-    schema = load_schema(str(bundle.schema_file))
-    catalog = load_catalog(str(bundle.catalog_file))
+    schema = load_schema(bundle.schema_file)
+    catalog = load_catalog(bundle.catalog_file)
 
     provider = SceneProvider(channel)
     try:
@@ -305,13 +268,13 @@ def stage_build(
             "relaxed_relations": list(env.relaxed_relations),
             "revision_rounds": outcome.revision_rounds,
         }
-    _write_json(paths.reports / "build_stats.json", {"environments": stats})
+    write_json(paths.reports / "build_stats.json", {"environments": stats})
     return environments
 
 
 def stage_validate(paths: RunPaths, bundle: TaskBundle) -> dict:
     paths.ensure()
-    schema = load_schema(str(bundle.schema_file))
+    schema = load_schema(bundle.schema_file)
     envs = _load_environments(paths)
     physics = {}
     validity = {}
@@ -325,10 +288,7 @@ def stage_validate(paths: RunPaths, bundle: TaskBundle) -> dict:
             "floor_plan_ok": report.floor_plan_ok,
             "entity_ok": report.entity_ok,
             "relation_ok": report.relation_ok,
-            "failures": [
-                {"rule": f.rule, "location": f.location, "message": f.message}
-                for f in report.failures
-            ],
+            "failures": [asdict(f) for f in report.failures],
             "skipped_relations": report.skipped_relations,
         }
         valid, reasons = scenario_validity(env, schema, report)
@@ -336,8 +296,8 @@ def stage_validate(paths: RunPaths, bundle: TaskBundle) -> dict:
         validity[name] = {"valid": valid, "reasons": reasons}
     physics_doc = {"pass_rate": physics_pass_rate(reports), "environments": physics}
     validity_doc = {"rate": validity_rate(flags), "environments": validity}
-    _write_json(paths.reports / "physics.json", physics_doc)
-    _write_json(paths.reports / "validity.json", validity_doc)
+    write_json(paths.reports / "physics.json", physics_doc)
+    write_json(paths.reports / "validity.json", validity_doc)
     return {"physics": physics_doc, "validity": validity_doc}
 
 
@@ -345,8 +305,8 @@ def stage_simulate(paths: RunPaths, bundle: TaskBundle, budget: int = DEFAULT_BU
     paths.ensure()
     if bundle.policies_dir is None:
         raise ConfigError(f"no policies directory next to {bundle.task_file}")
-    schema = load_schema(str(bundle.schema_file))
-    actions = load_action_model(str(bundle.action_model_file))
+    schema = load_schema(bundle.schema_file)
+    actions = load_action_model(bundle.action_model_file)
     selected = _load_selected(paths)
     envs = _load_environments(paths)
     if len(selected) != len(envs):
@@ -358,7 +318,7 @@ def stage_simulate(paths: RunPaths, bundle: TaskBundle, budget: int = DEFAULT_BU
 
     policies = {}
     for policy_file in sorted(bundle.policies_dir.glob("*.json")):
-        policy = load_policy(str(policy_file))
+        policy = load_policy(policy_file)
         label = policy.label or policy_file.stem
         if label in policies:
             raise ConfigError(
@@ -399,7 +359,7 @@ def stage_simulate(paths: RunPaths, bundle: TaskBundle, budget: int = DEFAULT_BU
     doc["faulty_policies"] = sorted(faulty)
     doc["fault_detection_rate"] = fault_detection_rate(faulty)
     doc["total_ticks"] = total_ticks
-    _write_json(paths.reports / "simulation.json", doc)
+    write_json(paths.reports / "simulation.json", doc)
     return doc
 
 
@@ -446,7 +406,7 @@ def stage_report(paths: RunPaths) -> dict:
         },
         "environments": sorted(name for name, _ in envs),
     }
-    _write_json(paths.reports / "report.json", doc)
+    write_json(paths.reports / "report.json", doc)
     return doc
 
 
@@ -505,5 +465,5 @@ def run_all(
         },
         "stages": timings,
     }
-    _write_json(paths.root / "manifest.json", manifest)
+    write_json(paths.root / "manifest.json", manifest)
     return report

@@ -18,10 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 import urllib.request
+from dataclasses import asdict
 from pathlib import Path
 
-from .errors import ProviderError
-from .task_model import factor_record
+from .errors import ProviderError, SchemaViolation
+from .jsonio import read_json, write_json
 
 # request kinds, plan side
 DECOMPOSE = "decompose"
@@ -109,13 +110,10 @@ class HttpChannel:
 
 
 def load_cassette(path) -> list[dict]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise ProviderError(f"cannot read cassette {path}: {exc}") from exc
+    doc = read_json(path, "cassette")
     records = doc.get("records") if isinstance(doc, dict) else None
     if not isinstance(records, list):
-        raise ProviderError(f"cassette {path} has no 'records' list")
+        raise SchemaViolation(f"cassette {path} has no 'records' list")
     for rec in records:
         if not isinstance(rec, dict) or not {
             "request_kind",
@@ -123,15 +121,14 @@ def load_cassette(path) -> list[dict]:
             "request_body",
             "response_body",
         } <= set(rec):
-            raise ProviderError(f"cassette {path} contains a malformed record")
+            raise SchemaViolation(f"cassette {path} contains a malformed record")
     return records
 
 
 def save_cassette(path, records) -> None:
     # no key sorting: response bodies can hold decision trees whose branch
     # order is meaningful, and replay must hand back exactly what was said
-    doc = {"records": list(records)}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(path, {"records": list(records)}, ordered=True)
 
 
 def open_channel(cassette=None, live_endpoint=None) -> ReplayChannel:
@@ -177,14 +174,7 @@ class PlanProvider:
         self.channel = channel
 
     def decompose(self, task) -> list[dict]:
-        body = {
-            "task": {
-                "id": task.id,
-                "description": task.description,
-                "environment_type": task.environment_type,
-            }
-        }
-        out = self.channel.send(DECOMPOSE, body)
+        out = self.channel.send(DECOMPOSE, {"task": asdict(task)})
         subtasks = _expect_list_of_dicts(out, DECOMPOSE, ("id", "summary"))
         ids = [s["id"] for s in subtasks]
         if len(set(ids)) != len(ids):
@@ -201,7 +191,7 @@ class PlanProvider:
         body = {
             "task_id": task_id,
             "subtask_id": subtask_id,
-            "factors": [factor_record(f) for f in factors],
+            "factors": [asdict(f) for f in factors],
         }
         return self.channel.send(GENERATE_PLAN, body)
 

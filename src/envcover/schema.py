@@ -13,10 +13,10 @@ queries at runtime and uses leaf goals to judge outcomes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import SchemaMismatch, SchemaViolation
+from .jsonio import read_json
 from .task_model import normalize_text
 from .trajectories import LogicalTrajectory
 
@@ -37,6 +37,17 @@ class Condition:
             return not present or value is None or value not in self.values
         # present_not_in
         return present and (value is None or value not in self.values)
+
+
+def parse_condition(raw, where: str) -> Condition:
+    """A Condition from the "op" and "values" of a record; where names it in errors."""
+    op = raw.get("op") if isinstance(raw, dict) else None
+    if op not in _OPS:
+        raise SchemaViolation(f"{where} has unknown op {op!r}")
+    values = raw.get("values")
+    if not isinstance(values, list) or not values:
+        raise SchemaViolation(f"{where} lists no values")
+    return Condition(op=op, values=tuple(str(v) for v in values))
 
 
 @dataclass(frozen=True)
@@ -88,13 +99,8 @@ class TaskSchema:
         return self.leaf_goals[key]
 
 
-def load_schema(path: str) -> TaskSchema:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"schema is not valid JSON: {exc}") from exc
-    return parse_schema(doc)
+def load_schema(path) -> TaskSchema:
+    return parse_schema(read_json(path, "task schema"))
 
 
 def parse_schema(doc: dict) -> TaskSchema:
@@ -108,17 +114,10 @@ def parse_schema(doc: dict) -> TaskSchema:
         for key in ("entity", "attribute", "responses"):
             if key not in raw:
                 raise SchemaViolation(f"query binding {text!r} is missing {key!r}")
-        responses = {}
-        for resp, cond in raw["responses"].items():
-            op = cond.get("op")
-            if op not in _OPS:
-                raise SchemaViolation(
-                    f"query {text!r} response {resp!r} has unknown op {op!r}"
-                )
-            values = tuple(str(v) for v in cond.get("values", ()))
-            if not values:
-                raise SchemaViolation(f"query {text!r} response {resp!r} lists no values")
-            responses[normalize_text(resp)] = Condition(op=op, values=values)
+        responses = {
+            normalize_text(resp): parse_condition(cond, f"query {text!r} response {resp!r}")
+            for resp, cond in raw["responses"].items()
+        }
         queries[normalize_text(text)] = QueryBinding(
             entity=raw["entity"], attribute=raw["attribute"], responses=responses
         )
@@ -135,18 +134,13 @@ def parse_schema(doc: dict) -> TaskSchema:
         leaf_goals[normalize_text(leaf)] = tuple(parsed)
     predicates = {}
     for key, raw in doc.get("predicates", {}).items():
-        for need in ("entity", "attribute", "op", "values"):
+        for need in ("entity", "attribute"):
             if need not in raw:
                 raise SchemaViolation(f"predicate {key!r} is missing {need!r}")
-        if raw["op"] not in _OPS:
-            raise SchemaViolation(f"predicate {key!r} has unknown op {raw['op']!r}")
-        values = tuple(str(v) for v in raw["values"])
-        if not values:
-            raise SchemaViolation(f"predicate {key!r} lists no values")
         predicates[key] = (
             raw["entity"],
             raw["attribute"],
-            Condition(op=raw["op"], values=values),
+            parse_condition(raw, f"predicate {key!r}"),
         )
     required_attributes = {
         entity: tuple(attrs)

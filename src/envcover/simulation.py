@@ -21,12 +21,12 @@ Verdicts separate failure modes the way a test harness needs them:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .environment import EnvironmentSpec
 from .errors import SchemaMismatch, SchemaViolation
-from .schema import Condition, TaskSchema, goals_for_trajectory
+from .jsonio import read_json
+from .schema import Condition, TaskSchema, goals_for_trajectory, parse_condition
 from .trajectories import LogicalTrajectory
 from .validator import PhysicsReport
 
@@ -99,13 +99,8 @@ def parse_policy(doc: dict) -> PolicySpec:
     return PolicySpec(label=str(doc.get("label", "")), root=_parse_node(doc["root"], "root"))
 
 
-def load_policy(path: str) -> PolicySpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"policy is not valid JSON: {exc}") from exc
-    return parse_policy(doc)
+def load_policy(path) -> PolicySpec:
+    return parse_policy(read_json(path, "policy"))
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +108,45 @@ def load_policy(path: str) -> PolicySpec:
 # ---------------------------------------------------------------------------
 
 
+# precondition kind -> the string keys it reads besides "kind", subject first
+# ("attr" also reads "op" and "values", through parse_condition)
+_PRECONDITION_KEYS = {
+    "holding_nothing": (),
+    "holding": ("entity",),
+    "agent_at": ("entity",),
+    "present": ("entity",),
+    "attr": ("entity", "attribute"),
+    "container_open": ("target",),
+}
+
+
+@dataclass(frozen=True)
+class Precondition:
+    kind: str
+    subject: str = ""  # the entity, or container_open's target; "$name" is a parameter
+    attribute: str = ""  # attr only
+    condition: Condition | None = None  # attr only
+
+
+def _parse_precondition(raw, action: str) -> Precondition:
+    where = f"action {action!r} precondition"
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if kind not in _PRECONDITION_KEYS:
+        raise SchemaViolation(f"{where} has unknown kind {kind!r}")
+    keys = _PRECONDITION_KEYS[kind]
+    for key in keys:
+        if not isinstance(raw.get(key), str):
+            raise SchemaViolation(f"{where} {kind!r} needs a string {key!r}")
+    if kind == "attr":
+        return Precondition(kind, raw["entity"], raw["attribute"], parse_condition(raw, where))
+    return Precondition(kind, raw[keys[0]] if keys else "")
+
+
 @dataclass(frozen=True)
 class ActionDef:
     name: str
     params: tuple
-    preconditions: tuple  # of dicts
+    preconditions: tuple  # of Precondition
     effects: tuple  # of dicts
 
 
@@ -141,25 +170,19 @@ def parse_action_model(doc: dict) -> ActionModel:
             for key in ("entity", "attribute", "value"):
                 if key not in effect:
                     raise SchemaViolation(f"action {name!r} effect is missing {key!r}")
-        for pre in raw.get("preconditions", ()):
-            if "kind" not in pre:
-                raise SchemaViolation(f"action {name!r} precondition is missing 'kind'")
         model.actions[name] = ActionDef(
             name=name,
             params=params,
-            preconditions=tuple(raw.get("preconditions", ())),
+            preconditions=tuple(
+                _parse_precondition(pre, name) for pre in raw.get("preconditions", ())
+            ),
             effects=tuple(raw.get("effects", ())),
         )
     return model
 
 
-def load_action_model(path: str) -> ActionModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"action model is not valid JSON: {exc}") from exc
-    return parse_action_model(doc)
+def load_action_model(path) -> ActionModel:
+    return parse_action_model(read_json(path, "action model"))
 
 
 # ---------------------------------------------------------------------------
@@ -211,30 +234,26 @@ def _resolve(token: str, args: dict) -> str:
     return token
 
 
-def _precondition_holds(pre: dict, world: dict, args: dict) -> bool:
-    kind = pre["kind"]
+def _precondition_holds(pre: Precondition, world: dict, args: dict) -> bool:
+    kind = pre.kind
     if kind == "holding_nothing":
         return world.get((AGENT, "holding")) == "nothing"
+    subject = _resolve(pre.subject, args)
     if kind == "holding":
-        return world.get((AGENT, "holding")) == _resolve(pre["entity"], args)
+        return world.get((AGENT, "holding")) == subject
     if kind == "agent_at":
-        return world.get((AGENT, "location")) == _resolve(pre["entity"], args)
+        return world.get((AGENT, "location")) == subject
     if kind == "present":
-        entity = _resolve(pre["entity"], args)
-        return world.get((entity, "presence")) == "present"
+        return world.get((subject, "presence")) == "present"
     if kind == "attr":
-        entity = _resolve(pre["entity"], args)
-        condition = Condition(op=pre["op"], values=tuple(str(v) for v in pre["values"]))
-        return condition.evaluate(world, entity, pre["attribute"])
-    if kind == "container_open":
-        target = _resolve(pre["target"], args)
-        if not target.endswith("_in"):
-            return True
-        container = target[: -len("_in")]
-        if world.get((container, "openable")) != "yes":
-            return True
-        return world.get((container, "door_state")) == "open"
-    raise _Halt(VERDICT_ERROR, f"unknown precondition kind {kind!r}")
+        return pre.condition.evaluate(world, subject, pre.attribute)
+    # container_open: a target "<container>_in" needs an openable container open
+    if not subject.endswith("_in"):
+        return True
+    container = subject[: -len("_in")]
+    if world.get((container, "openable")) != "yes":
+        return True
+    return world.get((container, "door_state")) == "open"
 
 
 def run_policy(
@@ -286,7 +305,7 @@ def run_policy(
                 if not _precondition_holds(pre, world, args):
                     raise _Halt(
                         VERDICT_CAUSAL,
-                        f"action '{node.text}' violates precondition {pre['kind']}",
+                        f"action '{node.text}' violates precondition {pre.kind}",
                     )
             for effect in spec.effects:
                 entity = _resolve(effect["entity"], args)

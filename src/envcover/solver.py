@@ -53,8 +53,8 @@ import math
 import random
 from array import array
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable, NamedTuple
 
 from .environment import (
@@ -297,11 +297,13 @@ def _positions_on_wall(wall, width: float, res: float) -> list[tuple[float, floa
 # obstacle of the placed box (Lozano-Perez, IEEE Trans. Computers 1983).
 
 
-class _Grid:
+class _Grid(Sequence):
     """An object's position cells, product(xs, zs), as bit positions.
 
     Cell i is (xs[i // nz], zs[i % nz]), so column k (one x) is the nz bits
-    from k * nz on, and row j (one z) is bit j of every column.
+    from k * nz on, and row j (one z) is bit j of every column. The grid is
+    the object's position domain: a cell is made when it is read, so encode
+    materializes no cell list.
     """
 
     __slots__ = ("xs", "zs", "nz", "comb")
@@ -311,6 +313,12 @@ class _Grid:
         # bit k * nz for every column k: times a row mask, it repeats the row
         # in every column with no carries, because the row mask is below 1 << nz
         self.comb = sum(1 << (k * self.nz) for k in range(len(xs)))
+
+    def __len__(self) -> int:
+        return len(self.xs) * self.nz
+
+    def __getitem__(self, i: int) -> tuple[float, float]:
+        return (self.xs[i // self.nz], self.zs[i % self.nz])
 
     def columns(self, keep) -> int:
         """The cells of the columns k with keep[k] true; each run of kept
@@ -531,7 +539,7 @@ class CspProblem:
         self.config = config
         self.geo = _Geometry(self.rooms, self.objects)
         self.variables: list[str] = []  # variable ids in search order
-        self.domains: dict[str, list] = {}
+        self.domains: dict[str, Sequence] = {}
         self.constraints: list[CspConstraint] = []
         self._orders: dict[str, array] | None = None
         self._encode()
@@ -582,13 +590,12 @@ class CspProblem:
             min_fz = min(self.geo.footprints[(o.id, d)][1] for d in fits_any)
             xs = _grid_points(room.x_min + min_fx / 2, room.x_max - min_fx / 2, res)
             zs = _grid_points(room.z_min + min_fz / 2, room.z_max - min_fz / 2, res)
-            cells = list(product(xs, zs))
-            if not cells:
+            if not xs or not zs:
                 raise EncodingError(f"no grid cell fits object {o.id!r} in room {room.id!r}")
-            self.geo.grids[o.id] = _Grid(xs, zs)
+            grid = self.geo.grids[o.id] = _Grid(xs, zs)
             self.variables += [f"{o.id}.dir", f"{o.id}.pos"]
             self.domains[f"{o.id}.dir"] = list(DIRECTION_VECTORS)
-            self.domains[f"{o.id}.pos"] = cells
+            self.domains[f"{o.id}.pos"] = grid
 
         for door in sorted(self.doorways, key=lambda d: d.id):
             a, b = door.connects

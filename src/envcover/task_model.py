@@ -51,13 +51,10 @@ class UncertainFactor:
         return False
 
 
-def factor_record(factor: UncertainFactor) -> dict:
-    """A factor as JSON: the generate_plan request and plans/subtasks.json carry it."""
-    return {"name": factor.name, "domain": list(factor.domain), "aliases": list(factor.aliases)}
-
-
 def factors_from_records(records) -> tuple[UncertainFactor, ...]:
-    """Factors from their JSON records; ``aliases`` may be left out."""
+    """Factors from their JSON records (``dataclasses.asdict`` of each factor,
+    as the generate_plan request and plans/subtasks.json carry them);
+    ``aliases`` may be left out."""
     return tuple(
         UncertainFactor(
             name=r["name"], domain=tuple(r["domain"]), aliases=tuple(r.get("aliases", ()))

@@ -158,6 +158,41 @@ def test_a_repeated_policy_label_exits_2(living_room_dir, tmp_path, capsys):
     assert not (out / "reports" / "simulation.json").exists()
 
 
+@pytest.mark.parametrize("name", ["schema.json", "catalog.json", "action_model.json"])
+def test_a_missing_bundle_file_exits_2(name, living_room_dir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(living_room_dir, bundle)
+    (bundle / name).unlink()
+    code = main(["run-all", "--task", str(bundle), "--out", str(tmp_path / "r"), "--grid", "0.2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot read" in err and name in err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("task.json", '{"id": "t", '), ("cassette.json", '{"records": ['), ("cassette.json", '{"records": 3}')],
+    ids=["truncated_task", "truncated_cassette", "cassette_without_records"],
+)
+def test_a_corrupt_bundle_file_exits_2(name, text, living_room_dir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(living_room_dir, bundle)
+    (bundle / name).write_text(text)
+    out = tmp_path / "r"
+    assert main(["derive", "--task", str(bundle), "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_truncated_report_input_exits_2(full_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    physics = run / "reports" / "physics.json"
+    physics.write_text(physics.read_text()[:40])
+    assert main(["report", "--out", str(run)]) == 2
+    assert "physics report" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [("build", "--grid"), ("simulate", "--budget"), ("derive", "--max-rounds")],

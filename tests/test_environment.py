@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -307,6 +308,65 @@ def test_deserialize_rejects_missing_fields():
     del doc["task_id"]
     with pytest.raises(SchemaViolation, match="malformed"):
         deserialize_environment(json.dumps(doc))
+
+
+MALFORMED_PARTS = {
+    "placement_with_two_coordinates": lambda d: d["placements"][0].update(position=[1.0, 0.0]),
+    "doorway_position_with_one_coordinate": lambda d: d["floor_plan"]["doorways"][0].update(
+        position=[2.0]
+    ),
+    "width_not_a_number": lambda d: d["floor_plan"]["doorways"][0].update(width="wide"),
+    "object_without_description": lambda d: d["objects"][0].pop("description"),
+    "window_position_with_three_coordinates": lambda d: d["floor_plan"]["windows"][0].update(
+        position=[1.5, 4.0, 0.0]
+    ),
+    "vertex_with_one_coordinate": lambda d: d["floor_plan"]["rooms"][0]["vertices"].__setitem__(
+        0, [0.0]
+    ),
+    "size_with_two_numbers": lambda d: d["objects"][1].update(size=[0.2, 0.1]),
+    "placement_with_a_nested_coordinate": lambda d: d["placements"][0].update(
+        position=[[1.0, 0.0], 0.0, 1.0]
+    ),
+    "attributes_not_an_object": lambda d: d["objects"][0].update(attributes=["wood"]),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED_PARTS.values(), ids=MALFORMED_PARTS)
+def test_deserialize_rejects_malformed_parts(mutate):
+    doc = json.loads(serialize_environment(sample_env()))
+    mutate(doc)
+    with pytest.raises(SchemaViolation):
+        deserialize_environment(json.dumps(doc))
+
+
+def test_fields_with_defaults_may_be_left_out():
+    doc = json.loads(serialize_environment(sample_env()))
+    del doc["floor_plan"]["rooms"][0]["floor_color"]
+    del doc["floor_plan"]["doorways"][0]["position"]
+    del doc["objects"][1]["attributes"]
+    del doc["relations"][1]["reference"]
+    del doc["relations"][0]["priority"]
+    del doc["metadata"]
+    env = deserialize_environment(json.dumps(doc))
+    assert env.rooms[0].floor_color == ""
+    assert env.doorways[0].position is None
+    assert env.objects[1].attributes == {}
+    assert env.relations[1].reference is None
+    assert env.relations[0].priority == "task"
+
+
+def test_round_trip_keeps_unplaced_openings():
+    env = sample_env()
+    env.doorways[0] = dataclasses.replace(env.doorways[0], position=None)
+    env.windows[0] = dataclasses.replace(env.windows[0], position=None)
+    text = serialize_environment(env)
+    plan = json.loads(text)["floor_plan"]
+    assert plan["doorways"][0]["position"] is None
+    assert plan["windows"][0]["position"] is None
+    back = deserialize_environment(text)
+    assert back.doorways == env.doorways
+    assert back.windows == env.windows
+    assert serialize_environment(back) == text
 
 
 def test_deserialize_rejects_stale_metadata():

@@ -96,6 +96,18 @@ def test_parse_rejects_unknown_operator():
         parse_schema(doc)
 
 
+@pytest.mark.parametrize(
+    "condition",
+    [{"op": "equals", "values": ["red"]}, {"op": "in", "values": "red"}, {"op": "in"}],
+    ids=["unknown_op", "values_not_a_list", "no_values"],
+)
+def test_parse_rejects_a_bad_predicate_condition(condition):
+    doc = minimal_doc()
+    doc["predicates"] = {"is_red": {"entity": "thing", "attribute": "color", **condition}}
+    with pytest.raises(SchemaViolation):
+        parse_schema(doc)
+
+
 def test_parse_rejects_missing_task_id():
     doc = minimal_doc()
     del doc["task_id"]

@@ -8,6 +8,7 @@ from envcover.simulation import (
     VERDICT_ERROR,
     VERDICT_GOAL,
     VERDICT_PASS,
+    _precondition_holds,
     fault_detection_rate,
     initial_world,
     parse_action_model,
@@ -78,6 +79,41 @@ def test_parse_policy_rejects_malformed_nodes(bad):
 def test_parse_action_model_rejects_missing_params():
     with pytest.raises(SchemaViolation):
         parse_action_model({"actions": {"jump": {"effects": []}}})
+
+
+def wipe_model(*preconditions):
+    return {"actions": {"wipe": {"params": ["target"], "preconditions": list(preconditions)}}}
+
+
+def dirty(**changes):
+    pre = {"kind": "attr", "entity": "$target", "attribute": "cleanliness", "op": "in"}
+    return {**pre, "values": ["dirty"], **changes}
+
+
+BAD_PRECONDITIONS = {
+    "unknown_op": dirty(op="equals"),
+    "no_values": {k: v for k, v in dirty().items() if k != "values"},
+    "empty_values": dirty(values=[]),
+    "unknown_kind": {"kind": "teleported", "entity": "$target"},
+    "no_kind": {"entity": "$target"},
+    "no_entity": {"kind": "holding"},
+    "no_target": {"kind": "container_open", "entity": "$target"},
+    "no_attribute": {k: v for k, v in dirty().items() if k != "attribute"},
+}
+
+
+@pytest.mark.parametrize("pre", BAD_PRECONDITIONS.values(), ids=BAD_PRECONDITIONS)
+def test_parse_action_model_rejects_bad_preconditions(pre):
+    with pytest.raises(SchemaViolation):
+        parse_action_model(wipe_model(pre))
+
+
+def test_attr_precondition_evaluates_its_condition():
+    (pre,) = parse_action_model(wipe_model(dirty())).get("wipe").preconditions
+    world = {("rug", "presence"): "present", ("rug", "cleanliness"): "clean"}
+    assert not _precondition_holds(pre, world, {"target": "rug"})
+    world[("rug", "cleanliness")] = "dirty"
+    assert _precondition_holds(pre, world, {"target": "rug"})
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections.abc
 import dataclasses
 import gc
 import hashlib
@@ -67,6 +68,13 @@ def test_encoding_census_for_one_room_two_objects_one_relation():
         "book.dir",
         "book.pos",
     ]
+    # a position domain is its grid's cells in product(xs, zs) order, made on read
+    grid = problem.geo.grids["book"]
+    cells = list(itertools.product(grid.xs, grid.zs))
+    assert isinstance(problem.domains["book.pos"], collections.abc.Sequence)
+    assert len(problem.domains["book.pos"]) == len(cells)
+    assert list(problem.domains["book.pos"]) == cells
+    assert problem.domains["book.pos"][-1] == cells[-1]
     kinds = sorted(c.kind for c in problem.constraints)
     assert kinds == [
         "non_collision",
