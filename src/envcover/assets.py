@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .errors import EmptyCatalog, SchemaViolation
-from .jsonio import read_json, write_json
+from .jsonio import as_record, parse_as, read_json, write_json
 from .task_model import normalize_text
 
 EMBEDDING_DIM = 256
@@ -75,6 +75,10 @@ class AssetRecord:
     description: str
     size: tuple[float, float, float]
     embedding: tuple[float, ...] = ()
+    norm: float = field(init=False, repr=False, compare=False)  # the embedding's L2 norm
+
+    def __post_init__(self):
+        object.__setattr__(self, "norm", math.sqrt(sum(v * v for v in self.embedding)))
 
 
 @dataclass
@@ -92,44 +96,59 @@ def build_catalog(entries: list[tuple[str, str, tuple[float, float, float]]]) ->
     return AssetCatalog(assets=assets)
 
 
+@dataclass
+class _StoredAsset:
+    id: str
+    description: str
+    size: tuple[float, float, float]
+    embedding: str  # base64 of little-endian float32s, read by decode_vector
+
+
+@dataclass
+class _StoredCatalog:
+    assets: tuple[_StoredAsset, ...]
+    dim: int = EMBEDDING_DIM
+
+
 def load_catalog(path) -> AssetCatalog:
-    doc = read_json(path, "catalog")
-    if not isinstance(doc, dict) or "assets" not in doc:
-        raise SchemaViolation("catalog must be an object with an 'assets' list")
-    dim = doc.get("dim", EMBEDDING_DIM)
+    stored = parse_as(_StoredCatalog, read_json(path, "catalog"), f"catalog {path}")
     assets = []
     seen = set()
-    for i, raw in enumerate(doc["assets"]):
-        for key in ("id", "description", "size", "embedding"):
-            if key not in raw:
-                raise SchemaViolation(f"assets[{i}] is missing {key!r}")
-        if raw["id"] in seen:
-            raise SchemaViolation(f"duplicate asset id {raw['id']!r}")
-        seen.add(raw["id"])
-        size = tuple(float(v) for v in raw["size"])
-        if len(size) != 3 or any(v <= 0 for v in size):
-            raise SchemaViolation(f"assets[{i}] size must be three positive numbers")
-        vec = decode_vector(raw["embedding"], dim)
-        assets.append(
-            AssetRecord(id=raw["id"], description=raw["description"], size=size, embedding=tuple(vec))
-        )
-    return AssetCatalog(dim=dim, assets=assets)
+    for i, raw in enumerate(stored.assets):
+        if raw.id in seen:
+            raise SchemaViolation(f"duplicate asset id {raw.id!r}", f"assets[{i}].id")
+        seen.add(raw.id)
+        if any(v <= 0 for v in raw.size):
+            raise SchemaViolation("size must be three positive numbers", f"assets[{i}].size")
+        vec = tuple(decode_vector(raw.embedding, stored.dim))
+        assets.append(AssetRecord(raw.id, raw.description, raw.size, vec))
+    return AssetCatalog(dim=stored.dim, assets=assets)
 
 
 def save_catalog(catalog: AssetCatalog, path) -> None:
-    doc = {
-        "dim": catalog.dim,
-        "assets": [
-            {
-                "id": a.id,
-                "description": a.description,
-                "size": [round(v, 6) for v in a.size],
-                "embedding": encode_vector(list(a.embedding)),
-            }
-            for a in catalog.assets
-        ],
-    }
-    write_json(path, doc)
+    stored = [
+        _StoredAsset(a.id, a.description, a.size, encode_vector(list(a.embedding)))
+        for a in catalog.assets
+    ]
+    write_json(path, as_record(_StoredCatalog(assets=tuple(stored), dim=catalog.dim)))
+
+
+def _scores(catalog: AssetCatalog, query: str):
+    """(asset, cosine similarity to the query) in asset id order.
+
+    Each score is cosine_similarity's bit for bit: the dot product skips only
+    zero products, which leave a float sum unchanged.
+    """
+    nonzero = [(i, v) for i, v in enumerate(embed_text(query, catalog.dim)) if v]
+    query_norm = math.sqrt(sum(v * v for _, v in nonzero))
+    for asset in sorted(catalog.assets, key=lambda a: a.id):
+        vec = asset.embedding
+        if len(vec) != catalog.dim:
+            raise SchemaViolation(f"vector dimensions differ: {catalog.dim} vs {len(vec)}")
+        if query_norm == 0.0 or asset.norm == 0.0:
+            yield asset, 0.0
+        else:
+            yield asset, sum(v * vec[i] for i, v in nonzero) / (query_norm * asset.norm)
 
 
 def retrieve_asset(catalog: AssetCatalog, query: str) -> AssetRecord:
@@ -140,11 +159,9 @@ def retrieve_asset(catalog: AssetCatalog, query: str) -> AssetRecord:
     """
     if not catalog.assets:
         raise EmptyCatalog("asset catalog has no entries")
-    qvec = embed_text(query, catalog.dim)
     best: AssetRecord | None = None
     best_score = -2.0
-    for asset in sorted(catalog.assets, key=lambda a: a.id):
-        score = cosine_similarity(qvec, list(asset.embedding))
+    for asset, score in _scores(catalog, query):
         if score > best_score + 1e-12:
             best = asset
             best_score = score

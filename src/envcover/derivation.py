@@ -10,7 +10,7 @@ subtask's factor list for an independence overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .errors import MalformedDocument, StructureError
 from .providers import PlanProvider
@@ -20,7 +20,6 @@ from .task_model import (
     TaskSpec,
     ValidationReport,
     Violation,
-    factors_from_records,
     parse_behavior_plan,
     validate_tree_grounding,
 )
@@ -90,19 +89,13 @@ def _tagged_violations(subtasks, trees, parse_errors) -> list[tuple[tuple[str, s
     return tagged
 
 
-def verify_all(subtasks, trees, parse_errors=None) -> ValidationReport:
-    """Aggregate report in deterministic order: independence, syntax, grounding."""
-    tagged = _tagged_violations(list(subtasks), list(trees), parse_errors or {})
-    return ValidationReport([v for _, v in tagged])
-
-
 @dataclass
 class _Working:
     """Mutable per-subtask state across refinement rounds."""
 
     id: str
     summary: str
-    raw_factors: list = field(default_factory=list)
+    factors: tuple = ()
     raw_plan: object = None
     tree: BehaviorPlanTree | None = None
     parse_error: object = None
@@ -117,23 +110,18 @@ class _Working:
 
 
 def _subtask_specs(items: list[_Working]) -> list[SubtaskSpec]:
-    return [
-        SubtaskSpec(id=w.id, summary=w.summary, factors=factors_from_records(w.raw_factors))
-        for w in items
-    ]
+    return [SubtaskSpec(id=w.id, summary=w.summary, factors=w.factors) for w in items]
 
 
 def derive(provider: PlanProvider, task: TaskSpec, max_rounds: int = 3) -> DerivationResult:
     """Full derivation. Never raises on verification failure: when rounds run
     out with violations left, the result carries status "exhausted_rounds"
     and the failing report."""
-    working = [
-        _Working(id=s["id"], summary=s["summary"]) for s in provider.decompose(task)
-    ]
+    working = [_Working(id=s.id, summary=s.summary) for s in provider.decompose(task)]
     for w in working:
-        w.raw_factors = provider.identify_factors(task.id, w.id, w.summary)
+        w.factors = provider.identify_factors(task.id, w.id, w.summary)
     for w in working:
-        w.raw_plan = provider.generate_plan(task.id, w.id, factors_from_records(w.raw_factors))
+        w.raw_plan = provider.generate_plan(task.id, w.id, w.factors)
         w.reparse()
 
     def current_violations() -> list[tuple[tuple[str, str], Violation]]:
@@ -153,10 +141,10 @@ def derive(provider: PlanProvider, task: TaskSpec, max_rounds: int = 3) -> Deriv
             messages.setdefault(target, []).append(v.message)
         for (stage, subtask_id), notes in messages.items():
             w = by_id[subtask_id]
-            previous = w.raw_factors if stage == "factors" else w.raw_plan
+            previous = [asdict(f) for f in w.factors] if stage == "factors" else w.raw_plan
             replacement = provider.refine(stage, subtask_id, previous, notes)
             if stage == "factors":
-                w.raw_factors = replacement
+                w.factors = replacement
             else:
                 w.raw_plan = replacement
                 w.reparse()

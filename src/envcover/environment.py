@@ -5,17 +5,18 @@ in the x-z plane, doorways and windows with solved positions, objects with
 bounding boxes and solved placements, the spatial relations the layout was
 solved under, and a metadata map regenerated from the geometry. Serialization
 is canonical (sorted keys, fixed float rounding) so identical scenes are
-byte-identical on disk. Each part's record is its dataclass fields, by name,
-written and read by one pair of functions: a field with a default may be
-left out of a document, every other field is required.
+byte-identical on disk. An environment document and each of its parts is
+written and read through jsonio's typed records: one key per dataclass
+field, and a field with a default may be left out.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .errors import SchemaViolation
+from .jsonio import _round, as_record, parse_as
 from .semantics import CARDINALS, SUPPORT_EPS, SUPPORT_OVERLAP_FRAC
 
 SCHEMA_VERSION = 1
@@ -30,10 +31,6 @@ RELATION_KINDS = UNARY_KINDS | CONTACT_KINDS | DISTANCE_KINDS | RELATIVE_KINDS
 
 PRIORITIES = ("task", "enrichment")
 CATEGORIES = ("task_related", "enrichment")
-
-
-def _round(v: float) -> float:
-    return round(float(v), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +70,6 @@ class Room:
     def validate(self) -> None:
         if len(self.vertices) != 4:
             raise SchemaViolation("room must have 4 vertices", f"rooms[{self.id}]")
-        if any(len(v) != 2 for v in self.vertices):
-            raise SchemaViolation("each vertex must be 2 numbers", f"rooms[{self.id}]")
         xs = {_round(v[0]) for v in self.vertices}
         zs = {_round(v[1]) for v in self.vertices}
         if len(xs) != 2 or len(zs) != 2:
@@ -120,7 +115,7 @@ class ObjectSpec:
     room: str
     size: tuple[float, float, float]  # extents along x, y, z before rotation
     category: str  # task_related | enrichment
-    attributes: dict = field(default_factory=dict)
+    attributes: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -150,14 +145,6 @@ class Placement:
     object: str
     position: tuple[float, float, float]  # footprint center x, bottom face y, center z
     direction: str
-
-    def validate(self) -> None:
-        if len(self.position) != 3:
-            raise SchemaViolation("position must be 3 numbers", f"placements[{self.object}]")
-        if self.direction not in CARDINALS:
-            raise SchemaViolation(
-                f"direction must be one of {CARDINALS}", f"placements[{self.object}]"
-            )
 
 
 def footprint(size, direction: str) -> tuple[float, float]:
@@ -223,8 +210,6 @@ class EnvironmentSpec:
         known_rooms = set(room_ids)
         for door in self.doorways:
             where = f"doorways[{door.id}]"
-            if len(door.connects) != 2:
-                raise SchemaViolation("connects must name two sides", where)
             for side in door.connects:
                 if side != "exterior" and side not in known_rooms:
                     raise SchemaViolation(f"unknown room {side!r}", where)
@@ -232,8 +217,6 @@ class EnvironmentSpec:
                 raise SchemaViolation("doorway must connect two distinct sides", where)
             if door.width <= 0 or door.height <= 0:
                 raise SchemaViolation("doorway needs positive width and height", where)
-            if door.position is not None and len(door.position) != 2:
-                raise SchemaViolation("position must be null or 2 numbers", where)
         for win in self.windows:
             where = f"windows[{win.id}]"
             if win.room not in known_rooms:
@@ -244,8 +227,6 @@ class EnvironmentSpec:
                 raise SchemaViolation("window needs positive width and height", where)
             if win.sill_height < 0:
                 raise SchemaViolation("sill_height cannot be negative", where)
-            if win.position is not None and len(win.position) != 2:
-                raise SchemaViolation("position must be null or 2 numbers", where)
         object_ids = [o.id for o in self.objects]
         if len(set(object_ids)) != len(object_ids):
             raise SchemaViolation("duplicate object ids", "objects")
@@ -256,8 +237,6 @@ class EnvironmentSpec:
                 raise SchemaViolation(f"unknown room {obj.room!r}", where)
             if obj.category not in CATEGORIES:
                 raise SchemaViolation(f"unknown category {obj.category!r}", where)
-            if len(obj.size) != 3:
-                raise SchemaViolation("size must be 3 numbers", where)
             if any(s <= 0 for s in obj.size):
                 raise SchemaViolation("object size must be positive", where)
             for key, value in obj.attributes.items():
@@ -278,7 +257,8 @@ class EnvironmentSpec:
                 "placements must cover every object exactly once", "placements"
             )
         for p in self.placements:
-            p.validate()
+            if p.direction not in CARDINALS:
+                raise SchemaViolation(f"direction must be one of {CARDINALS}", f"placements[{p.object}]")
         for idx in self.relaxed_relations:
             if not 0 <= idx < len(self.relations):
                 raise SchemaViolation(f"relaxed relation index {idx} out of range", "relaxed_relations")
@@ -358,96 +338,54 @@ def rebuild_metadata(env: EnvironmentSpec) -> dict:
 # canonical serialization
 # ---------------------------------------------------------------------------
 
-# the fields that hold numbers, by how deep in lists: a number, a point, a
-# list of points
-_NUMBER_DEPTH = {"width": 0, "height": 0, "sill_height": 0, "position": 1, "size": 1, "vertices": 2}
-
-# each part's record is its dataclass fields, by name: (name, number depth or None)
-_PART_FIELDS = {
-    cls: tuple((f.name, _NUMBER_DEPTH.get(f.name)) for f in fields(cls))
-    for cls in (Room, Doorway, Window, ObjectSpec, SpatialRelation, Placement)
-}
+@dataclass
+class _FloorPlan:
+    rooms: tuple[Room, ...] = ()
+    doorways: tuple[Doorway, ...] = ()
+    windows: tuple[Window, ...] = ()
 
 
-def _rounded(value, depth: int):
-    if depth == 0:
-        return _round(value)
-    return [_rounded(v, depth - 1) for v in value]
+@dataclass
+class _Document:
+    """An environment document as it is written."""
+
+    schema_version: int
+    id: str
+    task_id: str
+    trajectory_id: str
+    floor_plan: _FloorPlan = field(default_factory=_FloorPlan)
+    objects: tuple[ObjectSpec, ...] = ()
+    relations: tuple[SpatialRelation, ...] = ()
+    relaxed_relations: tuple[int, ...] = ()
+    placements: tuple[Placement, ...] = ()
+    tracked_entities: tuple[str, ...] = ()
+    metadata: dict[str, dict[str, str]] | None = None  # entity -> attribute -> value
 
 
-def _floats(value, depth: int):
-    """value with every number through float(), lists as tuples; a list where a
-    number belongs is a TypeError, a non-number a ValueError or TypeError."""
-    if depth == 0:
-        return float(value)
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {value!r}")
-    if depth == 1:
-        return tuple(map(float, value))
-    return tuple([_floats(v, depth - 1) for v in value])
-
-
-def _record(part) -> dict:
-    """A part as JSON: numbers rounded, tuples as lists, None as null."""
-    out = {}
-    for name, depth in _PART_FIELDS[type(part)]:
-        value = getattr(part, name)
-        if value is not None and depth is not None:
-            value = _rounded(value, depth)
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[name] = value
-    return out
-
-
-def _part(cls, record):
-    """A part from its record: numbers through float(), lists as tuples.
-
-    A field with a default may be left out. A missing required field or a
-    malformed number raises TypeError or ValueError, which
-    deserialize_environment reports as a SchemaViolation.
-    """
-    kwargs = {}
-    for name, depth in _PART_FIELDS[cls]:
-        if name in record:
-            value = record[name]
-            if depth is not None:
-                if value is not None:
-                    value = _floats(value, depth)
-            elif isinstance(value, list):
-                value = tuple(value)
-            kwargs[name] = value
-    return cls(**kwargs)
-
-
-def _env_to_dict(env: EnvironmentSpec) -> dict:
-    meta = rebuild_metadata(env)
+def _nested(meta: dict) -> dict:
     nested: dict[str, dict[str, str]] = {}
     for (entity, attr), value in meta.items():
         nested.setdefault(entity, {})[attr] = value
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "id": env.id,
-        "task_id": env.task_id,
-        "trajectory_id": env.trajectory_id,
-        "floor_plan": {
-            "rooms": [_record(r) for r in env.rooms],
-            "doorways": [_record(d) for d in env.doorways],
-            "windows": [_record(w) for w in env.windows],
-        },
-        "objects": [_record(o) for o in env.objects],
-        "relations": [_record(r) for r in env.relations],
-        "relaxed_relations": list(env.relaxed_relations),
-        "placements": [_record(p) for p in env.placements],
-        "tracked_entities": sorted(env.tracked_entities),
-        "metadata": nested,
-    }
+    return nested
 
 
 def serialize_environment(env: EnvironmentSpec) -> str:
     """Canonical JSON text; embeds freshly rebuilt metadata."""
     env.validate()
-    return json.dumps(_env_to_dict(env), sort_keys=True, indent=2) + "\n"
+    doc = _Document(
+        schema_version=SCHEMA_VERSION,
+        id=env.id,
+        task_id=env.task_id,
+        trajectory_id=env.trajectory_id,
+        floor_plan=_FloorPlan(tuple(env.rooms), tuple(env.doorways), tuple(env.windows)),
+        objects=tuple(env.objects),
+        relations=tuple(env.relations),
+        relaxed_relations=tuple(env.relaxed_relations),
+        placements=tuple(env.placements),
+        tracked_entities=tuple(sorted(env.tracked_entities)),
+        metadata=_nested(rebuild_metadata(env)),
+    )
+    return json.dumps(as_record(doc), sort_keys=True, indent=2) + "\n"
 
 
 def deserialize_environment(text: str) -> EnvironmentSpec:
@@ -455,38 +393,27 @@ def deserialize_environment(text: str) -> EnvironmentSpec:
         doc = json.loads(text)
     except ValueError as exc:
         raise SchemaViolation(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaViolation("environment document must be an object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaViolation(
-            f"unsupported schema_version {doc.get('schema_version')!r}", "schema_version"
-        )
-    try:
-        fp = doc.get("floor_plan", {})
-        env = EnvironmentSpec(
-            id=doc["id"],
-            task_id=doc["task_id"],
-            trajectory_id=doc["trajectory_id"],
-            rooms=[_part(Room, r) for r in fp.get("rooms", [])],
-            doorways=[_part(Doorway, d) for d in fp.get("doorways", [])],
-            windows=[_part(Window, w) for w in fp.get("windows", [])],
-            objects=[_part(ObjectSpec, o) for o in doc.get("objects", [])],
-            relations=[_part(SpatialRelation, r) for r in doc.get("relations", [])],
-            placements=[_part(Placement, p) for p in doc.get("placements", [])],
-            relaxed_relations=list(doc.get("relaxed_relations", [])),
-            tracked_entities=list(doc.get("tracked_entities", [])),
-        )
-        env.validate()
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation(f"malformed environment document: {exc!r}") from exc
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCHEMA_VERSION:
+        raise SchemaViolation(f"unsupported schema_version {version!r}", "schema_version")
+    doc = parse_as(_Document, doc, "environment document")
+    env = EnvironmentSpec(
+        id=doc.id,
+        task_id=doc.task_id,
+        trajectory_id=doc.trajectory_id,
+        rooms=list(doc.floor_plan.rooms),
+        doorways=list(doc.floor_plan.doorways),
+        windows=list(doc.floor_plan.windows),
+        objects=list(doc.objects),
+        relations=list(doc.relations),
+        placements=list(doc.placements),
+        relaxed_relations=list(doc.relaxed_relations),
+        tracked_entities=list(doc.tracked_entities),
+    )
+    env.validate()
     env.metadata = rebuild_metadata(env)
-    stored = doc.get("metadata")
-    if stored is not None:
-        rebuilt = {}
-        for (entity, attr), value in env.metadata.items():
-            rebuilt.setdefault(entity, {})[attr] = value
-        if stored != rebuilt:
-            raise SchemaViolation(
-                "stored metadata disagrees with geometry-derived metadata", "metadata"
-            )
+    if doc.metadata is not None and doc.metadata != _nested(env.metadata):
+        raise SchemaViolation(
+            "stored metadata disagrees with geometry-derived metadata", "metadata"
+        )
     return env

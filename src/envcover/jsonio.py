@@ -1,15 +1,28 @@
-"""The one JSON reader and the one JSON writer of the package.
+"""The one JSON reader and writer of the package, for files and for records.
 
 Every JSON file of a task bundle or a run directory is read by read_json and
 written by write_json, environment documents aside (environment.py owns their
-canonical text). So a missing or corrupt file fails the same way wherever it
-is read: a file that cannot be read is a ConfigError and text that is not
-JSON is a SchemaViolation (the CLI exits 2 on both).
+canonical text). A file that cannot be read is a ConfigError and text that is
+not JSON is a SchemaViolation (the CLI exits 2 on both).
+
+parse_as reads a parsed document as a typed value, driven by the annotated
+types: str, int, float, bool, tuple[T, ...], fixed tuples, dict[str, T],
+X | None, object (any JSON value, kept as it is) and dataclasses, whose
+records have one key per field. A field with a default may be left out and
+unknown keys are ignored. A float takes a finite JSON number and an int a
+JSON integer, never a bool or a numeric string. A value of the wrong shape,
+or one a dataclass's __post_init__ rejects with a SchemaViolation, is a
+SchemaViolation that names its JSON path, such as ``rooms[0].x_min``.
+as_record writes a dataclass as its record, float-typed values rounded.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigError, SchemaViolation
@@ -34,3 +47,166 @@ def write_json(path, doc, ordered: bool = False) -> None:
     exactly the responses it recorded.
     """
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=not ordered) + "\n", encoding="utf-8")
+
+
+def _round(v: float) -> float:
+    return round(float(v), 6)
+
+
+class _Mismatch(Exception):
+    """A value of the wrong shape; each enclosing container adds its step."""
+
+    def __init__(self, problem: str, *steps: str):
+        super().__init__(problem)
+        self.steps = list(steps)  # innermost first
+
+
+def _wrong(expected: str, value) -> _Mismatch:
+    shown = type(value).__name__ if isinstance(value, (list, dict)) else repr(value)[:40]
+    return _Mismatch(f"expected {expected}, got {shown}")
+
+
+@functools.cache
+def _record_fields(cls) -> tuple:
+    """(name, type, required) of each field of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    )
+
+
+def _optional_of(tp):
+    """T for a type T | None."""
+    inner, none = typing.get_args(tp)
+    if none is not type(None):
+        raise TypeError(f"no JSON form for type {tp!r}")
+    return inner
+
+
+def _same(value):
+    return value
+
+
+def _read_float(value):
+    if type(value) is float and math.isfinite(value) or type(value) is int and abs(value) < 1e308:
+        return float(value)
+    raise _wrong("a finite number", value)
+
+
+_SCALARS = {str: "a string", int: "an integer", bool: "true or false"}
+
+
+def _read_scalar(kind, value):
+    if type(value) is kind:
+        return value
+    raise _wrong(_SCALARS[kind], value)
+
+
+@functools.cache
+def _reader(tp):
+    """The function that reads a JSON value as a tp."""
+    if tp in _SCALARS:
+        return functools.partial(_read_scalar, tp)
+    if tp is float:
+        return _read_float
+    if tp is object:
+        return _same
+    if is_dataclass(tp):
+        specs = [(name, _reader(t), required) for name, t, required in _record_fields(tp)]
+        return lambda value: _read_record(tp, specs, value)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:
+        items = [_reader(t) for t in args if t is not Ellipsis]
+        return lambda value: _read_list(items, args[-1] is Ellipsis, value)
+    if origin is dict:
+        item = _reader(args[1])
+        return lambda value: _read_dict(item, value)
+    item = _reader(_optional_of(tp))
+    return lambda value: None if value is None else item(value)
+
+
+def _read_list(items, repeated: bool, value):
+    if type(value) is not list:
+        raise _wrong("a list", value)
+    if repeated:
+        items = items * len(value)
+    elif len(value) != len(items):
+        raise _wrong(f"a list of {len(items)} values", value)
+    out = []
+    for i, v in enumerate(value):
+        try:
+            out.append(items[i](v))
+        except _Mismatch as exc:
+            exc.steps.append(f"[{i}]")
+            raise
+    return tuple(out)
+
+
+def _read_dict(item, value):
+    if type(value) is not dict:
+        raise _wrong("an object", value)
+    out = {}
+    for key, v in value.items():
+        try:
+            out[key] = item(v)
+        except _Mismatch as exc:
+            exc.steps.append(f"[{json.dumps(key)}]")
+            raise
+    return out
+
+
+def _read_record(cls, specs, value):
+    if type(value) is not dict:
+        raise _wrong("an object", value)
+    kwargs = {}
+    for name, item, required in specs:
+        if name in value:
+            try:
+                kwargs[name] = item(value[name])
+            except _Mismatch as exc:
+                exc.steps.append(f".{name}")
+                raise
+        elif required:
+            raise _Mismatch("required key is missing", f".{name}")
+    try:
+        return cls(**kwargs)
+    except SchemaViolation as exc:
+        raise _Mismatch(str(exc)) from None
+
+
+def parse_as(tp, doc, what: str):
+    """doc, a parsed JSON value, as a tp; ``what`` names doc in the error."""
+    try:
+        return _reader(tp)(doc)
+    except _Mismatch as exc:
+        path = "".join(reversed(exc.steps)).lstrip(".")
+        raise SchemaViolation(f"malformed {what}: {exc}", path) from None
+
+
+@functools.cache
+def _writer(tp):
+    """The function that writes a tp as a JSON value."""
+    if tp is float:
+        return _round
+    if tp in _SCALARS or tp is object:
+        return _same
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is None:
+        return as_record
+    if origin is tuple and args[-1] is Ellipsis:
+        item = _writer(args[0])
+        return lambda value: [item(v) for v in value]
+    if origin is tuple:
+        items = [_writer(t) for t in args]
+        return lambda value: [write(v) for write, v in zip(items, value)]
+    if origin is dict:
+        item = _writer(args[1])
+        return lambda value: {key: item(v) for key, v in value.items()}
+    item = _writer(_optional_of(tp))
+    return lambda value: None if value is None else item(value)
+
+
+def as_record(part) -> dict:
+    """A dataclass as its JSON record, float-typed values rounded by _round."""
+    return {name: _writer(tp)(getattr(part, name)) for name, tp, _ in _record_fields(type(part))}

@@ -27,8 +27,8 @@ from pathlib import Path
 from .assets import load_catalog
 from .derivation import DerivationResult, derive
 from .environment import EnvironmentSpec, deserialize_environment, serialize_environment
-from .errors import ConfigError, MissingInput, SchemaViolation
-from .jsonio import read_json, write_json
+from .errors import ConfigError, MissingInput
+from .jsonio import parse_as, read_json, write_json
 from .metrics import (
     logic_coverage,
     logic_coverage_atomic,
@@ -48,12 +48,12 @@ from .simulation import (
     scenario_validity,
 )
 from .solver import SolverConfig
-from .task_model import SubtaskSpec, TaskSpec, factors_from_records, parse_behavior_plan
+from .task_model import SubtaskSpec, TaskSpec, parse_behavior_plan
 # cartesian_trajectories and minimal_trajectory_selection go unused: bench/tracing.py wraps them here
 from .trajectories import (
+    LogicalTrajectory,
     cartesian_trajectories,
     cover_path_sets,
-    deserialize_trajectory,
     minimal_trajectory_selection,
     paths_per_subtask,
     serialize_trajectory,
@@ -99,17 +99,7 @@ def resolve_bundle(task_path: str, cassette: str | None = None, catalog: str | N
 
 
 def load_task(path: Path) -> TaskSpec:
-    doc = read_json(path, "task file")
-    if not isinstance(doc, dict):
-        raise SchemaViolation("task file must be a JSON object")
-    for key in ("id", "description", "environment_type"):
-        if key not in doc:
-            raise SchemaViolation(f"task file is missing {key!r}")
-    return TaskSpec(
-        id=doc["id"],
-        description=doc["description"],
-        environment_type=doc["environment_type"],
-    )
+    return parse_as(TaskSpec, read_json(path, "task file"), f"task file {path}")
 
 
 class RunPaths:
@@ -187,14 +177,7 @@ def stage_derive(
 def _load_plans(paths: RunPaths):
     plan_doc = _read_json(paths.plans / "plan_document.json", "plan document")
     raw_subtasks = _read_json(paths.plans / "subtasks.json", "subtask list")
-    subtasks = [
-        SubtaskSpec(
-            id=s["id"],
-            summary=s["summary"],
-            factors=factors_from_records(s["factors"]),
-        )
-        for s in raw_subtasks
-    ]
+    subtasks = list(parse_as(tuple[SubtaskSpec, ...], raw_subtasks, "subtask list"))
     trees = parse_behavior_plan(plan_doc, [s.id for s in subtasks])
     return subtasks, trees
 
@@ -215,9 +198,14 @@ def stage_collect(paths: RunPaths) -> list:
     return selected
 
 
+@dataclass
+class _Selection:
+    trajectories: tuple[LogicalTrajectory, ...]
+
+
 def _load_selected(paths: RunPaths) -> list:
     doc = _read_json(paths.trajectories / "selected.json", "selected trajectories")
-    return [deserialize_trajectory(raw) for raw in doc["trajectories"]]
+    return list(parse_as(_Selection, doc, "selected trajectories").trajectories)
 
 
 def _env_file(paths: RunPaths, index: int) -> Path:
@@ -366,7 +354,7 @@ def stage_simulate(paths: RunPaths, bundle: TaskBundle, budget: int = DEFAULT_BU
 def stage_report(paths: RunPaths) -> dict:
     paths.ensure()
     subtasks, trees = _load_plans(paths)
-    task_doc = _read_json(paths.plans / "task.json", "task echo")
+    task = parse_as(TaskSpec, _read_json(paths.plans / "task.json", "task echo"), "task echo")
     universe_doc = _read_json(paths.trajectories / "universe.json", "trajectory universe")
     selected = _load_selected(paths)
     envs = _load_environments(paths)
@@ -379,7 +367,7 @@ def stage_report(paths: RunPaths) -> dict:
     paths_stat = logic_coverage(trees, realized)
     atomic_stat = logic_coverage_atomic(subtasks, realized)
     doc = {
-        "task_id": task_doc["id"],
+        "task_id": task.id,
         "trajectories": {
             "universe": universe_doc["count"],
             "selected": len(selected),

@@ -18,11 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import urllib.request
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ProviderError, SchemaViolation
-from .jsonio import read_json, write_json
+from .jsonio import as_record, parse_as, read_json, write_json
+from .task_model import SubtaskSpec, UncertainFactor
 
 # request kinds, plan side
 DECOMPOSE = "decompose"
@@ -109,20 +110,22 @@ class HttpChannel:
         return data["response"]
 
 
+@dataclass
+class _Exchange:
+    request_kind: str
+    request_hash: str
+    request_body: object
+    response_body: object
+
+
+@dataclass
+class _Cassette:
+    records: tuple[_Exchange, ...]
+
+
 def load_cassette(path) -> list[dict]:
-    doc = read_json(path, "cassette")
-    records = doc.get("records") if isinstance(doc, dict) else None
-    if not isinstance(records, list):
-        raise SchemaViolation(f"cassette {path} has no 'records' list")
-    for rec in records:
-        if not isinstance(rec, dict) or not {
-            "request_kind",
-            "request_hash",
-            "request_body",
-            "response_body",
-        } <= set(rec):
-            raise SchemaViolation(f"cassette {path} contains a malformed record")
-    return records
+    cassette = parse_as(_Cassette, read_json(path, "cassette"), f"cassette {path}")
+    return [as_record(exchange) for exchange in cassette.records]
 
 
 def save_cassette(path, records) -> None:
@@ -150,22 +153,19 @@ def open_channel(cassette=None, live_endpoint=None) -> ReplayChannel:
 # ---------------------------------------------------------------------------
 
 
-def _expect_list_of_dicts(value, kind: str, keys) -> list[dict]:
-    if not isinstance(value, list):
-        raise ProviderError(f"{kind} response must be a list")
-    for item in value:
-        if not isinstance(item, dict) or not set(keys) <= set(item):
-            raise ProviderError(f"{kind} response item missing keys {sorted(keys)}")
-    return value
+def _typed(kind: str, tp, response):
+    """A plan-side response as type tp; a malformed one is a ProviderError."""
+    try:
+        return parse_as(tp, response, f"{kind} response")
+    except SchemaViolation as exc:
+        raise ProviderError(str(exc)) from exc
 
 
-def _checked_factor_list(value, kind: str) -> list[dict]:
-    factors = _expect_list_of_dicts(value, kind, ("name", "domain"))
+def _checked_factors(kind: str, response) -> tuple[UncertainFactor, ...]:
+    factors = _typed(kind, tuple[UncertainFactor, ...], response)
     for f in factors:
-        if not isinstance(f["domain"], list) or len(f["domain"]) < 2:
-            raise ProviderError(
-                f"factor {f.get('name')!r} needs a domain of at least two values"
-            )
+        if len(f.domain) < 2:
+            raise ProviderError(f"factor {f.name!r} needs a domain of at least two values")
     return factors
 
 
@@ -173,19 +173,19 @@ class PlanProvider:
     def __init__(self, channel):
         self.channel = channel
 
-    def decompose(self, task) -> list[dict]:
+    def decompose(self, task) -> tuple[SubtaskSpec, ...]:
         out = self.channel.send(DECOMPOSE, {"task": asdict(task)})
-        subtasks = _expect_list_of_dicts(out, DECOMPOSE, ("id", "summary"))
-        ids = [s["id"] for s in subtasks]
+        subtasks = _typed(DECOMPOSE, tuple[SubtaskSpec, ...], out)
+        ids = [s.id for s in subtasks]
         if len(set(ids)) != len(ids):
             raise ProviderError("decompose returned duplicate subtask ids")
         if not subtasks:
             raise ProviderError("decompose returned no subtasks")
         return subtasks
 
-    def identify_factors(self, task_id: str, subtask_id: str, summary: str) -> list[dict]:
+    def identify_factors(self, task_id: str, subtask_id: str, summary: str) -> tuple[UncertainFactor, ...]:
         body = {"task_id": task_id, "subtask": {"id": subtask_id, "summary": summary}}
-        return _checked_factor_list(self.channel.send(IDENTIFY_FACTORS, body), IDENTIFY_FACTORS)
+        return _checked_factors(IDENTIFY_FACTORS, self.channel.send(IDENTIFY_FACTORS, body))
 
     def generate_plan(self, task_id: str, subtask_id: str, factors):
         body = {
@@ -204,43 +204,37 @@ class PlanProvider:
         }
         out = self.channel.send(REFINE, body)
         if stage == "factors":
-            return _checked_factor_list(out, REFINE)
+            return _checked_factors(REFINE, out)
         return out
 
 
 class SceneProvider:
+    """The scene-side requests; scene.py parses their responses."""
+
     def __init__(self, channel):
         self.channel = channel
 
-    def design_floor_plan(self, task_id: str, trajectory_id: str) -> dict:
+    def design_floor_plan(self, task_id: str, trajectory_id: str):
         body = {"task_id": task_id, "trajectory_id": trajectory_id}
-        out = self.channel.send(DESIGN_FLOOR_PLAN, body)
-        if not isinstance(out, dict) or "rooms" not in out:
-            raise ProviderError("design_floor_plan response needs a 'rooms' list")
-        return out
+        return self.channel.send(DESIGN_FLOOR_PLAN, body)
 
-    def select_objects(self, task_id: str, trajectory_id: str, room_ids) -> list[dict]:
+    def select_objects(self, task_id: str, trajectory_id: str, room_ids):
         body = {"task_id": task_id, "trajectory_id": trajectory_id, "rooms": list(room_ids)}
-        out = self.channel.send(SELECT_OBJECTS, body)
-        return _expect_list_of_dicts(out, SELECT_OBJECTS, ("id", "description", "room", "category"))
+        return self.channel.send(SELECT_OBJECTS, body)
 
-    def propose_relations(self, task_id: str, trajectory_id: str, objects) -> list[dict]:
+    def propose_relations(self, task_id: str, trajectory_id: str, objects):
         body = {
             "task_id": task_id,
             "trajectory_id": trajectory_id,
-            "objects": [
-                {"id": o["id"], "room": o["room"], "category": o["category"]} for o in objects
-            ],
+            "objects": [{"id": o.id, "room": o.room, "category": o.category} for o in objects],
         }
-        out = self.channel.send(PROPOSE_RELATIONS, body)
-        return _expect_list_of_dicts(out, PROPOSE_RELATIONS, ("kind", "subject"))
+        return self.channel.send(PROPOSE_RELATIONS, body)
 
-    def revise_relations(self, task_id: str, trajectory_id: str, previous, conflicts) -> list[dict]:
+    def revise_relations(self, task_id: str, trajectory_id: str, previous, conflicts):
         body = {
             "task_id": task_id,
             "trajectory_id": trajectory_id,
             "previous": previous,
             "conflicts": list(conflicts),
         }
-        out = self.channel.send(REVISE_RELATIONS, body)
-        return _expect_list_of_dicts(out, REVISE_RELATIONS, ("kind", "subject"))
+        return self.channel.send(REVISE_RELATIONS, body)

@@ -15,7 +15,8 @@ is physically fine but does not realize the requested decision logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
 
 from .assets import AssetCatalog, retrieve_asset
 from .environment import (
@@ -32,6 +33,7 @@ from .environment import (
     rebuild_metadata,
 )
 from .errors import CoreUnsat, SchemaViolation, TrajectoryMismatch, UnsatisfiableScene
+from .jsonio import parse_as
 from .providers import SceneProvider
 from .schema import TaskSchema, unmet_conditions
 from .semantics import MOUNT_HEIGHT, SUPPORT_EPS, WALL_HEIGHT
@@ -51,97 +53,81 @@ class BuildOutcome:
 # ---------------------------------------------------------------------------
 
 
-def parse_floor_plan(doc: dict) -> tuple[list[Room], list[Doorway], list[Window]]:
-    rooms = []
-    for i, raw in enumerate(doc.get("rooms", [])):
-        for key in ("id", "x_min", "z_min", "x_max", "z_max"):
-            if key not in raw:
-                raise SchemaViolation(f"rooms[{i}] is missing {key!r}")
-        styles = {
-            key: str(raw[key])
-            for key in ("floor_color", "floor_material", "wall_color", "wall_material")
-            if key in raw
-        }
-        rooms.append(
-            make_room(
-                raw["id"],
-                float(raw["x_min"]),
-                float(raw["z_min"]),
-                float(raw["x_max"]),
-                float(raw["z_max"]),
-                **styles,
-            )
-        )
-    doorways = []
-    for i, raw in enumerate(doc.get("doorways", [])):
-        for key in ("id", "connects", "width", "height"):
-            if key not in raw:
-                raise SchemaViolation(f"doorways[{i}] is missing {key!r}")
-        connects = tuple(raw["connects"])
-        if len(connects) != 2:
-            raise SchemaViolation(f"doorways[{i}] must connect exactly two sides")
-        doorways.append(
-            Doorway(
-                id=raw["id"],
-                connects=connects,
-                width=float(raw["width"]),
-                height=float(raw["height"]),
-            )
-        )
-    windows = []
-    for i, raw in enumerate(doc.get("windows", [])):
-        for key in ("id", "room", "orientation", "width", "height", "sill_height"):
-            if key not in raw:
-                raise SchemaViolation(f"windows[{i}] is missing {key!r}")
-        windows.append(
-            Window(
-                id=raw["id"],
-                room=raw["room"],
-                orientation=raw["orientation"],
-                width=float(raw["width"]),
-                height=float(raw["height"]),
-                sill_height=float(raw["sill_height"]),
-            )
-        )
-    if not rooms:
+@dataclass
+class _RoomBounds:
+    """A room as the provider gives it: bounds and styles, not vertices."""
+
+    id: str
+    x_min: float
+    z_min: float
+    x_max: float
+    z_max: float
+    floor_color: str = ""
+    floor_material: str = ""
+    wall_color: str = ""
+    wall_material: str = ""
+
+
+@dataclass
+class _FloorPlanResponse:
+    # the solver sets each opening's position
+    rooms: tuple[_RoomBounds, ...]
+    doorways: tuple[Doorway, ...] = ()
+    windows: tuple[Window, ...] = ()
+
+
+@dataclass
+class _ObjectChoice:
+    """An object as the provider chooses it; its size comes from the catalog."""
+
+    id: str
+    description: str
+    room: str
+    category: str
+    attributes: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # the solver and the compatibility rules read it as a number
+        height = self.attributes.get("mount_height", "0")
+        try:
+            finite = math.isfinite(float(height))
+        except ValueError:
+            finite = False
+        if not finite:
+            raise SchemaViolation(f"mount_height must be a finite number, got {height!r}")
+
+
+@dataclass
+class _RelationProposal:
+    kind: str
+    subject: str
+    reference: str | None = None
+    priority: str | None = None  # None: from the subject's category
+
+
+def parse_floor_plan(doc) -> tuple[list[Room], list[Doorway], list[Window]]:
+    plan = parse_as(_FloorPlanResponse, doc, "floor plan")
+    if not plan.rooms:
         raise SchemaViolation("floor plan has no rooms")
-    return rooms, doorways, windows
+    return [make_room(**asdict(r)) for r in plan.rooms], list(plan.doorways), list(plan.windows)
 
 
-def resolve_objects(raw_objects: list[dict], catalog: AssetCatalog) -> list[ObjectSpec]:
+def resolve_objects(raw_objects, catalog: AssetCatalog) -> list[ObjectSpec]:
     """Fill bounding boxes from the catalog; keep provider order."""
-    out = []
-    for raw in raw_objects:
-        asset = retrieve_asset(catalog, raw["description"])
-        attributes = {str(k): str(v) for k, v in raw.get("attributes", {}).items()}
-        out.append(
-            ObjectSpec(
-                id=raw["id"],
-                description=raw["description"],
-                room=raw["room"],
-                size=asset.size,
-                category=raw["category"],
-                attributes=attributes,
-            )
-        )
-    return out
+    choices = parse_as(tuple[_ObjectChoice, ...], raw_objects, "object list")
+    return [ObjectSpec(size=retrieve_asset(catalog, c.description).size, **asdict(c)) for c in choices]
 
 
-def parse_relations(raw_relations: list[dict], objects: list[ObjectSpec]) -> list[SpatialRelation]:
+def parse_relations(raw_relations, objects: list[ObjectSpec]) -> list[SpatialRelation]:
     """Relations from provider output; priority defaults to the subject's category."""
     category = {o.id: o.category for o in objects}
     out = []
-    for raw in raw_relations:
-        priority = raw.get("priority")
+    for proposal in parse_as(tuple[_RelationProposal, ...], raw_relations, "relation list"):
+        priority = proposal.priority
         if priority is None:
-            subject_cat = category.get(raw["subject"], "enrichment")
+            subject_cat = category.get(proposal.subject, "enrichment")
             priority = "task" if subject_cat == "task_related" else "enrichment"
-        rel = SpatialRelation(
-            kind=raw["kind"],
-            subject=raw["subject"],
-            reference=raw.get("reference"),
-            priority=priority,
-        )
+        rel = SpatialRelation(proposal.kind, proposal.subject, proposal.reference, priority)
         rel.validate()
         out.append(rel)
     return out
@@ -277,7 +263,7 @@ def build_environment(
     raw_objects = provider.select_objects(task_id, trajectory_id, [r.id for r in rooms])
     objects = resolve_objects(raw_objects, catalog)
 
-    raw_relations = provider.propose_relations(task_id, trajectory_id, raw_objects)
+    raw_relations = provider.propose_relations(task_id, trajectory_id, objects)
     relations = parse_relations(raw_relations, objects)
 
     rounds = 0

@@ -13,10 +13,10 @@ queries at runtime and uses leaf goals to judge outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import SchemaMismatch, SchemaViolation
-from .jsonio import read_json
+from .jsonio import parse_as, read_json
 from .task_model import normalize_text
 from .trajectories import LogicalTrajectory
 
@@ -27,6 +27,12 @@ _OPS = ("in", "not_in", "present_not_in")
 class Condition:
     op: str
     values: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.op not in _OPS:
+            raise SchemaViolation(f"unknown op {self.op!r}")
+        if not self.values:
+            raise SchemaViolation("a condition needs at least one value")
 
     def evaluate(self, metadata: dict, entity: str, attribute: str) -> bool:
         present = metadata.get((entity, "presence")) == "present"
@@ -39,22 +45,19 @@ class Condition:
         return present and (value is None or value not in self.values)
 
 
-def parse_condition(raw, where: str) -> Condition:
-    """A Condition from the "op" and "values" of a record; where names it in errors."""
-    op = raw.get("op") if isinstance(raw, dict) else None
-    if op not in _OPS:
-        raise SchemaViolation(f"{where} has unknown op {op!r}")
-    values = raw.get("values")
-    if not isinstance(values, list) or not values:
-        raise SchemaViolation(f"{where} lists no values")
-    return Condition(op=op, values=tuple(str(v) for v in values))
+@dataclass(frozen=True)
+class Predicate(Condition):
+    """A condition on one entity's attribute, as a policy's condition node names it."""
+
+    entity: str
+    attribute: str
 
 
 @dataclass(frozen=True)
 class QueryBinding:
     entity: str
     attribute: str
-    responses: dict  # normalized response text -> Condition
+    responses: dict[str, Condition]  # normalized response text -> condition
 
     def condition_for(self, response: str) -> Condition:
         key = normalize_text(response)
@@ -79,12 +82,12 @@ class GoalSpec:
 class TaskSchema:
     task_id: str
     agent_start: str
-    queries: dict = field(default_factory=dict)  # normalized query -> QueryBinding
-    leaf_goals: dict = field(default_factory=dict)  # normalized leaf -> tuple[GoalSpec]
-    predicates: dict = field(default_factory=dict)  # key -> (entity, attribute, Condition)
-    tracked_entities: tuple = ()
-    required_entities: tuple = ()
-    required_attributes: dict = field(default_factory=dict)  # entity -> tuple of attrs
+    queries: dict[str, QueryBinding]  # normalized query text -> binding
+    leaf_goals: dict[str, tuple[GoalSpec, ...]]  # normalized leaf action -> goals
+    predicates: dict[str, Predicate] = field(default_factory=dict)
+    tracked_entities: tuple[str, ...] = ()
+    required_entities: tuple[str, ...] = ()
+    required_attributes: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def binding_for(self, query: str) -> QueryBinding:
         key = normalize_text(query)
@@ -103,59 +106,17 @@ def load_schema(path) -> TaskSchema:
     return parse_schema(read_json(path, "task schema"))
 
 
-def parse_schema(doc: dict) -> TaskSchema:
-    if not isinstance(doc, dict):
-        raise SchemaViolation("task schema must be a JSON object")
-    for key in ("task_id", "agent_start", "queries", "leaf_goals"):
-        if key not in doc:
-            raise SchemaViolation(f"task schema is missing {key!r}")
-    queries = {}
-    for text, raw in doc["queries"].items():
-        for key in ("entity", "attribute", "responses"):
-            if key not in raw:
-                raise SchemaViolation(f"query binding {text!r} is missing {key!r}")
-        responses = {
-            normalize_text(resp): parse_condition(cond, f"query {text!r} response {resp!r}")
-            for resp, cond in raw["responses"].items()
-        }
-        queries[normalize_text(text)] = QueryBinding(
-            entity=raw["entity"], attribute=raw["attribute"], responses=responses
+def parse_schema(doc) -> TaskSchema:
+    """The schema document as a TaskSchema, query, response and leaf keys normalized."""
+    schema = parse_as(TaskSchema, doc, "task schema")
+    queries = {
+        normalize_text(text): replace(
+            binding, responses={normalize_text(r): c for r, c in binding.responses.items()}
         )
-    leaf_goals = {}
-    for leaf, goals in doc["leaf_goals"].items():
-        parsed = []
-        for g in goals:
-            for key in ("entity", "attribute", "value"):
-                if key not in g:
-                    raise SchemaViolation(f"goal under {leaf!r} is missing {key!r}")
-            parsed.append(
-                GoalSpec(entity=g["entity"], attribute=g["attribute"], value=str(g["value"]))
-            )
-        leaf_goals[normalize_text(leaf)] = tuple(parsed)
-    predicates = {}
-    for key, raw in doc.get("predicates", {}).items():
-        for need in ("entity", "attribute"):
-            if need not in raw:
-                raise SchemaViolation(f"predicate {key!r} is missing {need!r}")
-        predicates[key] = (
-            raw["entity"],
-            raw["attribute"],
-            parse_condition(raw, f"predicate {key!r}"),
-        )
-    required_attributes = {
-        entity: tuple(attrs)
-        for entity, attrs in doc.get("required_attributes", {}).items()
+        for text, binding in schema.queries.items()
     }
-    return TaskSchema(
-        task_id=doc["task_id"],
-        agent_start=doc["agent_start"],
-        queries=queries,
-        leaf_goals=leaf_goals,
-        predicates=predicates,
-        tracked_entities=tuple(doc.get("tracked_entities", ())),
-        required_entities=tuple(doc.get("required_entities", ())),
-        required_attributes=required_attributes,
-    )
+    leaf_goals = {normalize_text(leaf): goals for leaf, goals in schema.leaf_goals.items()}
+    return replace(schema, queries=queries, leaf_goals=leaf_goals)
 
 
 def trajectory_conditions(schema: TaskSchema, trajectory: LogicalTrajectory) -> list:

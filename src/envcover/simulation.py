@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from .environment import EnvironmentSpec
 from .errors import SchemaMismatch, SchemaViolation
-from .jsonio import read_json
-from .schema import Condition, TaskSchema, goals_for_trajectory, parse_condition
+from .jsonio import parse_as, read_json
+from .schema import Condition, TaskSchema, goals_for_trajectory
 from .trajectories import LogicalTrajectory
 from .validator import PhysicsReport
 
@@ -108,8 +108,7 @@ def load_policy(path) -> PolicySpec:
 # ---------------------------------------------------------------------------
 
 
-# precondition kind -> the string keys it reads besides "kind", subject first
-# ("attr" also reads "op" and "values", through parse_condition)
+# precondition kind -> the keys it needs besides "kind"
 _PRECONDITION_KEYS = {
     "holding_nothing": (),
     "holding": ("entity",),
@@ -123,62 +122,53 @@ _PRECONDITION_KEYS = {
 @dataclass(frozen=True)
 class Precondition:
     kind: str
-    subject: str = ""  # the entity, or container_open's target; "$name" is a parameter
-    attribute: str = ""  # attr only
-    condition: Condition | None = None  # attr only
+    entity: str = ""  # "$name" is a parameter
+    target: str = ""  # container_open only
+    attribute: str = ""  # attr only, with op and values
+    op: str = ""
+    values: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        keys = _PRECONDITION_KEYS.get(self.kind)
+        if keys is None:
+            raise SchemaViolation(f"unknown precondition kind {self.kind!r}")
+        for key in keys:
+            if not getattr(self, key):
+                raise SchemaViolation(f"precondition {self.kind!r} needs {key!r}")
+        if self.kind == "attr":
+            Condition(self.op, self.values)  # raises unless op and values make a condition
 
 
-def _parse_precondition(raw, action: str) -> Precondition:
-    where = f"action {action!r} precondition"
-    kind = raw.get("kind") if isinstance(raw, dict) else None
-    if kind not in _PRECONDITION_KEYS:
-        raise SchemaViolation(f"{where} has unknown kind {kind!r}")
-    keys = _PRECONDITION_KEYS[kind]
-    for key in keys:
-        if not isinstance(raw.get(key), str):
-            raise SchemaViolation(f"{where} {kind!r} needs a string {key!r}")
-    if kind == "attr":
-        return Precondition(kind, raw["entity"], raw["attribute"], parse_condition(raw, where))
-    return Precondition(kind, raw[keys[0]] if keys else "")
+@dataclass(frozen=True)
+class Effect:
+    entity: str  # "$name" is a parameter
+    attribute: str
+    value: str  # "$name" is a parameter
 
 
 @dataclass(frozen=True)
 class ActionDef:
-    name: str
-    params: tuple
-    preconditions: tuple  # of Precondition
-    effects: tuple  # of dicts
+    params: tuple[str, ...]
+    preconditions: tuple[Precondition, ...] = ()
+    effects: tuple[Effect, ...] = ()
+
+    def __post_init__(self):
+        tokens = [t for pre in self.preconditions for t in (pre.entity, pre.target)]
+        for token in tokens + [t for e in self.effects for t in (e.entity, e.value)]:
+            if token.startswith("$") and token[1:] not in self.params:
+                raise SchemaViolation(f"{token} names no parameter of the action")
 
 
 @dataclass
 class ActionModel:
-    actions: dict = field(default_factory=dict)
+    actions: dict[str, ActionDef]
 
     def get(self, name: str) -> ActionDef | None:
         return self.actions.get(name)
 
 
-def parse_action_model(doc: dict) -> ActionModel:
-    if not isinstance(doc, dict) or "actions" not in doc:
-        raise SchemaViolation("action model must be an object with 'actions'")
-    model = ActionModel()
-    for name, raw in doc["actions"].items():
-        if not isinstance(raw, dict) or "params" not in raw:
-            raise SchemaViolation(f"action {name!r} must declare its params")
-        params = tuple(raw["params"])
-        for effect in raw.get("effects", ()):
-            for key in ("entity", "attribute", "value"):
-                if key not in effect:
-                    raise SchemaViolation(f"action {name!r} effect is missing {key!r}")
-        model.actions[name] = ActionDef(
-            name=name,
-            params=params,
-            preconditions=tuple(
-                _parse_precondition(pre, name) for pre in raw.get("preconditions", ())
-            ),
-            effects=tuple(raw.get("effects", ())),
-        )
-    return model
+def parse_action_model(doc) -> ActionModel:
+    return parse_as(ActionModel, doc, "action model")
 
 
 def load_action_model(path) -> ActionModel:
@@ -226,19 +216,15 @@ def initial_world(env: EnvironmentSpec, schema: TaskSchema) -> dict:
 
 
 def _resolve(token: str, args: dict) -> str:
-    if isinstance(token, str) and token.startswith("$"):
-        name = token[1:]
-        if name not in args:
-            raise _Halt(VERDICT_ERROR, f"action argument ${name} is not bound")
-        return args[name]
-    return token
+    # parse_action_model checks that every "$name" names a parameter
+    return args[token[1:]] if token.startswith("$") else token
 
 
 def _precondition_holds(pre: Precondition, world: dict, args: dict) -> bool:
     kind = pre.kind
     if kind == "holding_nothing":
         return world.get((AGENT, "holding")) == "nothing"
-    subject = _resolve(pre.subject, args)
+    subject = _resolve(pre.target if kind == "container_open" else pre.entity, args)
     if kind == "holding":
         return world.get((AGENT, "holding")) == subject
     if kind == "agent_at":
@@ -246,7 +232,7 @@ def _precondition_holds(pre: Precondition, world: dict, args: dict) -> bool:
     if kind == "present":
         return world.get((subject, "presence")) == "present"
     if kind == "attr":
-        return pre.condition.evaluate(world, subject, pre.attribute)
+        return Condition(pre.op, pre.values).evaluate(world, subject, pre.attribute)
     # container_open: a target "<container>_in" needs an openable container open
     if not subject.endswith("_in"):
         return True
@@ -282,11 +268,10 @@ def run_policy(
     def run_node(node) -> bool:
         tick()
         if isinstance(node, BtCondition):
-            bound = schema.predicates.get(node.predicate)
-            if bound is None:
+            predicate = schema.predicates.get(node.predicate)
+            if predicate is None:
                 raise _Halt(VERDICT_ERROR, f"unknown predicate {node.predicate!r}")
-            entity, attribute, condition = bound
-            result = condition.evaluate(world, entity, attribute)
+            result = predicate.evaluate(world, predicate.entity, predicate.attribute)
             trace.append(f"condition {node.predicate}: {'yes' if result else 'no'}")
             return result
         if isinstance(node, BtAction):
@@ -308,9 +293,8 @@ def run_policy(
                         f"action '{node.text}' violates precondition {pre.kind}",
                     )
             for effect in spec.effects:
-                entity = _resolve(effect["entity"], args)
-                value = _resolve(effect["value"], args)
-                world[(entity, effect["attribute"])] = value
+                entity = _resolve(effect.entity, args)
+                world[(entity, effect.attribute)] = _resolve(effect.value, args)
             trace.append(f"action {node.text}: done")
             return True
         if isinstance(node, BtSequence):

@@ -51,18 +51,6 @@ class UncertainFactor:
         return False
 
 
-def factors_from_records(records) -> tuple[UncertainFactor, ...]:
-    """Factors from their JSON records (``dataclasses.asdict`` of each factor,
-    as the generate_plan request and plans/subtasks.json carry them);
-    ``aliases`` may be left out."""
-    return tuple(
-        UncertainFactor(
-            name=r["name"], domain=tuple(r["domain"]), aliases=tuple(r.get("aliases", ()))
-        )
-        for r in records
-    )
-
-
 @dataclass(frozen=True)
 class SubtaskSpec:
     id: str
@@ -167,7 +155,11 @@ def _serialize_node(node: Node):
 
 
 def serialize_behavior_plan(trees: list[BehaviorPlanTree]) -> list:
-    """Inverse of parse_behavior_plan (branch order preserved)."""
+    """Inverse of parse_behavior_plan (branch order preserved).
+
+    Kept though the pipeline never writes a plan back: it is the inverse the
+    round-trip property tests check parse_behavior_plan against.
+    """
     return [_serialize_node(tree.root) for tree in trees]
 
 

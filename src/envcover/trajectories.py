@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import EmptyPathSet, InstanceTooLarge, StructureError
-from .task_model import BehaviorPlanTree, DecisionPath, QueryResponse, extract_paths
+from .task_model import BehaviorPlanTree, DecisionPath, extract_paths
 
 
 @dataclass(frozen=True)
@@ -178,18 +178,3 @@ def serialize_trajectory(trajectory: LogicalTrajectory) -> dict:
             for p in trajectory.paths
         ],
     }
-
-
-def deserialize_trajectory(doc: dict) -> LogicalTrajectory:
-    paths = tuple(
-        DecisionPath(
-            subtask_id=raw["subtask_id"],
-            steps=tuple(
-                QueryResponse(query=s["query"], response=s["response"])
-                for s in raw["steps"]
-            ),
-            leaf_action=raw["leaf_action"],
-        )
-        for raw in doc["paths"]
-    )
-    return LogicalTrajectory(paths=paths)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from envcover.assets import (
     EMBEDDING_DIM,
     AssetCatalog,
+    _scores,
     build_catalog,
     cosine_similarity,
     decode_vector,
@@ -195,6 +197,26 @@ def test_load_rejects_nonpositive_size(tmp_path):
     path.write_text(json.dumps(parsed))
     with pytest.raises(SchemaViolation):
         load_catalog(str(path))
+
+
+def test_retrieval_scores_equal_cosine_similarity_bit_for_bit():
+    # long seeded texts over a small vocabulary: queries and assets share many
+    # buckets, so a dot product summed in another order or precision would
+    # differ in the last bits
+    rng = random.Random(7)
+    vocabulary = [f"word{i}" for i in range(80)]
+
+    def text(n):
+        return " ".join(rng.choice(vocabulary) for _ in range(n))
+
+    catalog = build_catalog([(f"a{i:02d}", text(rng.randint(0, 40)), (1, 1, 1)) for i in range(12)])
+    for _ in range(200):
+        query = text(rng.randint(0, 40))
+        qvec = embed_text(query, catalog.dim)
+        scores = list(_scores(catalog, query))
+        assert [a.id for a, _ in scores] == sorted(a.id for a in catalog.assets)
+        for asset, score in scores:
+            assert score == cosine_similarity(qvec, list(asset.embedding)), (query, asset.id)
 
 
 def test_fixture_catalog_resolves_bundle_descriptions(catalog):

@@ -7,7 +7,6 @@ import pytest
 from envcover import providers
 from envcover.derivation import (
     derive,
-    verify_all,
     verify_independence,
     verify_syntax,
 )
@@ -20,7 +19,7 @@ from envcover.providers import (
     request_hash,
     save_cassette,
 )
-from envcover.task_model import SubtaskSpec, TaskSpec, UncertainFactor, parse_behavior_plan
+from envcover.task_model import SubtaskSpec, TaskSpec, UncertainFactor
 
 TASK = TaskSpec(id="demo", description="tidy two shelves", environment_type="indoor")
 
@@ -88,14 +87,12 @@ def test_syntax_reports_parse_errors():
     assert [v.rule for v in report.violations] == ["syntax"]
 
 
-def test_verify_all_orders_independence_before_grounding():
-    subtasks = [spec("a", "x"), spec("b", "x")]
-    trees = parse_behavior_plan(
-        [tree_over("x"), {"is the mystery there?": {"YES": "Act.", "NO": "Do nothing."}}],
-        ["a", "b"],
-    )
-    report = verify_all(subtasks, trees)
-    rules = [v.rule for v in report.violations]
+def test_report_orders_independence_before_grounding():
+    responses = two_subtask_responses(s2_factor="first thing")
+    responses["generate_plan"][1] = {"is the mystery there?": {"YES": "Act.", "NO": "Do nothing."}}
+    result = derive(PlanProvider(ScriptedChannel(responses)), TASK, max_rounds=1)
+    assert result.status == "exhausted_rounds"
+    rules = [v.rule for v in result.report.violations]
     assert rules[0] == "independence"
     assert "grounding" in rules[1:]
 

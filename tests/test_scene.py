@@ -115,6 +115,21 @@ def test_resolve_objects_pulls_sizes_from_the_catalog(catalog):
     assert objects[1].attributes == {"toy_type": "doll"}
 
 
+@pytest.mark.parametrize("height", ["high", "nan", "inf", ""])
+def test_resolve_objects_rejects_a_mount_height_that_is_no_finite_number(catalog, height):
+    raw = [
+        {
+            "id": "picture",
+            "description": "a framed wall picture",
+            "room": "living_room",
+            "category": "enrichment",
+            "attributes": {"mount_height": height},
+        }
+    ]
+    with pytest.raises(SchemaViolation, match=r"^\[0\]: .*mount_height"):
+        resolve_objects(raw, catalog)
+
+
 def test_parse_relations_inherits_priority_from_subject_category():
     objects = [
         ObjectSpec(id="sofa", description="", room="r", size=(2, 0.8, 0.9), category="task_related"),

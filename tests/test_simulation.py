@@ -99,6 +99,8 @@ BAD_PRECONDITIONS = {
     "no_entity": {"kind": "holding"},
     "no_target": {"kind": "container_open", "entity": "$target"},
     "no_attribute": {k: v for k, v in dirty().items() if k != "attribute"},
+    "unbound_parameter": {"kind": "agent_at", "entity": "$nope"},
+    "unbound_target": {"kind": "container_open", "target": "$nope"},
 }
 
 
@@ -106,6 +108,20 @@ BAD_PRECONDITIONS = {
 def test_parse_action_model_rejects_bad_preconditions(pre):
     with pytest.raises(SchemaViolation):
         parse_action_model(wipe_model(pre))
+
+
+@pytest.mark.parametrize(
+    "effect",
+    [
+        {"entity": "$nope", "attribute": "cleanliness", "value": "clean"},
+        {"entity": "$target", "attribute": "cleanliness", "value": "$nope"},
+    ],
+    ids=["entity", "value"],
+)
+def test_parse_action_model_rejects_an_effect_on_no_parameter(effect):
+    doc = {"actions": {"wipe": {"params": ["target"], "effects": [effect]}}}
+    with pytest.raises(SchemaViolation, match=r"\$nope names no parameter"):
+        parse_action_model(doc)
 
 
 def test_attr_precondition_evaluates_its_condition():
