@@ -121,6 +121,11 @@ def _read_json(path: Path, what: str):
     return read_json(path, what)
 
 
+def _read_as(tp, path: Path, what: str):
+    """The run-dir document at path, read as a tp."""
+    return parse_as(tp, _read_json(path, what), what)
+
+
 def _open_provider_channel(bundle: TaskBundle, live_endpoint: str | None):
     cassette = bundle.cassette_file
     if live_endpoint is None:
@@ -176,8 +181,7 @@ def stage_derive(
 
 def _load_plans(paths: RunPaths):
     plan_doc = _read_json(paths.plans / "plan_document.json", "plan document")
-    raw_subtasks = _read_json(paths.plans / "subtasks.json", "subtask list")
-    subtasks = list(parse_as(tuple[SubtaskSpec, ...], raw_subtasks, "subtask list"))
+    subtasks = list(_read_as(tuple[SubtaskSpec, ...], paths.plans / "subtasks.json", "subtask list"))
     trees = parse_behavior_plan(plan_doc, [s.id for s in subtasks])
     return subtasks, trees
 
@@ -204,8 +208,8 @@ class _Selection:
 
 
 def _load_selected(paths: RunPaths) -> list:
-    doc = _read_json(paths.trajectories / "selected.json", "selected trajectories")
-    return list(parse_as(_Selection, doc, "selected trajectories").trajectories)
+    path = paths.trajectories / "selected.json"
+    return list(_read_as(_Selection, path, "selected trajectories").trajectories)
 
 
 def _env_file(paths: RunPaths, index: int) -> Path:
@@ -351,16 +355,42 @@ def stage_simulate(paths: RunPaths, bundle: TaskBundle, budget: int = DEFAULT_BU
     return doc
 
 
+# the fields of the earlier stages' documents that stage_report reads
+
+
+@dataclass
+class _Universe:
+    count: int
+
+
+@dataclass
+class _PhysicsSummary:
+    pass_rate: float
+
+
+@dataclass
+class _ValiditySummary:
+    rate: float
+
+
+@dataclass
+class _SimulationSummary:
+    fault_detection_rate: float
+    total_ticks: int
+
+
 def stage_report(paths: RunPaths) -> dict:
     paths.ensure()
     subtasks, trees = _load_plans(paths)
-    task = parse_as(TaskSpec, _read_json(paths.plans / "task.json", "task echo"), "task echo")
-    universe_doc = _read_json(paths.trajectories / "universe.json", "trajectory universe")
+    task = _read_as(TaskSpec, paths.plans / "task.json", "task echo")
+    universe = _read_as(_Universe, paths.trajectories / "universe.json", "trajectory universe")
     selected = _load_selected(paths)
     envs = _load_environments(paths)
-    physics_doc = _read_json(paths.reports / "physics.json", "physics report")
-    validity_doc = _read_json(paths.reports / "validity.json", "validity report")
-    simulation_doc = _read_json(paths.reports / "simulation.json", "simulation report")
+    physics = _read_as(_PhysicsSummary, paths.reports / "physics.json", "physics report")
+    validity = _read_as(_ValiditySummary, paths.reports / "validity.json", "validity report")
+    simulation = _read_as(
+        _SimulationSummary, paths.reports / "simulation.json", "simulation report"
+    )
 
     realized_ids = {env.trajectory_id for _, env in envs}
     realized = [t for t in selected if t.trajectory_id in realized_ids]
@@ -369,7 +399,7 @@ def stage_report(paths: RunPaths) -> dict:
     doc = {
         "task_id": task.id,
         "trajectories": {
-            "universe": universe_doc["count"],
+            "universe": universe.count,
             "selected": len(selected),
             "realized": len(realized),
         },
@@ -386,11 +416,11 @@ def stage_report(paths: RunPaths) -> dict:
             },
             "jaccard_selected_vs_universe": selection_jaccard(trees, realized),
         },
-        "physics": {"pass_rate": physics_doc["pass_rate"]},
-        "validity": {"rate": validity_doc["rate"]},
+        "physics": {"pass_rate": physics.pass_rate},
+        "validity": {"rate": validity.rate},
         "simulation": {
-            "fault_detection_rate": simulation_doc["fault_detection_rate"],
-            "total_ticks": simulation_doc["total_ticks"],
+            "fault_detection_rate": simulation.fault_detection_rate,
+            "total_ticks": simulation.total_ticks,
         },
         "environments": sorted(name for name, _ in envs),
     }

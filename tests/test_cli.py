@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from envcover.cli import main
+from envcover.errors import SchemaViolation
+from envcover.pipeline import RunPaths, stage_report
 
 EXPECTED_FILES = [
     "plans/task.json",
@@ -191,6 +193,31 @@ def test_a_truncated_report_input_exits_2(full_run, tmp_path, capsys):
     physics.write_text(physics.read_text()[:40])
     assert main(["report", "--out", str(run)]) == 2
     assert "physics report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, key, what",
+    [("physics.json", "pass_rate", "physics report"), ("simulation.json", "total_ticks", "simulation report")],
+)
+def test_a_report_input_without_a_read_key_exits_2(name, key, what, full_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    path = run / "reports" / name
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert what in err and key in err
+
+
+def test_a_universe_count_as_a_string_is_a_schema_violation(full_run, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    (run / "trajectories" / "universe.json").write_text('{"count": "3"}')
+    with pytest.raises(SchemaViolation, match="trajectory universe") as excinfo:
+        stage_report(RunPaths(run))
+    assert excinfo.value.field == "count"
 
 
 @pytest.mark.parametrize(
