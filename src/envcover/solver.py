@@ -19,11 +19,16 @@ search state is one int bitmask per variable (bit-parallel domains: Lecoutre
 and Vion, Constraint Programming Letters 2, 2008): bit i stands for
 problem.domains[vid][i], and a position cell i is (xs[i // nz], zs[i % nz]),
 the product(xs, zs) order of the encoded cells. Value order is a seeded
-permutation of each domain's indices, made once per problem (value_orders);
-the search tries a variable's surviving values in that order, so a fixed seed
-and config reproduce the identical solution. The permutation is the one
-random.shuffle would give the encoded list, drawn by an inline replica of its
-Fisher-Yates loop. Exhausting the search space returns an unsat solution;
+permutation of each domain's indices (value_order), and the search tries a
+variable's surviving values in that order, so a fixed seed and config
+reproduce the identical solution. Each variable draws its permutation from
+its own stream, random.Random(f"{seed}:{vid}"), whose string seed goes
+through SHA-512, so the order depends on neither PYTHONHASHSEED nor the
+other variables' domains. The draws are lazy: a forward Fisher-Yates step
+fixes position k only when the search first reads it, and the problem keeps
+the drawn prefix, so a revisit or a later relaxation rung replays it. A
+search that never backtracks draws a few indices per variable, not one per
+cell. Exhausting the search space returns an unsat solution;
 hitting the backtrack budget, the only cap on the search, raises
 SolverTimeout instead, because a capped search proves nothing. No clock is
 read, so the outcome does not depend on machine load.
@@ -51,7 +56,6 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -541,7 +545,7 @@ class CspProblem:
         self.variables: list[str] = []  # variable ids in search order
         self.domains: dict[str, Sequence] = {}
         self.constraints: list[CspConstraint] = []
-        self._orders: dict[str, array] | None = None
+        self._orders: dict[str, _ValueOrder] = {}
         self._encode()
 
     # -- construction -------------------------------------------------------
@@ -878,23 +882,19 @@ class CspProblem:
 
     # -- evaluation helpers --------------------------------------------------
 
-    def value_orders(self) -> dict[str, array]:
-        """Per variable, in variable order, the permutation of its domain's
-        indices that the search tries the values in.
+    def value_order(self, vid: str) -> _ValueOrder:
+        """The permutation of vid's domain indices that the search tries its
+        values in, drawn from vid's own stream random.Random(f"{seed}:{vid}").
 
-        The permutations come from one seeded generator, drawn in variable
-        order, so they depend only on the seed and the encoded domain sizes
-        and are computed once per problem; every solve reads the same arrays
-        and none changes them. Each is the order random.shuffle would give
-        the domain's list: _shuffle_indices replays its draws.
+        It depends only on the seed, vid and the size of vid's domain. The
+        problem keeps one per variable, so every solve replays what earlier
+        ones drew.
         """
-        if self._orders is None:
-            rng = random.Random(self.config.seed)
-            self._orders = {
-                vid: array("l", _shuffle_indices(rng, len(self.domains[vid])))
-                for vid in self.variables
-            }
-        return self._orders
+        order = self._orders.get(vid)
+        if order is None:
+            rng = random.Random(f"{self.config.seed}:{vid}")
+            order = self._orders[vid] = _ValueOrder(rng, len(self.domains[vid]))
+        return order
 
     def check_assignment(self, assignment: dict, skip: frozenset = frozenset()) -> bool:
         """Evaluate every (non-skipped) constraint under a full assignment."""
@@ -947,28 +947,33 @@ def _ray_hits(rect_box, ox: float, oz: float, direction: str, max_dist: float | 
     return dist <= max_dist + _TOL
 
 
-def _shuffle_indices(rng: random.Random, n: int) -> list[int]:
-    """list(range(n)) shuffled as rng.shuffle would shuffle it, leaving rng
-    in the same state.
+class _ValueOrder:
+    """A seeded permutation of range(n), drawn as it is read.
 
-    random.shuffle swaps item i with item randbelow(i + 1) for i from n - 1
-    down to 1, and randbelow(m) draws getrandbits(m.bit_length()) until the
-    draw is below m. This loop makes the same draws, grouped by bit length so
-    that the width is computed once per power of two, with no call per item.
+    Iterating yields the permutation a forward Fisher-Yates shuffle of
+    range(n) makes: step k swaps position k with position
+    k + rng.randrange(n - k) and fixes it. A step runs only when an iterator
+    first reaches position k, and the array being shuffled is a dict that
+    holds just the positions the steps so far have moved. Fixed positions
+    go to ``drawn``, so a later iterator replays them without drawing.
     """
-    perm = list(range(n))
-    getrandbits = rng.getrandbits
-    top = n - 1
-    while top >= 1:
-        k = (top + 1).bit_length()
-        low = max(1, (1 << (k - 1)) - 1)  # the smallest i whose i + 1 has k bits
-        for i in range(top, low - 1, -1):
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            perm[i], perm[j] = perm[j], perm[i]
-        top = low - 1
-    return perm
+
+    __slots__ = ("n", "drawn", "_rng", "_moved")
+
+    def __init__(self, rng: random.Random, n: int):
+        self.n = n
+        self.drawn: list[int] = []
+        self._rng = rng
+        self._moved: dict[int, int] = {}
+
+    def __iter__(self):
+        drawn, moved, n = self.drawn, self._moved, self.n
+        for k in range(n):
+            if k == len(drawn):
+                j = k + self._rng.randrange(n - k)
+                drawn.append(moved.get(j, j))
+                moved[j] = moved.pop(k, k)
+            yield drawn[k]
 
 
 def encode(rooms, doorways, windows, objects, relations, config: SolverConfig | None = None) -> CspProblem:
@@ -992,7 +997,7 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
     config = problem.config
     order = problem.variables
     domains = problem.domains
-    orders = problem.value_orders()
+    orders = {vid: problem.value_order(vid) for vid in order}
     masks = {vid: (1 << len(domains[vid])) - 1 for vid in order}
 
     # variables are assigned depth-first in a static order, so a constraint

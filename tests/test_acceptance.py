@@ -375,9 +375,9 @@ def test_c09_relaxation_drops_enrichment_relations_only():
 # grid. A change that alters any scene or report byte must update them and
 # say why.
 PINNED_RUN_DIGESTS = {
-    0.2: "9b854600bd07d1448eeeeb647921bc751f3f5c3c2a14a08e2db6409f3b7069bf",
-    0.1: "efc75f00be4f399b3fc9173b1f8f82bbfc4e4114e2281cbdc5598785b1a4e6ae",
-    0.05: "3b7b8d34a640e3cc0db7a44f3187b2be962c5e80b2d098ecb35617fbd47b585c",
+    0.2: "018f022c2f82f544c648645066bbe35bd8a9a7b6925500d6de44259485a32709",
+    0.1: "b414e685dacfa4b76d167f0fcfc1f9240abe6ed2000913ce59d2cfe81aa30764",
+    0.05: "7c95a0116d3f13e1ee1a4387b198e78eb4b04b25e21ce6dd1e64505159c61a64",
 }
 
 
