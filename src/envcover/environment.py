@@ -275,17 +275,15 @@ def _rect_overlap_area(a, b) -> float:
     return w * d if w > 0 and d > 0 else 0.0
 
 
-def _support_location(env: EnvironmentSpec, obj: ObjectSpec) -> str:
+def _support_location(env: EnvironmentSpec, obj: ObjectSpec, box, boxes) -> str:
     """Where an object rests, by geometry alone: "floor", "<id>_top",
-    "<id>_in", "wall" (mounted), or "floating"."""
-    p = env.placement_of(obj.id)
-    box = placed_box(obj, p)
+    "<id>_in", "wall" (mounted), or "floating". box is obj's placed box and
+    boxes pairs every object with its own, in env.objects order."""
     rect = (box[0], box[2], box[3], box[5])
     area = max((rect[2] - rect[0]) * (rect[3] - rect[1]), 1e-12)
-    for other in env.objects:
+    for other, ob in boxes:
         if other.id == obj.id:
             continue
-        ob = placed_box(other, env.placement_of(other.id))
         inside = (
             box[0] >= ob[0] - SUPPORT_EPS
             and box[2] >= ob[2] - SUPPORT_EPS
@@ -295,10 +293,9 @@ def _support_location(env: EnvironmentSpec, obj: ObjectSpec) -> str:
         )
         if inside and abs(box[1] - ob[1]) <= SUPPORT_EPS:
             return f"{other.id}_in"
-    for other in env.objects:
+    for other, ob in boxes:
         if other.id == obj.id:
             continue
-        ob = placed_box(other, env.placement_of(other.id))
         if abs(box[1] - ob[4]) <= SUPPORT_EPS:
             orect = (ob[0], ob[2], ob[3], ob[5])
             if _rect_overlap_area(rect, orect) >= SUPPORT_OVERLAP_FRAC * area:
@@ -322,10 +319,14 @@ def rebuild_metadata(env: EnvironmentSpec) -> dict:
     """
     meta: dict[tuple[str, str], str] = {}
     present = {o.id for o in env.objects}
-    for obj in env.objects:
+    # each object's first placement, as placement_of finds it; an object
+    # without one is a KeyError, as there
+    placement = {p.object: p for p in reversed(env.placements)}
+    boxes = [(o, placed_box(o, placement[o.id])) for o in env.objects]
+    for obj, box in boxes:
         meta[(obj.id, "presence")] = "present"
         meta[(obj.id, "room")] = obj.room
-        meta[(obj.id, "location")] = _support_location(env, obj)
+        meta[(obj.id, "location")] = _support_location(env, obj, box, boxes)
         for key, value in sorted(obj.attributes.items()):
             meta[(obj.id, key)] = value
     for entity in env.tracked_entities:

@@ -42,11 +42,13 @@ is, so solve plans per rung which constraints forward checking runs after
 each assignment; each filters its last variable's domain mask, and a value
 that survives satisfies the constraint. A pruner keeps exactly the bits that
 setting each value and calling the predicate keeps: it evaluates the same
-float expressions, once per distinct grid coordinate where the predicate
-splits into an x test and a z test, and turns the results into masks. The
-predicates remain the reference: check_assignment and the tests' brute-force
-oracles call them, and so does forward checking, on each set bit, for the
-kinds without a pruner.
+float expressions. Where the predicate splits into an x test and a z test,
+the coordinates that pass each test form one run of the sorted grid
+coordinates (or a prefix and a suffix), so the pruner finds the run's ends
+by bisection, with a few tests per axis, and builds the mask from bit
+ranges. The predicates remain the reference: check_assignment and the
+tests' brute-force oracles call them, and so does forward checking, on each
+set bit, for the kinds without a pruner.
 
 Relation predicates here are written against this module's own box math; the
 physics validator re-implements the same semantics table independently.
@@ -288,17 +290,22 @@ def _positions_on_wall(wall, width: float, res: float) -> list[tuple[float, floa
 # prune(assign, u, mask) returns the set bits of ``mask`` whose cells the
 # constraint's predicate keeps. It evaluates the same float expressions as the
 # predicate, with the fixed endpoint's box, the moving footprint and the room
-# bounds hoisted out of the loop, so it keeps exactly what setting u to each
-# value and calling the predicate keeps. u is always a position variable:
-# each object's direction precedes its position in the search order, and
-# distance relations scope positions only.
+# bounds hoisted out, so it keeps exactly what setting u to each value and
+# calling the predicate keeps. u is always a position variable: each object's
+# direction precedes its position in the search order, and distance relations
+# scope positions only.
 #
 # A separable predicate is a test on x and a test on z, joined by "and" or
-# "or". Each test runs once per distinct coordinate of the moving object's
-# position grid, and _Grid turns the results into the masks of the cells
-# whose x or z passes: the prune is then mask & X & Z or mask & (X | Z). For
-# non_collision the cells that fail both tests form the configuration-space
-# obstacle of the placed box (Lozano-Perez, IEEE Trans. Computers 1983).
+# "or". Each test compares a float that is monotone in the coordinate c, such
+# as c - h or room.x_max - (c + h): IEEE rounding is monotone, so these are
+# monotone in floats too. So along one axis the coordinates that pass form
+# one run of the sorted xs or zs, or a prefix and a suffix; _first finds each
+# end by bisection, and _Grid turns a run into the bit range of its columns
+# or rows. The prune is then mask & X & Z or mask & (X | Z), with a few tests
+# per axis and no per-coordinate loop. For non_collision the blocked cells
+# are one rectangle of cells, the configuration-space obstacle of the placed
+# box (Lozano-Perez, IEEE Trans. Computers 1983). _resting_pruner still runs
+# once per distinct coordinate, since its area test couples the axes.
 
 
 class _Grid(Sequence):
@@ -310,13 +317,16 @@ class _Grid(Sequence):
     materializes no cell list.
     """
 
-    __slots__ = ("xs", "zs", "nz", "comb")
+    __slots__ = ("xs", "zs", "nz", "comb", "min_half")
 
     def __init__(self, xs: list[float], zs: list[float]):
         self.xs, self.zs, self.nz = xs, zs, len(zs)
-        # bit k * nz for every column k: times a row mask, it repeats the row
-        # in every column with no carries, because the row mask is below 1 << nz
-        self.comb = sum(1 << (k * self.nz) for k in range(len(xs)))
+        # bit k * nz for every column k, the geometric series in base 2 ** nz:
+        # times a row mask, it repeats the row in every column with no
+        # carries, because the row mask is below 1 << nz
+        self.comb = ((1 << (len(xs) * self.nz)) - 1) // ((1 << self.nz) - 1)
+        # the least half-extent for which _overlap_run is exact (see there)
+        self.min_half = 2 * _TOL + 2.0**-50 * max(-xs[0], xs[-1], -zs[0], zs[-1])
 
     def __len__(self) -> int:
         return len(self.xs) * self.nz
@@ -324,16 +334,23 @@ class _Grid(Sequence):
     def __getitem__(self, i: int) -> tuple[float, float]:
         return (self.xs[i // self.nz], self.zs[i % self.nz])
 
+    def column_run(self, a: int, b: int) -> int:
+        """The cells of columns a to b - 1; none when b <= a."""
+        return ((1 << ((b - a) * self.nz)) - 1) << (a * self.nz) if b > a else 0
+
+    def row_run(self, a: int, b: int) -> int:
+        """The cells of rows a to b - 1; none when b <= a."""
+        return self.comb * (((1 << (b - a)) - 1) << a) if b > a else 0
+
     def columns(self, keep) -> int:
-        """The cells of the columns k with keep[k] true; each run of kept
-        columns is one contiguous bit range."""
-        mask, nz, n, k = 0, self.nz, len(keep), 0
+        """The cells of the columns k with keep[k] true."""
+        mask, n, k = 0, len(keep), 0
         while k < n:
             if keep[k]:
                 j = k + 1
                 while j < n and keep[j]:
                     j += 1
-                mask |= ((1 << ((j - k) * nz)) - 1) << (k * nz)
+                mask |= self.column_run(k, j)
                 k = j
             else:
                 k += 1
@@ -346,6 +363,12 @@ class _Grid(Sequence):
             if ok:
                 zbits |= 1 << j
         return self.comb * zbits
+
+
+def _first(cs: list[float], test: Callable[[float], bool], lo: int = 0) -> int:
+    """The first index i >= lo with test(cs[i]) true, or len(cs), by
+    bisection: test must be false and then true along cs[lo:]."""
+    return bisect_left(cs, True, lo, key=test)
 
 
 def _filter_bits(mask: int, keep: Callable[[int], bool]) -> int:
@@ -369,54 +392,100 @@ def _keep_none(assign, u, mask):
 
 
 def _containment_pruner(geo, o: str, room: _RoomBounds):
+    """x - hx >= x_lo and x + hx > x_hi each turn true once along the
+    sorted xs, and the columns that pass run from the first turn to the
+    second; rows alike."""
     x_lo, x_hi = room.x_min - _TOL, room.x_max + _TOL
     z_lo, z_hi = room.z_min - _TOL, room.z_max + _TOL
     grid = geo.grids[o]
+    xs, zs = grid.xs, grid.zs
 
     def prune(assign, u, mask):
         hx, hz = geo.half_footprint(o, assign)
         return (
             mask
-            & grid.columns([x - hx >= x_lo and x + hx <= x_hi for x in grid.xs])
-            & grid.rows([z - hz >= z_lo and z + hz <= z_hi for z in grid.zs])
+            & grid.column_run(_first(xs, lambda x: x - hx >= x_lo), _first(xs, lambda x: x + hx > x_hi))
+            & grid.row_run(_first(zs, lambda z: z - hz >= z_lo), _first(zs, lambda z: z + hz > z_hi))
         )
 
     return prune
 
 
 def _edge_pruner(geo, o: str, room: _RoomBounds, limit: float):
+    """The gap to the near wall, x - hx - x_min, rises along xs, so the
+    columns within limit of it are a prefix; those within limit of the far
+    wall, x_max - (x + hx) falling, a suffix. Rows alike."""
     grid = geo.grids[o]
+    xs, zs, nx = grid.xs, grid.zs, len(grid.xs)
+    x_min, x_max, z_min, z_max = room.x_min, room.x_max, room.z_min, room.z_max
 
     def prune(assign, u, mask):
         hx, hz = geo.half_footprint(o, assign)
         return mask & (
-            grid.columns(
-                [x - hx - room.x_min <= limit or room.x_max - (x + hx) <= limit for x in grid.xs]
-            )
-            | grid.rows(
-                [z - hz - room.z_min <= limit or room.z_max - (z + hz) <= limit for z in grid.zs]
-            )
+            grid.column_run(0, _first(xs, lambda x: x - hx - x_min > limit))
+            | grid.column_run(_first(xs, lambda x: x_max - (x + hx) <= limit), nx)
+            | grid.row_run(0, _first(zs, lambda z: z - hz - z_min > limit))
+            | grid.row_run(_first(zs, lambda z: z_max - (z + hz) <= limit), grid.nz)
         )
 
     return prune
 
 
 def _wall_back_pruner(geo, o: str, room: _RoomBounds, eps: float):
-    """The back of o's box lies within eps of the wall it faces away from."""
+    """The back of o's box lies within eps of the wall it faces away from.
+
+    The back's offset from that wall is monotone along the axis it faces
+    on, so |offset| <= eps holds on the run from where the offset passes
+    one of -eps and eps to where it passes the other.
+    """
     grid = geo.grids[o]
+    xs, zs = grid.xs, grid.zs
+    x_min, x_max, z_min, z_max = room.x_min, room.x_max, room.z_min, room.z_max
 
     def prune(assign, u, mask):
         hx, hz = geo.half_footprint(o, assign)
         direction = assign[f"{o}.dir"]
         if direction == "north":
-            return mask & grid.rows([abs(z - hz - room.z_min) <= eps for z in grid.zs])
+            a = _first(zs, lambda z: z - hz - z_min >= -eps)
+            return mask & grid.row_run(a, _first(zs, lambda z: z - hz - z_min > eps, a))
         if direction == "south":
-            return mask & grid.rows([abs(room.z_max - (z + hz)) <= eps for z in grid.zs])
+            a = _first(zs, lambda z: z_max - (z + hz) <= eps)
+            return mask & grid.row_run(a, _first(zs, lambda z: z_max - (z + hz) < -eps, a))
         if direction == "east":
-            return mask & grid.columns([abs(x - hx - room.x_min) <= eps for x in grid.xs])
-        return mask & grid.columns([abs(room.x_max - (x + hx)) <= eps for x in grid.xs])
+            a = _first(xs, lambda x: x - hx - x_min >= -eps)
+            return mask & grid.column_run(a, _first(xs, lambda x: x - hx - x_min > eps, a))
+        a = _first(xs, lambda x: x_max - (x + hx) <= eps)
+        return mask & grid.column_run(a, _first(xs, lambda x: x_max - (x + hx) < -eps, a))
 
     return prune
+
+
+def _overlap_run(cs: list[float], h: float, f0: float, f1: float) -> tuple[int, int]:
+    """The run [a, b) of cs whose span [c - h, c + h] overlaps [f0, f1] by
+    more than _TOL, as _overlap_1d computes it; exact for h above the grid's
+    min_half.
+
+    lo = c - h and hi = c + h never fall as c grows, because rounding is
+    monotone. A span with hi <= f0 or lo >= f1 overlaps by at most 0, so
+    the overlapping cells lie in the run from the first hi > f0 to the
+    first lo >= f1, found by bisection. Inside it the overlap is, in order:
+    hi - f0, which never falls; then either the moving width hi - lo or the
+    fixed width f1 - f0; then f1 - lo, which never rises. The fixed width
+    bounds the first and last parts from above, so when it is at most _TOL
+    no cell passes. The moving width is above _TOL for every c once h >
+    2 * _TOL + 2 ** -50 * max|c|: c + h and c - h each round by at most
+    2 ** -53 * (|c| + h), so hi - lo >= 2 * _TOL exactly, and its rounding
+    cannot take it down to _TOL. So the passing cells are one run, and
+    trimming the candidate run's ends with the predicate's own expression
+    finds it; only cells that touch the fixed span within _TOL are trimmed.
+    """
+    a = _first(cs, lambda c: c + h > f0)
+    b = _first(cs, lambda c: c - h >= f1, a)
+    while a < b and _overlap_1d(cs[a] - h, cs[a] + h, f0, f1) <= _TOL:
+        a += 1
+    while a < b and _overlap_1d(cs[b - 1] - h, cs[b - 1] + h, f0, f1) <= _TOL:
+        b -= 1
+    return a, b
 
 
 def _non_collision_pruner(geo, a: str, b: str):
@@ -429,9 +498,14 @@ def _non_collision_pruner(geo, a: str, b: str):
         hx, hz = geo.half_footprint(moving, assign)
         f = geo.placed_box(fixed, assign)
         grid = geo.grids[moving]
+        xs, zs = grid.xs, grid.zs
+        if min(hx, hz) > grid.min_half:
+            blocked_x = grid.column_run(*_overlap_run(xs, hx, f[0], f[3]))
+            return mask & ~(blocked_x & grid.row_run(*_overlap_run(zs, hz, f[2], f[5])))
+        # a footprint thinner than the rounding margin: test every coordinate
         return mask & (
-            grid.columns([_overlap_1d(x - hx, x + hx, f[0], f[3]) <= _TOL for x in grid.xs])
-            | grid.rows([_overlap_1d(z - hz, z + hz, f[2], f[5]) <= _TOL for z in grid.zs])
+            grid.columns([_overlap_1d(x - hx, x + hx, f[0], f[3]) <= _TOL for x in xs])
+            | grid.rows([_overlap_1d(z - hz, z + hz, f[2], f[5]) <= _TOL for z in zs])
         )
 
     return prune

@@ -238,6 +238,18 @@ def test_unsupported_raised_object_floats():
     assert rebuild_metadata(env)[("cup", "location")] == "floating"
 
 
+def test_metadata_reads_each_objects_first_placement():
+    env = sample_env()
+    # a second, later placement of the cup on the floor is not read
+    env.placements.append(placed("cup", 2.5, 0.0, 0.5))
+    assert rebuild_metadata(env)[("cup", "location")] == "table_top"
+    # an object without a placement is a KeyError naming the first such object
+    env.placements = [p for p in env.placements if p.object not in ("bin", "coin")]
+    with pytest.raises(KeyError) as err:
+        rebuild_metadata(env)
+    assert err.value.args == ("bin",)
+
+
 def test_rebuild_metadata_never_mutates_the_environment():
     env = sample_env()
     env.metadata = {("stale", "marker"): "yes"}

@@ -4,8 +4,10 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,12 +17,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import envcover
-from envcover.environment import UNARY_KINDS, ObjectSpec, SpatialRelation, make_room
+from envcover.environment import UNARY_KINDS, ObjectSpec, SpatialRelation, footprint, make_room
 from envcover.errors import ConfigError, CoreUnsat, EncodingError, SolverTimeout
 from envcover.semantics import DIRECTION_VECTORS
 from envcover.solver import (
+    _TOL,
     SolverConfig,
     _distance_pruner,
+    _Grid,
     _ValueOrder,
     encode,
     solve,
@@ -568,6 +572,179 @@ def test_distance_pruner_keeps_cells_exactly_at_the_limit(within):
             prune = _distance_pruner(problem.geo, "a", "b", limit, within)
             keep = [d <= limit if within else d >= limit for d in d2]
             assert prune(assign, "a.pos", full) == mask_of(i for i, ok in enumerate(keep) if ok)
+
+
+def test_grid_comb_is_one_bit_per_column():
+    for nx, nz in itertools.product(range(1, 6), repeat=2):
+        grid = _Grid([float(k) for k in range(nx)], [float(j) for j in range(nz)])
+        assert grid.comb == sum(1 << (k * nz) for k in range(nx)), (nx, nz)
+    grid = _Grid([k / 10 for k in range(110)], [j / 10 for j in range(90)])
+    assert grid.comb == sum(1 << (k * 90) for k in range(110))
+
+
+def set_and_check(problem, c, assign, u):
+    """c's prune on every cell of u, and the cells whose value c's predicate keeps."""
+    domain = problem.domains[u]
+    expected = mask_of(i for i, v in enumerate(domain) if c.check({**assign, u: v}))
+    return c.prune(assign, u, mask_of(range(len(domain)))), expected
+
+
+def around(v):
+    """v, v +- _TOL and the floats one ulp either side of v."""
+    return [v, v + _TOL, v - _TOL, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]
+
+
+def center_with_edge(edge, half, side):
+    """A center whose box edge center + side * half (side -1 or 1) is the
+    float edge, or the float just past it where none is."""
+    x = edge - side * half
+    while x + side * half > edge:
+        x = math.nextafter(x, -math.inf)
+    while x + side * half < edge:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@pytest.mark.parametrize(
+    "room_side, a_size, b_size",
+    [
+        ((2.0, 1.5), (0.3, 0.5, 0.4), (0.9, 0.5, 0.7)),  # moving narrower than fixed
+        ((2.0, 1.5), (0.9, 0.5, 0.7), (0.3, 0.5, 0.2)),  # moving wider than fixed
+        ((2.0, 1.5), (0.3, 0.5, 0.4), (2.0, 0.5, 1.5)),  # fixed as large as the room
+        ((0.4, 2.0), (0.4, 0.5, 0.4), (0.3, 0.5, 0.5)),  # one x coordinate
+        ((2.0, 1.5), (1e-9, 0.5, 0.4), (0.9, 0.5, 0.7)),  # thinner than the rounding margin
+    ],
+)
+def test_non_collision_pruner_at_the_obstacle_edges(room_side, a_size, b_size):
+    # the fixed box's edges exactly at a grid coordinate's c - h and c + h,
+    # _TOL and one ulp either side, so a run that is off by one cell shows
+    room = make_room("r", 0, 0, *room_side)
+    problem = encode([room], [], [], [obj("a", a_size), obj("b", b_size)], [], SolverConfig(grid_resolution=0.1))
+    c = next(c for c in problem.constraints if c.kind == "non_collision")
+    grid = problem.geo.grids["a"]
+    fx, fz = footprint(b_size, "north")
+    mid = (room_side[0] / 2, room_side[1] / 2)
+    for direction in ("north", "east"):
+        hx, hz = (e / 2 for e in footprint(a_size, direction))
+        placements = [mid, (-10.0, mid[1]), (mid[0], 50.0)]  # overlapping, wholly outside
+        for axis, cs, h, half in ((0, grid.xs, hx, fx / 2), (1, grid.zs, hz, fz / 2)):
+            for coord in (cs[0], cs[len(cs) // 2], cs[-1]):
+                for edge in around(coord - h) + around(coord + h):
+                    for side in (-1, 1):
+                        pos = list(mid)
+                        pos[axis] = center_with_edge(edge, half, side)
+                        placements.append(tuple(pos))
+        for pos in placements:
+            assign = {"a.dir": direction, "b.dir": "north", "b.pos": pos}
+            got, expected = set_and_check(problem, c, assign, "a.pos")
+            assert got == expected, (direction, pos)
+
+
+def float_rank(v: float) -> int:
+    """An int that orders like the float v: adjacent floats rank one apart."""
+    i = struct.unpack("<q", struct.pack("<d", v))[0]
+    return i if i >= 0 else -(i & (2**63 - 1))
+
+
+def from_rank(k: int) -> float:
+    """The float of rank k."""
+    return struct.unpack("<d", struct.pack("<q", k if k >= 0 else -k | -(2**63)))[0]
+
+
+def flip_point(holds, lo: float, hi: float) -> tuple[float, float]:
+    """The adjacent floats a < b in [lo, hi] with holds(a) != holds(b), by
+    bisection on the float order, for a holds that flips once."""
+    a, b, first = float_rank(lo), float_rank(hi), holds(lo)
+    while b - a > 1:
+        m = (a + b) // 2
+        if holds(from_rank(m)) == first:
+            a = m
+        else:
+            b = m
+    return from_rank(a), from_rank(b)
+
+
+# per wall kind, moving sizes whose cells come near its thresholds: a back
+# 0.01 from the wall (mounted_on_wall), a side on it (room_containment) or
+# 0.3 from it (edge)
+WALL_SIZES = {
+    "room_containment": [(0.2, 0.5, 0.4)],
+    "edge": [(0.2, 0.5, 0.4)],
+    "mounted_on_wall": [(0.2, 0.5, 0.38), (0.2, 0.5, 0.22)],
+}
+
+
+# a narrow room with one x coordinate; rooms under 1 m wide, and rooms whose
+# far walls are at 0, where a far wall's x_max - (x + h) can land exactly on
+# the edge and mount thresholds
+@pytest.mark.parametrize(
+    "kind, bounds",
+    [(kind, (0.0, 0.0, 2.0, 2.0)) for kind in sorted(WALL_SIZES)]
+    + [
+        ("room_containment", (0.0, 0.0, 0.25, 2.0)),
+        ("edge", (0.0, 0.0, 0.9, 2.0)),
+        ("edge", (0.0, 0.0, 2.0, 0.9)),
+        ("mounted_on_wall", (-2.0, -2.0, 0.0, 0.0)),
+    ],
+)
+def test_wall_pruners_at_their_thresholds(kind, bounds):
+    # each room bound in turn moves, by at most 1e-7 so the grid stays, to
+    # the two adjacent floats where the predicate flips for a cell: there a
+    # wall test's float is exactly at its threshold where a float can be,
+    # else one ulp either side; and _TOL further either way
+    relations = [] if kind == "room_containment" else [SpatialRelation(kind=kind, subject="a")]
+    config = SolverConfig(grid_resolution=0.1)
+    for size in WALL_SIZES[kind]:
+
+        def constraint(room_bounds):
+            problem = encode([make_room("r", *room_bounds)], [], [], [obj("a", size)], relations, config)
+            return problem, next(c for c in problem.constraints if c.kind == kind)
+
+        cells = list(constraint(bounds)[0].domains["a.pos"])
+        flips = 0
+        for direction, wall in itertools.product(sorted(DIRECTION_VECTORS), range(4)):
+
+            def moved(v):
+                return bounds[:wall] + (bounds[wall] + v,) + bounds[wall + 1 :]
+
+            def holds(v, cell):
+                return constraint(moved(v))[1].check({"a.dir": direction, "a.pos": cell})
+
+            before, after = constraint(moved(-1e-7))[1], constraint(moved(1e-7))[1]
+            # one cell per coordinate across the wall: its neighbours along it flip alike
+            flipping = {
+                cell[wall % 2]: cell
+                for cell in cells
+                if before.check({"a.dir": direction, "a.pos": cell})
+                != after.check({"a.dir": direction, "a.pos": cell})
+            }
+            for cell in flipping.values():
+                flips += 1
+                for v in flip_point(lambda v: holds(v, cell), -1e-7, 1e-7):
+                    for w in (v, v - _TOL, v + _TOL):
+                        problem, c = constraint(moved(w))
+                        got, expected = set_and_check(problem, c, {"a.dir": direction}, "a.pos")
+                        assert got == expected, (size, direction, wall, w)
+        assert flips
+
+
+def test_fixture_pruners_make_few_overlap_calls(living_room_dir, tmp_path, monkeypatch):
+    # a work counter, not a timer: per-coordinate scans made 21 132
+    # _overlap_1d calls in this run, runs found by bisection about 1 000
+    import envcover.solver
+    from envcover.pipeline import run_all
+
+    calls = 0
+    overlap_1d = envcover.solver._overlap_1d
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return overlap_1d(*args)
+
+    monkeypatch.setattr(envcover.solver, "_overlap_1d", counted)
+    run_all(str(tmp_path / "run"), str(living_room_dir), grid=0.05)
+    assert 0 < calls < 2000
 
 
 # ---------------------------------------------------------------------------
