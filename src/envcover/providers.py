@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import urllib.request
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -96,6 +95,10 @@ class HttpChannel:
         self.endpoint = endpoint
 
     def send(self, kind: str, body):
+        # imported here: replay never sends, and the http and ssl stack
+        # would otherwise load with every envcover import
+        import urllib.request
+
         payload = json.dumps({"kind": kind, "body": body}).encode("utf-8")
         req = urllib.request.Request(
             self.endpoint, data=payload, headers={"Content-Type": "application/json"}

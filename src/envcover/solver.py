@@ -36,19 +36,21 @@ read, so the outcome does not depend on machine load.
 Each constraint is one CspConstraint: its scope's variables in search order
 (at least two), its predicate over a full assignment and, for the kinds that
 dominate the solver's runtime (containment, non_collision, near, far, edge,
-on_top_of, mounted_on_wall), a pruner. In a static variable order all but a
-constraint's last variable are assigned exactly when its second-to-last one
-is, so solve plans per rung which constraints forward checking runs after
-each assignment; each filters its last variable's domain mask, and a value
-that survives satisfies the constraint. A pruner keeps exactly the bits that
-setting each value and calling the predicate keeps: it evaluates the same
-float expressions. Where the predicate splits into an x test and a z test,
-the coordinates that pass each test form one run of the sorted grid
-coordinates (or a prefix and a suffix), so the pruner finds the run's ends
-by bisection, with a few tests per axis, and builds the mask from bit
-ranges. The predicates remain the reference: check_assignment and the
-tests' brute-force oracles call them, and so does forward checking, on each
-set bit, for the kinds without a pruner.
+side_of, on_top_of, mounted_on_wall), a pruner. In a static variable order
+all but a constraint's last variable are assigned exactly when its
+second-to-last one is, so solve plans per rung which constraints forward
+checking runs after each assignment; each filters its last variable's domain
+mask, and a value that survives satisfies the constraint. A pruner keeps
+exactly the bits that setting each value and calling the predicate keeps: it
+evaluates the same float expressions. Where the predicate splits into an x
+test and a z test, the coordinates that pass each test form one run of the
+sorted grid coordinates (or a prefix and a suffix), so the pruner finds the
+run's ends by bisection, with a few tests per axis, and builds the mask from
+bit ranges. A near or far mask depends only on the partner's cell, so its
+pruner computes it once per partner cell and every relaxation rung reuses
+it. The predicates remain the reference: check_assignment and the tests'
+brute-force oracles call them, and so does forward checking, on each set
+bit, for the kinds without a pruner.
 
 Relation predicates here are written against this module's own box math; the
 physics validator re-implements the same semantics table independently.
@@ -274,9 +276,9 @@ def _wall_of(room: _RoomBounds, orientation: str):
     return ("x", room.x_min, room.z_min, room.z_max)
 
 
-def _positions_on_wall(wall, width: float, res: float) -> list[tuple[float, float]]:
+def _positions_on_wall(wall, width: float, grid_points) -> list[tuple[float, float]]:
     axis, coord, lo, hi = wall
-    centers = _grid_points(lo + width / 2, hi - width / 2, res)
+    centers = grid_points(lo + width / 2, hi - width / 2)
     if axis == "x":
         return [(coord, c) for c in centers]
     return [(c, coord) for c in centers]
@@ -548,9 +550,9 @@ def _resting_pruner(geo, s: str, r: str, enough):
     return prune
 
 
-def _distance_pruner(geo, s: str, r: str, limit: float, within: bool):
-    """Cells whose squared center distance to the placed partner is <= limit
-    (within) or >= limit.
+def _distance_keep(grid: _Grid, px: float, pz: float, limit: float, within: bool) -> int:
+    """The cells of grid whose squared center distance to (px, pz) is <=
+    limit (within) or >= limit, as a mask.
 
     (x - px) ** 2 equals (px - x) ** 2 exactly: IEEE subtraction rounds
     symmetrically, so the operand order of the predicate does not matter.
@@ -561,43 +563,93 @@ def _distance_pruner(geo, s: str, r: str, limit: float, within: bool):
     [a, b) of rows, found by bisection on each side of pz; near keeps the
     run and far keeps the rest of the column.
     """
+    zs, nz = grid.zs, grid.nz
+    split = bisect_left(zs, pz)  # zs[:split] < pz <= zs[split:]
+    column = (1 << nz) - 1
+    keep = 0
+    for k, x in enumerate(grid.xs):
+        dx2 = (x - px) ** 2
+        if within and dx2 > limit:
+            continue  # adding dz ** 2 >= 0 cannot bring the sum back down
+        if not within and dx2 >= limit:
+            keep |= column << (k * nz)
+            continue
+        lo, hi = 0, split  # first row of the left side that is inside
+        while lo < hi:
+            m = (lo + hi) // 2
+            d = dx2 + (zs[m] - pz) ** 2
+            if (d <= limit) if within else (d < limit):
+                hi = m
+            else:
+                lo = m + 1
+        a = lo
+        lo, hi = split, nz  # first row of the right side that is outside
+        while lo < hi:
+            m = (lo + hi) // 2
+            d = dx2 + (zs[m] - pz) ** 2
+            if (d <= limit) if within else (d < limit):
+                lo = m + 1
+            else:
+                hi = m
+        run = ((1 << (lo - a)) - 1) << a
+        keep |= (run if within else column ^ run) << (k * nz)
+    return keep
+
+
+def _distance_pruner(geo, s: str, r: str, limit: float, within: bool):
+    """Cells within (near) or beyond (far) limit of the placed partner, by
+    _distance_keep.
+
+    The kept cells depend only on the moving endpoint and the partner's
+    cell, not on the incoming mask, so the pruner computes each (u, partner
+    cell) mask once and returns mask & keep after that. The memo lives as
+    long as the problem: every rung of solve_with_relaxation reuses it, and
+    it holds at most one mask per partner cell per moving endpoint.
+    """
     s_pos, r_pos = f"{s}.pos", f"{r}.pos"
+    keeps: dict[tuple[str, float, float], int] = {}
 
     def prune(assign, u, mask):
-        moving = s if u == s_pos else r
         px, pz = assign[r_pos if u == s_pos else s_pos]
-        grid = geo.grids[moving]
-        zs, nz = grid.zs, grid.nz
-        split = bisect_left(zs, pz)  # zs[:split] < pz <= zs[split:]
-        column = (1 << nz) - 1
-        keep = 0
-        for k, x in enumerate(grid.xs):
-            dx2 = (x - px) ** 2
-            if within and dx2 > limit:
-                continue  # adding dz ** 2 >= 0 cannot bring the sum back down
-            if not within and dx2 >= limit:
-                keep |= column << (k * nz)
-                continue
-            lo, hi = 0, split  # first row of the left side that is inside
-            while lo < hi:
-                m = (lo + hi) // 2
-                d = dx2 + (zs[m] - pz) ** 2
-                if (d <= limit) if within else (d < limit):
-                    hi = m
-                else:
-                    lo = m + 1
-            a = lo
-            lo, hi = split, nz  # first row of the right side that is outside
-            while lo < hi:
-                m = (lo + hi) // 2
-                d = dx2 + (zs[m] - pz) ** 2
-                if (d <= limit) if within else (d < limit):
-                    lo = m + 1
-                else:
-                    hi = m
-            run = ((1 << (lo - a)) - 1) << a
-            keep |= (run if within else column ^ run) << (k * nz)
+        key = (u, px, pz)
+        keep = keeps.get(key)
+        if keep is None:
+            grid = geo.grids[s if u == s_pos else r]
+            keep = keeps[key] = _distance_keep(grid, px, pz, limit, within)
         return mask & keep
+
+    return prune
+
+
+def _within_run(cs: list[float], p: float, limit: float) -> tuple[int, int]:
+    """The run [a, b) of cs with |c - p| <= limit: c - p never falls as c
+    grows, so it runs from the first c - p >= -limit to the first c - p >
+    limit."""
+    a = _first(cs, lambda c: c - p >= -limit)
+    return a, _first(cs, lambda c: c - p > limit, a)
+
+
+def _side_pruner(geo, s: str, r: str):
+    """Cells beside the partner: within SIDE_LONG_MAX of it along r's facing
+    and more than _TOL off that line across it.
+
+    A cardinal's vector holds 0.0 and +-1.0, so the predicate's longitudinal
+    offset is exactly +-dz (north, south) or +-dx (east, west), and its
+    lateral offset exactly +-dx or +-dz. |c - p| equals |p - c| exactly, so
+    either endpoint may move. Along the facing the kept rows (or columns)
+    are one run; across it the kept columns (or rows) are all but one run.
+    """
+    s_pos, r_pos, r_dir = f"{s}.pos", f"{r}.pos", f"{r}.dir"
+    along_max = SIDE_LONG_MAX + _TOL
+
+    def prune(assign, u, mask):
+        px, pz = assign[r_pos if u == s_pos else s_pos]
+        grid = geo.grids[s if u == s_pos else r]
+        if DIRECTION_VECTORS[assign[r_dir]][0] == 0.0:  # facing along z
+            along = grid.row_run(*_within_run(grid.zs, pz, along_max))
+            return mask & along & ~grid.column_run(*_within_run(grid.xs, px, _TOL))
+        along = grid.column_run(*_within_run(grid.xs, px, along_max))
+        return mask & along & ~grid.row_run(*_within_run(grid.zs, pz, _TOL))
 
     return prune
 
@@ -626,6 +678,16 @@ class CspProblem:
 
     def _encode(self) -> None:
         res = self.config.grid_resolution
+        # objects of one room with the same least footprint, and openings of
+        # one width on one wall, share their grid lists
+        points: dict[tuple[float, float], list[float]] = {}
+
+        def grid_points(lo: float, hi: float) -> list[float]:
+            pts = points.get((lo, hi))
+            if pts is None:
+                pts = points[(lo, hi)] = _grid_points(lo, hi, res)
+            return pts
+
         for i, a in enumerate(self.rooms):
             for b in self.rooms[i + 1 :]:
                 if (
@@ -666,8 +728,8 @@ class CspProblem:
                 raise EncodingError(f"object {o.id!r} does not fit in room {room.id!r}")
             min_fx = min(self.geo.footprints[(o.id, d)][0] for d in fits_any)
             min_fz = min(self.geo.footprints[(o.id, d)][1] for d in fits_any)
-            xs = _grid_points(room.x_min + min_fx / 2, room.x_max - min_fx / 2, res)
-            zs = _grid_points(room.z_min + min_fz / 2, room.z_max - min_fz / 2, res)
+            xs = grid_points(room.x_min + min_fx / 2, room.x_max - min_fx / 2)
+            zs = grid_points(room.z_min + min_fz / 2, room.z_max - min_fz / 2)
             if not xs or not zs:
                 raise EncodingError(f"no grid cell fits object {o.id!r} in room {room.id!r}")
             grid = self.geo.grids[o.id] = _Grid(xs, zs)
@@ -684,12 +746,12 @@ class CspProblem:
                 room = self.geo.rooms[a if b == "exterior" else b]
                 cells = []
                 for orientation in ("north", "south", "east", "west"):
-                    cells += _positions_on_wall(_wall_of(room, orientation), door.width, res)
+                    cells += _positions_on_wall(_wall_of(room, orientation), door.width, grid_points)
             else:
                 wall = _shared_wall(self.geo.rooms[a], self.geo.rooms[b])
                 if wall is None:
                     raise EncodingError(f"doorway {door.id!r} connects non-adjacent rooms")
-                cells = _positions_on_wall(wall, door.width, res)
+                cells = _positions_on_wall(wall, door.width, grid_points)
             if not cells:
                 raise EncodingError(f"doorway {door.id!r} does not fit on its wall")
             if door.height > WALL_HEIGHT + _TOL:
@@ -707,7 +769,7 @@ class CspProblem:
                 )
             if win.sill_height + win.height > WALL_HEIGHT + _TOL:
                 raise EncodingError(f"window {win.id!r} does not fit under the wall height")
-            cells = _positions_on_wall(_wall_of(room, win.orientation), win.width, res)
+            cells = _positions_on_wall(_wall_of(room, win.orientation), win.width, grid_points)
             if not cells:
                 raise EncodingError(f"window {win.id!r} is wider than its wall")
             self.variables.append(f"{win.id}.pos")
@@ -930,6 +992,8 @@ class CspProblem:
                 longitudinal = dx * fvx + dz * fvz
                 lateral = dx * -fvz + dz * fvx
                 return abs(longitudinal) <= SIDE_LONG_MAX + _TOL and abs(lateral) > _TOL
+
+            prune = _side_pruner(geo, s, r)
 
         elif rel.kind == "center_aligned":
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
+import envcover
 from envcover import providers
 from envcover.derivation import (
     derive,
@@ -335,3 +340,16 @@ def test_http_channel_wraps_transport_failures(monkeypatch):
     channel = HttpChannel("http://127.0.0.1:9/")
     with pytest.raises(ProviderError):
         channel.send("decompose", {"task": {}})
+
+
+def test_importing_the_pipeline_loads_no_http_stack():
+    # replay never sends, so HttpChannel.send imports urllib.request itself
+    src = str(Path(envcover.__file__).resolve().parents[1])
+    code = (
+        "import sys, envcover.pipeline; "
+        "print([m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import envcover
 from envcover.environment import UNARY_KINDS, ObjectSpec, SpatialRelation, footprint, make_room
 from envcover.errors import ConfigError, CoreUnsat, EncodingError, SolverTimeout
-from envcover.semantics import DIRECTION_VECTORS
+from envcover.semantics import DIRECTION_VECTORS, SIDE_LONG_MAX
 from envcover.solver import (
     _TOL,
     SolverConfig,
@@ -486,6 +486,7 @@ PRUNED = {
     "edge": ("edge",),
     "on_top_of": ("on_top_of",),
     "mounted_on_wall": ("mounted_on_wall",),
+    "side_of": ("side_of",),
 }
 
 coord = st.integers(min_value=-300, max_value=300).map(lambda k: k / 100)
@@ -572,6 +573,94 @@ def test_distance_pruner_keeps_cells_exactly_at_the_limit(within):
             prune = _distance_pruner(problem.geo, "a", "b", limit, within)
             keep = [d <= limit if within else d >= limit for d in d2]
             assert prune(assign, "a.pos", full) == mask_of(i for i, ok in enumerate(keep) if ok)
+
+
+@pytest.mark.parametrize("kind", ["near", "far"])
+def test_distance_pruner_memo_keeps_every_call_exact(kind):
+    # one pruner called over and over: two partner cells that share their x,
+    # in turn, with either endpoint moving, under a narrow mask and then the
+    # full one. A memo keyed on the partner's x alone or without the moving
+    # endpoint, or one that kept a masked result, shows
+    room = make_room("r", 0, 0, 4, 3)
+    objects = [obj("a", (0.5, 0.4, 0.9)), obj("b", (0.3, 0.4, 0.2))]
+    rel = SpatialRelation(kind=kind, subject="a", reference="b")
+    problem = encode([room], [], [], objects, [rel], SolverConfig(grid_resolution=0.1))
+    c = next(c for c in problem.constraints if c.kind == kind)
+    rng = random.Random(11)
+    sizes = {u: len(problem.domains[u]) for u in ("a.pos", "b.pos")}
+    narrow = {u: mask_of(rng.sample(range(n), 40)) for u, n in sizes.items()}
+    full = {u: mask_of(range(n)) for u, n in sizes.items()}
+    kept = {}
+    for name, masks in (("narrow", narrow), ("full", full)):
+        for cell in [(1.3, 0.5), (1.3, 2.4)] * 2:
+            for u, partner in (("a.pos", "b.pos"), ("b.pos", "a.pos")):
+                assign = {partner: cell}
+                domain = problem.domains[u]
+                expected = mask_of(
+                    i for i in range(sizes[u]) if masks[u] >> i & 1 and c.check({**assign, u: domain[i]})
+                )
+                assert c.prune(assign, u, masks[u]) == expected, (name, u, cell)
+                kept[name, u, cell] = expected
+    # the calls the memo must tell apart have different answers
+    answers = {k[1:]: v for k, v in kept.items() if k[0] == "full"}
+    assert len(set(answers.values())) == 4
+    assert all(kept["narrow", u, cell] != v for (u, cell), v in answers.items())
+
+
+def test_relaxation_computes_each_distance_mask_once(monkeypatch):
+    # a work counter: every rung sets each of a's cells under all four
+    # directions and prunes b by near and far, yet each (constraint,
+    # partner cell) mask is computed at most once over all the rungs
+    import envcover.solver
+
+    computed = collections.Counter()
+    distance_keep = envcover.solver._distance_keep
+
+    def counted(grid, px, pz, limit, within):
+        computed[(id(grid), px, pz, limit, within)] += 1
+        return distance_keep(grid, px, pz, limit, within)
+
+    monkeypatch.setattr(envcover.solver, "_distance_keep", counted)
+    objects, rels = contradictory_distance_scene()
+    problem = encode([room4()], [], [], objects, rels, GRID)
+    prunes = 0
+
+    def counting(prune):
+        def wrapped(assign, u, mask):
+            nonlocal prunes
+            prunes += 1
+            return prune(assign, u, mask)
+
+        return wrapped
+
+    problem.constraints = [
+        dataclasses.replace(c, prune=counting(c.prune)) if c.kind in ("near", "far") else c
+        for c in problem.constraints
+    ]
+    solution = solve_with_relaxation(problem)
+    assert solution.relaxed == [problem.relax_order()[0].id]
+    assert computed and max(computed.values()) == 1
+    assert prunes > 3 * len(computed)  # 1,569 prunes, 392 masks
+
+
+def test_side_pruner_at_its_thresholds():
+    # partners SIDE_LONG_MAX from a grid cell along an axis, and on its
+    # line across the other, then _TOL and one ulp either side of each, for
+    # every facing of the reference and either endpoint moving
+    room = make_room("r", 0, 0, 2.5, 2)
+    objects = [obj("a", (0.5, 0.4, 0.3)), obj("b", (0.4, 0.4, 0.6))]
+    rel = SpatialRelation(kind="side_of", subject="a", reference="b")
+    problem = encode([room], [], [], objects, [rel], SolverConfig(grid_resolution=0.1))
+    c = next(c for c in problem.constraints if c.kind == "side_of")
+    for moving, partner in (("a", "b"), ("b", "a")):
+        grid = problem.geo.grids[moving]
+        x, z = grid.xs[len(grid.xs) // 2], grid.zs[len(grid.zs) // 2]
+        for dx, dz in ((0.0, SIDE_LONG_MAX), (-SIDE_LONG_MAX, 0.0)):
+            for px, pz in itertools.product(around(x + dx), around(z + dz)):
+                for facing in sorted(DIRECTION_VECTORS):
+                    assign = {"b.dir": facing, f"{partner}.pos": (px, pz)}
+                    got, expected = set_and_check(problem, c, assign, f"{moving}.pos")
+                    assert got == expected, (moving, facing, px, pz)
 
 
 def test_grid_comb_is_one_bit_per_column():
