@@ -46,7 +46,9 @@ evaluates the same float expressions. Where the predicate splits into an x
 test and a z test, the coordinates that pass each test form one run of the
 sorted grid coordinates (or a prefix and a suffix), so the pruner finds the
 run's ends by bisection, with a few tests per axis, and builds the mask from
-bit ranges. A near or far mask depends only on the partner's cell, so its
+bit ranges. The on_top_of pruner bisects for the rectangle of cells that
+overlap the reference at all and tests the support area on each cell inside
+it. A near or far mask depends only on the partner's cell, so its
 pruner computes it once per partner cell and every relaxation rung reuses
 it. The predicates remain the reference: check_assignment and the tests'
 brute-force oracles call them, and so does forward checking, on each set
@@ -306,8 +308,9 @@ def _positions_on_wall(wall, width: float, grid_points) -> list[tuple[float, flo
 # or rows. The prune is then mask & X & Z or mask & (X | Z), with a few tests
 # per axis and no per-coordinate loop. For non_collision the blocked cells
 # are one rectangle of cells, the configuration-space obstacle of the placed
-# box (Lozano-Perez, IEEE Trans. Computers 1983). _resting_pruner still runs
-# once per distinct coordinate, since its area test couples the axes.
+# box (Lozano-Perez, IEEE Trans. Computers 1983). For on_top_of the cells
+# whose footprint overlaps the other's at all are one rectangle too; its area
+# test couples the axes, so _resting_pruner runs it on each cell inside.
 
 
 class _Grid(Sequence):
@@ -343,28 +346,6 @@ class _Grid(Sequence):
     def row_run(self, a: int, b: int) -> int:
         """The cells of rows a to b - 1; none when b <= a."""
         return self.comb * (((1 << (b - a)) - 1) << a) if b > a else 0
-
-    def columns(self, keep) -> int:
-        """The cells of the columns k with keep[k] true."""
-        mask, n, k = 0, len(keep), 0
-        while k < n:
-            if keep[k]:
-                j = k + 1
-                while j < n and keep[j]:
-                    j += 1
-                mask |= self.column_run(k, j)
-                k = j
-            else:
-                k += 1
-        return mask
-
-    def rows(self, keep) -> int:
-        """The cells of the rows j with keep[j] true."""
-        zbits = 0
-        for j, ok in enumerate(keep):
-            if ok:
-                zbits |= 1 << j
-        return self.comb * zbits
 
 
 def _first(cs: list[float], test: Callable[[float], bool], lo: int = 0) -> int:
@@ -462,27 +443,32 @@ def _wall_back_pruner(geo, o: str, room: _RoomBounds, eps: float):
     return prune
 
 
+def _touch_run(cs: list[float], h: float, f0: float, f1: float) -> tuple[int, int]:
+    """The run [a, b) of cs outside of which the span [c - h, c + h]
+    overlaps [f0, f1] by at most 0, for every h: lo = c - h and hi = c + h
+    never fall as c grows, because rounding is monotone, so the run goes
+    from the first hi > f0 to the first lo >= f1, found by bisection."""
+    a = _first(cs, lambda c: c + h > f0)
+    return a, _first(cs, lambda c: c - h >= f1, a)
+
+
 def _overlap_run(cs: list[float], h: float, f0: float, f1: float) -> tuple[int, int]:
     """The run [a, b) of cs whose span [c - h, c + h] overlaps [f0, f1] by
     more than _TOL, as _overlap_1d computes it; exact for h above the grid's
     min_half.
 
-    lo = c - h and hi = c + h never fall as c grows, because rounding is
-    monotone. A span with hi <= f0 or lo >= f1 overlaps by at most 0, so
-    the overlapping cells lie in the run from the first hi > f0 to the
-    first lo >= f1, found by bisection. Inside it the overlap is, in order:
-    hi - f0, which never falls; then either the moving width hi - lo or the
-    fixed width f1 - f0; then f1 - lo, which never rises. The fixed width
-    bounds the first and last parts from above, so when it is at most _TOL
-    no cell passes. The moving width is above _TOL for every c once h >
-    2 * _TOL + 2 ** -50 * max|c|: c + h and c - h each round by at most
-    2 ** -53 * (|c| + h), so hi - lo >= 2 * _TOL exactly, and its rounding
-    cannot take it down to _TOL. So the passing cells are one run, and
-    trimming the candidate run's ends with the predicate's own expression
-    finds it; only cells that touch the fixed span within _TOL are trimmed.
+    Inside _touch_run the overlap is, in order: hi - f0, which never falls;
+    then either the moving width hi - lo or the fixed width f1 - f0; then
+    f1 - lo, which never rises. The fixed width bounds the first and last
+    parts from above, so when it is at most _TOL no cell passes. The moving
+    width is above _TOL for every c once h > 2 * _TOL + 2 ** -50 * max|c|:
+    c + h and c - h each round by at most 2 ** -53 * (|c| + h), so hi - lo
+    >= 2 * _TOL exactly, and its rounding cannot take it down to _TOL. So
+    the passing cells are one run, and trimming the touch run's ends with
+    the predicate's own expression finds it; only cells that touch the
+    fixed span within _TOL are trimmed.
     """
-    a = _first(cs, lambda c: c + h > f0)
-    b = _first(cs, lambda c: c - h >= f1, a)
+    a, b = _touch_run(cs, h, f0, f1)
     while a < b and _overlap_1d(cs[a] - h, cs[a] + h, f0, f1) <= _TOL:
         a += 1
     while a < b and _overlap_1d(cs[b - 1] - h, cs[b - 1] + h, f0, f1) <= _TOL:
@@ -500,14 +486,15 @@ def _non_collision_pruner(geo, a: str, b: str):
         hx, hz = geo.half_footprint(moving, assign)
         f = geo.placed_box(fixed, assign)
         grid = geo.grids[moving]
-        xs, zs = grid.xs, grid.zs
+        xs, zs, nz = grid.xs, grid.zs, grid.nz
         if min(hx, hz) > grid.min_half:
             blocked_x = grid.column_run(*_overlap_run(xs, hx, f[0], f[3]))
             return mask & ~(blocked_x & grid.row_run(*_overlap_run(zs, hz, f[2], f[5])))
-        # a footprint thinner than the rounding margin: test every coordinate
-        return mask & (
-            grid.columns([_overlap_1d(x - hx, x + hx, f[0], f[3]) <= _TOL for x in xs])
-            | grid.rows([_overlap_1d(z - hz, z + hz, f[2], f[5]) <= _TOL for z in zs])
+        # a footprint thinner than the rounding margin: test every cell
+        return _filter_bits(
+            mask,
+            lambda i: _overlap_1d(xs[i // nz] - hx, xs[i // nz] + hx, f[0], f[3]) <= _TOL
+            or _overlap_1d(zs[i % nz] - hz, zs[i % nz] + hz, f[2], f[5]) <= _TOL,
         )
 
     return prune
@@ -528,10 +515,11 @@ def _overlap_spans(cs, h: float, f_lo: float, f_hi: float, extent: float | None)
 def _resting_pruner(geo, s: str, r: str, enough):
     """s's footprint overlaps r's, and enough(w, width, d, depth) holds.
 
-    w x d is the overlap and width x depth is s's footprint. Overlap and
-    extent are computed once per distinct coordinate; the area test, which
-    couples the axes, runs only on the cells that overlap on both. _overlap_1d
-    is symmetric in its two spans, so one loop serves either moving endpoint.
+    w x d is the overlap and width x depth is s's footprint. The cells that
+    overlap at all lie in one touch run per axis; overlap and extent are
+    computed over those runs only, and the area test, which couples the
+    axes, runs on each cell of both. _overlap_1d is symmetric in its two
+    spans, so one pruner serves either moving endpoint.
     """
     s_pos = f"{s}.pos"
 
@@ -542,10 +530,16 @@ def _resting_pruner(geo, s: str, r: str, enough):
         f = geo.placed_box(fixed, assign)
         grid = geo.grids[moving]
         nz = grid.nz
-        spans_x = _overlap_spans(grid.xs, hx, f[0], f[3], None if s_moves else f[3] - f[0])
-        spans_z = _overlap_spans(grid.zs, hz, f[2], f[5], None if s_moves else f[5] - f[2])
-        overlapping = mask & grid.columns(spans_x) & grid.rows(spans_z)
-        return _filter_bits(overlapping, lambda i: enough(*spans_x[i // nz], *spans_z[i % nz]))
+        ax, bx = _touch_run(grid.xs, hx, f[0], f[3])
+        az, bz = _touch_run(grid.zs, hz, f[2], f[5])
+        spans_x = _overlap_spans(grid.xs[ax:bx], hx, f[0], f[3], None if s_moves else f[3] - f[0])
+        spans_z = _overlap_spans(grid.zs[az:bz], hz, f[2], f[5], None if s_moves else f[5] - f[2])
+
+        def keep(i):
+            sx, sz = spans_x[i // nz - ax], spans_z[i % nz - az]
+            return sx is not None and sz is not None and enough(*sx, *sz)
+
+        return _filter_bits(mask & grid.column_run(ax, bx) & grid.row_run(az, bz), keep)
 
     return prune
 
@@ -907,10 +901,8 @@ class CspProblem:
             def enough(w, width, d, depth):
                 return w * d >= SUPPORT_OVERLAP_FRAC * width * depth - _TOL
 
-            if abs(geo.y_span(s)[0] - geo.y_span(r)[1]) > SUPPORT_EPS:
-                prune = _keep_none
-            else:
-                prune = _resting_pruner(geo, s, r, enough)
+            # no height test: _support_plan puts s's bottom on r's top
+            prune = _resting_pruner(geo, s, r, enough)
 
         elif rel.kind == "in":
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .environment import EnvironmentSpec, Room, placed_box
 from .semantics import (
+    CARDINALS,
     CENTER_ALIGNED_EPS,
     CENTER_MAX,
     DIRECTION_VECTORS,
@@ -83,6 +84,29 @@ def _back_gap(box, direction: str, room: Room) -> float:
     return abs(room.x_max - box[3])
 
 
+def _rests_on(box, ob) -> bool:
+    """box's bottom lies on ob's top face and enough of its footprint
+    overlaps ob's."""
+    if abs(box[1] - ob[4]) > SUPPORT_EPS:
+        return False
+    w = _overlap(box[0], box[3], ob[0], ob[3])
+    d = _overlap(box[2], box[5], ob[2], ob[5])
+    area = (box[3] - box[0]) * (box[5] - box[2])
+    return w > 0 and d > 0 and w * d >= SUPPORT_OVERLAP_FRAC * area - _TOL
+
+
+def _inside(box, ob) -> bool:
+    """box lies within ob, up to SUPPORT_EPS on every face."""
+    return (
+        box[0] >= ob[0] - SUPPORT_EPS
+        and box[2] >= ob[2] - SUPPORT_EPS
+        and box[3] <= ob[3] + SUPPORT_EPS
+        and box[5] <= ob[5] + SUPPORT_EPS
+        and box[1] >= ob[1] - SUPPORT_EPS
+        and box[4] <= ob[4] + SUPPORT_EPS
+    )
+
+
 def _ray_reaches(origin_x: float, origin_z: float, direction: str, box, limit: float | None) -> bool:
     fx, fz = DIRECTION_VECTORS[direction]
     if fx == 0:
@@ -102,6 +126,39 @@ def _ray_reaches(origin_x: float, origin_z: float, direction: str, box, limit: f
     if limit is None:
         return True
     return dist <= limit + _TOL
+
+
+def _wall(room: Room, side: str) -> tuple[str, float, float, float]:
+    """(axis, coord, lo, hi): the wall at axis == coord, spanning lo..hi
+    along the other axis. A side that is no cardinal reads as west."""
+    if side == "north":
+        return ("z", room.z_max, room.x_min, room.x_max)
+    if side == "south":
+        return ("z", room.z_min, room.x_min, room.x_max)
+    if side == "east":
+        return ("x", room.x_max, room.z_min, room.z_max)
+    return ("x", room.x_min, room.z_min, room.z_max)
+
+
+def _shared_walls(a: Room, b: Room) -> list[tuple[str, float, float, float]]:
+    """The walls two rooms share: where a side of one lies on a side of the
+    other, the stretch of it that both rooms span."""
+    walls = []
+    if abs(a.x_max - b.x_min) <= _TOL or abs(b.x_max - a.x_min) <= _TOL:
+        wall_x = a.x_max if abs(a.x_max - b.x_min) <= _TOL else b.x_max
+        walls.append(("x", wall_x, max(a.z_min, b.z_min), min(a.z_max, b.z_max)))
+    if abs(a.z_max - b.z_min) <= _TOL or abs(b.z_max - a.z_min) <= _TOL:
+        wall_z = a.z_max if abs(a.z_max - b.z_min) <= _TOL else b.z_max
+        walls.append(("z", wall_z, max(a.x_min, b.x_min), min(a.x_max, b.x_max)))
+    return walls
+
+
+def _on_wall(position, half: float, wall) -> bool:
+    """An opening of half-width half centred at position sits in the wall:
+    on its line, and within its span."""
+    axis, coord, lo, hi = wall
+    across, along = position if axis == "x" else (position[1], position[0])
+    return abs(across - coord) <= _TOL and lo - _TOL <= along - half and along + half <= hi + _TOL
 
 
 def check_floor_plan(env: EnvironmentSpec) -> list[Violation]:
@@ -127,40 +184,19 @@ def check_floor_plan(env: EnvironmentSpec) -> list[Violation]:
             continue
         if door.height > WALL_HEIGHT + _TOL:
             out.append(Violation("floor_plan", loc, "doorway taller than the wall"))
-        px, pz = door.position
-        sides = [s for s in door.connects if s != "exterior"]
-        side_rooms = [env.room_by_id(s) for s in sides]
+        half = door.width / 2
+        side_rooms = [env.room_by_id(s) for s in door.connects if s != "exterior"]
         if len(side_rooms) == 2:
-            a, b = side_rooms
-            on_wall = False
-            half = door.width / 2
-            if abs(a.x_max - b.x_min) <= _TOL or abs(b.x_max - a.x_min) <= _TOL:
-                wall_x = a.x_max if abs(a.x_max - b.x_min) <= _TOL else b.x_max
-                lo = max(a.z_min, b.z_min)
-                hi = min(a.z_max, b.z_max)
-                on_wall = abs(px - wall_x) <= _TOL and lo - _TOL <= pz - half and pz + half <= hi + _TOL
-            if not on_wall and (abs(a.z_max - b.z_min) <= _TOL or abs(b.z_max - a.z_min) <= _TOL):
-                wall_z = a.z_max if abs(a.z_max - b.z_min) <= _TOL else b.z_max
-                lo = max(a.x_min, b.x_min)
-                hi = min(a.x_max, b.x_max)
-                on_wall = abs(pz - wall_z) <= _TOL and lo - _TOL <= px - half and px + half <= hi + _TOL
-            if not on_wall:
+            if not any(_on_wall(door.position, half, w) for w in _shared_walls(*side_rooms)):
                 out.append(
                     Violation("floor_plan", loc, "doorway is not on the shared wall of its rooms")
                 )
-        else:
-            room = side_rooms[0]
-            half = door.width / 2
-            on_x_wall = (
-                abs(px - room.x_min) <= _TOL or abs(px - room.x_max) <= _TOL
-            ) and room.z_min - _TOL <= pz - half and pz + half <= room.z_max + _TOL
-            on_z_wall = (
-                abs(pz - room.z_min) <= _TOL or abs(pz - room.z_max) <= _TOL
-            ) and room.x_min - _TOL <= px - half and px + half <= room.x_max + _TOL
-            if not (on_x_wall or on_z_wall):
-                out.append(
-                    Violation("floor_plan", loc, "exterior doorway is not on a wall of its room")
-                )
+            continue
+        room = side_rooms[0]
+        if not any(_on_wall(door.position, half, _wall(room, side)) for side in CARDINALS):
+            out.append(
+                Violation("floor_plan", loc, "exterior doorway is not on a wall of its room")
+            )
     for win in env.windows:
         loc = win.id
         if win.position is None:
@@ -170,16 +206,8 @@ def check_floor_plan(env: EnvironmentSpec) -> list[Violation]:
             out.append(Violation("floor_plan", loc, "window sill must sit above the floor"))
         if win.sill_height + win.height > WALL_HEIGHT + _TOL:
             out.append(Violation("floor_plan", loc, "window does not fit under the wall height"))
-        room = env.room_by_id(win.room)
-        px, pz = win.position
-        half = win.width / 2
-        if win.orientation in ("north", "south"):
-            wall_z = room.z_max if win.orientation == "north" else room.z_min
-            ok = abs(pz - wall_z) <= _TOL and room.x_min - _TOL <= px - half and px + half <= room.x_max + _TOL
-        else:
-            wall_x = room.x_max if win.orientation == "east" else room.x_min
-            ok = abs(px - wall_x) <= _TOL and room.z_min - _TOL <= pz - half and pz + half <= room.z_max + _TOL
-        if not ok:
+        wall = _wall(env.room_by_id(win.room), win.orientation)
+        if not _on_wall(win.position, win.width / 2, wall):
             out.append(Violation("floor_plan", loc, "window is not within its wall span"))
     return out
 
@@ -236,22 +264,7 @@ def check_entities(env: EnvironmentSpec) -> list[Violation]:
         for other in env.objects:
             if other.id == obj.id:
                 continue
-            ob = boxes[other.id]
-            if abs(box[1] - ob[4]) <= SUPPORT_EPS:
-                w = _overlap(box[0], box[3], ob[0], ob[3])
-                d = _overlap(box[2], box[5], ob[2], ob[5])
-                area = (box[3] - box[0]) * (box[5] - box[2])
-                if w > 0 and d > 0 and w * d >= SUPPORT_OVERLAP_FRAC * area - _TOL:
-                    supported = True
-                    break
-            if (
-                box[0] >= ob[0] - SUPPORT_EPS
-                and box[2] >= ob[2] - SUPPORT_EPS
-                and box[3] <= ob[3] + SUPPORT_EPS
-                and box[5] <= ob[5] + SUPPORT_EPS
-                and box[1] >= ob[1] - SUPPORT_EPS
-                and box[4] <= ob[4] + SUPPORT_EPS
-            ):
+            if _rests_on(box, boxes[other.id]) or _inside(box, boxes[other.id]):
                 supported = True
                 break
         if not supported and obj.id in mounted:
@@ -310,23 +323,13 @@ def _relation_holds(env: EnvironmentSpec, idx: int) -> str | None:
             return f"centers are {dist:.3f} m apart (minimum {FAR_MIN})"
         return None
     if rel.kind == "on_top_of":
+        if _rests_on(sbox, rbox):
+            return None
         if abs(sbox[1] - rbox[4]) > SUPPORT_EPS:
             return f"bottom at {sbox[1]:.3f}, top of reference at {rbox[4]:.3f}"
-        w = _overlap(sbox[0], sbox[3], rbox[0], rbox[3])
-        d = _overlap(sbox[2], sbox[5], rbox[2], rbox[5])
-        area = (sbox[3] - sbox[0]) * (sbox[5] - sbox[2])
-        if w <= 0 or d <= 0 or w * d < SUPPORT_OVERLAP_FRAC * area - _TOL:
-            return "insufficient footprint overlap with the supporting face"
-        return None
+        return "insufficient footprint overlap with the supporting face"
     if rel.kind == "in":
-        if not (
-            sbox[0] >= rbox[0] - SUPPORT_EPS
-            and sbox[2] >= rbox[2] - SUPPORT_EPS
-            and sbox[3] <= rbox[3] + SUPPORT_EPS
-            and sbox[5] <= rbox[5] + SUPPORT_EPS
-            and sbox[1] >= rbox[1] - SUPPORT_EPS
-            and sbox[4] <= rbox[4] + SUPPORT_EPS
-        ):
+        if not _inside(sbox, rbox):
             return "subject is not inside the container box"
         return None
     if rel.kind == "above":
