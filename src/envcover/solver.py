@@ -3,7 +3,8 @@
 Encodes a scene draft (rooms, openings, objects, spatial relations) as a
 finite CSP: per object one position variable (grid cells in its room) and one
 direction variable (four cardinals), plus one position variable per doorway
-and window. Heights are not searched: an object's bottom height follows from
+and window; an exterior doorway's cells avoid every wall its room shares
+with another room. Heights are not searched: an object's bottom height follows from
 its support relation (none puts it on the floor; on_top_of on the top face of
 its reference, in on the bottom of its container, mounted_on_wall at the
 mount height), so the support relations are the only support constraints and
@@ -278,9 +279,19 @@ def _wall_of(room: _RoomBounds, orientation: str):
     return ("x", room.x_min, room.z_min, room.z_max)
 
 
-def _positions_on_wall(wall, width: float, grid_points) -> list[tuple[float, float]]:
+def _positions_on_wall(wall, width: float, grid_points, shared=()) -> list[tuple[float, float]]:
+    """The grid centers of an opening on wall, less those whose span
+    overlaps one of the shared walls on wall's line by more than _TOL."""
     axis, coord, lo, hi = wall
-    centers = grid_points(lo + width / 2, hi - width / 2)
+    half = width / 2
+    on_line = [
+        (a, b) for s_axis, s_coord, a, b in shared if s_axis == axis and abs(s_coord - coord) <= _TOL
+    ]
+    centers = [
+        c
+        for c in grid_points(lo + half, hi - half)
+        if all(_overlap_1d(c - half, c + half, a, b) <= _TOL for a, b in on_line)
+    ]
     if axis == "x":
         return [(coord, c) for c in centers]
     return [(c, coord) for c in centers]
@@ -738,9 +749,16 @@ class CspProblem:
                     raise EncodingError(f"doorway {door.id!r} names unknown room {r!r}")
             if "exterior" in (a, b):
                 room = self.geo.rooms[a if b == "exterior" else b]
+                # it opens to the outside, so onto no wall shared with a room
+                shared = [
+                    w
+                    for other in self.geo.rooms.values()
+                    if other is not room and (w := _shared_wall(room, other)) is not None
+                ]
                 cells = []
                 for orientation in ("north", "south", "east", "west"):
-                    cells += _positions_on_wall(_wall_of(room, orientation), door.width, grid_points)
+                    wall = _wall_of(room, orientation)
+                    cells += _positions_on_wall(wall, door.width, grid_points, shared)
             else:
                 wall = _shared_wall(self.geo.rooms[a], self.geo.rooms[b])
                 if wall is None:

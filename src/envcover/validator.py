@@ -4,8 +4,10 @@ Checks a finished EnvironmentSpec along three dimensions and reports
 env-level pass/fail for each:
 
 - floor_plan: rooms are well-formed rectangles that do not overlap,
-  doorways sit on the shared wall of the rooms they connect, windows sit in
-  their room's wall with a positive sill and fit under the wall height.
+  doorways sit on the shared wall of the rooms they connect, an exterior
+  doorway sits on a wall of its room and opens onto no other room, windows
+  sit in their room's wall with a positive sill and fit under the wall
+  height.
 - entity: every object is placed inside its declared room, no two object
   boxes collide (containment pairs exempt), and nothing floats: each object
   rests on the floor, on another object's top face, inside a container, or
@@ -161,6 +163,14 @@ def _on_wall(position, half: float, wall) -> bool:
     return abs(across - coord) <= _TOL and lo - _TOL <= along - half and along + half <= hi + _TOL
 
 
+def _opens_onto(position, half: float, wall) -> bool:
+    """An opening of half-width half centred at position opens onto the
+    wall: on its line, and overlapping its span by more than _TOL."""
+    axis, coord, lo, hi = wall
+    across, along = position if axis == "x" else (position[1], position[0])
+    return abs(across - coord) <= _TOL and _overlap(along - half, along + half, lo, hi) > _TOL
+
+
 def check_floor_plan(env: EnvironmentSpec) -> list[Violation]:
     out: list[Violation] = []
     rooms = list(env.rooms)
@@ -197,6 +207,13 @@ def check_floor_plan(env: EnvironmentSpec) -> list[Violation]:
             out.append(
                 Violation("floor_plan", loc, "exterior doorway is not on a wall of its room")
             )
+        if any(
+            _opens_onto(door.position, half, w)
+            for other in rooms
+            if other is not room
+            for w in _shared_walls(room, other)
+        ):
+            out.append(Violation("floor_plan", loc, "exterior doorway opens onto another room"))
     for win in env.windows:
         loc = win.id
         if win.position is None:

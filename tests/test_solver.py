@@ -286,6 +286,26 @@ def test_door_lands_on_the_shared_wall():
     assert 0.45 - 1e-9 <= z <= 3.55 + 1e-9
 
 
+@pytest.mark.parametrize(
+    "north_room, kept",
+    [
+        ((0, 3, 4, 6), []),  # the whole north wall is shared
+        ((0, 3, 2, 6), [2.45, 2.95, 3.45]),  # only its west half: spans that touch x = 2 stay
+    ],
+)
+def test_exterior_door_never_opens_onto_another_room(north_room, kept):
+    from envcover.environment import Doorway
+
+    rooms = [make_room("a", 0, 0, 4, 3), make_room("b", *north_room)]
+    door = Doorway(id="d", connects=("a", "exterior"), width=0.9, height=2.1)
+    problem = encode(rooms, [door], [], [], [], SolverConfig(grid_resolution=0.5, seed=5))
+    cells = list(problem.domains["d.pos"])
+    assert [x for x, z in cells if z == 3.0] == kept
+    assert len([c for c in cells if c[1] != 3.0]) == 17  # the other three walls keep every cell
+    x, z = solve(problem).door_positions["d"]
+    assert z != 3.0 or x in kept
+
+
 def test_door_between_detached_rooms_is_an_encoding_error():
     from envcover.environment import Doorway
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from envcover.environment import (
@@ -103,7 +105,113 @@ def test_interior_doorway_off_the_shared_wall_fails():
     assert validate_physics(env).floor_plan_ok
 
 
-def test_window_sill_on_the_floor_fails():
+def test_exterior_doorway_moved_onto_a_shared_wall_flips_only_the_floor_plan():
+    rooms = [make_room("r", 0, 0, 4, 4), make_room("r2", 0, 4, 4, 8)]
+    door = Doorway(id="d", connects=("r", "exterior"), width=0.9, height=2.1, position=(2.0, 0.0))
+    assert validate_physics(base_env(rooms=rooms, doorways=[door])).ok
+
+    moved = Doorway(id="d", connects=("r", "exterior"), width=0.9, height=2.1, position=(2.0, 4.0))
+    report = validate_physics(base_env(rooms=rooms, doorways=[moved]))
+    assert dims(report) == (False, True, True)
+    assert [v.message for v in report.failures] == ["exterior doorway opens onto another room"]
+
+    # beside a wall that is only partly shared, a span that touches its end is legal
+    rooms[1] = make_room("r2", 0, 4, 2, 8)
+    beside = Doorway(id="d", connects=("r", "exterior"), width=0.9, height=2.1, position=(2.45, 4.0))
+    assert validate_physics(base_env(rooms=rooms, doorways=[beside])).ok
+
+
+TOL = 1e-9
+
+
+def around(v):
+    """v, v +- TOL and the floats one ulp either side of v."""
+    return [v, v + TOL, v - TOL, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]
+
+
+def sits_in(position, half, wall):
+    """The oracle: an opening centred at position lies on the wall's line and
+    within its span, each up to TOL."""
+    axis, coord, lo, hi = wall
+    x, z = position
+    across, along = (x, z) if axis == "x" else (z, x)
+    return abs(across - coord) <= TOL and lo - TOL <= along - half and along + half <= hi + TOL
+
+
+def opens_onto(position, half, wall):
+    """The oracle: an opening centred at position lies on the wall's line and
+    overlaps its span by more than TOL."""
+    axis, coord, lo, hi = wall
+    x, z = position
+    across, along = (x, z) if axis == "x" else (z, x)
+    return abs(across - coord) <= TOL and min(along + half, hi) - max(along - half, lo) > TOL
+
+
+def probes(half, walls, forbidden):
+    """Centres at both ends of each wall's span for the opening, and where its
+    span starts or stops touching each forbidden wall, each on the wall's line
+    and off it by TOL and by one ulp."""
+    for axis, coord, lo, hi in walls + forbidden:
+        ends = [lo + half, hi - half] if (axis, coord, lo, hi) in walls else [lo - half, hi + half]
+        for along in (a for end in ends for a in around(end)):
+            for across in around(coord):
+                yield (across, along) if axis == "x" else (along, across)
+
+
+WALL_CASES = {
+    # name: (rooms, connects or window side, walls it may sit in, walls it must not open onto)
+    "interior_x_adjacent": (
+        [make_room("a", 0, 0, 4, 4), make_room("b", 4, 1, 8, 3)], ("a", "b"), [("x", 4, 1, 3)], []
+    ),
+    "interior_z_adjacent": (
+        [make_room("a", 0, 0, 4, 4), make_room("b", 1, 4, 3, 7)], ("b", "a"), [("z", 4, 1, 3)], []
+    ),
+    "exterior": (
+        [make_room("a", 0, 0, 4, 3), make_room("b", 0, -3, 2, 0)],
+        ("a", "exterior"),
+        [("z", 3, 0, 4), ("z", 0, 0, 4), ("x", 4, 0, 3), ("x", 0, 0, 3)],
+        [("z", 0, 0, 2)],
+    ),
+    **{
+        f"window_{side}": ([make_room("a", 1, 2, 5, 5)], side, [wall], [])
+        for side, wall in [
+            ("north", ("z", 5, 1, 5)),
+            ("south", ("z", 2, 1, 5)),
+            ("east", ("x", 5, 2, 5)),
+            ("west", ("x", 1, 2, 5)),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALL_CASES))
+def test_openings_at_the_ends_of_their_walls(name):
+    rooms, where, walls, forbidden = WALL_CASES[name]
+    width = 0.9 if name.startswith(("interior", "exterior")) else 1.2
+    inside = outside = 0
+    for position in probes(width / 2, walls, forbidden):
+        on_a_wall = any(sits_in(position, width / 2, w) for w in walls)
+        if name.startswith("window"):
+            win = Window(
+                id="o", room="a", orientation=where, width=width, height=1.0,
+                sill_height=0.9, position=position,
+            )
+            env = base_env(rooms=rooms, windows=[win])
+            expected = [] if on_a_wall else ["window is not within its wall span"]
+        else:
+            door = Doorway(id="o", connects=where, width=width, height=2.1, position=position)
+            env = base_env(rooms=rooms, doorways=[door])
+            if name == "exterior":
+                expected = [] if on_a_wall else ["exterior doorway is not on a wall of its room"]
+                if any(opens_onto(position, width / 2, w) for w in forbidden):
+                    expected.append("exterior doorway opens onto another room")
+            else:
+                expected = [] if on_a_wall else ["doorway is not on the shared wall of its rooms"]
+        assert [v.message for v in check_floor_plan(env)] == expected, position
+        inside += on_a_wall
+        outside += not on_a_wall
+    assert inside and outside
+
     win = Window(
         id="w", room="r", orientation="north", width=1.2, height=1.0,
         sill_height=0.0, position=(2.0, 4.0),
