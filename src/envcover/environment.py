@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import SchemaViolation
 from .jsonio import _round, as_record, parse_as
-from .semantics import CARDINALS, SUPPORT_EPS, SUPPORT_OVERLAP_FRAC
+from .semantics import CARDINALS, MOUNT_HEIGHT, SUPPORT_EPS, SUPPORT_OVERLAP_FRAC
 
 SCHEMA_VERSION = 1
 
@@ -145,6 +145,12 @@ class Placement:
     object: str
     position: tuple[float, float, float]  # footprint center x, bottom face y, center z
     direction: str
+
+
+def mount_height(obj: ObjectSpec) -> float:
+    """The bottom height of a wall-mounted object: its mount_height
+    attribute, else MOUNT_HEIGHT."""
+    return float(obj.attributes.get("mount_height", MOUNT_HEIGHT))
 
 
 def footprint(size, direction: str) -> tuple[float, float]:

@@ -1,9 +1,10 @@
 """The one JSON reader and writer of the package, for files and for records.
 
 Every JSON file of a task bundle or a run directory is read by read_json and
-written by write_json, environment documents aside (environment.py owns their
-canonical text). A file that cannot be read is a ConfigError and text that is
-not JSON is a SchemaViolation (the CLI exits 2 on both).
+written by write_json, environment documents aside: environment.py owns their
+canonical text, and their text is read by read_text. A file that cannot be
+read is a ConfigError and text that is not JSON is a SchemaViolation (the CLI
+exits 2 on both).
 
 parse_as reads a parsed document as a typed value, driven by the annotated
 types: str, int, float, bool, tuple[T, ...], fixed tuples, dict[str, T],
@@ -28,12 +29,18 @@ from pathlib import Path
 from .errors import ConfigError, SchemaViolation
 
 
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at path; ``what`` names it in the error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def read_json(path, what: str):
     """The JSON document at path; ``what`` names it in the error."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+        return json.loads(read_text(path, what))
     except ValueError as exc:
         raise SchemaViolation(f"{what} {path} is not valid JSON: {exc}") from exc
 

@@ -28,7 +28,7 @@ from .assets import load_catalog
 from .derivation import DerivationResult, derive
 from .environment import EnvironmentSpec, deserialize_environment, serialize_environment
 from .errors import ConfigError, MissingInput
-from .jsonio import parse_as, read_json, write_json
+from .jsonio import parse_as, read_json, read_text, write_json
 from .metrics import (
     logic_coverage,
     logic_coverage_atomic,
@@ -222,7 +222,7 @@ def _load_environments(paths: RunPaths) -> list[tuple[str, EnvironmentSpec]]:
         raise MissingInput(
             f"no environments under {paths.environments}; run the build stage first"
         )
-    return [(f.stem, deserialize_environment(f.read_text())) for f in files]
+    return [(f.stem, deserialize_environment(read_text(f, "environment"))) for f in files]
 
 
 def stage_build(

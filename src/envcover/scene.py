@@ -30,13 +30,14 @@ from .environment import (
     SpatialRelation,
     Window,
     make_room,
+    mount_height,
     rebuild_metadata,
 )
 from .errors import CoreUnsat, SchemaViolation, TrajectoryMismatch, UnsatisfiableScene
 from .jsonio import parse_as
 from .providers import SceneProvider
 from .schema import TaskSchema, unmet_conditions
-from .semantics import MOUNT_HEIGHT, SUPPORT_EPS, WALL_HEIGHT
+from .semantics import SUPPORT_EPS, WALL_HEIGHT
 from .solver import SolverConfig, encode, solve_with_relaxation
 from .trajectories import LogicalTrajectory
 
@@ -206,7 +207,7 @@ def compatibility_conflicts(objects: list[ObjectSpec], relations: list[SpatialRe
         if rel.kind != "mounted_on_wall" or rel.subject not in by_id:
             continue
         obj = by_id[rel.subject]
-        height = float(obj.attributes.get("mount_height", MOUNT_HEIGHT))
+        height = mount_height(obj)
         if height + obj.size[1] > WALL_HEIGHT + SUPPORT_EPS:
             conflict(
                 "mountability",

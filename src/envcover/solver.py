@@ -77,6 +77,7 @@ from .environment import (
     SpatialRelation,
     UNARY_KINDS,
     footprint,
+    mount_height,
 )
 from .errors import ConfigError, CoreUnsat, EncodingError, SolverTimeout
 from .semantics import (
@@ -87,7 +88,6 @@ from .semantics import (
     FAR_MIN,
     FRONT_MAX,
     MOUNT_EPS,
-    MOUNT_HEIGHT,
     NEAR_MAX,
     SIDE_LONG_MAX,
     SUPPORT_EPS,
@@ -242,7 +242,7 @@ def _support_plan(objects, relations) -> dict[str, float]:
         elif rel.kind == "in":
             y = resolve(rel.reference, trail + (obj_id,))
         else:  # mounted_on_wall
-            y = float(by_id[obj_id].attributes.get("mount_height", MOUNT_HEIGHT))
+            y = mount_height(by_id[obj_id])
         base_y[obj_id] = round(y, 6)
         return base_y[obj_id]
 
