@@ -4,11 +4,11 @@ Encodes a scene draft (rooms, openings, objects, spatial relations) as a
 finite CSP: per object one position variable (grid cells in its room) and one
 direction variable (four cardinals), plus one position variable per doorway
 and window; an exterior doorway's cells avoid every wall its room shares
-with another room. Heights are not searched: an object's bottom height follows from
-its support relation (none puts it on the floor; on_top_of on the top face of
-its reference, in on the bottom of its container, mounted_on_wall at the
-mount height), so the support relations are the only support constraints and
-are never relaxed. Facts about the fixed inputs are checked once, at encode
+with another room. Heights are not searched: an object's bottom height
+follows from its support relation (none puts it on the floor; on_top_of on
+the top face of its reference, in on the bottom of its container,
+mounted_on_wall at the mount height), so the support relations are the only
+support constraints and are never relaxed. Facts about the fixed inputs are checked once, at encode
 time: overlapping rooms, an opening or relation that cannot be placed or
 scoped, a doorway between detached rooms or an object that fits in no grid
 cell raise EncodingError before any search, so every constraint left for
