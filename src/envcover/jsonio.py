@@ -3,8 +3,8 @@
 Every JSON file of a task bundle or a run directory is read by read_json and
 written by write_json, environment documents aside: environment.py owns their
 canonical text, and their text is read by read_text. A file that cannot be
-read is a ConfigError and text that is not JSON is a SchemaViolation (the CLI
-exits 2 on both).
+read is a ConfigError, and text that is not UTF-8 or not JSON is a
+SchemaViolation (the CLI exits 2 on both).
 
 parse_as reads a parsed document as a typed value, driven by the annotated
 types: str, int, float, bool, tuple[T, ...], fixed tuples, dict[str, T],
@@ -35,6 +35,8 @@ def read_text(path, what: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaViolation(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
 def read_json(path, what: str):

@@ -287,11 +287,9 @@ def _positions_on_wall(wall, width: float, grid_points, shared=()) -> list[tuple
     on_line = [
         (a, b) for s_axis, s_coord, a, b in shared if s_axis == axis and abs(s_coord - coord) <= _TOL
     ]
-    centers = [
-        c
-        for c in grid_points(lo + half, hi - half)
-        if all(_overlap_1d(c - half, c + half, a, b) <= _TOL for a, b in on_line)
-    ]
+    centers = grid_points(lo + half, hi - half)
+    for a, b in on_line:
+        centers = [c for c in centers if _overlap_1d(c - half, c + half, a, b) <= _TOL]
     if axis == "x":
         return [(coord, c) for c in centers]
     return [(c, coord) for c in centers]

@@ -211,15 +211,23 @@ def test_a_report_input_without_a_read_key_exits_2(name, key, what, full_run, tm
     assert what in err and key in err
 
 
-def test_an_unreadable_environment_file_exits_2(full_run, living_room_dir, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "damage, message", [("directory", "cannot read environment"), ("bytes", "not UTF-8")]
+)
+def test_an_unreadable_environment_file_exits_2(
+    damage, message, full_run, living_room_dir, tmp_path, capsys
+):
     run = tmp_path / "run"
     shutil.copytree(full_run, run)
     env = run / "environments" / "env-001.json"
     env.unlink()
-    env.mkdir()
+    if damage == "directory":
+        env.mkdir()
+    else:
+        env.write_bytes(b'{"id": "\xff"}')
     assert main(["validate", "--task", str(living_room_dir), "--out", str(run)]) == 2
     err = capsys.readouterr().err
-    assert "cannot read environment" in err and "env-001.json" in err
+    assert message in err and "env-001.json" in err
 
 
 def test_a_universe_count_as_a_string_is_a_schema_violation(full_run, tmp_path):
