@@ -144,7 +144,8 @@ def _wall(room: Room, side: str) -> tuple[str, float, float, float]:
 
 def _shared_walls(a: Room, b: Room) -> list[tuple[str, float, float, float]]:
     """The walls two rooms share: where a side of one lies on a side of the
-    other, the stretch of it that both rooms span."""
+    other, the stretch of it that both rooms span (lo >= hi when they share
+    no more than a corner)."""
     walls = []
     if abs(a.x_max - b.x_min) <= _TOL or abs(b.x_max - a.x_min) <= _TOL:
         wall_x = a.x_max if abs(a.x_max - b.x_min) <= _TOL else b.x_max
