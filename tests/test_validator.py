@@ -212,6 +212,8 @@ def test_openings_at_the_ends_of_their_walls(name):
         outside += not on_a_wall
     assert inside and outside
 
+
+def test_window_sill_on_the_floor_fails():
     win = Window(
         id="w", room="r", orientation="north", width=1.2, height=1.0,
         sill_height=0.0, position=(2.0, 4.0),
