@@ -8,11 +8,11 @@ with another room. Heights are not searched: an object's bottom height
 follows from its support relation (none puts it on the floor; on_top_of on
 the top face of its reference, in on the bottom of its container,
 mounted_on_wall at the mount height), so the support relations are the only
-support constraints and are never relaxed. Facts about the fixed inputs are checked once, at encode
-time: overlapping rooms, an opening or relation that cannot be placed or
-scoped, a doorway between detached rooms or an object that fits in no grid
-cell raise EncodingError before any search, so every constraint left for
-the search scopes one or two entities.
+support constraints and are never relaxed. Facts about the fixed inputs are
+checked once, at encode time: overlapping rooms, an opening or relation that
+cannot be placed or scoped, a doorway between detached rooms or an object
+that fits in no grid cell raise EncodingError before any search, so every
+constraint left for the search scopes one or two entities.
 
 The search is depth-first backtracking with forward checking (Haralick and
 Elliott, 1980). Variable order is largest footprint first (ties by id). The
@@ -284,12 +284,10 @@ def _positions_on_wall(wall, width: float, grid_points, shared=()) -> list[tuple
     overlaps one of the shared walls on wall's line by more than _TOL."""
     axis, coord, lo, hi = wall
     half = width / 2
-    on_line = [
-        (a, b) for s_axis, s_coord, a, b in shared if s_axis == axis and abs(s_coord - coord) <= _TOL
-    ]
     centers = grid_points(lo + half, hi - half)
-    for a, b in on_line:
-        centers = [c for c in centers if _overlap_1d(c - half, c + half, a, b) <= _TOL]
+    for s_axis, s_coord, a, b in shared:
+        if s_axis == axis and abs(s_coord - coord) <= _TOL:
+            centers = [c for c in centers if _overlap_1d(c - half, c + half, a, b) <= _TOL]
     if axis == "x":
         return [(coord, c) for c in centers]
     return [(c, coord) for c in centers]
