@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import SchemaViolation
-from .jsonio import _round, as_record, parse_as
+from .jsonio import _round, as_record, json_text, parse_as
 from .semantics import CARDINALS, MOUNT_HEIGHT, SUPPORT_EPS, SUPPORT_OVERLAP_FRAC
 
 SCHEMA_VERSION = 1
@@ -392,7 +392,7 @@ def serialize_environment(env: EnvironmentSpec) -> str:
         tracked_entities=tuple(sorted(env.tracked_entities)),
         metadata=_nested(rebuild_metadata(env)),
     )
-    return json.dumps(as_record(doc), sort_keys=True, indent=2) + "\n"
+    return json_text(as_record(doc))
 
 
 def deserialize_environment(text: str) -> EnvironmentSpec:

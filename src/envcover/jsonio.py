@@ -1,10 +1,14 @@
 """The one JSON reader and writer of the package, for files and for records.
 
 Every JSON file of a task bundle or a run directory is read by read_json and
-written by write_json, environment documents aside: environment.py owns their
-canonical text, and their text is read by read_text. A file that cannot be
-read is a ConfigError, and text that is not UTF-8 or not JSON is a
-SchemaViolation (the CLI exits 2 on both).
+written by write_json, environment documents aside: environment.py decides
+what goes into one, reads its text through read_text and writes it through
+json_text. A file that cannot be read is a ConfigError, and text that is not
+UTF-8 or not JSON is a SchemaViolation (the CLI exits 2 on both).
+
+json_text is the one canonical text: json.dumps(doc, indent=2, sort_keys=not
+ordered) plus a newline, byte for byte, built in one pass. json.dumps takes
+its pure-Python path whenever indent is set.
 
 parse_as reads a parsed document as a typed value, driven by the annotated
 types: str, int, float, bool, tuple[T, ...], fixed tuples, dict[str, T],
@@ -24,6 +28,7 @@ import json
 import math
 import typing
 from dataclasses import MISSING, fields, is_dataclass
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 from .errors import ConfigError, SchemaViolation
@@ -55,7 +60,72 @@ def write_json(path, doc, ordered: bool = False) -> None:
     trajectories cover_path_sets selects, and a cassette must hand back
     exactly the responses it recorded.
     """
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=not ordered) + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(doc, ordered), encoding="utf-8")
+
+
+def json_text(doc, ordered: bool = False) -> str:
+    """json.dumps(doc, indent=2, sort_keys=not ordered) plus a newline.
+
+    doc holds dicts with str keys, lists, tuples, str, int, float, bool and
+    None, of exactly those types; any other key or value is a TypeError.
+    """
+    out: list[str] = []
+    _emit(doc, "\n", not ordered, out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == math.inf:
+        return "Infinity"
+    if v == -math.inf:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _emit(value, newline: str, sort: bool, put) -> None:
+    """Put value's text, its nested lines indented from ``newline`` on."""
+    t = type(value)
+    if t is str:
+        put(_escape(value))
+    elif t is dict:
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, v in sorted(value.items()) if sort else value.items():
+            if type(key) is not str:
+                raise TypeError(f"no JSON text for key {key!r}")
+            put(sep + _escape(key) + ": ")
+            _emit(v, inner, sort, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif t is list or t is tuple:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in value:
+            put(sep)
+            _emit(v, inner, sort, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif t is float:
+        put(_float_text(value))
+    elif t is int:
+        put(int.__repr__(value))
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif value is None:
+        put("null")
+    else:
+        raise TypeError(f"no JSON text for a {t.__name__}")
 
 
 def _round(v: float) -> float:

@@ -9,6 +9,7 @@ enumeration, so parsing preserves it.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -16,8 +17,12 @@ from .errors import MalformedDocument, StructureError
 
 _PUNCT = re.compile(r"[^\w\s]")
 _WS = re.compile(r"\s+")
+# distinct texts normalize_text remembers: a plan's queries, responses and
+# factor names are a few dozen strings, each normalized hundreds of times
+NORMALIZE_CACHE_SIZE = 4096
 
 
+@functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
 def normalize_text(text: str) -> str:
     """Lowercase, strip punctuation, collapse whitespace.
 

@@ -1,11 +1,16 @@
-"""The typed record reader and writer: shapes, the error contract, rounding."""
+"""The typed record reader and writer: shapes, the error contract, rounding,
+and the canonical text writer against json.dumps."""
 
+import json
+import math
 from dataclasses import dataclass, field
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from envcover.errors import SchemaViolation
-from envcover.jsonio import as_record, parse_as
+from envcover.jsonio import as_record, json_text, parse_as
 
 
 @dataclass(frozen=True)
@@ -84,3 +89,45 @@ def test_as_record_rounds_floats_and_writes_tuples_as_lists():
     }
     assert parse_as(Tree, {**record, "raw": None}, "tree").point == (1.0, 2.0)
     assert as_record(Tree(leaves=()))["point"] is None
+
+
+# ---------------------------------------------------------------------------
+# canonical text
+# ---------------------------------------------------------------------------
+
+# text with non-ASCII and control characters, keys included
+texts = st.text(st.characters(max_codepoint=0x1FFFF), max_size=6) | st.sampled_from(
+    ["", "\x00\x1f\x7f", '"\\/\b\f\n\r\t', "caf\u00e9 \u2603 \U0001f600"]
+)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, 1e16, 1e-7, math.nan, math.inf, -math.inf, 2**63, -(2**64)])
+    | texts
+)
+documents = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@pytest.mark.parametrize("ordered", [False, True], ids=["sorted", "ordered"])
+@given(doc=documents)
+def test_json_text_is_indented_json_dumps(ordered, doc):
+    assert json_text(doc, ordered) == json.dumps(doc, indent=2, sort_keys=not ordered) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{1: "a"}, {"a": [None, {None: 1}]}, {"a": {1, 2}}, [b"x"], object(), 1j, [Tree(leaves=())]],
+    ids=["int_key", "nested_none_key", "set", "bytes", "object", "complex", "dataclass"],
+)
+def test_json_text_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        json_text(doc)

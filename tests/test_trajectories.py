@@ -1,6 +1,8 @@
+import collections
 import itertools
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -8,9 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import envcover.trajectories as tj
+from envcover import task_model
 from envcover.errors import EmptyPathSet, InstanceTooLarge, StructureError
+from envcover.jsonio import parse_as
+from envcover.metrics import logic_coverage_atomic
 from envcover.pipeline import RunPaths, stage_collect
-from envcover.task_model import DecisionPath, QueryResponse, parse_behavior_plan
+from envcover.task_model import DecisionPath, QueryResponse, SubtaskSpec, parse_behavior_plan
 from envcover.trajectories import (
     LogicalTrajectory,
     cartesian_trajectories,
@@ -257,6 +262,60 @@ def test_collect_keeps_memory_bounded_on_a_huge_product(tmp_path):
     assert len(covered_constraints(selected)) == 72
     universe = json.loads((paths.trajectories / "universe.json").read_text())
     assert universe == {"count": 6**12}
+
+
+def seeded_plan(rng, sizes):
+    """A plan document and subtask list whose trees yield ``sizes`` paths; a
+    seeded share of the trees nests a kind query under one of two states."""
+    plan, subtasks = [], []
+    for i, n in enumerate(sizes):
+        thing = f"item {i}"
+        if rng.random() < 0.5:
+            states, kinds = ["clean", "dirty"], [f"kind {j}" for j in range(n - 1)]
+            branches = {s: f"Leave the {s} {thing}." for s in states}
+            branches[rng.choice(states)] = {
+                f"What is the kind of the {thing}?": {k: f"Store the {thing} as {k}." for k in kinds}
+            }
+            factors = [
+                {"name": f"state of the {thing}", "domain": states},
+                {"name": f"kind of the {thing}", "domain": kinds},
+            ]
+        else:
+            states = [f"state {j}" for j in range(n)]
+            branches = {s: f"Handle the {thing} in {s}." for s in states}
+            factors = [{"name": f"state of the {thing}", "domain": states}]
+        plan.append({f"What is the state of the {thing}?": branches})
+        subtasks.append({"id": f"st{i}", "summary": f"Tidy the {thing}.", "factors": factors})
+    return plan, subtasks
+
+
+def test_collect_normalizes_each_text_once(tmp_path, monkeypatch):
+    # a work counter, not a timer: collecting this plan and its atomic
+    # coverage ask normalize_text 855 times for 40 distinct texts
+    plan, subtasks = seeded_plan(random.Random(7), (8, 8, 7, 6, 5, 4, 3))
+    paths = RunPaths(tmp_path / "run")
+    paths.ensure()
+    (paths.plans / "plan_document.json").write_text(json.dumps(plan))
+    (paths.plans / "subtasks.json").write_text(json.dumps(subtasks))
+
+    substituted = collections.Counter()
+    punct = task_model._PUNCT
+
+    class CountingPattern:
+        def sub(self, repl, text):
+            substituted[text] += 1
+            return punct.sub(repl, text)
+
+    monkeypatch.setattr(task_model, "_PUNCT", CountingPattern())
+    task_model.normalize_text.cache_clear()
+    selected = stage_collect(paths)
+    specs = parse_as(tuple[SubtaskSpec, ...], subtasks, "subtask list")
+    assert logic_coverage_atomic(specs, selected).ratio == 1.0
+
+    info = task_model.normalize_text.cache_info()
+    assert max(substituted.values()) == 1
+    assert info.misses == len(substituted)
+    assert info.hits > 10 * info.misses
 
 
 # ---------------------------------------------------------------------------
