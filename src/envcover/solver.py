@@ -987,7 +987,9 @@ class CspProblem:
                 rx, rz = assign[f"{r}.pos"]
                 direction = assign[f"{r}.dir"]
                 fx, fz = geo.footprints[(r, direction)]
-                return _ray_hits(a, rx, rz, direction, FRONT_MAX + max(fx, fz) / 2)
+                # reach is measured from the front face: the half-extent along the facing
+                half = fx / 2 if DIRECTION_VECTORS[direction][0] else fz / 2
+                return _ray_hits(a, rx, rz, direction, FRONT_MAX + half)
 
         elif rel.kind == "side_of":
 
