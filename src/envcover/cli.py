@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--live-endpoint", help="HTTP endpoint for live plan generation")
     p.add_argument("--max-rounds", type=int, default=3)
 
-    p = sub.add_parser("collect", help="enumerate trajectories and pick a minimal set")
+    p = sub.add_parser("collect", help="pick a minimal trajectory set that covers every path")
     _add_out_flag(p)
 
     p = sub.add_parser("build", help="solve a scene for each selected trajectory")

@@ -27,7 +27,7 @@ from pathlib import Path
 from .assets import load_catalog
 from .derivation import DerivationResult, derive
 from .environment import EnvironmentSpec, deserialize_environment, serialize_environment
-from .errors import ConfigError, MissingInput
+from .errors import ConfigError, MissingInput, SchemaViolation
 from .jsonio import parse_as, read_json, read_text, write_json
 from .metrics import (
     logic_coverage,
@@ -222,7 +222,15 @@ def _load_environments(paths: RunPaths) -> list[tuple[str, EnvironmentSpec]]:
         raise MissingInput(
             f"no environments under {paths.environments}; run the build stage first"
         )
-    return [(f.stem, deserialize_environment(read_text(f, "environment"))) for f in files]
+    return [(f.stem, _load_environment(f)) for f in files]
+
+
+def _load_environment(path: Path) -> EnvironmentSpec:
+    text = read_text(path, "environment")
+    try:
+        return deserialize_environment(text)
+    except SchemaViolation as exc:
+        raise SchemaViolation(f"environment {path}: {exc}") from exc
 
 
 def stage_build(

@@ -212,7 +212,12 @@ def test_a_report_input_without_a_read_key_exits_2(name, key, what, full_run, tm
 
 
 @pytest.mark.parametrize(
-    "damage, message", [("directory", "cannot read environment"), ("bytes", "not UTF-8")]
+    "damage, message",
+    [
+        ("directory", "cannot read environment"),
+        ("bytes", "not UTF-8"),
+        ("truncated", "not valid JSON"),
+    ],
 )
 def test_an_unreadable_environment_file_exits_2(
     damage, message, full_run, living_room_dir, tmp_path, capsys
@@ -220,11 +225,14 @@ def test_an_unreadable_environment_file_exits_2(
     run = tmp_path / "run"
     shutil.copytree(full_run, run)
     env = run / "environments" / "env-001.json"
+    text = env.read_text()
     env.unlink()
     if damage == "directory":
         env.mkdir()
-    else:
+    elif damage == "bytes":
         env.write_bytes(b'{"id": "\xff"}')
+    else:
+        env.write_text(text[:40])
     assert main(["validate", "--task", str(living_room_dir), "--out", str(run)]) == 2
     err = capsys.readouterr().err
     assert message in err and "env-001.json" in err
