@@ -2,9 +2,9 @@
 
 Every JSON file of a task bundle or a run directory is read by read_json and
 written by write_json, environment documents aside: environment.py decides
-what goes into one, reads its text through read_text and writes it through
-json_text. A file that cannot be read is a ConfigError, and text that is not
-UTF-8 or not JSON is a SchemaViolation (the CLI exits 2 on both).
+what goes into one and writes its text with json_text, and that text is read
+by read_text. A file that cannot be read is a ConfigError, and text that is
+not UTF-8 or not JSON is a SchemaViolation (the CLI exits 2 on both).
 
 json_text is the one canonical text: json.dumps(doc, indent=2, sort_keys=not
 ordered) plus a newline, byte for byte, built in one pass. json.dumps takes

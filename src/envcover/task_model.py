@@ -19,10 +19,10 @@ _PUNCT = re.compile(r"[^\w\s]")
 _WS = re.compile(r"\s+")
 # distinct texts normalize_text remembers: a plan's queries, responses and
 # factor names are a few dozen strings, each normalized hundreds of times
-NORMALIZE_CACHE_SIZE = 4096
+_NORMALIZE_CACHE_SIZE = 4096
 
 
-@functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
+@functools.lru_cache(maxsize=_NORMALIZE_CACHE_SIZE)
 def normalize_text(text: str) -> str:
     """Lowercase, strip punctuation, collapse whitespace.
 
