@@ -51,9 +51,17 @@ bit ranges. The on_top_of pruner bisects for the rectangle of cells that
 overlap the reference at all and tests the support area on each cell inside
 it. A near or far mask depends only on the partner's cell, so its
 pruner computes it once per partner cell and every relaxation rung reuses
-it. The predicates remain the reference: check_assignment and the tests'
-brute-force oracles call them, and so does forward checking, on each set
-bit, for the kinds without a pruner.
+it; _distance_keep sweeps the columns outward from the partner, bisects the
+first column of each side and walks each later column's run in from the
+previous one's. The predicates remain the reference: check_assignment and
+the tests' brute-force oracles call them, and so does forward checking, on
+each set bit, for the kinds without a pruner.
+
+solve_with_relaxation drops the relaxable constraints one at a time, in
+relax_order. An unsat Solution carries pruning, the ids of the constraints
+whose filter removed a value anywhere in the proof. A constraint outside it
+never changed a mask, so the rung that drops it is the same search tree:
+that rung is not searched, and the next constraint is dropped at once.
 
 Relation predicates here are written against this module's own box math; the
 physics validator re-implements the same semantics table independently.
@@ -136,6 +144,9 @@ class Solution:
     window_positions: dict = field(default_factory=dict)
     relaxed: list[str] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
+    # unsat only: the ids of the constraints whose filter removed a value
+    # anywhere in the proof; every other constraint left every mask as it was
+    pruning: frozenset = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -561,39 +572,66 @@ def _distance_keep(grid: _Grid, px: float, pz: float, limit: float, within: bool
     floats, because each rounding is monotone: the z below pz give a
     non-increasing sum, those from pz on a non-decreasing one. So the cells
     of a column inside the limit (<= limit within, < limit else) are one run
-    [a, b) of rows, found by bisection on each side of pz; near keeps the
-    run and far keeps the rest of the column.
+    [a, b) of rows; near keeps the run and far keeps the rest of the column.
+
+    The columns are swept outward from kc, the first with x >= px: kc,
+    kc + 1, ... on the right, then kc - 1, kc - 2, ... on the left. Along
+    each side dx2 = (x - px) ** 2 never falls, and float addition is
+    monotone in each operand, so a cell inside on a column is inside on
+    every column before it on that side: each column's run is nested in
+    the previous one's. Only the first column of a side is bisected, on
+    each side of pz; each later column's run is found by moving a up and
+    b down while the end row is outside, so a side costs its columns plus
+    its rows, not a bisection per column. Once dx2 alone is past the limit
+    no cell of that column or any later one is inside: near stops there,
+    and far keeps all of them with one column run.
     """
-    zs, nz = grid.zs, grid.nz
+    xs, zs, nz = grid.xs, grid.zs, grid.nz
+    nx = len(xs)
     split = bisect_left(zs, pz)  # zs[:split] < pz <= zs[split:]
+    kc = bisect_left(xs, px)  # xs[:kc] < px <= xs[kc:]
     column = (1 << nz) - 1
     keep = 0
-    for k, x in enumerate(grid.xs):
-        dx2 = (x - px) ** 2
-        if within and dx2 > limit:
-            continue  # adding dz ** 2 >= 0 cannot bring the sum back down
-        if not within and dx2 >= limit:
-            keep |= column << (k * nz)
-            continue
-        lo, hi = 0, split  # first row of the left side that is inside
-        while lo < hi:
-            m = (lo + hi) // 2
-            d = dx2 + (zs[m] - pz) ** 2
-            if (d <= limit) if within else (d < limit):
-                hi = m
+    for first, stop, step in ((kc, nx, 1), (kc - 1, -1, -1)):
+        for k in range(first, stop, step):
+            dx2 = (xs[k] - px) ** 2
+            if within:
+                if dx2 > limit:
+                    break  # adding dz ** 2 >= 0 cannot bring the sum back down
+            elif dx2 >= limit:
+                keep |= grid.column_run(k, nx) if step > 0 else grid.column_run(0, k + 1)
+                break
+            if k == first:
+                lo, hi = 0, split  # first row of the left side that is inside
+                while lo < hi:
+                    m = (lo + hi) // 2
+                    d = dx2 + (zs[m] - pz) ** 2
+                    if (d <= limit) if within else (d < limit):
+                        hi = m
+                    else:
+                        lo = m + 1
+                a = lo
+                lo, hi = split, nz  # first row of the right side that is outside
+                while lo < hi:
+                    m = (lo + hi) // 2
+                    d = dx2 + (zs[m] - pz) ** 2
+                    if (d <= limit) if within else (d < limit):
+                        lo = m + 1
+                    else:
+                        hi = m
+                b = lo
+            elif within:
+                while a < b and dx2 + (zs[a] - pz) ** 2 > limit:
+                    a += 1
+                while a < b and dx2 + (zs[b - 1] - pz) ** 2 > limit:
+                    b -= 1
             else:
-                lo = m + 1
-        a = lo
-        lo, hi = split, nz  # first row of the right side that is outside
-        while lo < hi:
-            m = (lo + hi) // 2
-            d = dx2 + (zs[m] - pz) ** 2
-            if (d <= limit) if within else (d < limit):
-                lo = m + 1
-            else:
-                hi = m
-        run = ((1 << (lo - a)) - 1) << a
-        keep |= (run if within else column ^ run) << (k * nz)
+                while a < b and dx2 + (zs[a] - pz) ** 2 >= limit:
+                    a += 1
+                while a < b and dx2 + (zs[b - 1] - pz) ** 2 >= limit:
+                    b -= 1
+            run = ((1 << (b - a)) - 1) << a
+            keep |= (run if within else column ^ run) << (k * nz)
     return keep
 
 
@@ -1136,7 +1174,8 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
     """Backtracking search with forward checking.
 
     Returns a sat Solution with placements, or an unsat Solution after the
-    search space is exhausted. Raises SolverTimeout when max_backtracks is
+    search space is exhausted, with the ids of the constraints that removed
+    a value in Solution.pruning. Raises SolverTimeout when max_backtracks is
     hit. ``skip`` names constraint ids to ignore (used by relaxation).
     Overlapping rooms never get here: encode rejects them with EncodingError.
     """
@@ -1156,6 +1195,7 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
 
     assignment: dict[str, object] = {}
     stats = {"backtracks": 0, "assignments": 0}
+    pruning: set[str] = set()  # constraints that changed a mask
 
     def forward_check(vid: str, trail: list) -> bool:
         for c in plan[vid]:
@@ -1172,9 +1212,10 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
 
                 keep = _filter_bits(mask, holds)
                 assignment.pop(u, None)
-            if keep != mask:
+            if keep != mask:  # a mask is never empty here, so emptying one changes it
                 trail.append((u, mask))
                 masks[u] = keep
+                pruning.add(c.id)
             if not keep:
                 return False
         return True
@@ -1211,7 +1252,7 @@ def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
     finally:
         backtrack = None  # the closure refers to itself: break the cycle
     if not found:
-        return Solution(status="unsat", stats=dict(stats))
+        return Solution(status="unsat", stats=dict(stats), pruning=frozenset(pruning))
 
     placements = []
     for o in problem.objects:
@@ -1241,6 +1282,13 @@ def solve_with_relaxation(problem: CspProblem) -> Solution:
     The returned Solution.relaxed is always a prefix of the relax order.
     Raises CoreUnsat when the problem stays unsat with every relaxable
     constraint dropped; SolverTimeout propagates untouched.
+
+    A rung whose newly dropped constraint is not in the last unsat proof's
+    pruning set is not searched. That constraint never removed a value, so
+    without it every node keeps its masks, value-order draws and backtrack
+    count, and the search is the same tree with the same unsat answer. So
+    after an unsat rung the ladder is dropped up to and including the next
+    constraint in pruning, and when none is left the problem is CoreUnsat.
     """
     ladder = [c.id for c in problem.relax_order()]
     dropped: list[str] = []
@@ -1249,9 +1297,11 @@ def solve_with_relaxation(problem: CspProblem) -> Solution:
         if solution.status == "sat":
             solution.relaxed = list(dropped)
             return solution
-        if len(dropped) == len(ladder):
+        rest = ladder[len(dropped) :]
+        used = next((i for i, cid in enumerate(rest) if cid in solution.pruning), None)
+        if used is None:
             raise CoreUnsat(
                 "unsatisfiable with all relaxable constraints dropped "
                 f"({len(ladder)} dropped)"
             )
-        dropped.append(ladder[len(dropped)])
+        dropped += rest[: used + 1]

@@ -1,3 +1,4 @@
+import bisect
 import collections
 import collections.abc
 import dataclasses
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import envcover
 from envcover.environment import (
+    RELATION_KINDS,
     UNARY_KINDS,
     EnvironmentSpec,
     ObjectSpec,
@@ -32,6 +34,7 @@ from envcover.semantics import DIRECTION_VECTORS, SIDE_LONG_MAX
 from envcover.solver import (
     _TOL,
     SolverConfig,
+    _distance_keep,
     _distance_pruner,
     _Grid,
     _ValueOrder,
@@ -637,6 +640,78 @@ def test_distance_pruner_memo_keeps_every_call_exact(kind):
     assert all(kept["narrow", u, cell] != v for (u, cell), v in answers.items())
 
 
+def distance_filter(grid, px, pz, limit, within):
+    """The cells whose squared center distance to (px, pz) the near
+    (within) or far predicate keeps, one cell at a time."""
+    d2 = [(x - px) ** 2 + (z - pz) ** 2 for x, z in grid]
+    return mask_of(i for i, d in enumerate(d2) if (d <= limit if within else d >= limit))
+
+
+# quarter-metre coordinates: their differences and squares are exact, so a
+# limit can equal a cell's squared distance exactly
+SWEEP_GRID = _Grid([k / 4 for k in range(2, 15)], [j / 4 for j in range(1, 12)])
+
+
+@pytest.mark.parametrize("within", [True, False])
+@pytest.mark.parametrize("px", [-0.6, 0.1, 0.5, 1.3, 1.45, 2.0, 3.5, 3.9, 5.2])
+def test_distance_keep_sweeps_out_from_the_partner(within, px):
+    # partners left of every column, right of every column, on one, and
+    # between two, nearer the left one (1.3) or the right one (1.45): the
+    # left sweep starts at the column below px, which may be nearer than
+    # the column the right sweep starts at
+    for pz in (-0.4, 0.25, 1.3, 1.5, 2.75, 3.4):
+        for limit in (0.0, 0.3, 1.5**2 + _TOL, 3.0**2 - _TOL, 6.0, 40.0):
+            expected = distance_filter(SWEEP_GRID, px, pz, limit, within)
+            assert _distance_keep(SWEEP_GRID, px, pz, limit, within) == expected, (pz, limit)
+
+
+@pytest.mark.parametrize("within", [True, False])
+@pytest.mark.parametrize(
+    "xs, zs",
+    [([1.0], [j / 4 for j in range(12)]), ([k / 4 for k in range(12)], [1.0]), ([1.0], [1.0])],
+    ids=["one_column", "one_row", "one_cell"],
+)
+def test_distance_keep_on_a_one_column_or_one_row_grid(within, xs, zs):
+    grid = _Grid(xs, zs)
+    for px, pz in itertools.product((-0.3, 0.0, 1.0, 1.1, 3.0), (-0.3, 1.0, 1.1, 2.5)):
+        for limit in (0.0, 0.25, 1.5**2 + _TOL, 4.0):
+            expected = distance_filter(grid, px, pz, limit, within)
+            assert _distance_keep(grid, px, pz, limit, within) == expected, (px, pz, limit)
+
+
+def test_far_keeps_whole_columns_from_the_first_one_past_the_limit():
+    # dx2 alone reaches the limit on the first column of a side: that side
+    # is kept whole without a row test, while the other side is walked
+    full = mask_of(range(len(SWEEP_GRID)))
+    for px, pz, limit in [(6.0, 1.0, 4.0), (-2.0, 1.0, 4.0), (1.6, 1.0, 0.02), (1.4, 1.0, 0.02)]:
+        got = _distance_keep(SWEEP_GRID, px, pz, limit, False)
+        assert got == distance_filter(SWEEP_GRID, px, pz, limit, False), (px, limit)
+    assert _distance_keep(SWEEP_GRID, 6.0, 1.0, 4.0, False) == full
+    assert 0 < _distance_keep(SWEEP_GRID, 1.6, 1.0, 0.02, False) < full
+
+
+@pytest.mark.parametrize("within", [True, False])
+@pytest.mark.parametrize("pz", [1.5, 1.6])
+def test_distance_keep_at_limits_attained_on_a_later_column(within, pz):
+    # a limit equal to the squared distance of a cell on a column the sweep
+    # walks to, not the one it bisects, and one ulp either side of it; with
+    # pz on a row the limits include a later column's dx2 alone. A walk
+    # that tests < for <= (or <= for <) at either end of the run, or stops
+    # near at dx2 == limit, shows
+    xs, zs = SWEEP_GRID.xs, SWEEP_GRID.zs
+    checked = 0
+    for px in (1.0, 1.625):
+        kc = bisect.bisect_left(xs, px)
+        later = [k for k in range(len(xs)) if k not in (kc, kc - 1)]
+        for k, z in itertools.product(later, zs):
+            attained = (xs[k] - px) ** 2 + (z - pz) ** 2
+            for limit in (attained, math.nextafter(attained, math.inf), math.nextafter(attained, -math.inf)):
+                expected = distance_filter(SWEEP_GRID, px, pz, limit, within)
+                assert _distance_keep(SWEEP_GRID, px, pz, limit, within) == expected, (px, k, z, limit)
+                checked += 1
+    assert checked == 2 * 11 * 11 * 3
+
+
 def test_relaxation_computes_each_distance_mask_once(monkeypatch):
     # a work counter: every rung sets each of a's cells under all four
     # directions and prunes b by near and far, yet each (constraint,
@@ -693,41 +768,105 @@ def test_side_pruner_at_its_thresholds():
                     assert got == expected, (moving, facing, px, pz)
 
 
-def test_in_front_of_predicate_agrees_with_the_validator():
-    # the reach runs FRONT_MAX past the reference's front face; bounding it
+def agreement_scene(rng, kind):
+    """Two objects in room4 and the relations for kind, the last of them kind.
+
+    ``above`` also mounts its subject, at or near the reference's top
+    height, so its bottom falls on either side of the SUPPORT_EPS band; an
+    ``in`` subject is drawn about its container's size, so it sometimes fits.
+    """
+    b_size = tuple(rng.randint(5, 200) / 100 for _ in range(3))
+    if kind == "in":
+        a_size = tuple(round(v * rng.uniform(0.3, 1.1), 2) or 0.01 for v in b_size)
+    else:
+        a_size = tuple(rng.randint(5, 200) / 100 for _ in range(3))
+    if kind == "above":
+        mount = max(0.0, b_size[1] + rng.choice([-0.3, -0.01, -0.005, 0.0, 0.005, 0.3]))
+    else:
+        mount = rng.choice([0, 0.3, 1.0, 1.4, 2.0])
+    objects = [obj("a", a_size, mount_height=str(mount)), obj("b", b_size)]
+    rel = SpatialRelation(kind=kind, subject="a", reference=None if kind in UNARY_KINDS else "b")
+    if kind == "above":
+        return objects, [SpatialRelation(kind="mounted_on_wall", subject="a"), rel]
+    return objects, [rel]
+
+
+# how far (along, across) the subject's center lies from the reference's,
+# measured along and across the reference's facing, for the relative kinds
+AGREEMENT_SPREAD = {
+    "near": (-3.5, 3.5, 3.5),
+    "far": (-3.5, 3.5, 3.5),
+    "on_top_of": (-1.2, 1.2, 1.2),
+    "in": (-0.4, 0.4, 0.4),
+    "above": (-1.2, 1.2, 1.2),
+    # ahead of or behind the reference and off its facing ray sideways,
+    # on both sides of the reach
+    "in_front_of": (-1.0, 4.0, 1.2),
+    "side_of": (-1.0, 1.0, 1.0),
+    "center_aligned": (-2.0, 2.0, 2.0),
+    "face_to": (0.5, 3.0, 1.0),
+}
+OPPOSITE = {"north": "south", "south": "north", "east": "west", "west": "east"}
+
+
+def agreement_placement(rng, kind, geo):
+    """(a.pos, a.dir, b.pos, b.dir) for one draw, on a 0.01 m lattice."""
+    b_dir, a_dir = rng.choice(sorted(DIRECTION_VECTORS)), rng.choice(sorted(DIRECTION_VECTORS))
+    bx, bz = rng.randint(0, 400) / 100, rng.randint(0, 400) / 100
+    if kind == "edge":
+        return (rng.randint(0, 400) / 100, rng.randint(0, 400) / 100), a_dir, (bx, bz), b_dir
+    if kind == "center":
+        return (rng.randint(120, 280) / 100, rng.randint(120, 280) / 100), a_dir, (bx, bz), b_dir
+    if kind == "mounted_on_wall":
+        # the back face on the wall a faces away from, or up to 0.015 off it
+        fx, fz = geo.footprints[("a", a_dir)]
+        off, free = rng.randint(-3, 3) / 200, rng.randint(0, 400) / 100
+        ax, az = {
+            "north": (free, fz / 2 + off),
+            "south": (free, 4 - fz / 2 + off),
+            "east": (fx / 2 + off, free),
+            "west": (4 - fx / 2 + off, free),
+        }[a_dir]
+        return (ax, az), a_dir, (bx, bz), b_dir
+    lo, hi, width = AGREEMENT_SPREAD[kind]
+    along = rng.randint(round(lo * 100), round(hi * 100)) / 100
+    across = rng.choice([0.0, rng.randint(round(-width * 100), round(width * 100)) / 100])
+    fvx, fvz = DIRECTION_VECTORS[b_dir]
+    if kind == "face_to" and rng.random() < 0.5:
+        a_dir = OPPOSITE[b_dir]
+    return (bx + along * fvx - across * fvz, bz + along * fvz + across * fvx), a_dir, (bx, bz), b_dir
+
+
+@pytest.mark.parametrize("kind", sorted(RELATION_KINDS))
+def test_relation_predicate_agrees_with_the_validator(kind):
+    # the solver's predicate and the validator's check, written apart, agree
+    # on seeded placements on both sides of each threshold. For in_front_of
+    # the reach runs FRONT_MAX past the reference's front face: bounding it
     # by the longer half-side instead let a long reference facing along its
     # short axis reach up to 0.7 m further in the solver than in the validator
-    rng = random.Random(16)
-    rel = SpatialRelation(kind="in_front_of", subject="a", reference="b")
+    rng = random.Random(f"agreement:{kind}")
     outcomes = collections.Counter()
     for _ in range(150):
-        objects = [
-            obj(o, tuple(rng.randint(5, 200) / 100 for _ in range(3))) for o in ("a", "b")
-        ]
-        problem = encode([room4()], [], [], objects, [rel], GRID)
-        check = next(c.check for c in problem.constraints if c.kind == "in_front_of")
+        objects, relations = agreement_scene(rng, kind)
+        problem = encode([room4()], [], [], objects, relations, GRID)
+        check = next(c.check for c in problem.constraints if c.relation_index == len(relations) - 1)
         for _ in range(20):
-            facing, a_dir = rng.choice(sorted(DIRECTION_VECTORS)), rng.choice(sorted(DIRECTION_VECTORS))
-            fvx, fvz = DIRECTION_VECTORS[facing]
-            bx, bz = rng.randint(0, 400) / 100, rng.randint(0, 400) / 100
-            # the subject's center ahead of or behind the reference's, and
-            # off its facing ray sideways, on both sides of the reach
-            along, across = rng.randint(-100, 400) / 100, rng.randint(-120, 120) / 100
-            ax, az = bx + along * fvx - across * fvz, bz + along * fvz + across * fvx
+            a_pos, a_dir, b_pos, b_dir = agreement_placement(rng, kind, problem.geo)
             env = EnvironmentSpec(
                 id="e",
                 task_id="t",
                 trajectory_id="x",
                 rooms=[room4()],
                 objects=objects,
-                relations=[rel],
+                relations=relations,
                 placements=[
-                    Placement(object="a", position=(ax, 0.0, az), direction=a_dir),
-                    Placement(object="b", position=(bx, 0.0, bz), direction=facing),
+                    Placement(object="a", position=(a_pos[0], problem.geo.base_y["a"], a_pos[1]), direction=a_dir),
+                    Placement(object="b", position=(b_pos[0], problem.geo.base_y["b"], b_pos[1]), direction=b_dir),
                 ],
             )
-            holds = check({"a.pos": (ax, az), "a.dir": a_dir, "b.pos": (bx, bz), "b.dir": facing})
-            assert holds == (_relation_holds(env, 0) is None), (objects, env.placements)
+            holds = check({"a.pos": a_pos, "a.dir": a_dir, "b.pos": b_pos, "b.dir": b_dir})
+            reason = _relation_holds(env, len(relations) - 1)
+            assert holds == (reason is None), (objects, env.placements, reason)
             outcomes[holds] += 1
     assert outcomes[True] > 300 and outcomes[False] > 300, outcomes
 
@@ -1081,9 +1220,9 @@ def differential_instance(rng):
     return [room], objects, relations
 
 
-def relaxation_outcome(problem):
+def relaxation_outcome(problem, relax=solve_with_relaxation):
     try:
-        solution = solve_with_relaxation(problem)
+        solution = relax(problem)
     except (CoreUnsat, SolverTimeout) as exc:
         return type(exc).__name__, str(exc)
     return solution.status, solution.assignments, solution.stats, solution.relaxed
@@ -1137,3 +1276,113 @@ def test_search_outcomes_are_pinned():
     ]
     canonical = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_SEARCH_OUTCOMES
+
+
+# ---------------------------------------------------------------------------
+# relaxation rungs the last unsat proof did not depend on
+# ---------------------------------------------------------------------------
+
+
+def relax_every_rung(problem, searched=None):
+    """solve_with_relaxation with a search on every rung, none skipped; each
+    rung's skip set goes to searched, when given."""
+    ladder = [c.id for c in problem.relax_order()]
+    for n in range(len(ladder) + 1):
+        if searched is not None:
+            searched.append(frozenset(ladder[:n]))
+        solution = solve(problem, skip=frozenset(ladder[:n]))
+        if solution.status == "sat":
+            solution.relaxed = ladder[:n]
+            return solution
+    raise CoreUnsat(f"unsatisfiable with all relaxable constraints dropped ({len(ladder)} dropped)")
+
+
+def sofa_contradiction_scene(rng):
+    """The plant must be near the sofa (task) and far from it (enrichment).
+
+    The ladder first drops near(filler0, filler1), which the proof never
+    reaches: every sofa cell fails already at sofa.pos. Then it drops far.
+    """
+
+    def dims(lo, hi, height):
+        return (round(rng.uniform(lo, hi), 2), round(rng.uniform(*height), 2), round(rng.uniform(lo, hi), 2))
+
+    objects = [
+        obj("sofa", (round(rng.uniform(1.8, 2.1), 2), 0.8, round(rng.uniform(0.8, 1.0), 2))),
+        obj("book", dims(0.15, 0.3, (0.03, 0.06))),
+        obj("plant", dims(0.3, 0.45, (0.8, 1.0))),
+    ] + [obj(f"filler{i}", dims(0.3, 0.5, (0.3, 0.6))) for i in range(3)]
+    relations = [
+        SpatialRelation(kind="on_top_of", subject="book", reference="sofa", priority="task"),
+        SpatialRelation(kind="near", subject="plant", reference="sofa", priority="task"),
+        SpatialRelation(kind="near", subject="filler0", reference="filler1", priority="enrichment"),
+        SpatialRelation(kind="far", subject="plant", reference="sofa", priority="enrichment"),
+        SpatialRelation(kind="edge", subject="filler2", priority="enrichment"),
+    ]
+    return [room4()], objects, relations
+
+
+def count_solves(monkeypatch):
+    import envcover.solver
+
+    calls = []
+    counted = envcover.solver.solve
+
+    def counting(problem, skip=frozenset()):
+        calls.append(skip)
+        return counted(problem, skip)
+
+    monkeypatch.setattr(envcover.solver, "solve", counting)
+    return calls
+
+
+def test_skipping_rungs_changes_no_relaxation_outcome(monkeypatch):
+    instances = list(seeded_search_instances())
+    rng = random.Random(17)
+    for trial in range(8):
+        rooms, objects, relations = sofa_contradiction_scene(rng)
+        instances.append((rooms, objects, relations, SolverConfig(grid_resolution=0.25, seed=trial)))
+    calls = count_solves(monkeypatch)
+    every_call: list = []
+    for trial, (rooms, objects, relations, config) in enumerate(instances):
+        skipping = relaxation_outcome(encode(rooms, [], [], objects, relations, config))
+        every = encode(rooms, [], [], objects, relations, config)
+        assert skipping == relaxation_outcome(every, lambda p: relax_every_rung(p, every_call)), f"instance {trial}"
+    # the sofa scenes skip one rung each
+    assert len(every_call) - len(calls) >= 8, (len(every_call), len(calls))
+
+
+def test_a_rung_the_proof_did_not_depend_on_is_not_searched(monkeypatch):
+    rooms, objects, relations = sofa_contradiction_scene(random.Random(3))
+    problem = encode(rooms, [], [], objects, relations, SolverConfig(grid_resolution=0.25, seed=3))
+    near_fillers, far_plant, _ = (c.id for c in problem.relax_order())
+    first = solve(problem)
+    assert first.status == "unsat"
+    assert far_plant in first.pruning and near_fillers not in first.pruning
+
+    calls = count_solves(monkeypatch)
+    solution = solve_with_relaxation(problem)
+    assert solution.relaxed == [near_fillers, far_plant]
+    assert calls == [frozenset(), frozenset({near_fillers, far_plant})]
+
+
+def test_core_unsat_reached_by_skipping_keeps_its_message(monkeypatch):
+    # a and b, placed first, can be neither near nor far enough: the proof
+    # never reaches c, so dropping c's edge cannot help and is not searched
+    a, b = obj("a", (0.6, 0.4, 0.6)), obj("b", (0.6, 0.4, 0.6))
+    rels = [
+        SpatialRelation(kind="near", subject="b", reference="a", priority="task"),
+        SpatialRelation(kind="far", subject="b", reference="a", priority="task"),
+        SpatialRelation(kind="edge", subject="c", priority="enrichment"),
+    ]
+    objects = [a, b, obj("c", (0.3, 0.4, 0.3))]
+    expected = "unsatisfiable with all relaxable constraints dropped (1 dropped)"
+    with pytest.raises(CoreUnsat) as every:
+        relax_every_rung(encode([room4()], [], [], objects, rels, GRID))
+    assert str(every.value) == expected
+
+    calls = count_solves(monkeypatch)
+    with pytest.raises(CoreUnsat) as skipping:
+        solve_with_relaxation(encode([room4()], [], [], objects, rels, GRID))
+    assert str(skipping.value) == expected
+    assert calls == [frozenset()]
