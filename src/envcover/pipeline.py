@@ -258,9 +258,12 @@ def stage_build(
 
     stats = {}
     environments = []
+    written = set()
     for i, outcome in enumerate(outcomes):
         env = outcome.environment
-        _env_file(paths, i).write_text(serialize_environment(env))
+        path = _env_file(paths, i)
+        path.write_text(serialize_environment(env))
+        written.add(path)
         environments.append(env)
         stats[env.id] = {
             "assignments": outcome.solver_stats.get("assignments", 0),
@@ -268,6 +271,11 @@ def stage_build(
             "relaxed_relations": list(env.relaxed_relations),
             "revision_rounds": outcome.revision_rounds,
         }
+    # an earlier build of a larger selection leaves files the later stages
+    # would read as this build's
+    for path in paths.environments.glob("env-*.json"):
+        if path not in written:
+            path.unlink()
     write_json(paths.reports / "build_stats.json", {"environments": stats})
     return environments
 

@@ -18,6 +18,8 @@ from envcover.pipeline import (
     stage_build,
     stage_collect,
     stage_derive,
+    stage_simulate,
+    stage_validate,
 )
 from envcover.providers import load_cassette, request_hash, save_cassette
 
@@ -210,6 +212,23 @@ def test_record_mode_build_reads_the_cassette_once(
     assert len(reads) == 1
     assert live_requests == []
     assert copy.read_bytes() == (living_room_dir / "cassette.json").read_bytes()
+
+
+def test_a_rebuild_removes_the_environment_files_it_does_not_write(living_room_dir, tmp_path):
+    paths = RunPaths(tmp_path / "run")
+    bundle = resolve_bundle(str(living_room_dir))
+    stage_derive(paths, bundle)
+    assert len(stage_collect(paths)) == 3
+    stage_build(paths, bundle, grid=0.2)
+    built = {p.name: p.read_bytes() for p in paths.environments.iterdir()}
+    assert sorted(built) == ["env-000.json", "env-001.json", "env-002.json"]
+
+    # as an earlier build of a larger selection would leave it
+    shutil.copyfile(paths.environments / "env-000.json", paths.environments / "env-003.json")
+    stage_build(paths, bundle, grid=0.2)
+    assert {p.name: p.read_bytes() for p in paths.environments.iterdir()} == built
+    assert sorted(stage_validate(paths, bundle)["physics"]["environments"]) == ["env-000", "env-001", "env-002"]
+    stage_simulate(paths, bundle)
 
 
 @pytest.mark.parametrize("grid", [float("nan"), float("inf")])
