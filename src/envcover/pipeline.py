@@ -258,12 +258,9 @@ def stage_build(
 
     stats = {}
     environments = []
-    written = set()
     for i, outcome in enumerate(outcomes):
         env = outcome.environment
-        path = _env_file(paths, i)
-        path.write_text(serialize_environment(env))
-        written.add(path)
+        _env_file(paths, i).write_text(serialize_environment(env))
         environments.append(env)
         stats[env.id] = {
             "assignments": outcome.solver_stats.get("assignments", 0),
@@ -273,6 +270,7 @@ def stage_build(
         }
     # an earlier build of a larger selection leaves files the later stages
     # would read as this build's
+    written = {_env_file(paths, i) for i in range(len(outcomes))}
     for path in paths.environments.glob("env-*.json"):
         if path not in written:
             path.unlink()
