@@ -6,6 +6,13 @@ a hashed bag-of-words embedding: each token is hashed into one of 256
 buckets, counts are L2-normalized, and retrieval picks the catalog entry
 with the highest cosine similarity (ties go to the smallest asset id).
 
+Each catalog indexes itself once: it sorts its assets by id when it is
+built, and it keeps a map from every query it has scored to the query's
+sparse embedding and norm, so a description repeated within a build is
+embedded once. The index lives on the catalog instance, so nothing carries
+over from one load of a catalog to the next; the assets are fixed once the
+catalog is built.
+
 The embedding is deliberately cheap and fully deterministic. Anything that
 embeds text the same way can swap in here, as long as stored vectors share
 the dimension declared by the catalog file.
@@ -85,6 +92,15 @@ class AssetRecord:
 class AssetCatalog:
     dim: int = EMBEDDING_DIM
     assets: list[AssetRecord] = field(default_factory=list)
+    # the assets in id order, and query -> ((bucket, value) of each nonzero
+    # embedding entry, the embedding's L2 norm) for every query scored so far
+    _by_id: tuple[AssetRecord, ...] = field(init=False, repr=False, compare=False)
+    _queries: dict[str, tuple[list[tuple[int, float]], float]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self):
+        self._by_id = tuple(sorted(self.assets, key=lambda a: a.id))
 
 
 def build_catalog(entries: list[tuple[str, str, tuple[float, float, float]]]) -> AssetCatalog:
@@ -112,6 +128,11 @@ class _StoredCatalog:
 
 def load_catalog(path) -> AssetCatalog:
     stored = parse_as(_StoredCatalog, read_json(path, "catalog"), f"catalog {path}")
+    if stored.dim < 1:
+        # embed_text hashes each token modulo the dimension
+        raise SchemaViolation(
+            f"malformed catalog {path}: dimension must be at least 1, got {stored.dim}", "dim"
+        )
     assets = []
     seen = set()
     for i, raw in enumerate(stored.assets):
@@ -137,11 +158,15 @@ def _scores(catalog: AssetCatalog, query: str):
     """(asset, cosine similarity to the query) in asset id order.
 
     Each score is cosine_similarity's bit for bit: the dot product skips only
-    zero products, which leave a float sum unchanged.
+    zero products, which leave a float sum unchanged. The query is embedded
+    on its first call and read from the catalog's map after that.
     """
-    nonzero = [(i, v) for i, v in enumerate(embed_text(query, catalog.dim)) if v]
-    query_norm = math.sqrt(sum(v * v for _, v in nonzero))
-    for asset in sorted(catalog.assets, key=lambda a: a.id):
+    embedded = catalog._queries.get(query)
+    if embedded is None:
+        nonzero = [(i, v) for i, v in enumerate(embed_text(query, catalog.dim)) if v]
+        embedded = catalog._queries[query] = (nonzero, math.sqrt(sum(v * v for _, v in nonzero)))
+    nonzero, query_norm = embedded
+    for asset in catalog._by_id:
         vec = asset.embedding
         if len(vec) != catalog.dim:
             raise SchemaViolation(f"vector dimensions differ: {catalog.dim} vs {len(vec)}")

@@ -2,7 +2,12 @@
 
 Each stage reads its inputs from the run directory (or the task bundle) and
 writes its outputs back, so stages can run one at a time or chained by
-run_all. Layout under the run root:
+run_all. run_all reads the scene files once, after build, and hands the
+parsed list to validate, simulate and report through their ``envs``
+parameter; a stage run on its own reads them itself. The read is from disk,
+not from build's return value, because rounding on write makes the file's
+scene differ from the one in memory and the validator must check the file.
+Layout under the run root:
 
     plans/             task, plan document, factors, derivation report
     trajectories/      universe count and the selected minimal set
@@ -216,7 +221,11 @@ def _env_file(paths: RunPaths, index: int) -> Path:
     return paths.environments / f"env-{index:03d}.json"
 
 
-def _load_environments(paths: RunPaths) -> list[tuple[str, EnvironmentSpec]]:
+# (file stem, parsed scene) for each environments/env-*.json, in name order
+_Scenes = list[tuple[str, EnvironmentSpec]]
+
+
+def _load_environments(paths: RunPaths) -> _Scenes:
     files = sorted(paths.environments.glob("env-*.json"))
     if not files:
         raise MissingInput(
@@ -278,10 +287,12 @@ def stage_build(
     return environments
 
 
-def stage_validate(paths: RunPaths, bundle: TaskBundle) -> dict:
+def stage_validate(paths: RunPaths, bundle: TaskBundle, *, envs: _Scenes | None = None) -> dict:
+    """Physics and validity of each scene; envs defaults to the files on disk."""
     paths.ensure()
     schema = load_schema(bundle.schema_file)
-    envs = _load_environments(paths)
+    if envs is None:
+        envs = _load_environments(paths)
     physics = {}
     validity = {}
     reports = []
@@ -307,14 +318,22 @@ def stage_validate(paths: RunPaths, bundle: TaskBundle) -> dict:
     return {"physics": physics_doc, "validity": validity_doc}
 
 
-def stage_simulate(paths: RunPaths, bundle: TaskBundle, budget: int = DEFAULT_BUDGET) -> dict:
+def stage_simulate(
+    paths: RunPaths,
+    bundle: TaskBundle,
+    budget: int = DEFAULT_BUDGET,
+    *,
+    envs: _Scenes | None = None,
+) -> dict:
+    """Every policy against every scene; envs defaults to the files on disk."""
     paths.ensure()
     if bundle.policies_dir is None:
         raise ConfigError(f"no policies directory next to {bundle.task_file}")
     schema = load_schema(bundle.schema_file)
     actions = load_action_model(bundle.action_model_file)
     selected = _load_selected(paths)
-    envs = _load_environments(paths)
+    if envs is None:
+        envs = _load_environments(paths)
     if len(selected) != len(envs):
         raise MissingInput(
             f"{len(envs)} environments but {len(selected)} selected trajectories; "
@@ -393,13 +412,15 @@ class _SimulationSummary:
     total_ticks: int
 
 
-def stage_report(paths: RunPaths) -> dict:
+def stage_report(paths: RunPaths, *, envs: _Scenes | None = None) -> dict:
+    """The final report; envs defaults to the files on disk."""
     paths.ensure()
     subtasks, trees = _load_plans(paths)
     task = _read_as(TaskSpec, paths.plans / "task.json", "task echo")
     universe = _read_as(_Universe, paths.trajectories / "universe.json", "trajectory universe")
     selected = _load_selected(paths)
-    envs = _load_environments(paths)
+    if envs is None:
+        envs = _load_environments(paths)
     physics = _read_as(_PhysicsSummary, paths.reports / "physics.json", "physics report")
     validity = _read_as(_ValiditySummary, paths.reports / "validity.json", "validity report")
     simulation = _read_as(
@@ -482,9 +503,15 @@ def run_all(
         )
     timed("collect", lambda: stage_collect(paths))
     timed("build", lambda: stage_build(paths, bundle, live_endpoint, seed=seed, grid=grid))
-    timed("validate", lambda: stage_validate(paths, bundle))
-    timed("simulate", lambda: stage_simulate(paths, bundle, budget=budget))
-    report = timed("report", lambda: stage_report(paths))
+
+    def validate():
+        envs = _load_environments(paths)  # the files as build wrote them, read once
+        stage_validate(paths, bundle, envs=envs)
+        return envs
+
+    envs = timed("validate", validate)
+    timed("simulate", lambda: stage_simulate(paths, bundle, budget=budget, envs=envs))
+    report = timed("report", lambda: stage_report(paths, envs=envs))
 
     manifest = {
         "task": str(bundle.task_file),

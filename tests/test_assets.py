@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from envcover import assets, scene
 from envcover.assets import (
     EMBEDDING_DIM,
     AssetCatalog,
@@ -20,6 +22,7 @@ from envcover.assets import (
     save_catalog,
 )
 from envcover.errors import EmptyCatalog, SchemaViolation
+from envcover.pipeline import RunPaths, resolve_bundle, stage_build, stage_collect, stage_derive
 
 
 def oracle_cosine(a, b):
@@ -177,8 +180,6 @@ def test_load_rejects_duplicate_ids(tmp_path):
     path = tmp_path / "catalog.json"
     save_catalog(catalog, str(path))
     doc = path.read_text().replace('"assets": [', '"assets": [', 1)
-    import json
-
     parsed = json.loads(doc)
     parsed["assets"].append(dict(parsed["assets"][0]))
     path.write_text(json.dumps(parsed))
@@ -187,8 +188,6 @@ def test_load_rejects_duplicate_ids(tmp_path):
 
 
 def test_load_rejects_nonpositive_size(tmp_path):
-    import json
-
     catalog = build_catalog([("x", "a thing", (1, 1, 1))])
     path = tmp_path / "catalog.json"
     save_catalog(catalog, str(path))
@@ -197,6 +196,73 @@ def test_load_rejects_nonpositive_size(tmp_path):
     path.write_text(json.dumps(parsed))
     with pytest.raises(SchemaViolation):
         load_catalog(str(path))
+
+
+@pytest.mark.parametrize("dim", [0, -3])
+def test_load_rejects_a_dimension_below_one(dim, tmp_path):
+    catalog = build_catalog([("x", "a thing", (1, 1, 1))])
+    path = tmp_path / "catalog.json"
+    save_catalog(catalog, str(path))
+    parsed = json.loads(path.read_text())
+    parsed["dim"] = dim
+    parsed["assets"][0]["embedding"] = ""
+    path.write_text(json.dumps(parsed))
+    with pytest.raises(SchemaViolation) as info:
+        load_catalog(str(path))
+    assert info.value.field == "dim"
+
+
+def test_a_loaded_catalog_starts_with_an_empty_query_map(tmp_path):
+    path = tmp_path / "catalog.json"
+    save_catalog(small_catalog(), str(path))
+    first = load_catalog(str(path))
+    assert retrieve_asset(first, "a brown two seater sofa").id == "sofa_fabric"
+    assert list(first._queries) == ["a brown two seater sofa"]
+    assert load_catalog(str(path))._queries == {}
+
+
+@pytest.fixture
+def embedded(monkeypatch):
+    """Each text assets.embed_text embeds, from here on."""
+    calls = []
+
+    def counting(text, dim=EMBEDDING_DIM):
+        calls.append(text)
+        return embed_text(text, dim)
+
+    monkeypatch.setattr(assets, "embed_text", counting)
+    return calls
+
+
+def test_retrieval_embeds_each_query_once_per_catalog(embedded):
+    catalog, other = small_catalog(), small_catalog()
+    embedded.clear()
+    for query in ["red chair", "a potted plant", "red chair", "red chair"]:
+        retrieve_asset(catalog, query)
+    assert embedded == ["red chair", "a potted plant"]
+    retrieve_asset(other, "red chair")
+    assert embedded == ["red chair", "a potted plant", "red chair"]
+
+
+def test_a_fixture_build_embeds_each_distinct_description_once(
+    living_room_dir, tmp_path, monkeypatch, embedded
+):
+    paths = RunPaths(tmp_path / "run")
+    bundle = resolve_bundle(str(living_room_dir))
+    stage_derive(paths, bundle)
+    stage_collect(paths)
+
+    retrieved = []
+
+    def counting(catalog, query):
+        retrieved.append(query)
+        return retrieve_asset(catalog, query)
+
+    monkeypatch.setattr(scene, "retrieve_asset", counting)
+    stage_build(paths, bundle, grid=0.2)
+    assert len(retrieved) == 30
+    assert sorted(embedded) == sorted(set(retrieved))
+    assert len(embedded) == 12
 
 
 def test_retrieval_scores_equal_cosine_similarity_bit_for_bit():
@@ -213,10 +279,12 @@ def test_retrieval_scores_equal_cosine_similarity_bit_for_bit():
     for _ in range(200):
         query = text(rng.randint(0, 40))
         qvec = embed_text(query, catalog.dim)
-        scores = list(_scores(catalog, query))
-        assert [a.id for a, _ in scores] == sorted(a.id for a in catalog.assets)
-        for asset, score in scores:
-            assert score == cosine_similarity(qvec, list(asset.embedding)), (query, asset.id)
+        # the second call reads the query's embedding from the catalog's map
+        for _ in range(2):
+            scores = list(_scores(catalog, query))
+            assert [a.id for a, _ in scores] == sorted(a.id for a in catalog.assets)
+            for asset, score in scores:
+                assert score == cosine_similarity(qvec, list(asset.embedding)), (query, asset.id)
 
 
 def test_fixture_catalog_resolves_bundle_descriptions(catalog):

@@ -171,6 +171,20 @@ def test_a_missing_bundle_file_exits_2(name, living_room_dir, tmp_path, capsys):
     assert "cannot read" in err and name in err
 
 
+def test_a_catalog_of_dimension_zero_exits_2(living_room_dir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(living_room_dir, bundle)
+    doc = json.loads((bundle / "catalog.json").read_text())
+    doc["dim"] = 0
+    for asset in doc["assets"]:
+        asset["embedding"] = ""
+    (bundle / "catalog.json").write_text(json.dumps(doc))
+    code = main(["run-all", "--task", str(bundle), "--out", str(tmp_path / "r"), "--grid", "0.2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "dim:" in err and "catalog.json" in err
+
+
 @pytest.mark.parametrize(
     "name, text",
     [("task.json", '{"id": "t", '), ("cassette.json", '{"records": ['), ("cassette.json", '{"records": 3}')],

@@ -1,5 +1,6 @@
 """Pipeline provider channels: record and live mode against a local endpoint,
-and how often the build stage reads the cassette."""
+how often the build stage reads the cassette, and how often run_all and the
+stages run alone parse the environment files."""
 
 import json
 import shutil
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from envcover import providers
+from envcover import pipeline, providers
+from envcover.cli import main
 from envcover.errors import ConfigError, ProviderError, StructureError
 from envcover.pipeline import (
     RunPaths,
@@ -18,6 +20,7 @@ from envcover.pipeline import (
     stage_build,
     stage_collect,
     stage_derive,
+    stage_report,
     stage_simulate,
     stage_validate,
 )
@@ -236,3 +239,48 @@ def test_run_all_rejects_a_non_finite_grid_before_writing(grid, living_room_dir,
     with pytest.raises(ConfigError, match="grid resolution"):
         run_all(str(tmp_path / "r"), str(living_room_dir), grid=grid)
     assert not (tmp_path / "r").exists()
+
+
+@pytest.fixture
+def deserialized(monkeypatch):
+    """One entry per pipeline.deserialize_environment call, from here on."""
+    calls = []
+    deserialize = pipeline.deserialize_environment
+
+    def counting(text):
+        calls.append(text)
+        return deserialize(text)
+
+    monkeypatch.setattr(pipeline, "deserialize_environment", counting)
+    return calls
+
+
+def test_run_all_parses_each_environment_file_once(living_room_dir, tmp_path, deserialized):
+    # two calls in one process: nothing parsed by the first serves the second
+    for name in ("a", "b"):
+        run_all(str(tmp_path / name), str(living_room_dir), grid=0.2)
+        assert len(deserialized) == 3
+        deserialized.clear()
+
+
+def test_a_stage_run_alone_parses_the_environment_files(living_room_dir, tmp_path, deserialized):
+    paths = RunPaths(tmp_path / "run")
+    bundle = resolve_bundle(str(living_room_dir))
+    run_all(str(paths.root), str(living_room_dir), grid=0.2)
+    for stage in (
+        lambda: stage_validate(paths, bundle),
+        lambda: stage_simulate(paths, bundle),
+        lambda: stage_report(paths),
+    ):
+        deserialized.clear()
+        stage()
+        assert len(deserialized) == 3
+
+
+def test_a_validate_after_run_all_reads_the_files_on_disk(living_room_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    run_all(str(out), str(living_room_dir), grid=0.2)
+    broken = out / "environments" / "env-001.json"
+    broken.write_text(broken.read_text()[:60])
+    assert main(["validate", "--task", str(living_room_dir), "--out", str(out)]) == 2
+    assert str(broken) in capsys.readouterr().err
