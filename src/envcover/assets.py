@@ -7,11 +7,11 @@ buckets, counts are L2-normalized, and retrieval picks the catalog entry
 with the highest cosine similarity (ties go to the smallest asset id).
 
 Each catalog indexes itself once: it sorts its assets by id when it is
-built, and it keeps a map from every query it has scored to the query's
-sparse embedding and norm, so a description repeated within a build is
-embedded once. The index lives on the catalog instance, so nothing carries
-over from one load of a catalog to the next; the assets are fixed once the
-catalog is built.
+built, and it keeps a map from every description it has resolved to the
+asset chosen for it, so a description repeated within a build is embedded
+and scored once. The index lives on the catalog instance, so nothing
+carries over from one load of a catalog to the next; the assets are fixed
+once the catalog is built.
 
 The embedding is deliberately cheap and fully deterministic. Anything that
 embeds text the same way can swap in here, as long as stored vectors share
@@ -92,10 +92,10 @@ class AssetRecord:
 class AssetCatalog:
     dim: int = EMBEDDING_DIM
     assets: list[AssetRecord] = field(default_factory=list)
-    # the assets in id order, and query -> ((bucket, value) of each nonzero
-    # embedding entry, the embedding's L2 norm) for every query scored so far
+    # the assets in id order, and query -> chosen asset for every query
+    # retrieved so far
     _by_id: tuple[AssetRecord, ...] = field(init=False, repr=False, compare=False)
-    _queries: dict[str, tuple[list[tuple[int, float]], float]] = field(
+    _chosen: dict[str, AssetRecord] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -158,14 +158,10 @@ def _scores(catalog: AssetCatalog, query: str):
     """(asset, cosine similarity to the query) in asset id order.
 
     Each score is cosine_similarity's bit for bit: the dot product skips only
-    zero products, which leave a float sum unchanged. The query is embedded
-    on its first call and read from the catalog's map after that.
+    zero products, which leave a float sum unchanged.
     """
-    embedded = catalog._queries.get(query)
-    if embedded is None:
-        nonzero = [(i, v) for i, v in enumerate(embed_text(query, catalog.dim)) if v]
-        embedded = catalog._queries[query] = (nonzero, math.sqrt(sum(v * v for _, v in nonzero)))
-    nonzero, query_norm = embedded
+    nonzero = [(i, v) for i, v in enumerate(embed_text(query, catalog.dim)) if v]
+    query_norm = math.sqrt(sum(v * v for _, v in nonzero))
     for asset in catalog._by_id:
         vec = asset.embedding
         if len(vec) != catalog.dim:
@@ -180,14 +176,18 @@ def retrieve_asset(catalog: AssetCatalog, query: str) -> AssetRecord:
     """Best-matching asset for a free-text description.
 
     Highest cosine similarity wins; equal scores fall back to the smallest
-    asset id so retrieval stays deterministic.
+    asset id so retrieval stays deterministic. The catalog is scored on a
+    query's first call, and its choice is read from the catalog's map after
+    that.
     """
     if not catalog.assets:
         raise EmptyCatalog("asset catalog has no entries")
-    best: AssetRecord | None = None
-    best_score = -2.0
-    for asset, score in _scores(catalog, query):
-        if score > best_score + 1e-12:
-            best = asset
-            best_score = score
+    best = catalog._chosen.get(query)
+    if best is None:
+        best_score = -2.0
+        for asset, score in _scores(catalog, query):
+            if score > best_score + 1e-12:
+                best = asset
+                best_score = score
+        catalog._chosen[query] = best
     return best

@@ -8,6 +8,12 @@ is canonical (sorted keys, fixed float rounding) so identical scenes are
 byte-identical on disk. An environment document and each of its parts is
 written and read through jsonio's typed records: one key per dataclass
 field, and a field with a default may be left out.
+
+support_location is the one statement, outside the layout solver, of what
+holds an object up; it writes each object's metadata location, and the
+physics validator reports an object as floating exactly when it answers
+"floating". The solver keeps its own support geometry and uses none of the
+helpers here, so a solver bug cannot pass its own check.
 """
 
 from __future__ import annotations
@@ -17,9 +23,16 @@ from dataclasses import dataclass, field
 
 from .errors import SchemaViolation
 from .jsonio import _round, as_record, json_text, parse_as
-from .semantics import CARDINALS, MOUNT_HEIGHT, SUPPORT_EPS, SUPPORT_OVERLAP_FRAC
+from .semantics import (
+    CARDINALS,
+    MOUNT_EPS,
+    MOUNT_HEIGHT,
+    SUPPORT_EPS,
+    SUPPORT_OVERLAP_FRAC,
+)
 
 SCHEMA_VERSION = 1
+_TOL = 1e-9
 
 UNARY_KINDS = frozenset({"edge", "center", "mounted_on_wall"})
 CONTACT_KINDS = frozenset({"in", "on_top_of"})
@@ -271,49 +284,86 @@ class EnvironmentSpec:
 
 
 # ---------------------------------------------------------------------------
-# metadata
+# support: what holds an object up
 # ---------------------------------------------------------------------------
 
 
-def _rect_overlap_area(a, b) -> float:
-    w = min(a[2], b[2]) - max(a[0], b[0])
-    d = min(a[3], b[3]) - max(a[1], b[1])
-    return w * d if w > 0 and d > 0 else 0.0
+def placed_boxes(env: EnvironmentSpec) -> dict[str, tuple]:
+    """Each object's placed box, in env.objects order, from its first
+    placement as placement_of finds it; an object without one is a
+    KeyError, as there."""
+    placement = {p.object: p for p in reversed(env.placements)}
+    return {o.id: placed_box(o, placement[o.id]) for o in env.objects}
 
 
-def _support_location(env: EnvironmentSpec, obj: ObjectSpec, box, boxes) -> str:
-    """Where an object rests, by geometry alone: "floor", "<id>_top",
-    "<id>_in", "wall" (mounted), or "floating". box is obj's placed box and
-    boxes pairs every object with its own, in env.objects order."""
-    rect = (box[0], box[2], box[3], box[5])
-    area = max((rect[2] - rect[0]) * (rect[3] - rect[1]), 1e-12)
-    for other, ob in boxes:
-        if other.id == obj.id:
-            continue
-        inside = (
-            box[0] >= ob[0] - SUPPORT_EPS
-            and box[2] >= ob[2] - SUPPORT_EPS
-            and box[3] <= ob[3] + SUPPORT_EPS
-            and box[5] <= ob[5] + SUPPORT_EPS
-            and box[4] <= ob[4] + SUPPORT_EPS
-        )
-        if inside and abs(box[1] - ob[1]) <= SUPPORT_EPS:
-            return f"{other.id}_in"
-    for other, ob in boxes:
-        if other.id == obj.id:
-            continue
-        if abs(box[1] - ob[4]) <= SUPPORT_EPS:
-            orect = (ob[0], ob[2], ob[3], ob[5])
-            if _rect_overlap_area(rect, orect) >= SUPPORT_OVERLAP_FRAC * area:
-                return f"{other.id}_top"
+def mounted_subjects(env: EnvironmentSpec) -> set[str]:
+    return {r.subject for r in env.relations if r.kind == "mounted_on_wall"}
+
+
+def overlap(a0: float, a1: float, b0: float, b1: float) -> float:
+    return min(a1, b1) - max(a0, b0)
+
+
+def back_gap(box, direction: str, room: Room) -> float:
+    """Distance from the object's back face to the wall it backs onto."""
+    if direction == "north":
+        return abs(box[2] - room.z_min)
+    if direction == "south":
+        return abs(room.z_max - box[5])
+    if direction == "east":
+        return abs(box[0] - room.x_min)
+    return abs(room.x_max - box[3])
+
+
+def rests_on(box, ob) -> bool:
+    """box's bottom lies on ob's top face and enough of its footprint
+    overlaps ob's."""
+    if abs(box[1] - ob[4]) > SUPPORT_EPS:
+        return False
+    w = overlap(box[0], box[3], ob[0], ob[3])
+    d = overlap(box[2], box[5], ob[2], ob[5])
+    area = (box[3] - box[0]) * (box[5] - box[2])
+    return w > 0 and d > 0 and w * d >= SUPPORT_OVERLAP_FRAC * area - _TOL
+
+
+def inside(box, ob) -> bool:
+    """box lies within ob, up to SUPPORT_EPS on every face."""
+    return (
+        box[0] >= ob[0] - SUPPORT_EPS
+        and box[2] >= ob[2] - SUPPORT_EPS
+        and box[3] <= ob[3] + SUPPORT_EPS
+        and box[5] <= ob[5] + SUPPORT_EPS
+        and box[1] >= ob[1] - SUPPORT_EPS
+        and box[4] <= ob[4] + SUPPORT_EPS
+    )
+
+
+def support_location(env: EnvironmentSpec, obj: ObjectSpec, boxes: dict, mounted: set) -> str:
+    """Where an object rests, by geometry alone, first match wins:
+    "<id>_in" (inside that object, on its bottom), "<id>_top" (resting on
+    its top face), "floor", "wall" (a mounted_on_wall subject above the
+    floor with its back on its room's wall), else "floating". boxes is
+    placed_boxes(env) and mounted is mounted_subjects(env); objects are
+    scanned in env.objects order."""
+    box = boxes[obj.id]
+    for other, ob in boxes.items():
+        if other != obj.id and inside(box, ob) and abs(box[1] - ob[1]) <= SUPPORT_EPS:
+            return f"{other}_in"
+    for other, ob in boxes.items():
+        if other != obj.id and rests_on(box, ob):
+            return f"{other}_top"
     if abs(box[1]) <= SUPPORT_EPS:
         return "floor"
-    mounted = any(
-        r.kind == "mounted_on_wall" and r.subject == obj.id for r in env.relations
-    )
-    if mounted and box[1] > SUPPORT_EPS:
-        return "wall"
+    if obj.id in mounted and box[1] > SUPPORT_EPS:
+        direction = env.placement_of(obj.id).direction
+        if back_gap(box, direction, env.room_by_id(obj.room)) <= MOUNT_EPS:
+            return "wall"
     return "floating"
+
+
+# ---------------------------------------------------------------------------
+# metadata
+# ---------------------------------------------------------------------------
 
 
 def rebuild_metadata(env: EnvironmentSpec) -> dict:
@@ -325,14 +375,12 @@ def rebuild_metadata(env: EnvironmentSpec) -> dict:
     """
     meta: dict[tuple[str, str], str] = {}
     present = {o.id for o in env.objects}
-    # each object's first placement, as placement_of finds it; an object
-    # without one is a KeyError, as there
-    placement = {p.object: p for p in reversed(env.placements)}
-    boxes = [(o, placed_box(o, placement[o.id])) for o in env.objects]
-    for obj, box in boxes:
+    boxes = placed_boxes(env)
+    mounted = mounted_subjects(env)
+    for obj in env.objects:
         meta[(obj.id, "presence")] = "present"
         meta[(obj.id, "room")] = obj.room
-        meta[(obj.id, "location")] = _support_location(env, obj, box, boxes)
+        meta[(obj.id, "location")] = support_location(env, obj, boxes, mounted)
         for key, value in sorted(obj.attributes.items()):
             meta[(obj.id, key)] = value
     for entity in env.tracked_entities:

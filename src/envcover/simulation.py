@@ -21,7 +21,7 @@ Verdicts separate failure modes the way a test harness needs them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .environment import EnvironmentSpec
 from .errors import SchemaMismatch, SchemaViolation
@@ -184,7 +184,6 @@ def load_action_model(path) -> ActionModel:
 class SimOutcome:
     verdict: str
     ticks: int
-    trace: list[str] = field(default_factory=list)
     detail: str = ""
 
 
@@ -257,7 +256,6 @@ def run_policy(
         )
     world = initial_world(env, schema)
     goals = goals_for_trajectory(schema, trajectory)
-    trace: list[str] = []
     ticks = [0]
 
     def tick() -> None:
@@ -271,9 +269,7 @@ def run_policy(
             predicate = schema.predicates.get(node.predicate)
             if predicate is None:
                 raise _Halt(VERDICT_ERROR, f"unknown predicate {node.predicate!r}")
-            result = predicate.evaluate(world, predicate.entity, predicate.attribute)
-            trace.append(f"condition {node.predicate}: {'yes' if result else 'no'}")
-            return result
+            return predicate.evaluate(world, predicate.entity, predicate.attribute)
         if isinstance(node, BtAction):
             parts = node.text.split()
             verb, arg_values = parts[0], parts[1:]
@@ -295,7 +291,6 @@ def run_policy(
             for effect in spec.effects:
                 entity = _resolve(effect.entity, args)
                 world[(entity, effect.attribute)] = _resolve(effect.value, args)
-            trace.append(f"action {node.text}: done")
             return True
         if isinstance(node, BtSequence):
             for child in node.children:
@@ -311,19 +306,18 @@ def run_policy(
     try:
         success = run_node(policy.root)
     except _Halt as halt:
-        trace.append(f"halt: {halt.detail}")
-        return SimOutcome(verdict=halt.verdict, ticks=ticks[0], trace=trace, detail=halt.detail)
+        return SimOutcome(verdict=halt.verdict, ticks=ticks[0], detail=halt.detail)
 
     unmet = [g for g in goals if not g.satisfied(world)]
     if success and not unmet:
-        return SimOutcome(verdict=VERDICT_PASS, ticks=ticks[0], trace=trace)
+        return SimOutcome(verdict=VERDICT_PASS, ticks=ticks[0])
     if not success:
         detail = "behavior tree returned failure"
     else:
         detail = "unmet goals: " + ", ".join(
             f"({g.entity}, {g.attribute}) != {g.value}" for g in unmet
         )
-    return SimOutcome(verdict=VERDICT_GOAL, ticks=ticks[0], trace=trace, detail=detail)
+    return SimOutcome(verdict=VERDICT_GOAL, ticks=ticks[0], detail=detail)
 
 
 # ---------------------------------------------------------------------------

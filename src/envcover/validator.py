@@ -9,22 +9,37 @@ env-level pass/fail for each:
   sit in their room's wall with a positive sill and fit under the wall
   height.
 - entity: every object is placed inside its declared room, no two object
-  boxes collide (containment pairs exempt), and nothing floats: each object
-  rests on the floor, on another object's top face, inside a container, or
-  hangs mounted on a wall.
+  boxes collide (containment pairs exempt), and nothing floats: an object
+  floats exactly when environment.support_location, the rule that writes
+  its metadata location, finds it neither inside a container on its
+  bottom, nor resting on another object's top face, nor on the floor, nor
+  mounted with its back on its wall.
 - relation: every declared spatial relation holds geometrically, except the
   ones listed in relaxed_relations, which are skipped and reported.
 
-All geometry here is computed from the serialized placements. The layout
-solver has its own predicate implementations; this module never calls into
-it, so a solver bug cannot vouch for itself.
+All geometry here is computed from the serialized placements, with the
+support and overlap helpers of environment.py. The layout solver has its
+own predicate implementations and shares none of these; this module never
+calls into it, so a solver bug cannot vouch for itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .environment import EnvironmentSpec, Room, placed_box
+from .environment import (
+    _TOL,
+    EnvironmentSpec,
+    Room,
+    back_gap,
+    inside,
+    mounted_subjects,
+    overlap,
+    placed_box,
+    placed_boxes,
+    rests_on,
+    support_location,
+)
 from .semantics import (
     CARDINALS,
     CENTER_ALIGNED_EPS,
@@ -37,12 +52,9 @@ from .semantics import (
     NEAR_MAX,
     SIDE_LONG_MAX,
     SUPPORT_EPS,
-    SUPPORT_OVERLAP_FRAC,
     WALL_HEIGHT,
 )
 from .task_model import Violation
-
-_TOL = 1e-9
 
 
 @dataclass
@@ -58,10 +70,6 @@ class PhysicsReport:
         return self.floor_plan_ok and self.entity_ok and self.relation_ok
 
 
-def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
-    return min(a1, b1) - max(a0, b0)
-
-
 def _box_center(box) -> tuple[float, float]:
     return ((box[0] + box[3]) / 2, (box[2] + box[5]) / 2)
 
@@ -72,40 +80,6 @@ def _footprint_gap_to_walls(box, room: Room) -> float:
         room.x_max - box[3],
         box[2] - room.z_min,
         room.z_max - box[5],
-    )
-
-
-def _back_gap(box, direction: str, room: Room) -> float:
-    """Distance from the object's back face to the wall it backs onto."""
-    if direction == "north":
-        return abs(box[2] - room.z_min)
-    if direction == "south":
-        return abs(room.z_max - box[5])
-    if direction == "east":
-        return abs(box[0] - room.x_min)
-    return abs(room.x_max - box[3])
-
-
-def _rests_on(box, ob) -> bool:
-    """box's bottom lies on ob's top face and enough of its footprint
-    overlaps ob's."""
-    if abs(box[1] - ob[4]) > SUPPORT_EPS:
-        return False
-    w = _overlap(box[0], box[3], ob[0], ob[3])
-    d = _overlap(box[2], box[5], ob[2], ob[5])
-    area = (box[3] - box[0]) * (box[5] - box[2])
-    return w > 0 and d > 0 and w * d >= SUPPORT_OVERLAP_FRAC * area - _TOL
-
-
-def _inside(box, ob) -> bool:
-    """box lies within ob, up to SUPPORT_EPS on every face."""
-    return (
-        box[0] >= ob[0] - SUPPORT_EPS
-        and box[2] >= ob[2] - SUPPORT_EPS
-        and box[3] <= ob[3] + SUPPORT_EPS
-        and box[5] <= ob[5] + SUPPORT_EPS
-        and box[1] >= ob[1] - SUPPORT_EPS
-        and box[4] <= ob[4] + SUPPORT_EPS
     )
 
 
@@ -169,7 +143,7 @@ def _opens_onto(position, half: float, wall) -> bool:
     wall: on its line, and overlapping its span by more than _TOL."""
     axis, coord, lo, hi = wall
     across, along = position if axis == "x" else (position[1], position[0])
-    return abs(across - coord) <= _TOL and _overlap(along - half, along + half, lo, hi) > _TOL
+    return abs(across - coord) <= _TOL and overlap(along - half, along + half, lo, hi) > _TOL
 
 
 def check_floor_plan(env: EnvironmentSpec) -> list[Violation]:
@@ -178,8 +152,8 @@ def check_floor_plan(env: EnvironmentSpec) -> list[Violation]:
     for i in range(len(rooms)):
         for j in range(i + 1, len(rooms)):
             a, b = rooms[i], rooms[j]
-            wx = _overlap(a.x_min, a.x_max, b.x_min, b.x_max)
-            wz = _overlap(a.z_min, a.z_max, b.z_min, b.z_max)
+            wx = overlap(a.x_min, a.x_max, b.x_min, b.x_max)
+            wz = overlap(a.z_min, a.z_max, b.z_min, b.z_max)
             if wx > _TOL and wz > _TOL:
                 out.append(
                     Violation(
@@ -232,18 +206,9 @@ def check_floor_plan(env: EnvironmentSpec) -> list[Violation]:
 
 def check_entities(env: EnvironmentSpec) -> list[Violation]:
     out: list[Violation] = []
-    boxes: dict[str, tuple] = {}
-    for obj in env.objects:
-        placement = env.placement_of(obj.id)
-        boxes[obj.id] = placed_box(obj, placement)
-
-    in_pairs = set()
-    mounted = set()
-    for rel in env.relations:
-        if rel.kind == "in":
-            in_pairs.add(frozenset((rel.subject, rel.reference)))
-        elif rel.kind == "mounted_on_wall":
-            mounted.add(rel.subject)
+    boxes = placed_boxes(env)
+    mounted = mounted_subjects(env)
+    in_pairs = {frozenset((r.subject, r.reference)) for r in env.relations if r.kind == "in"}
 
     for obj in env.objects:
         room = env.room_by_id(obj.room)
@@ -268,34 +233,19 @@ def check_entities(env: EnvironmentSpec) -> list[Violation]:
                 continue
             ba, bb = boxes[a], boxes[b]
             if (
-                _overlap(ba[0], ba[3], bb[0], bb[3]) > _TOL
-                and _overlap(ba[1], ba[4], bb[1], bb[4]) > _TOL
-                and _overlap(ba[2], ba[5], bb[2], bb[5]) > _TOL
+                overlap(ba[0], ba[3], bb[0], bb[3]) > _TOL
+                and overlap(ba[1], ba[4], bb[1], bb[4]) > _TOL
+                and overlap(ba[2], ba[5], bb[2], bb[5]) > _TOL
             ):
                 out.append(Violation("entity", f"{a}+{b}", f"objects {a} and {b} collide"))
 
     for obj in env.objects:
-        box = boxes[obj.id]
-        if abs(box[1]) <= SUPPORT_EPS:
-            continue  # on the floor
-        supported = False
-        for other in env.objects:
-            if other.id == obj.id:
-                continue
-            if _rests_on(box, boxes[other.id]) or _inside(box, boxes[other.id]):
-                supported = True
-                break
-        if not supported and obj.id in mounted:
-            room = env.room_by_id(obj.room)
-            placement = env.placement_of(obj.id)
-            if _back_gap(box, placement.direction, room) <= MOUNT_EPS:
-                supported = True
-        if not supported:
+        if support_location(env, obj, boxes, mounted) == "floating":
             out.append(
                 Violation(
                     "entity",
                     obj.id,
-                    f"object {obj.id} floats at height {box[1]:.3f} with no support",
+                    f"object {obj.id} floats at height {boxes[obj.id][1]:.3f} with no support",
                 )
             )
     return out
@@ -322,7 +272,7 @@ def _relation_holds(env: EnvironmentSpec, idx: int) -> str | None:
         return None
     if rel.kind == "mounted_on_wall":
         placement = env.placement_of(rel.subject)
-        gap = _back_gap(sbox, placement.direction, room)
+        gap = back_gap(sbox, placement.direction, room)
         if gap > MOUNT_EPS:
             return f"back face is {gap:.3f} m off the wall"
         if sbox[1] <= _TOL:
@@ -341,20 +291,20 @@ def _relation_holds(env: EnvironmentSpec, idx: int) -> str | None:
             return f"centers are {dist:.3f} m apart (minimum {FAR_MIN})"
         return None
     if rel.kind == "on_top_of":
-        if _rests_on(sbox, rbox):
+        if rests_on(sbox, rbox):
             return None
         if abs(sbox[1] - rbox[4]) > SUPPORT_EPS:
             return f"bottom at {sbox[1]:.3f}, top of reference at {rbox[4]:.3f}"
         return "insufficient footprint overlap with the supporting face"
     if rel.kind == "in":
-        if not _inside(sbox, rbox):
+        if not inside(sbox, rbox):
             return "subject is not inside the container box"
         return None
     if rel.kind == "above":
         if sbox[1] < rbox[4] - SUPPORT_EPS:
             return "subject bottom is below the reference top"
-        w = _overlap(sbox[0], sbox[3], rbox[0], rbox[3])
-        d = _overlap(sbox[2], sbox[5], rbox[2], rbox[5])
+        w = overlap(sbox[0], sbox[3], rbox[0], rbox[3])
+        d = overlap(sbox[2], sbox[5], rbox[2], rbox[5])
         if w <= 0 or d <= 0:
             return "no footprint overlap"
         return None

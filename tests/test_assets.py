@@ -217,8 +217,9 @@ def test_a_loaded_catalog_starts_with_an_empty_query_map(tmp_path):
     save_catalog(small_catalog(), str(path))
     first = load_catalog(str(path))
     assert retrieve_asset(first, "a brown two seater sofa").id == "sofa_fabric"
-    assert list(first._queries) == ["a brown two seater sofa"]
-    assert load_catalog(str(path))._queries == {}
+    assert list(first._chosen) == ["a brown two seater sofa"]
+    assert first._chosen["a brown two seater sofa"].id == "sofa_fabric"
+    assert load_catalog(str(path))._chosen == {}
 
 
 @pytest.fixture
@@ -242,6 +243,21 @@ def test_retrieval_embeds_each_query_once_per_catalog(embedded):
     assert embedded == ["red chair", "a potted plant"]
     retrieve_asset(other, "red chair")
     assert embedded == ["red chair", "a potted plant", "red chair"]
+
+
+def test_retrieval_scores_the_catalog_once_per_query(monkeypatch):
+    catalog = small_catalog()
+    scored = []
+
+    def counting(catalog, query):
+        scored.append(query)
+        return _scores(catalog, query)
+
+    monkeypatch.setattr(assets, "_scores", counting)
+    picks = [retrieve_asset(catalog, q).id for q in ["red chair", "a potted plant", "red chair"]]
+    assert scored == ["red chair", "a potted plant"]
+    assert picks[0] == picks[2] == catalog._chosen["red chair"].id
+    assert list(catalog._chosen) == ["red chair", "a potted plant"]
 
 
 def test_a_fixture_build_embeds_each_distinct_description_once(
@@ -279,7 +295,8 @@ def test_retrieval_scores_equal_cosine_similarity_bit_for_bit():
     for _ in range(200):
         query = text(rng.randint(0, 40))
         qvec = embed_text(query, catalog.dim)
-        # the second call reads the query's embedding from the catalog's map
+        # the second call scores the query afresh: retrieve_asset's map
+        # holds chosen assets, not embeddings
         for _ in range(2):
             scores = list(_scores(catalog, query))
             assert [a.id for a, _ in scores] == sorted(a.id for a in catalog.assets)

@@ -19,6 +19,7 @@ from envcover.environment import (
     serialize_environment,
 )
 from envcover.errors import SchemaViolation
+from envcover.validator import check_entities
 
 
 def obj(id, size, room="main", category="enrichment", **attributes):
@@ -65,7 +66,7 @@ def sample_env() -> EnvironmentSpec:
             placed("cup", 1.0, 0.8, 1.0),
             placed("bin", 3.0, 0.0, 3.0),
             placed("coin", 3.0, 0.0, 3.0),
-            placed("picture", 2.0, 1.5, 3.95),
+            placed("picture", 2.0, 1.5, 3.95, "south"),  # back on the north wall
         ],
         tracked_entities=["cup", "unicorn"],
     )
@@ -224,6 +225,15 @@ def test_metadata_reads_support_from_geometry():
     assert meta[("table", "material")] == "wood"
     assert meta[("cup", "presence")] == "present"
     assert meta[("cup", "room")] == "main"
+
+
+def test_a_mounted_object_facing_away_from_its_wall_floats():
+    env = sample_env()
+    # facing north, the picture's back is 3.85 m off the south wall
+    env.placements[4] = placed("picture", 2.0, 1.5, 3.95, "north")
+    assert rebuild_metadata(env)[("picture", "location")] == "floating"
+    floats = [v.location for v in check_entities(env) if "floats" in v.message]
+    assert floats == ["picture"]
 
 
 def test_metadata_marks_missing_tracked_entities_absent():

@@ -28,6 +28,7 @@ from envcover.environment import (
     SpatialRelation,
     footprint,
     make_room,
+    rebuild_metadata,
 )
 from envcover.errors import ConfigError, CoreUnsat, EncodingError, SolverTimeout
 from envcover.semantics import DIRECTION_VECTORS, SIDE_LONG_MAX
@@ -42,7 +43,7 @@ from envcover.solver import (
     solve,
     solve_with_relaxation,
 )
-from envcover.validator import _relation_holds
+from envcover.validator import _relation_holds, check_entities
 
 GRID = SolverConfig(grid_resolution=0.25, seed=0)
 
@@ -869,6 +870,53 @@ def test_relation_predicate_agrees_with_the_validator(kind):
             assert holds == (reason is None), (objects, env.placements, reason)
             outcomes[holds] += 1
     assert outcomes[True] > 300 and outcomes[False] > 300, outcomes
+
+
+def support_scene(rng):
+    """A seeded one-room scene with an object for each support: floor
+    objects, a cup on a table, a toy in a crate and a mounted picture."""
+    side = rng.choice([3.5, 4.0, 4.5])
+    objects = [
+        obj("table", (rng.choice([0.8, 1.0, 1.2]), rng.choice([0.45, 0.75]), rng.choice([0.6, 0.8]))),
+        obj("crate", (rng.choice([0.5, 0.7]), rng.choice([0.3, 0.6]), rng.choice([0.4, 0.6]))),
+        obj("stool", (rng.choice([0.3, 0.4]), rng.choice([0.4, 0.5]), rng.choice([0.3, 0.4]))),
+        obj("cup", (rng.choice([0.1, 0.2]), rng.choice([0.1, 0.15]), rng.choice([0.1, 0.2]))),
+        obj("toy", (rng.choice([0.15, 0.2]), rng.choice([0.1, 0.25]), rng.choice([0.1, 0.2]))),
+        obj("picture", (rng.choice([0.4, 0.6]), 0.4, 0.05), mount_height=str(rng.choice([1.2, 1.4, 1.6]))),
+    ]
+    relations = [
+        SpatialRelation(kind="on_top_of", subject="cup", reference="table"),
+        SpatialRelation(kind="in", subject="toy", reference="crate"),
+        SpatialRelation(kind="mounted_on_wall", subject="picture"),
+        SpatialRelation(kind=rng.choice(["near", "far"]), subject="stool", reference="table", priority="enrichment"),
+    ]
+    return make_room("r", 0, 0, side, side), objects, relations
+
+
+def test_solved_scenes_rest_each_object_where_its_support_relation_says():
+    # the solver's _support_plan sets each height from the object's support
+    # relation; the classifier that writes the metadata location and the
+    # validator's floating check must read the same support back
+    rng = random.Random("support")
+    for trial in range(40):
+        room, objects, relations = support_scene(rng)
+        problem = encode([room], [], [], objects, relations, SolverConfig(grid_resolution=0.25, seed=trial))
+        solution = solve_with_relaxation(problem)
+        env = EnvironmentSpec(
+            id="e", task_id="t", trajectory_id="x", rooms=[room], objects=objects,
+            relations=relations, placements=solution.placements,
+        )
+        expected = {o.id: "floor" for o in objects}
+        for rel in relations:
+            if rel.kind == "on_top_of":
+                expected[rel.subject] = f"{rel.reference}_top"
+            elif rel.kind == "in":
+                expected[rel.subject] = f"{rel.reference}_in"
+            elif rel.kind == "mounted_on_wall":
+                expected[rel.subject] = "wall"
+        meta = rebuild_metadata(env)
+        assert {o.id: meta[(o.id, "location")] for o in objects} == expected, (trial, env.placements)
+        assert check_entities(env) == [], trial
 
 
 def test_grid_comb_is_one_bit_per_column():

@@ -1,7 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+import envcover
 from envcover.environment import (
     Doorway,
     EnvironmentSpec,
@@ -10,6 +13,7 @@ from envcover.environment import (
     SpatialRelation,
     Window,
     make_room,
+    rebuild_metadata,
 )
 from envcover.validator import (
     check_entities,
@@ -311,6 +315,93 @@ def test_contained_pair_is_exempt_from_collision():
     report = validate_physics(without)
     assert not report.entity_ok
     assert any("collide" in v.message for v in report.failures)
+
+
+# ---------------------------------------------------------------------------
+# support: the metadata location and the floating check are one rule
+# ---------------------------------------------------------------------------
+
+
+def container_env(toy_y):
+    """base_env plus a 1 x 0.8 x 1 box on the floor and a 0.2 m toy in it,
+    the toy's bottom at toy_y."""
+    env = base_env()
+    env.objects += [obj("box", (1.0, 0.8, 1.0)), obj("toy", (0.2, 0.2, 0.2))]
+    env.placements += [
+        Placement(object="box", position=(1.0, 0.0, 3.0), direction="north"),
+        Placement(object="toy", position=(1.0, toy_y, 3.0), direction="north"),
+    ]
+    env.relations.append(SpatialRelation(kind="in", subject="toy", reference="box"))
+    return env
+
+
+@pytest.mark.parametrize("lift", [0.2, 0.4])
+def test_a_toy_raised_inside_its_container_floats(lift):
+    on_bottom = container_env(0.0)
+    assert validate_physics(on_bottom).ok
+    assert rebuild_metadata(on_bottom)[("toy", "location")] == "box_in"
+    # the in relation still holds, since the toy stays inside the box, so
+    # exactly the entity dimension flips, and the metadata agrees
+    env = container_env(lift)
+    report = validate_physics(env)
+    assert dims(report) == (True, False, True)
+    assert [v.message for v in report.failures] == [
+        f"object toy floats at height {lift:.3f} with no support"
+    ]
+    assert rebuild_metadata(env)[("toy", "location")] == "floating"
+
+
+def test_an_item_on_exactly_half_its_footprint_rests_on_its_host():
+    # a solver placement on a 0.1 m grid: the footprint overlap is exactly
+    # half the item's in reals and 3e-17 m^2 short of it in floats, which
+    # the on_top_of check allows for; the metadata must allow for it too
+    env = EnvironmentSpec(
+        id="e",
+        task_id="t",
+        trajectory_id="traj",
+        rooms=[make_room("r", 0, 0, 5, 5)],
+        objects=[obj("item0", (0.23, 0.27, 0.14)), obj("anchor3", (0.88, 0.63, 0.82))],
+        placements=[
+            Placement(object="item0", position=(4.17, 0.63, 1.17), direction="east"),
+            Placement(object="anchor3", position=(4.31, 0.0, 1.61), direction="east"),
+        ],
+        relations=[SpatialRelation(kind="on_top_of", subject="item0", reference="anchor3")],
+    )
+    assert validate_physics(env).ok
+    assert rebuild_metadata(env)[("item0", "location")] == "anchor3_top"
+
+
+SRC = Path(envcover.__file__).parent
+
+
+def imported(module):
+    """(module, name) for each import in the envcover module, the module
+    named without its package: ("environment", "placed_box") for
+    `from .environment import placed_box`, ("", "solver") for
+    `from . import solver`, ("solver", None) for `import envcover.solver`."""
+    pairs = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = (node.module or "").removeprefix("envcover").removeprefix(".")
+            pairs.update((base, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            pairs.update((alias.name.removeprefix("envcover."), None) for alias in node.names)
+    return pairs
+
+
+def test_the_solver_and_the_validator_share_no_geometry():
+    # a solver bug must not pass its own check: neither module imports the
+    # other, and the solver uses none of the support helpers that the
+    # validator and the metadata share
+    for module, other in (("validator", "solver"), ("solver", "validator")):
+        pairs = imported(module)
+        assert not [(m, n) for m, n in pairs if m == other or (m == "" and n == other)]
+    shared = {"overlap", "rests_on", "inside", "back_gap", "support_location",
+              "placed_boxes", "mounted_subjects"}
+    solver = imported("solver")
+    assert ("", "environment") not in solver and ("environment", None) not in solver
+    assert not {n for m, n in solver if m == "environment"} & shared
+    assert shared <= {n for m, n in imported("validator") if m == "environment"}
 
 
 # ---------------------------------------------------------------------------
