@@ -1,13 +1,16 @@
 """Environment data model: rooms, openings, objects, relations, placements.
 
-An EnvironmentSpec is a fully explicit scene: axis-aligned rectangular rooms
-in the x-z plane, doorways and windows with solved positions, objects with
-bounding boxes and solved placements, the spatial relations the layout was
-solved under, and a metadata map regenerated from the geometry. Serialization
-is canonical (sorted keys, fixed float rounding) so identical scenes are
-byte-identical on disk. An environment document and each of its parts is
-written and read through jsonio's typed records: one key per dataclass
-field, and a field with a default may be left out.
+An EnvironmentSpec is a fully explicit scene: rooms, doorways and windows
+with solved positions, objects with bounding boxes and solved placements,
+the spatial relations the layout was solved under, and a metadata map
+regenerated from the geometry. A Room is its rectangle, x_min..x_max by
+z_min..z_max in the x-z plane, from the provider's floor plan to the
+validator; only an environment document stores its four corners, and
+reading one checks that they span an axis-aligned rectangle.
+Serialization is canonical (sorted keys, fixed float rounding) so identical
+scenes are byte-identical on disk. An environment document and each of its
+parts is written and read through jsonio's typed records: one key per
+dataclass field, and a field with a default may be left out.
 
 support_location is the one statement, outside the layout solver, of what
 holds an object up; it writes each object's metadata location, and the
@@ -54,51 +57,25 @@ CATEGORIES = ("task_related", "enrichment")
 @dataclass(frozen=True)
 class Room:
     id: str
-    vertices: tuple[tuple[float, float], ...]  # 4 corners (x, z)
+    x_min: float
+    z_min: float
+    x_max: float
+    z_max: float
     floor_color: str = ""
     floor_material: str = ""
     wall_color: str = ""
     wall_material: str = ""
 
     @property
-    def x_min(self) -> float:
-        return min(v[0] for v in self.vertices)
-
-    @property
-    def x_max(self) -> float:
-        return max(v[0] for v in self.vertices)
-
-    @property
-    def z_min(self) -> float:
-        return min(v[1] for v in self.vertices)
-
-    @property
-    def z_max(self) -> float:
-        return max(v[1] for v in self.vertices)
-
-    @property
     def center(self) -> tuple[float, float]:
         return ((self.x_min + self.x_max) / 2, (self.z_min + self.z_max) / 2)
 
     def validate(self) -> None:
-        if len(self.vertices) != 4:
-            raise SchemaViolation("room must have 4 vertices", f"rooms[{self.id}]")
-        xs = {_round(v[0]) for v in self.vertices}
-        zs = {_round(v[1]) for v in self.vertices}
-        if len(xs) != 2 or len(zs) != 2:
-            raise SchemaViolation(
-                "room vertices must form an axis-aligned rectangle", f"rooms[{self.id}]"
-            )
         if self.x_max - self.x_min <= 0 or self.z_max - self.z_min <= 0:
             raise SchemaViolation("room must have positive area", f"rooms[{self.id}]")
 
 
-def make_room(id: str, x_min: float, z_min: float, x_max: float, z_max: float, **styles) -> Room:
-    return Room(
-        id=id,
-        vertices=((x_min, z_min), (x_max, z_min), (x_max, z_max), (x_min, z_max)),
-        **styles,
-    )
+make_room = Room  # the name bench/inputs.py imports
 
 
 @dataclass(frozen=True)
@@ -394,8 +371,37 @@ def rebuild_metadata(env: EnvironmentSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 @dataclass
+class _StoredRoom:
+    """A room as an environment document stores it: its four corners (x, z)."""
+
+    id: str
+    vertices: tuple[tuple[float, float], ...]
+    floor_color: str = ""
+    floor_material: str = ""
+    wall_color: str = ""
+    wall_material: str = ""
+
+    @classmethod
+    def of(cls, r: Room) -> _StoredRoom:
+        corners = ((r.x_min, r.z_min), (r.x_max, r.z_min), (r.x_max, r.z_max), (r.x_min, r.z_max))
+        return cls(r.id, corners, r.floor_color, r.floor_material, r.wall_color, r.wall_material)
+
+    def room(self) -> Room:
+        """The rectangle the corners span; a SchemaViolation unless they are
+        the four corners of an axis-aligned rectangle."""
+        where = f"rooms[{self.id}]"
+        if len(self.vertices) != 4:
+            raise SchemaViolation("room must have 4 vertices", where)
+        xs, zs = zip(*self.vertices)
+        if len(set(map(_round, xs))) != 2 or len(set(map(_round, zs))) != 2:
+            raise SchemaViolation("room vertices must form an axis-aligned rectangle", where)
+        styles = (self.floor_color, self.floor_material, self.wall_color, self.wall_material)
+        return Room(self.id, min(xs), min(zs), max(xs), max(zs), *styles)
+
+
+@dataclass
 class _FloorPlan:
-    rooms: tuple[Room, ...] = ()
+    rooms: tuple[_StoredRoom, ...] = ()
     doorways: tuple[Doorway, ...] = ()
     windows: tuple[Window, ...] = ()
 
@@ -432,7 +438,9 @@ def serialize_environment(env: EnvironmentSpec) -> str:
         id=env.id,
         task_id=env.task_id,
         trajectory_id=env.trajectory_id,
-        floor_plan=_FloorPlan(tuple(env.rooms), tuple(env.doorways), tuple(env.windows)),
+        floor_plan=_FloorPlan(
+            tuple(map(_StoredRoom.of, env.rooms)), tuple(env.doorways), tuple(env.windows)
+        ),
         objects=tuple(env.objects),
         relations=tuple(env.relations),
         relaxed_relations=tuple(env.relaxed_relations),
@@ -456,7 +464,7 @@ def deserialize_environment(text: str) -> EnvironmentSpec:
         id=doc.id,
         task_id=doc.task_id,
         trajectory_id=doc.trajectory_id,
-        rooms=list(doc.floor_plan.rooms),
+        rooms=[r.room() for r in doc.floor_plan.rooms],
         doorways=list(doc.floor_plan.doorways),
         windows=list(doc.floor_plan.windows),
         objects=list(doc.objects),

@@ -2,9 +2,10 @@
 
 Every JSON file of a task bundle or a run directory is read by read_json and
 written by write_json, environment documents aside: environment.py decides
-what goes into one and writes its text with json_text, and that text is read
-by read_text. A file that cannot be read is a ConfigError, and text that is
-not UTF-8 or not JSON is a SchemaViolation (the CLI exits 2 on both).
+what goes into one and writes its text with json_text, and that text is
+written by write_text and read by read_text. A file that cannot be read or
+written is a ConfigError, and text that is not UTF-8 or not JSON is a
+SchemaViolation (the CLI exits 2 on both).
 
 json_text is the one canonical text: json.dumps(doc, indent=2, sort_keys=not
 ordered) plus a newline, byte for byte, built in one pass. json.dumps takes
@@ -60,7 +61,15 @@ def write_json(path, doc, ordered: bool = False) -> None:
     trajectories cover_path_sets selects, and a cassette must hand back
     exactly the responses it recorded.
     """
-    Path(path).write_text(json_text(doc, ordered), encoding="utf-8")
+    write_text(path, json_text(doc, ordered))
+
+
+def write_text(path, text: str) -> None:
+    """text as the UTF-8 file at path."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def json_text(doc, ordered: bool = False) -> str:

@@ -33,7 +33,7 @@ from .assets import load_catalog
 from .derivation import DerivationResult, derive
 from .environment import EnvironmentSpec, deserialize_environment, serialize_environment
 from .errors import ConfigError, MissingInput, SchemaViolation
-from .jsonio import parse_as, read_json, read_text, write_json
+from .jsonio import parse_as, read_json, read_text, write_json, write_text
 from .metrics import (
     logic_coverage,
     logic_coverage_atomic,
@@ -117,7 +117,10 @@ class RunPaths:
 
     def ensure(self) -> None:
         for d in (self.root, self.plans, self.trajectories, self.environments, self.reports):
-            d.mkdir(parents=True, exist_ok=True)
+            try:
+                d.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot make run directory {d}: {exc}") from exc
 
 
 def _read_json(path: Path, what: str):
@@ -269,7 +272,7 @@ def stage_build(
     environments = []
     for i, outcome in enumerate(outcomes):
         env = outcome.environment
-        _env_file(paths, i).write_text(serialize_environment(env))
+        write_text(_env_file(paths, i), serialize_environment(env))
         environments.append(env)
         stats[env.id] = {
             "assignments": outcome.solver_stats.get("assignments", 0),

@@ -2,11 +2,13 @@
 
 The build walks the generation chain: ask the provider for a floor plan,
 then for objects (bounding boxes come from the asset catalog), then for
-spatial relations. Proposed relations pass through deterministic
-compatibility rules; conflicts go back to the provider for revision, a
-bounded number of rounds. The surviving draft is encoded as a CSP and
-solved with relaxation; the placed result carries derived metadata and is
-checked against the trajectory's query conditions before it is returned.
+spatial relations. The floor plan's rooms are read as Room records, bounds
+as sent, and one without positive area is a SchemaViolation. Proposed
+relations pass through deterministic compatibility rules; conflicts go back
+to the provider for revision, a bounded number of rounds. The surviving
+draft is encoded as a CSP and solved with relaxation; the placed result
+carries derived metadata and is checked against the trajectory's query
+conditions before it is returned.
 
 Failures keep their causes apart: UnsatisfiableScene means geometry or
 relation sets that cannot be realized, TrajectoryMismatch means the scene
@@ -29,7 +31,6 @@ from .environment import (
     SUPPORT_KINDS,
     SpatialRelation,
     Window,
-    make_room,
     mount_height,
     rebuild_metadata,
 )
@@ -55,24 +56,9 @@ class BuildOutcome:
 
 
 @dataclass
-class _RoomBounds:
-    """A room as the provider gives it: bounds and styles, not vertices."""
-
-    id: str
-    x_min: float
-    z_min: float
-    x_max: float
-    z_max: float
-    floor_color: str = ""
-    floor_material: str = ""
-    wall_color: str = ""
-    wall_material: str = ""
-
-
-@dataclass
 class _FloorPlanResponse:
     # the solver sets each opening's position
-    rooms: tuple[_RoomBounds, ...]
+    rooms: tuple[Room, ...]
     doorways: tuple[Doorway, ...] = ()
     windows: tuple[Window, ...] = ()
 
@@ -110,7 +96,9 @@ def parse_floor_plan(doc) -> tuple[list[Room], list[Doorway], list[Window]]:
     plan = parse_as(_FloorPlanResponse, doc, "floor plan")
     if not plan.rooms:
         raise SchemaViolation("floor plan has no rooms")
-    return [make_room(**asdict(r)) for r in plan.rooms], list(plan.doorways), list(plan.windows)
+    for room in plan.rooms:
+        room.validate()
+    return list(plan.rooms), list(plan.doorways), list(plan.windows)
 
 
 def resolve_objects(raw_objects, catalog: AssetCatalog) -> list[ObjectSpec]:

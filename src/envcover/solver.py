@@ -74,13 +74,14 @@ import random
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .environment import (
     DISTANCE_KINDS,
     ObjectSpec,
     Placement,
     RELATIVE_KINDS,
+    Room,
     SUPPORT_KINDS,
     SpatialRelation,
     UNARY_KINDS,
@@ -104,6 +105,9 @@ from .semantics import (
 )
 
 _TOL = 1e-9
+
+# the most grid points along one axis of a room, far above the ~240 of a 0.025 m grid
+MAX_GRID_POINTS = 10_000
 
 # relation predicates that depend on footprint centers alone
 _POSITION_ONLY_KINDS = frozenset({"near", "far", "center_aligned"})
@@ -155,6 +159,11 @@ class Solution:
 
 
 def _grid_points(lo: float, hi: float, res: float) -> list[float]:
+    count = (hi + _TOL - lo) / res
+    if count > MAX_GRID_POINTS:  # else the walk below may never end, or fill memory first
+        raise ConfigError(
+            f"grid resolution {res} puts {count:.3g} points on one axis, over {MAX_GRID_POINTS}"
+        )
     pts = []
     k = 0
     while True:
@@ -170,24 +179,11 @@ def _overlap_1d(a0, a1, b0, b1) -> float:
     return min(a1, b1) - max(a0, b0)
 
 
-class _RoomBounds(NamedTuple):
-    """A room's axis-aligned bounds as plain floats, read once per problem."""
-
-    id: str
-    x_min: float
-    x_max: float
-    z_min: float
-    z_max: float
-    center: tuple[float, float]
-
-
 class _Geometry:
-    """Per-problem cached room bounds, footprints and support heights."""
+    """Per-problem rooms by id, footprints and support heights."""
 
     def __init__(self, rooms, objects):
-        self.rooms = {
-            r.id: _RoomBounds(r.id, r.x_min, r.x_max, r.z_min, r.z_max, r.center) for r in rooms
-        }
+        self.rooms = {r.id: r for r in rooms}
         self.objects = {o.id: o for o in objects}
         self.base_y: dict[str, float] = {}
         # each object's position grid: the distinct x and z of its domain
@@ -262,7 +258,7 @@ def _support_plan(objects, relations) -> dict[str, float]:
     return base_y
 
 
-def _shared_wall(a: _RoomBounds, b: _RoomBounds):
+def _shared_wall(a: Room, b: Room):
     """Shared boundary segment of two adjacent rooms, or None.
 
     Returns ("x", wall_coord, lo, hi) for a wall at constant x, or
@@ -280,7 +276,7 @@ def _shared_wall(a: _RoomBounds, b: _RoomBounds):
     return None
 
 
-def _wall_of(room: _RoomBounds, orientation: str):
+def _wall_of(room: Room, orientation: str):
     if orientation == "north":
         return ("z", room.z_max, room.x_min, room.x_max)
     if orientation == "south":
@@ -392,7 +388,7 @@ def _keep_none(assign, u, mask):
     return 0
 
 
-def _containment_pruner(geo, o: str, room: _RoomBounds):
+def _containment_pruner(geo, o: str, room: Room):
     """x - hx >= x_lo and x + hx > x_hi each turn true once along the
     sorted xs, and the columns that pass run from the first turn to the
     second; rows alike."""
@@ -412,7 +408,7 @@ def _containment_pruner(geo, o: str, room: _RoomBounds):
     return prune
 
 
-def _edge_pruner(geo, o: str, room: _RoomBounds, limit: float):
+def _edge_pruner(geo, o: str, room: Room, limit: float):
     """The gap to the near wall, x - hx - x_min, rises along xs, so the
     columns within limit of it are a prefix; those within limit of the far
     wall, x_max - (x + hx) falling, a suffix. Rows alike."""
@@ -432,7 +428,7 @@ def _edge_pruner(geo, o: str, room: _RoomBounds, limit: float):
     return prune
 
 
-def _wall_back_pruner(geo, o: str, room: _RoomBounds, eps: float):
+def _wall_back_pruner(geo, o: str, room: Room, eps: float):
     """The back of o's box lies within eps of the wall it faces away from.
 
     The back's offset from that wall is monotone along the axis it faces
@@ -984,10 +980,10 @@ class CspProblem:
             prune = _edge_pruner(geo, s, room, EDGE_MAX + _TOL)
 
         elif rel.kind == "center":
+            cx, cz = room.center
 
             def check(assign):
                 sx, sz = assign[f"{s}.pos"]
-                cx, cz = room.center
                 return (sx - cx) ** 2 + (sz - cz) ** 2 <= CENTER_MAX**2 + _TOL
 
         elif rel.kind == "mounted_on_wall":

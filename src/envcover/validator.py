@@ -74,15 +74,6 @@ def _box_center(box) -> tuple[float, float]:
     return ((box[0] + box[3]) / 2, (box[2] + box[5]) / 2)
 
 
-def _footprint_gap_to_walls(box, room: Room) -> float:
-    return min(
-        box[0] - room.x_min,
-        room.x_max - box[3],
-        box[2] - room.z_min,
-        room.z_max - box[5],
-    )
-
-
 def _ray_reaches(origin_x: float, origin_z: float, direction: str, box, limit: float | None) -> bool:
     fx, fz = DIRECTION_VECTORS[direction]
     if fx == 0:
@@ -148,10 +139,8 @@ def _opens_onto(position, half: float, wall) -> bool:
 
 def check_floor_plan(env: EnvironmentSpec) -> list[Violation]:
     out: list[Violation] = []
-    rooms = list(env.rooms)
-    for i in range(len(rooms)):
-        for j in range(i + 1, len(rooms)):
-            a, b = rooms[i], rooms[j]
+    for i, a in enumerate(env.rooms):
+        for b in env.rooms[i + 1 :]:
             wx = overlap(a.x_min, a.x_max, b.x_min, b.x_max)
             wz = overlap(a.z_min, a.z_max, b.z_min, b.z_max)
             if wx > _TOL and wz > _TOL:
@@ -184,7 +173,7 @@ def check_floor_plan(env: EnvironmentSpec) -> list[Violation]:
             )
         if any(
             _opens_onto(door.position, half, w)
-            for other in rooms
+            for other in env.rooms
             if other is not room
             for w in _shared_walls(room, other)
         ):
@@ -260,7 +249,8 @@ def _relation_holds(env: EnvironmentSpec, idx: int) -> str | None:
     room = env.room_by_id(subject.room)
 
     if rel.kind == "edge":
-        gap = _footprint_gap_to_walls(sbox, room)
+        x_gap = min(sbox[0] - room.x_min, room.x_max - sbox[3])
+        gap = min(x_gap, sbox[2] - room.z_min, room.z_max - sbox[5])
         if gap > EDGE_MAX + _TOL:
             return f"nearest wall is {gap:.3f} m away (limit {EDGE_MAX})"
         return None

@@ -282,6 +282,34 @@ def test_non_finite_grid_exits_2(command, value, living_room_dir, tmp_path, caps
     assert not (tmp_path / "r").exists()
 
 
+def test_a_grid_too_fine_for_the_room_exits_2(living_room_dir, tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["run-all", "--task", str(living_room_dir), "--out", str(out), "--grid", "1e-300"]) == 2
+    assert "grid resolution 1e-300 puts" in capsys.readouterr().err
+    assert not list(out.glob("environments/env-*.json"))
+
+
+@pytest.mark.parametrize("command", ["run-all", "collect"])
+def test_an_out_path_that_is_a_file_exits_2(command, living_room_dir, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    task = ["--task", str(living_room_dir)] if command == "run-all" else []
+    assert main([command, *task, "--out", str(out)]) == 2
+    assert f"cannot make run directory {out}" in capsys.readouterr().err
+    assert out.read_text() == ""
+
+
+def test_an_environment_file_that_cannot_be_written_exits_2(living_room_dir, tmp_path, capsys):
+    out = tmp_path / "r"
+    task = ["--task", str(living_room_dir), "--out", str(out)]
+    assert main(["derive", *task]) == 0
+    assert main(["collect", "--out", str(out)]) == 0
+    (out / "environments" / "env-000.json").mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["build", *task]) == 2
+    assert f"cannot write {out / 'environments' / 'env-000.json'}" in capsys.readouterr().err
+
+
 def test_jobs_is_not_an_option(living_room_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["build", "--task", str(living_room_dir), "--out", str(tmp_path / "r"), "--jobs", "2"])

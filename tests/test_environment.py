@@ -2,6 +2,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from envcover.environment import (
     Doorway,
@@ -109,18 +111,7 @@ def test_sample_env_is_structurally_valid():
     "mutate, message",
     [
         (lambda e: e.rooms.append(make_room("main", 5, 5, 6, 6)), "duplicate room"),
-        (
-            lambda e: e.rooms.__setitem__(
-                0, Room(id="main", vertices=((0, 0), (4, 0), (4, 4)))
-            ),
-            "4 vertices",
-        ),
-        (
-            lambda e: e.rooms.__setitem__(
-                0, Room(id="main", vertices=((0, 0), (4, 1), (4, 4), (0, 3)))
-            ),
-            "axis-aligned",
-        ),
+        (lambda e: e.rooms.__setitem__(0, Room("main", 4, 0, 0, 4)), "positive area"),
         (
             lambda e: e.doorways.__setitem__(
                 0, Doorway(id="door", connects=("main", "attic"), width=0.9, height=2.0)
@@ -345,6 +336,13 @@ MALFORMED_PARTS = {
     "vertex_with_one_coordinate": lambda d: d["floor_plan"]["rooms"][0]["vertices"].__setitem__(
         0, [0.0]
     ),
+    "room_with_three_corners": lambda d: d["floor_plan"]["rooms"][0]["vertices"].pop(),
+    "corners_not_a_rectangle": lambda d: d["floor_plan"]["rooms"][0]["vertices"].__setitem__(
+        1, [4.0, 1.0]
+    ),
+    "room_with_zero_width": lambda d: d["floor_plan"]["rooms"][0].update(
+        vertices=[[0.0, 0.0], [0.0, 0.0], [0.0, 4.0], [0.0, 4.0]]
+    ),
     "size_with_two_numbers": lambda d: d["objects"][1].update(size=[0.2, 0.1]),
     "placement_with_a_nested_coordinate": lambda d: d["placements"][0].update(
         position=[[1.0, 0.0], 0.0, 1.0]
@@ -358,6 +356,22 @@ def test_deserialize_rejects_malformed_parts(mutate):
     doc = json.loads(serialize_environment(sample_env()))
     mutate(doc)
     with pytest.raises(SchemaViolation):
+        deserialize_environment(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ("room_with_three_corners", r"rooms\[main\]: room must have 4 vertices"),
+        ("corners_not_a_rectangle", r"rooms\[main\]: room vertices must form an axis-aligned"),
+        ("room_with_zero_width", "axis-aligned rectangle"),
+    ],
+    ids=["three_corners", "not_a_rectangle", "zero_width"],
+)
+def test_stored_corners_are_checked_on_read(part, message):
+    doc = json.loads(serialize_environment(sample_env()))
+    MALFORMED_PARTS[part](doc)
+    with pytest.raises(SchemaViolation, match=message):
         deserialize_environment(json.dumps(doc))
 
 
@@ -389,6 +403,30 @@ def test_round_trip_keeps_unplaced_openings():
     assert back.doorways == env.doorways
     assert back.windows == env.windows
     assert serialize_environment(back) == text
+
+
+_coordinate = st.integers(-10_000, 10_000).map(lambda k: k / 1000)
+_extent = st.integers(1, 10_000).map(lambda k: k / 1000)
+
+
+@given(
+    x_min=_coordinate,
+    z_min=_coordinate,
+    width=_extent,
+    depth=_extent,
+    styles=st.lists(st.text(max_size=8), min_size=4, max_size=4),
+    order=st.permutations(range(4)),
+)
+def test_a_room_round_trips_through_its_four_corners(x_min, z_min, width, depth, styles, order):
+    x_max, z_max = round(x_min + width, 3), round(z_min + depth, 3)
+    room = Room("r", x_min, z_min, x_max, z_max, *styles)
+    text = serialize_environment(EnvironmentSpec("e", "t", "j", rooms=[room]))
+    doc = json.loads(text)
+    corners = doc["floor_plan"]["rooms"][0]["vertices"]
+    assert corners == [[x_min, z_min], [x_max, z_min], [x_max, z_max], [x_min, z_max]]
+    assert deserialize_environment(text).rooms == [room]
+    doc["floor_plan"]["rooms"][0]["vertices"] = [corners[i] for i in order]
+    assert deserialize_environment(json.dumps(doc)).rooms == [room]
 
 
 def test_deserialize_rejects_stale_metadata():

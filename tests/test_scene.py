@@ -88,6 +88,19 @@ def test_parse_floor_plan_requires_room_bounds():
         parse_floor_plan(doc)
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [{"x_min": 6.0, "x_max": 0.0}, {"z_min": 5.0, "z_max": 0.0}, {"x_max": 0.0}],
+    ids=["x_swapped", "z_swapped", "zero_width"],
+)
+def test_parse_floor_plan_rejects_rooms_without_area(bounds):
+    # the bounds are read as they are sent, never reordered
+    doc = copy.deepcopy(FLOOR_PLAN_DOC)
+    doc["rooms"][0].update(bounds)
+    with pytest.raises(SchemaViolation, match=r"rooms\[living_room\]: room must have positive area"):
+        parse_floor_plan(doc)
+
+
 def test_parse_floor_plan_rejects_empty_plan():
     with pytest.raises(SchemaViolation):
         parse_floor_plan({"rooms": []})

@@ -176,6 +176,14 @@ def test_grid_step_must_be_finite_and_positive(step):
         SolverConfig(grid_resolution=step)
 
 
+@pytest.mark.parametrize("step", [1e-300, 1e-9])
+def test_a_grid_too_fine_for_its_room_is_a_config_error(step):
+    # 1e-300 never moves the walk past its start; 1e-9 would list billions of points
+    sofa = obj("sofa", (2.0, 0.8, 0.9))
+    with pytest.raises(ConfigError, match=rf"grid resolution {step} puts .* points on one axis"):
+        encode([room4()], [], [], [sofa], [], SolverConfig(grid_resolution=step))
+
+
 # ---------------------------------------------------------------------------
 # solving
 # ---------------------------------------------------------------------------
