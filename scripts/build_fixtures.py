@@ -525,7 +525,7 @@ def record(plan_doc: list, task: TaskSpec, catalog, schema, actions, policies) -
     responder = Responder(plan_doc)
     channel = ReplayChannel([], live=responder)
     result = derive(PlanProvider(channel), task)
-    assert result.status == "ok", result.report.violations
+    assert result.status == "ok", result.violations
     assert [len(paths) for paths in paths_per_subtask(result.trees)] == [3, 2, 2]
 
     selected = cover_path_sets(paths_per_subtask(result.trees))

@@ -116,7 +116,7 @@ def _dispatch(args) -> dict | None:
             "status": result.status,
             "rounds_used": result.rounds_used,
             "subtasks": len(result.subtasks),
-            "violations": len(result.report.violations),
+            "violations": len(result.violations),
         }
         if result.status != "ok":
             print(json.dumps(summary, indent=2, sort_keys=True))

@@ -1,10 +1,11 @@
 """Behavior-plan derivation with verification and bounded refinement.
 
 derive() walks the provider through task decomposition, per-subtask factor
-identification, and per-subtask plan generation, then verifies the artifacts
-(factor independence across subtasks, tree syntax, query grounding). While
-violations remain and rounds allow, only the failing artifacts are sent back
-for refinement: plan documents for syntax/grounding problems, the later
+identification, and per-subtask plan generation, then checks the artifacts
+in one pass (factor independence across subtasks, tree syntax, query
+grounding). Its verdict is the list of violations left: while violations
+remain and rounds allow, only the failing artifacts are sent back for
+refinement: plan documents for syntax/grounding problems, the later
 subtask's factor list for an independence overlap.
 """
 
@@ -18,8 +19,8 @@ from .task_model import (
     BehaviorPlanTree,
     SubtaskSpec,
     TaskSpec,
-    ValidationReport,
     Violation,
+    normalize_text,
     parse_behavior_plan,
     validate_tree_grounding,
 )
@@ -27,66 +28,15 @@ from .task_model import (
 
 @dataclass
 class DerivationResult:
-    task: TaskSpec
     subtasks: list[SubtaskSpec]
     trees: list[BehaviorPlanTree | None]
     plan_document: list
-    report: ValidationReport
+    violations: list[Violation]
     rounds_used: int
-    status: str  # "ok" | "exhausted_rounds"
 
-
-def verify_independence(subtasks: list[SubtaskSpec]) -> ValidationReport:
-    """One violation per subtask pair whose factor names overlap."""
-    report = ValidationReport()
-    for i in range(len(subtasks)):
-        for j in range(i + 1, len(subtasks)):
-            a, b = subtasks[i], subtasks[j]
-            shared = sorted(
-                {f.name for f in a.factors} & {f.name for f in b.factors}
-            )
-            if shared:
-                report.violations.append(
-                    Violation(
-                        "independence",
-                        f"{a.id}+{b.id}",
-                        f"subtasks {a.id!r} and {b.id!r} share factor(s): "
-                        + ", ".join(shared),
-                    )
-                )
-    return report
-
-
-def verify_syntax(subtask_id: str, parse_error=None) -> ValidationReport:
-    """The parse error of a subtask's plan as a syntax violation, if it had one.
-
-    Every tree comes from parse_behavior_plan, which raises on each
-    structural defect, so the parse error is the whole syntax check.
-    """
-    report = ValidationReport()
-    if parse_error is not None:
-        report.violations.append(Violation("syntax", subtask_id, str(parse_error)))
-    return report
-
-
-def _tagged_violations(subtasks, trees, parse_errors) -> list[tuple[tuple[str, str], Violation]]:
-    """Every violation, each with the (stage, subtask_id) whose refinement can clear it.
-
-    Independence overlaps refine the later subtask's factors; syntax and
-    grounding violations refine that subtask's plan document.
-    """
-    tagged = []
-    for i, a in enumerate(subtasks):
-        for b in subtasks[i + 1 :]:
-            tagged += [(("factors", b.id), v) for v in verify_independence([a, b]).violations]
-    for subtask in subtasks:
-        report = verify_syntax(subtask.id, parse_errors.get(subtask.id))
-        tagged += [(("plan", subtask.id), v) for v in report.violations]
-    for subtask, tree in zip(subtasks, trees):
-        if tree is not None and subtask.id not in parse_errors:
-            report = validate_tree_grounding(tree, subtask.factors)
-            tagged += [(("plan", subtask.id), v) for v in report.violations]
-    return tagged
+    @property
+    def status(self) -> str:
+        return "exhausted_rounds" if self.violations else "ok"
 
 
 @dataclass
@@ -109,14 +59,38 @@ class _Working:
             self.parse_error = exc
 
 
-def _subtask_specs(items: list[_Working]) -> list[SubtaskSpec]:
-    return [SubtaskSpec(id=w.id, summary=w.summary, factors=w.factors) for w in items]
+def _violations(working: list[_Working]) -> list[tuple[tuple[str, str], Violation]]:
+    """Every violation, each with the (stage, subtask id) whose refinement can clear it.
+
+    Independence overlaps come first, one per subtask pair i < j, and refine
+    the later subtask's factors; factor names compare after normalize_text,
+    as grounding reads them, and the message lists the earlier subtask's
+    names as written. Syntax violations (a plan's parse error, which is the
+    whole syntax check) and then grounding violations refine that subtask's
+    plan document.
+    """
+    tagged = []
+    for i, a in enumerate(working):
+        for b in working[i + 1 :]:
+            b_names = {normalize_text(f.name) for f in b.factors}
+            shared = sorted({f.name for f in a.factors if normalize_text(f.name) in b_names})
+            if shared:
+                message = f"subtasks {a.id!r} and {b.id!r} share factor(s): " + ", ".join(shared)
+                violation = Violation("independence", f"{a.id}+{b.id}", message)
+                tagged.append((("factors", b.id), violation))
+    for w in working:
+        if w.parse_error is not None:
+            tagged.append((("plan", w.id), Violation("syntax", w.id, str(w.parse_error))))
+    for w in working:
+        if w.tree is not None:
+            tagged += [(("plan", w.id), v) for v in validate_tree_grounding(w.tree, w.factors)]
+    return tagged
 
 
 def derive(provider: PlanProvider, task: TaskSpec, max_rounds: int = 3) -> DerivationResult:
     """Full derivation. Never raises on verification failure: when rounds run
-    out with violations left, the result carries status "exhausted_rounds"
-    and the failing report."""
+    out with violations left, the result carries them and its status reads
+    "exhausted_rounds"."""
     working = [_Working(id=s.id, summary=s.summary) for s in provider.decompose(task)]
     for w in working:
         w.factors = provider.identify_factors(task.id, w.id, w.summary)
@@ -124,18 +98,11 @@ def derive(provider: PlanProvider, task: TaskSpec, max_rounds: int = 3) -> Deriv
         w.raw_plan = provider.generate_plan(task.id, w.id, w.factors)
         w.reparse()
 
-    def current_violations() -> list[tuple[tuple[str, str], Violation]]:
-        return _tagged_violations(
-            _subtask_specs(working),
-            [w.tree for w in working],
-            {w.id: w.parse_error for w in working if w.parse_error is not None},
-        )
-
-    tagged = current_violations()
+    tagged = _violations(working)
     rounds_used = 1
     by_id = {w.id: w for w in working}
     while tagged and rounds_used < max_rounds:
-        # one refine per (stage, subtask), in report order, with its messages
+        # one refine per (stage, subtask), in violation order, with its messages
         messages: dict[tuple[str, str], list[str]] = {}
         for target, v in tagged:
             messages.setdefault(target, []).append(v.message)
@@ -149,15 +116,12 @@ def derive(provider: PlanProvider, task: TaskSpec, max_rounds: int = 3) -> Deriv
                 w.raw_plan = replacement
                 w.reparse()
         rounds_used += 1
-        tagged = current_violations()
+        tagged = _violations(working)
 
-    report = ValidationReport([v for _, v in tagged])
     return DerivationResult(
-        task=task,
-        subtasks=_subtask_specs(working),
+        subtasks=[SubtaskSpec(id=w.id, summary=w.summary, factors=w.factors) for w in working],
         trees=[w.tree for w in working],
         plan_document=[w.raw_plan for w in working],
-        report=report,
+        violations=[v for _, v in tagged],
         rounds_used=rounds_used,
-        status="ok" if report.ok else "exhausted_rounds",
     )

@@ -181,7 +181,7 @@ def stage_derive(
         {
             "status": result.status,
             "rounds_used": result.rounds_used,
-            "violations": [asdict(v) for v in result.report.violations],
+            "violations": [asdict(v) for v in result.violations],
         },
     )
     return result
@@ -501,7 +501,7 @@ def run_all(
     if derivation.status != "ok":
         raise MissingInput(
             "derivation finished with violations "
-            f"({len(derivation.report.violations)}); not building scenes from a "
+            f"({len(derivation.violations)}); not building scenes from a "
             "failing plan"
         )
     timed("collect", lambda: stage_collect(paths))

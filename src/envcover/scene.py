@@ -42,6 +42,9 @@ from .semantics import SUPPORT_EPS, WALL_HEIGHT
 from .solver import SolverConfig, encode, solve_with_relaxation
 from .trajectories import LogicalTrajectory
 
+# revision rounds a conflicting relation set gets before the build gives up
+MAX_REVISIONS = 3
+
 
 @dataclass
 class BuildOutcome:
@@ -240,7 +243,6 @@ def build_environment(
     trajectory: LogicalTrajectory,
     env_id: str,
     config: SolverConfig | None = None,
-    max_revisions: int = 3,
 ) -> BuildOutcome:
     config = config or SolverConfig()
     task_id = schema.task_id
@@ -257,7 +259,7 @@ def build_environment(
 
     rounds = 0
     conflicts = compatibility_conflicts(objects, relations)
-    while conflicts and rounds < max_revisions:
+    while conflicts and rounds < MAX_REVISIONS:
         rounds += 1
         raw_relations = provider.revise_relations(
             task_id, trajectory_id, _serialize_relations(relations), conflicts

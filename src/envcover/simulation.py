@@ -96,7 +96,10 @@ def _parse_node(doc, where: str):
 def parse_policy(doc: dict) -> PolicySpec:
     if not isinstance(doc, dict) or "root" not in doc:
         raise SchemaViolation("policy must be an object with a 'root' node")
-    return PolicySpec(label=str(doc.get("label", "")), root=_parse_node(doc["root"], "root"))
+    label = doc.get("label", "")
+    if not isinstance(label, str):
+        raise SchemaViolation(f"policy label must be a string, got {type(label).__name__}")
+    return PolicySpec(label=label, root=_parse_node(doc["root"], "root"))
 
 
 def load_policy(path) -> PolicySpec:
@@ -335,15 +338,8 @@ def scenario_validity(
     """
     reasons: list[str] = []
     if not physics.ok:
-        dims = [
-            name
-            for name, ok in (
-                ("floor_plan", physics.floor_plan_ok),
-                ("entity", physics.entity_ok),
-                ("relation", physics.relation_ok),
-            )
-            if not ok
-        ]
+        # each check emits only its own rule, floor_plan then entity then relation
+        dims = dict.fromkeys(f.rule for f in physics.failures)
         reasons.append("physics validation failed: " + ", ".join(dims))
     placed = {o.id for o in env.objects}
     missing = [e for e in schema.required_entities if e not in placed]

@@ -221,7 +221,7 @@ def extract_paths(tree: BehaviorPlanTree) -> list[DecisionPath]:
 
 
 # ---------------------------------------------------------------------------
-# Verification report plumbing (shared with plan derivation)
+# Plan verification (shared with plan derivation)
 # ---------------------------------------------------------------------------
 
 
@@ -232,35 +232,26 @@ class Violation:
     message: str
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def match_factors(query_text: str, factors) -> list[UncertainFactor]:
     """Factors whose name or alias occurs in the (normalized) query text."""
     return [f for f in factors if f.matches_query(query_text)]
 
 
-def validate_tree_grounding(tree: BehaviorPlanTree, factors) -> ValidationReport:
+def validate_tree_grounding(tree: BehaviorPlanTree, factors) -> list[Violation]:
     """Check every query grounds in exactly one factor, responses in-domain."""
-    report = ValidationReport()
+    violations: list[Violation] = []
 
     def visit(node: Node, where: str) -> None:
         if isinstance(node, Leaf):
             return
         matched = match_factors(node.text, factors)
         if not matched:
-            report.violations.append(
+            violations.append(
                 Violation("grounding", where, f"query {node.text!r} matches no declared factor")
             )
         elif len(matched) > 1:
             names = ", ".join(f.name for f in matched)
-            report.violations.append(
+            violations.append(
                 Violation(
                     "grounding", where, f"query {node.text!r} matches multiple factors ({names})"
                 )
@@ -269,7 +260,7 @@ def validate_tree_grounding(tree: BehaviorPlanTree, factors) -> ValidationReport
             domain = {normalize_text(d) for d in matched[0].domain}
             for response, _ in node.branches:
                 if normalize_text(response) not in domain:
-                    report.violations.append(
+                    violations.append(
                         Violation(
                             "grounding",
                             where,
@@ -281,4 +272,4 @@ def validate_tree_grounding(tree: BehaviorPlanTree, factors) -> ValidationReport
             visit(child, f"{where}/{normalize_text(response)}")
 
     visit(tree.root, tree.subtask_id)
-    return report
+    return violations

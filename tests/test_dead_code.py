@@ -1,0 +1,62 @@
+"""Every definition in envcover has a reader.
+
+A top-level function or class, or a method, of src/envcover that no code in
+src/envcover, bench/ or scripts/ names (as a Name, an Attribute or an import
+alias) is dead weight. Dunder methods are called by the language and are
+not checked. The allowlist holds the definitions that only tests read: each
+is an oracle a test compares the pipeline against, and names that test.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "envcover"
+READERS = (SRC, ROOT / "bench", ROOT / "scripts")
+
+TEST_ORACLES = {
+    # test_assets::test_retrieval_scores_equal_cosine_similarity_bit_for_bit
+    "assets.cosine_similarity",
+    # test_acceptance::test_c05_unsat_verdicts_match_exhaustive_grid_enumeration
+    "solver.CspProblem.check_assignment",
+    # test_trajectories::test_selection_close_to_exhaustive_property
+    "trajectories.exhaustive_min_cover",
+    # test_task_model::test_parse_serialize_round_trip_property
+    "task_model.serialize_behavior_plan",
+}
+
+
+def definitions():
+    """Dotted names ("module.function", "module.Class.method") of src/envcover."""
+    out = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            out[f"{module}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        out[f"{module}.{node.name}.{item.name}"] = item.name
+    return out
+
+
+def referenced_names():
+    names = set()
+    for path in (p for directory in READERS for p in directory.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(n for n in (node.name, node.asname) if n)
+    return names
+
+
+def test_every_definition_in_envcover_is_referenced():
+    names = referenced_names()
+    unread = {dotted for dotted, name in definitions().items() if name not in names}
+    assert unread == TEST_ORACLES
+

@@ -10,11 +10,7 @@ import pytest
 
 import envcover
 from envcover import providers
-from envcover.derivation import (
-    derive,
-    verify_independence,
-    verify_syntax,
-)
+from envcover.derivation import derive
 from envcover.errors import ProviderError
 from envcover.providers import (
     HttpChannel,
@@ -24,7 +20,7 @@ from envcover.providers import (
     request_hash,
     save_cassette,
 )
-from envcover.task_model import SubtaskSpec, TaskSpec, UncertainFactor
+from envcover.task_model import TaskSpec
 
 TASK = TaskSpec(id="demo", description="tidy two shelves", environment_type="indoor")
 
@@ -65,31 +61,39 @@ def two_subtask_responses(s2_factor="second thing"):
 # ---------------------------------------------------------------------------
 
 
-def spec(id, *factor_names):
-    return SubtaskSpec(
-        id=id,
-        summary=id,
-        factors=tuple(
-            UncertainFactor(name=n, domain=("yes", "no"), aliases=()) for n in factor_names
-        ),
-    )
+def subtasks_over(**factor_of):
+    """One subtask per keyword, each with one factor and a plan grounded in it."""
+    return {
+        "decompose": [[{"id": sid, "summary": sid} for sid in factor_of]],
+        "identify_factors": [[factor(name, "yes", "no")] for name in factor_of.values()],
+        "generate_plan": [tree_over(name) for name in factor_of.values()],
+    }
+
+
+def first_round_violations(responses):
+    return derive(PlanProvider(ScriptedChannel(responses)), TASK, max_rounds=1).violations
 
 
 def test_independence_flags_each_sharing_pair():
-    report = verify_independence([spec("a", "x"), spec("b", "x"), spec("c", "x")])
-    assert len(report.violations) == 3
-    assert {v.location for v in report.violations} == {"a+b", "a+c", "b+c"}
-    assert all(v.rule == "independence" for v in report.violations)
+    violations = first_round_violations(subtasks_over(a="x", b="x", c="x"))
+    assert [v.location for v in violations] == ["a+b", "a+c", "b+c"]
+    assert all(v.rule == "independence" for v in violations)
+    # names compare as grounding reads them; the message keeps the earlier spelling
+    (violation,) = first_round_violations(subtasks_over(a="Toy", b="toy"))
+    assert (violation.rule, violation.location) == ("independence", "a+b")
+    assert violation.message == "subtasks 'a' and 'b' share factor(s): Toy"
 
 
 def test_independent_subtasks_produce_no_violations():
-    report = verify_independence([spec("a", "x"), spec("b", "y"), spec("c", "z")])
-    assert report.ok
+    assert first_round_violations(subtasks_over(a="x", b="y", c="z")) == []
 
 
 def test_syntax_reports_parse_errors():
-    report = verify_syntax("s1", parse_error=ValueError("broken"))
-    assert [v.rule for v in report.violations] == ["syntax"]
+    responses = two_subtask_responses()
+    responses["generate_plan"][1] = {"q1": {"YES": "a"}, "q2": {"NO": "b"}}  # two roots
+    (violation,) = first_round_violations(responses)
+    assert (violation.rule, violation.location) == ("syntax", "s2")
+    assert "exactly one key" in violation.message
 
 
 def test_report_orders_independence_before_grounding():
@@ -97,7 +101,7 @@ def test_report_orders_independence_before_grounding():
     responses["generate_plan"][1] = {"is the mystery there?": {"YES": "Act.", "NO": "Do nothing."}}
     result = derive(PlanProvider(ScriptedChannel(responses)), TASK, max_rounds=1)
     assert result.status == "exhausted_rounds"
-    rules = [v.rule for v in result.report.violations]
+    rules = [v.rule for v in result.violations]
     assert rules[0] == "independence"
     assert "grounding" in rules[1:]
 
@@ -193,7 +197,7 @@ def test_unfixable_violations_exhaust_rounds_without_raising():
     result = derive(PlanProvider(ScriptedChannel(responses)), TASK, max_rounds=3)
     assert result.status == "exhausted_rounds"
     assert result.rounds_used == 3
-    assert not result.report.ok
+    assert result.violations
 
 
 def test_malformed_refine_factors_are_a_provider_error():

@@ -350,7 +350,7 @@ def test_unresolvable_conflicts_raise_after_the_revision_budget(doll_setup, cata
         "revise_relations": [conflicted],  # provider never fixes it
     }
     with pytest.raises(UnsatisfiableScene):
-        build_with(responses, doll_setup, catalog, task_schema, max_revisions=2)
+        build_with(responses, doll_setup, catalog, task_schema)
 
 
 def test_missing_task_entity_is_a_trajectory_mismatch(doll_setup, catalog, task_schema):

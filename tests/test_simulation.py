@@ -69,6 +69,7 @@ def test_parse_policy_builds_the_node_tree():
         {"root": {"teleport": "x"}},
         {"root": {"sequence": [{"action": "a"}], "extra": 1}},
         {"no_root": True},
+        {"label": None, "root": {"action": "a"}},
     ],
 )
 def test_parse_policy_rejects_malformed_nodes(bad):

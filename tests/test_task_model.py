@@ -183,16 +183,15 @@ TOY_FACTORS = (
 
 def test_grounding_passes_on_living_room_toy_tree(living_room_plan_doc):
     trees = parse_behavior_plan(living_room_plan_doc, ["toy", "book", "stain"])
-    report = validate_tree_grounding(trees[0], TOY_FACTORS)
-    assert report.ok
+    assert validate_tree_grounding(trees[0], TOY_FACTORS) == []
 
 
 def test_grounding_flags_unmatched_query():
     (tree,) = parse_behavior_plan([{"Is the window open?": {"YES": "a", "NO": "b"}}])
-    report = validate_tree_grounding(tree, TOY_FACTORS)
-    assert not report.ok
-    assert report.violations[0].rule == "grounding"
-    assert "matches no declared factor" in report.violations[0].message
+    violations = validate_tree_grounding(tree, TOY_FACTORS)
+    assert violations
+    assert violations[0].rule == "grounding"
+    assert "matches no declared factor" in violations[0].message
 
 
 def test_grounding_flags_ambiguous_query():
@@ -201,22 +200,21 @@ def test_grounding_flags_ambiguous_query():
         UncertainFactor("floor", ("YES", "NO")),
     )
     (tree,) = parse_behavior_plan([{"There is a toy on the floor?": {"YES": "a", "NO": "b"}}])
-    report = validate_tree_grounding(tree, factors)
-    assert any("multiple factors" in v.message for v in report.violations)
+    violations = validate_tree_grounding(tree, factors)
+    assert any("multiple factors" in v.message for v in violations)
 
 
 def test_grounding_flags_out_of_domain_response():
     (tree,) = parse_behavior_plan(
         [{"There is a toy on the floor?": {"YES": "a", "MAYBE": "b"}}]
     )
-    report = validate_tree_grounding(tree, TOY_FACTORS[:1])
-    assert any("outside domain" in v.message for v in report.violations)
+    violations = validate_tree_grounding(tree, TOY_FACTORS[:1])
+    assert any("outside domain" in v.message for v in violations)
 
 
 def test_grounding_compares_responses_after_normalization():
     (tree,) = parse_behavior_plan([{"There is a toy on the floor?": {"yes": "a", "No!": "b"}}])
-    report = validate_tree_grounding(tree, TOY_FACTORS[:1])
-    assert report.ok
+    assert validate_tree_grounding(tree, TOY_FACTORS[:1]) == []
 
 
 def test_match_factors_uses_word_boundaries():
