@@ -63,17 +63,22 @@ def _violations(working: list[_Working]) -> list[tuple[tuple[str, str], Violatio
     """Every violation, each with the (stage, subtask id) whose refinement can clear it.
 
     Independence overlaps come first, one per subtask pair i < j, and refine
-    the later subtask's factors; factor names compare after normalize_text,
-    as grounding reads them, and the message lists the earlier subtask's
-    names as written. Syntax violations (a plan's parse error, which is the
-    whole syntax check) and then grounding violations refine that subtask's
-    plan document.
+    the later subtask's factors. Two factors overlap when a name or alias
+    of one equals a name or alias of the other after normalize_text, since
+    grounding matches a query against any of them; the message lists the
+    earlier subtask's overlapping factors by name, as written. Syntax violations (a plan's
+    parse error, which is the whole syntax check) and then grounding
+    violations refine that subtask's plan document.
     """
+
+    def terms(f) -> set[str]:
+        return {normalize_text(t) for t in (f.name, *f.aliases)}
+
     tagged = []
     for i, a in enumerate(working):
         for b in working[i + 1 :]:
-            b_names = {normalize_text(f.name) for f in b.factors}
-            shared = sorted({f.name for f in a.factors if normalize_text(f.name) in b_names})
+            b_terms = set().union(*map(terms, b.factors))
+            shared = sorted({f.name for f in a.factors if not terms(f).isdisjoint(b_terms)})
             if shared:
                 message = f"subtasks {a.id!r} and {b.id!r} share factor(s): " + ", ".join(shared)
                 violation = Violation("independence", f"{a.id}+{b.id}", message)

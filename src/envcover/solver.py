@@ -57,11 +57,25 @@ previous one's. The predicates remain the reference: check_assignment and
 the tests' brute-force oracles call them, and so does forward checking, on
 each set bit, for the kinds without a pruner.
 
+Before it searches, solve tries to prove the rung unsat from the fixed
+inputs alone (_static_core). It tests the height-only parts of above, in
+and mounted_on_wall on the fixed bottom heights. When the rung keeps a far,
+it bounds each pair's center distance from above, by near, on_top_of, in
+and the extent of the two grids, closes the bounds under the triangle
+inequality (path consistency on distance graphs: Dechter, Meiri and Pearl,
+AIJ 49, 1991; triangle bound smoothing: Crippen and Havel, 1988), and
+compares each far with its pair's closed bound. The bounds hold in the
+continuous room, so a rung they rule out has no grid solution either, and
+solve returns it unsat with zero stats and no search.
+
 solve_with_relaxation drops the relaxable constraints one at a time, in
-relax_order. An unsat Solution carries pruning, the ids of the constraints
-whose filter removed a value anywhere in the proof. A constraint outside it
-never changed a mask, so the rung that drops it is the same search tree:
-that rung is not searched, and the next constraint is dropped at once.
+relax_order. An unsat Solution carries pruning, an unsat core: the rung
+stays unsat while every id in it is kept. A static proof gives the
+constraints its bounds and tests came from; a search gives the ids of the
+constraints whose filter removed a value anywhere in the proof, because a
+constraint outside them never changed a mask, so the rung that drops it is
+the same search tree. A rung that keeps the whole core is not searched, and
+the next constraint is dropped at once.
 
 Relation predicates here are written against this module's own box math; the
 physics validator re-implements the same semantics table independently.
@@ -148,8 +162,9 @@ class Solution:
     window_positions: dict = field(default_factory=dict)
     relaxed: list[str] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
-    # unsat only: the ids of the constraints whose filter removed a value
-    # anywhere in the proof; every other constraint left every mask as it was
+    # unsat only: an unsat core, the rung stays unsat while every id in it is
+    # kept (a static proof's constraints, or those whose filter removed a
+    # value anywhere in a searched proof)
     pruning: frozenset = frozenset()
 
 
@@ -1162,6 +1177,149 @@ def encode(rooms, doorways, windows, objects, relations, config: SolverConfig | 
 
 
 # ---------------------------------------------------------------------------
+# static unsat proofs
+# ---------------------------------------------------------------------------
+
+# the least center distance a far allows, and the most a near allows
+_FAR_BOUND = math.sqrt(FAR_MIN**2 - _TOL)
+_NEAR_BOUND = math.sqrt(NEAR_MAX**2 + _TOL)
+# how far a far must pass its pair's closed upper bound before the check
+# trusts it: far above the float rounding of the predicates and of a sum of
+# bounds, far below any grid step
+_BOUND_MARGIN = 1e-6
+_STATIC_KINDS = frozenset({"near", "far", "on_top_of", "in", "above", "mounted_on_wall"})
+
+
+def _host_bound(geo: _Geometry, s: str, r: str, kind: str) -> float:
+    """An upper bound on the center distance of s and its host r under
+    on_top_of or in: r's half-diagonal plus sqrt(2) times a slack per axis.
+
+    Along x, with s's half-footprint hx, r's gx and the centers sx and rx:
+    in keeps s's span inside r's widened by SUPPORT_EPS, so |sx - rx| <= gx
+    - hx + SUPPORT_EPS. on_top_of keeps w * d >= f * W * D - _TOL, where w x
+    d is the overlap, W x D is s's footprint and f is SUPPORT_OVERLAP_FRAC;
+    d <= D, so w >= f * W - _TOL / D. The overlap is at most the distance
+    from s's near edge to r's far edge, w <= hx + gx - |sx - rx|, so |sx -
+    rx| <= gx + (1 - 2f) * hx + _TOL / D: with f = 0.5, s's center lies over
+    r's footprint, up to _TOL / D. z alike. With m the larger slack of the
+    two axes, the distance is at most hypot(gx + m, gz + m) <= hypot(gx, gz)
+    + sqrt(2) * m, and hypot(gx, gz) is r's half-diagonal whatever its
+    direction; hx is at most s's half-diagonal.
+    """
+    r_x, _, r_z = geo.objects[r].size
+    s_x, _, s_z = geo.objects[s].size
+    if kind == "in":
+        slack = SUPPORT_EPS
+    else:
+        least = min(s_x, s_z)
+        slack = max(0.0, 1 - 2 * SUPPORT_OVERLAP_FRAC) * math.hypot(s_x, s_z) / 2
+        # an s without area satisfies no on_top_of, so any bound holds for it
+        slack += _TOL / least if least > 0 else 0.0
+    return math.hypot(r_x, r_z) / 2 + math.sqrt(2) * slack
+
+
+def _static_core(problem: CspProblem, skip: frozenset) -> frozenset | None:
+    """An unsat core of the rung that keeps every constraint outside skip,
+    proved without search, or None.
+
+    Heights are fixed before the search, so the height-only tests of above
+    (a[1] < b[4] - SUPPORT_EPS fails it), in (its two y tests) and
+    mounted_on_wall (a[1] > _TOL) are evaluated once, with the predicates'
+    own float expressions; a failing one is a core by itself.
+
+    When the rung keeps a far, every pair of the objects that near, far,
+    on_top_of and in name gets an upper bound on its center distance: the
+    tightest of _NEAR_BOUND, _host_bound and the room bound, with the id of
+    the relation behind it. Floyd-Warshall closes the bounds under the
+    triangle inequality and unions the ids along each path. A far whose
+    _FAR_BOUND exceeds its pair's closed bound by more than _BOUND_MARGIN
+    cannot hold with the relations on that path: those ids and the far's
+    are the core.
+    """
+    geo = problem.geo
+    upper: dict[tuple[str, str], tuple[float, str]] = {}  # the tightest relation bound per pair
+    fars: list[tuple[str, str, str]] = []
+    for c in problem.constraints:
+        if c.kind not in _STATIC_KINDS or c.id in skip:
+            continue
+        s = c.scope[0]
+        if c.kind == "mounted_on_wall":
+            if not geo.y_span(s)[0] > _TOL:
+                return frozenset((c.id,))
+            continue
+        r = c.scope[1]
+        (s_lo, s_hi), (r_lo, r_hi) = geo.y_span(s), geo.y_span(r)
+        if c.kind == "above":
+            if s_lo < r_hi - SUPPORT_EPS:
+                return frozenset((c.id,))
+            continue
+        if c.kind == "in" and not (s_lo >= r_lo - SUPPORT_EPS and s_hi <= r_hi + SUPPORT_EPS):
+            return frozenset((c.id,))
+        if c.kind == "far":
+            fars.append((s, r, c.id))
+            continue
+        bound = _NEAR_BOUND if c.kind == "near" else _host_bound(geo, s, r, c.kind)
+        pair = (s, r) if s < r else (r, s)
+        if pair not in upper or bound < upper[pair][0]:
+            upper[pair] = (bound, c.id)
+    if not fars:
+        return None
+
+    nodes = sorted({o for pair in upper for o in pair} | {o for s, r, _ in fars for o in (s, r)})
+    # a bound of _FAR_BOUND or more rules out no far, alone or on a path, so
+    # it stands for no bound, and a path through it is not followed. The room
+    # bound of two objects is the largest center distance on their grids,
+    # from a corner of one grid's bounding box to the farthest corner of the
+    # other's. Along x it is at least the mean of the two grids' widths, so
+    # when even the narrowest grids put it at _FAR_BOUND or more, no room
+    # bound counts, and only a far whose ends relation bounds join can fail.
+    boxes = [(g.xs[0], g.xs[-1], g.zs[0], g.zs[-1]) for g in map(geo.grids.__getitem__, nodes)]
+    narrowest = math.hypot(min(b[1] - b[0] for b in boxes), min(b[3] - b[2] for b in boxes))
+    if narrowest >= _FAR_BOUND:
+        joined = {o: {o} for o in nodes}  # the objects relation bounds join to each
+        for a, b in upper:
+            if joined[a] is not joined[b]:
+                merged = joined[a] | joined[b]
+                for o in merged:
+                    joined[o] = merged
+        if all(r not in joined[s] for s, r, _ in fars):
+            return None
+    index = {o: i for i, o in enumerate(nodes)}
+    n = len(nodes)
+    dist = [[_FAR_BOUND] * n for _ in range(n)]
+    why = [[frozenset()] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0.0
+    for i, (ax0, ax1, az0, az1) in enumerate(boxes if narrowest < _FAR_BOUND else ()):
+        for j in range(i + 1, n):
+            bx0, bx1, bz0, bz1 = boxes[j]
+            bound = math.hypot(max(ax1 - bx0, bx1 - ax0), max(az1 - bz0, bz1 - az0))
+            if bound < _FAR_BOUND:
+                dist[i][j] = dist[j][i] = bound
+    for (a, b), (bound, cid) in upper.items():
+        i, j = index[a], index[b]
+        if bound < dist[i][j]:
+            dist[i][j] = dist[j][i] = bound
+            why[i][j] = why[j][i] = frozenset((cid,))
+    for k in range(n):
+        dist_k, why_k = dist[k], why[k]
+        for i in range(n):
+            d_ik = dist[i][k]
+            if d_ik >= _FAR_BOUND:
+                continue
+            w_ik, dist_i, why_i = why[i][k], dist[i], why[i]
+            for j in range(n):
+                if d_ik + dist_k[j] < dist_i[j]:
+                    dist_i[j] = d_ik + dist_k[j]
+                    why_i[j] = w_ik | why_k[j]
+    for s, r, cid in fars:
+        i, j = index[s], index[r]
+        if _FAR_BOUND > dist[i][j] + _BOUND_MARGIN:
+            return why[i][j] | {cid}
+    return None
+
+
+# ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
 
@@ -1169,12 +1327,17 @@ def encode(rooms, doorways, windows, objects, relations, config: SolverConfig | 
 def solve(problem: CspProblem, skip: frozenset = frozenset()) -> Solution:
     """Backtracking search with forward checking.
 
-    Returns a sat Solution with placements, or an unsat Solution after the
-    search space is exhausted, with the ids of the constraints that removed
-    a value in Solution.pruning. Raises SolverTimeout when max_backtracks is
-    hit. ``skip`` names constraint ids to ignore (used by relaxation).
-    Overlapping rooms never get here: encode rejects them with EncodingError.
+    Returns a sat Solution with placements, or an unsat Solution with an
+    unsat core in Solution.pruning: the core _static_core proves, with zero
+    stats and no search, or else, once the search space is exhausted, the
+    ids of the constraints that removed a value. Raises SolverTimeout when
+    max_backtracks is hit. ``skip`` names constraint ids to ignore (used by
+    relaxation). Overlapping rooms never get here: encode rejects them with
+    EncodingError.
     """
+    core = _static_core(problem, skip)
+    if core is not None:
+        return Solution(status="unsat", stats={"backtracks": 0, "assignments": 0}, pruning=core)
     config = problem.config
     order = problem.variables
     domains = problem.domains
@@ -1279,12 +1442,16 @@ def solve_with_relaxation(problem: CspProblem) -> Solution:
     Raises CoreUnsat when the problem stays unsat with every relaxable
     constraint dropped; SolverTimeout propagates untouched.
 
-    A rung whose newly dropped constraint is not in the last unsat proof's
-    pruning set is not searched. That constraint never removed a value, so
-    without it every node keeps its masks, value-order draws and backtrack
-    count, and the search is the same tree with the same unsat answer. So
-    after an unsat rung the ladder is dropped up to and including the next
-    constraint in pruning, and when none is left the problem is CoreUnsat.
+    A rung that keeps every id of the last unsat rung's pruning, an unsat
+    core, is not searched: it is unsat too. For a searched proof the core
+    is the set of constraints that removed a value; without any other one,
+    every node keeps its masks, value-order draws and backtrack count, and
+    the search is the same tree with the same unsat answer. So after an
+    unsat rung the ladder is dropped up to and including the next constraint
+    in pruning, and when none is left the problem is CoreUnsat. A rung that
+    solve proves statically costs no search; the first sat rung, and so the
+    placements, relaxed list and stats, are the same as with every rung
+    searched, unless a search would have hit the budget first.
     """
     ladder = [c.id for c in problem.relax_order()]
     dropped: list[str] = []

@@ -84,6 +84,28 @@ def test_independence_flags_each_sharing_pair():
     assert violation.message == "subtasks 'a' and 'b' share factor(s): Toy"
 
 
+def test_independence_compares_aliases_as_grounding_reads_them():
+    # toy (alias doll) and doll: both plans ask "is the doll there?"
+    responses = {
+        "decompose": [[{"id": "a", "summary": "a"}, {"id": "b", "summary": "b"}]],
+        "identify_factors": [
+            [factor("toy", "yes", "no", aliases=["Doll"])],
+            [factor("doll", "yes", "no")],
+        ],
+        "generate_plan": [tree_over("doll"), tree_over("doll")],
+    }
+    (violation,) = first_round_violations(responses)
+    assert (violation.rule, violation.location) == ("independence", "a+b")
+    assert violation.message == "subtasks 'a' and 'b' share factor(s): toy"
+    # an alias on the later side counts too
+    responses["identify_factors"] = [
+        [factor("doll", "yes", "no")],
+        [factor("toy", "yes", "no", aliases=["doll"])],
+    ]
+    (violation,) = first_round_violations(responses)
+    assert violation.message == "subtasks 'a' and 'b' share factor(s): doll"
+
+
 def test_independent_subtasks_produce_no_violations():
     assert first_round_violations(subtasks_over(a="x", b="y", c="z")) == []
 

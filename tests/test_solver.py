@@ -12,10 +12,11 @@ import random
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import envcover
@@ -39,6 +40,7 @@ from envcover.solver import (
     _distance_pruner,
     _Grid,
     _ValueOrder,
+    _static_core,
     encode,
     solve,
     solve_with_relaxation,
@@ -721,9 +723,23 @@ def test_distance_keep_at_limits_attained_on_a_later_column(within, pz):
     assert checked == 2 * 11 * 11 * 3
 
 
+def packed_distance_scene():
+    """Two 1.6 m squares cannot be near: centers within 1.5 m would overlap.
+
+    Only non-collision makes the first rung unsat, which no distance or
+    height bound shows, so the search has to prove it.
+    """
+    a, b, c = obj("a", (1.6, 0.4, 1.6)), obj("b", (1.6, 0.4, 1.6)), obj("c", (0.4, 0.4, 0.4))
+    rels = [
+        SpatialRelation(kind="near", subject="b", reference="a", priority="enrichment"),
+        SpatialRelation(kind="far", subject="c", reference="a", priority="enrichment"),
+    ]
+    return [a, b, c], rels
+
+
 def test_relaxation_computes_each_distance_mask_once(monkeypatch):
     # a work counter: every rung sets each of a's cells under all four
-    # directions and prunes b by near and far, yet each (constraint,
+    # directions and prunes b by near and c by far, yet each (constraint,
     # partner cell) mask is computed at most once over all the rungs
     import envcover.solver
 
@@ -735,8 +751,9 @@ def test_relaxation_computes_each_distance_mask_once(monkeypatch):
         return distance_keep(grid, px, pz, limit, within)
 
     monkeypatch.setattr(envcover.solver, "_distance_keep", counted)
-    objects, rels = contradictory_distance_scene()
+    objects, rels = packed_distance_scene()
     problem = encode([room4()], [], [], objects, rels, GRID)
+    assert _static_core(problem, frozenset()) is None
     prunes = 0
 
     def counting(prune):
@@ -754,7 +771,7 @@ def test_relaxation_computes_each_distance_mask_once(monkeypatch):
     solution = solve_with_relaxation(problem)
     assert solution.relaxed == [problem.relax_order()[0].id]
     assert computed and max(computed.values()) == 1
-    assert prunes > 3 * len(computed)  # 1,569 prunes, 392 masks
+    assert prunes > 3 * len(computed)  # 801 prunes, 200 masks
 
 
 def test_side_pruner_at_its_thresholds():
@@ -1442,3 +1459,178 @@ def test_core_unsat_reached_by_skipping_keeps_its_message(monkeypatch):
         solve_with_relaxation(encode([room4()], [], [], objects, rels, GRID))
     assert str(skipping.value) == expected
     assert calls == [frozenset()]
+
+
+# ---------------------------------------------------------------------------
+# rungs proved unsat from distance and height bounds, before any search
+# ---------------------------------------------------------------------------
+
+
+def test_an_above_ruled_out_by_fixed_heights_is_relaxed_without_search():
+    # three floor objects and above(o1, o0): o1's bottom is on the floor,
+    # below o0's top, for every cell. A search retried every value of o3
+    # and ran out of its 50,000 backtracks after about 12 s.
+    objects = [obj("o0", (0.9, 0.6, 0.5)), obj("o3", (0.8, 0.6, 0.5)), obj("o1", (0.6, 0.6, 0.4))]
+    rels = [SpatialRelation(kind="above", subject="o1", reference="o0", priority="enrichment")]
+    started = time.perf_counter()
+    problem = encode([make_room("r", 0, 0, 3, 3)], [], [], objects, rels, GRID)
+    (above,) = (c.id for c in problem.relax_order())
+    first = solve(problem)
+    assert (first.status, first.stats, first.pruning) == (
+        "unsat",
+        {"backtracks": 0, "assignments": 0},
+        frozenset({above}),
+    )
+    solution = solve_with_relaxation(problem)
+    assert solution.relaxed == [above]
+    assert problem.check_assignment(solution.assignments, frozenset(solution.relaxed))
+    assert time.perf_counter() - started < 1.0
+
+
+def test_the_static_check_fires_only_where_enumeration_finds_no_solution():
+    rng = random.Random(20240817)
+    fired = 0
+    for trial in range(20):
+        room, objects, relations = random_mini_instance(rng)
+        problem = encode([room], [], [], objects, relations, GRID)
+        core = _static_core(problem, frozenset())
+        if core is not None:
+            fired += 1
+            assert not brute_force_sat(problem), f"trial {trial}: {sorted(core)}"
+    assert fired >= 3  # a far in a room under 3 m across
+
+
+def bound_instance(rng):
+    """A far, with near, above and support relations around it, in a room
+    whose long side is about the far distance: each bound the static check
+    uses comes close to deciding."""
+    room = make_room("r", 0, 0, rng.choice([1.5, 2.0]), rng.choice([3.5, 4.0]))
+    objects = [
+        obj(f"o{i}", (rng.choice([0.4, 0.8, 1.2]), rng.choice([0.3, 0.8]), rng.choice([0.4, 0.8])))
+        for i in range(2)
+    ] + [
+        obj("s", (0.2, rng.choice([0.1, 0.5, 1.0]), 0.2)),
+        obj("p", (0.4, 0.3, 0.05), mount_height=rng.choice(["0", "0.05", "1.2"])),
+    ]
+    relations = [SpatialRelation(kind="mounted_on_wall", subject="p")]
+    kind = rng.choice(["on_top_of", "in", None])
+    if kind is not None:
+        relations.append(SpatialRelation(kind=kind, subject="s", reference="o0"))
+    for kind in ["far"] + rng.sample(["near", "near", "above", "above"], rng.randint(1, 2)):
+        a, b = rng.sample(["o0", "o1", "s"], 2)
+        relations.append(SpatialRelation(kind=kind, subject=a, reference=b, priority="enrichment"))
+    return [room], objects, relations
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    make=st.sampled_from(["mini", "differential", "bound"]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_the_static_check_never_fires_on_a_rung_the_search_solves(make, seed):
+    import envcover.solver
+
+    rng = random.Random(seed)
+    if make == "mini":
+        room, objects, relations = random_mini_instance(rng)
+        rooms = [room]
+    else:
+        make_instance = differential_instance if make == "differential" else bound_instance
+        rooms, objects, relations = make_instance(rng)
+    config = SolverConfig(grid_resolution=0.5, seed=seed, max_backtracks=1000)
+    try:
+        problem = encode(rooms, [], [], objects, relations, config)
+    except EncodingError:
+        return
+    ladder = [c.id for c in problem.relax_order()]
+    relation_ids = frozenset(c.id for c in problem.constraints if c.relation_index is not None)
+    cores = [_static_core(problem, frozenset(ladder[:n])) for n in range(len(ladder) + 1)]
+    solved = None  # the first rung the search solves, and its solution
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(envcover.solver, "_static_core", lambda problem, skip: None)
+        for n, core in enumerate(cores):
+            try:
+                solution = solve(problem, frozenset(ladder[:n]))
+            except SolverTimeout:
+                continue
+            assert core is None or solution.status == "unsat", (make, seed, n, sorted(core))
+            if solved is None and solution.status == "sat":
+                solved = frozenset(ladder[:n]), solution
+        for core in {c for c in cores if c is not None}:
+            # a core alone, with every other relation dropped, stays unsat
+            try:
+                alone = solve(problem, relation_ids - core)
+                assert alone.status == "unsat", (make, seed, sorted(core))
+            except SolverTimeout:
+                pass
+    if solved is None:
+        return
+    # every closed bound holds on a solution: a far between any two objects,
+    # at the distance the solution puts them apart, is never ruled out (the
+    # rung's own fars are skipped, as the patched bound is theirs too)
+    skip, solution = solved
+    skip |= {c.id for c in problem.constraints if c.kind == "far"}
+    with pytest.MonkeyPatch.context() as patch:
+        for a, b in itertools.combinations([o.id for o in objects], 2):
+            far = SpatialRelation(kind="far", subject=a, reference=b, priority="enrichment")
+            tight = encode(rooms, [], [], objects, relations + [far], config)
+            apart = math.dist(solution.assignments[f"{a}.pos"], solution.assignments[f"{b}.pos"])
+            patch.setattr(envcover.solver, "_FAR_BOUND", apart)
+            assert _static_core(tight, skip) is None, (make, seed, a, b)
+
+
+def chain_scene(middle_kind):
+    """a near b, c <middle_kind> b, a far from c, and d far from a; each
+    pair alone can hold, and nothing bounds d's distance to a.
+
+    The four footprints are 0.5 m squares, so the four share one grid.
+    """
+    a, b, c = obj("a", (0.5, 0.4, 0.5)), obj("b", (0.5, 0.5, 0.5)), obj("c", (0.5, 0.2, 0.5))
+    rels = [
+        SpatialRelation(kind="near", subject="a", reference="b", priority="enrichment"),
+        SpatialRelation(kind=middle_kind, subject="c", reference="b", priority="enrichment"),
+        SpatialRelation(kind="far", subject="a", reference="c", priority="enrichment"),
+        SpatialRelation(kind="far", subject="d", reference="a", priority="enrichment"),
+    ]
+    return encode([room4()], [], [], [a, b, c, obj("d", (0.5, 0.4, 0.5))], rels, GRID)
+
+
+def test_a_chain_of_bounds_is_proved_with_every_link_in_its_core():
+    # a is within 1.5 m of b and c's center lies over b's 0.5 m square, so a
+    # and c are at most 1.5 + 0.37 m apart: far cannot hold. No pair has
+    # both an upper and a lower bound.
+    problem = chain_scene("in")
+    ids = [c.id for c in problem.constraints if c.relation_index is not None][:3]
+    for n in range(3):
+        assert _static_core(problem, frozenset(ids[n : n + 1])) is None
+    solution = solve(problem)
+    assert (solution.status, solution.stats) == ("unsat", {"backtracks": 0, "assignments": 0})
+    assert solution.pruning == frozenset(ids)
+
+
+def test_two_nears_that_just_span_a_far_are_not_proved():
+    # NEAR_MAX + NEAR_MAX == FAR_MIN: three centers 1.5 m apart on a line
+    # satisfy near, near and far, so the bounds must leave this to the search
+    problem = chain_scene("near")
+    assert _static_core(problem, frozenset()) is None
+    on_a_line = {"a.pos": (0.25, 2.0), "b.pos": (1.75, 2.0), "c.pos": (3.25, 2.0), "d.pos": (3.75, 3.75)}
+    on_a_line |= {f"{o}.dir": "north" for o in "abcd"}
+    assert all(on_a_line[vid] in problem.domains[vid] for vid in problem.variables)
+    assert problem.check_assignment(on_a_line)
+
+
+def test_room_bounds_reach_the_far_corners_of_both_grids():
+    # in a 2.5 m room two 0.4 m cubes' centers stay within 2.1 * sqrt(2) m
+    a, b = obj("a", (0.4, 0.4, 0.4)), obj("b", (0.4, 0.4, 0.4))
+    far = [SpatialRelation(kind="far", subject="a", reference="b", priority="enrichment")]
+    solution = solve(encode([make_room("r", 0, 0, 2.5, 2.5)], [], [], [a, b], far, GRID))
+    assert (solution.status, solution.stats) == ("unsat", {"backtracks": 0, "assignments": 0})
+    assert solution.pruning == {"rel[0]:far:a"}
+    # across two 1.5 m wide rooms the far corners are 3.2 m apart
+    rooms = [make_room("w", 0, 0, 1.5, 2.5), make_room("e", 1.5, 0, 3.0, 2.5)]
+    a, b = obj("a", (0.4, 0.4, 0.4), room="w"), obj("b", (0.4, 0.4, 0.4), room="e")
+    problem = encode(rooms, [], [], [a, b], far, GRID)
+    assert _static_core(problem, frozenset()) is None
+    corners = {"a.pos": (0.2, 0.2), "b.pos": (2.7, 2.2), "a.dir": "north", "b.dir": "north"}
+    assert all(corners[vid] in problem.domains[vid] for vid in problem.variables)
+    assert problem.check_assignment(corners)
