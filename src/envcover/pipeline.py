@@ -252,6 +252,9 @@ def stage_build(
     seed: int = 0,
     grid: float = 0.1,
 ) -> list[EnvironmentSpec]:
+    """One environment per selected trajectory, every scene solved under
+    one config: its store of grid lists and value orders lives as long as
+    the build, so a later scene replays what earlier ones rounded and drew."""
     config = SolverConfig(grid_resolution=grid, seed=seed)
     channel = _open_provider_channel(bundle, live_endpoint)
     paths.ensure()

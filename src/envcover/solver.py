@@ -26,13 +26,13 @@ reproduce the identical solution. Each variable draws its permutation from
 its own stream, random.Random(f"{seed}:{vid}"), whose string seed goes
 through SHA-512, so the order depends on neither PYTHONHASHSEED nor the
 other variables' domains. The draws are lazy: a forward Fisher-Yates step
-fixes position k only when the search first reads it, and the problem keeps
-the drawn prefix, so a revisit or a later relaxation rung replays it. A
-search that never backtracks draws a few indices per variable, not one per
-cell. Exhausting the search space returns an unsat solution;
-hitting the backtrack budget, the only cap on the search, raises
-SolverTimeout instead, because a capped search proves nothing. No clock is
-read, so the outcome does not depend on machine load.
+fixes position k only when the search first reads it, and the config keeps
+the drawn prefix, so a revisit, a later relaxation rung or a later scene
+solved under the same config replays it. A search that never backtracks
+draws a few indices per variable, not one per cell. Exhausting the search
+space returns an unsat solution; hitting the backtrack budget, the only cap
+on the search, raises SolverTimeout instead, because a capped search proves
+nothing. No clock is read, so the outcome does not depend on machine load.
 
 Each constraint is one CspConstraint: its scope's variables in search order
 (at least two), its predicate over a full assignment and, for the kinds that
@@ -129,9 +129,28 @@ _POSITION_ONLY_KINDS = frozenset({"near", "far", "center_aligned"})
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The grid step, seed and backtrack budget of a solve, and a store of
+    the work that depends only on the seed and the grid step.
+
+    The store holds the grid lists encode has rounded, keyed by (lo, hi),
+    and the value orders the search has drawn, keyed by (variable id,
+    domain size). Each is a pure function of its key, the seed and the grid
+    step, so every problem encoded under one config shares them: the scenes
+    of one build replay what earlier scenes rounded and drew. The store
+    lives as long as the config and is no part of its init, equality, hash
+    or repr; dataclasses.replace starts an empty one. Drawing is not
+    locked, so threads that solve at once each need their own config.
+    """
+
     grid_resolution: float = 0.1
     seed: int = 0
     max_backtracks: int = 50000
+    _grids: dict[tuple[float, float], list[float]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _orders: dict[tuple[str, int], _ValueOrder] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         # a NaN step never ends a grid walk, and an infinite one makes a NaN cell
@@ -721,21 +740,19 @@ class CspProblem:
         self.variables: list[str] = []  # variable ids in search order
         self.domains: dict[str, Sequence] = {}
         self.constraints: list[CspConstraint] = []
-        self._orders: dict[str, _ValueOrder] = {}
         self._encode()
 
     # -- construction -------------------------------------------------------
 
     def _encode(self) -> None:
-        res = self.config.grid_resolution
+        res, grids = self.config.grid_resolution, self.config._grids
         # objects of one room with the same least footprint, and openings of
-        # one width on one wall, share their grid lists
-        points: dict[tuple[float, float], list[float]] = {}
-
+        # one width on one wall, share their grid lists, and so do the
+        # problems encoded under one config; no caller mutates one
         def grid_points(lo: float, hi: float) -> list[float]:
-            pts = points.get((lo, hi))
+            pts = grids.get((lo, hi))
             if pts is None:
-                pts = points[(lo, hi)] = _grid_points(lo, hi, res)
+                pts = grids[(lo, hi)] = _grid_points(lo, hi, res)
             return pts
 
         for i, a in enumerate(self.rooms):
@@ -1082,13 +1099,15 @@ class CspProblem:
         values in, drawn from vid's own stream random.Random(f"{seed}:{vid}").
 
         It depends only on the seed, vid and the size of vid's domain. The
-        problem keeps one per variable, so every solve replays what earlier
-        ones drew.
+        config keeps one per (vid, size), so every solve of a problem encoded
+        under it replays what earlier ones drew.
         """
-        order = self._orders.get(vid)
+        key = (vid, len(self.domains[vid]))
+        orders = self.config._orders
+        order = orders.get(key)
         if order is None:
             rng = random.Random(f"{self.config.seed}:{vid}")
-            order = self._orders[vid] = _ValueOrder(rng, len(self.domains[vid]))
+            order = orders[key] = _ValueOrder(rng, key[1])
         return order
 
     def check_assignment(self, assignment: dict, skip: frozenset = frozenset()) -> bool:

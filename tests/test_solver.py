@@ -182,8 +182,10 @@ def test_grid_step_must_be_finite_and_positive(step):
 def test_a_grid_too_fine_for_its_room_is_a_config_error(step):
     # 1e-300 never moves the walk past its start; 1e-9 would list billions of points
     sofa = obj("sofa", (2.0, 0.8, 0.9))
+    config = SolverConfig(grid_resolution=step)
     with pytest.raises(ConfigError, match=rf"grid resolution {step} puts .* points on one axis"):
-        encode([room4()], [], [], [sofa], [], SolverConfig(grid_resolution=step))
+        encode([room4()], [], [], [sofa], [], config)
+    assert config._grids == {} and config._orders == {}
 
 
 # ---------------------------------------------------------------------------
@@ -1215,24 +1217,91 @@ def test_fixture_search_draws_a_small_share_of_the_value_order(living_room_dir, 
 
     monkeypatch.setattr(envcover.scene, "encode", keep)
     run_all(str(tmp_path / "run"), str(living_room_dir), grid=0.05)
-    drawn = sum(len(p.value_order(vid).drawn) for p in problems for vid in p.variables)
-    cells = sum(len(domain) for p in problems for domain in p.domains.values())
-    # the three scenes draw 519 indices over 318 407 cells: a search that
-    # never backtracks reads past only the cells forward checking cleared
+    assert len({id(p.config) for p in problems}) == 1
+    # the scenes share their config's orders, so each counts once
+    orders = {id(o): o for p in problems for o in map(p.value_order, p.variables)}.values()
+    drawn = sum(len(order.drawn) for order in orders)
+    cells = sum(order.n for order in orders)
+    # the three scenes' 24 distinct orders draw 175 indices over 117 632
+    # cells: a search that never backtracks reads past only the cells
+    # forward checking cleared
     assert drawn * 100 < cells
 
 
 def test_an_unrelated_object_leaves_every_other_value_order_unchanged():
     sofa, book = obj("sofa", (2.0, 0.8, 0.9)), obj("book", (0.25, 0.04, 0.18))
     rels = [SpatialRelation(kind="on_top_of", subject="book", reference="sofa")]
-    config = SolverConfig(grid_resolution=0.25, seed=3)
-    base = encode([room4()], [], [], [sofa, book], rels, config)
+    # two equal configs: under one, both problems would read the same orders
+    base = encode([room4()], [], [], [sofa, book], rels, SolverConfig(grid_resolution=0.25, seed=3))
     # the lamp's footprint puts its variables between the sofa's and the book's
     lamp = obj("lamp", (0.3, 1.2, 0.4))
-    grown = encode([room4()], [], [], [sofa, lamp, book], rels, config)
+    grown = encode([room4()], [], [], [sofa, lamp, book], rels, SolverConfig(grid_resolution=0.25, seed=3))
     assert grown.variables.index("lamp.pos") < grown.variables.index("book.dir")
     for vid in base.variables:
+        assert grown.value_order(vid) is not base.value_order(vid)
         assert list(grown.value_order(vid)) == list(base.value_order(vid)), vid
+
+
+def test_the_config_store_is_no_settable_state():
+    sofa, book = obj("sofa", (2.0, 0.8, 0.9)), obj("book", (0.25, 0.04, 0.18))
+    rels = [SpatialRelation(kind="on_top_of", subject="book", reference="sofa")]
+    a, b = SolverConfig(grid_resolution=0.25, seed=3), SolverConfig(grid_resolution=0.25, seed=3)
+    solve(encode([room4()], [], [], [sofa], [], a))
+    solve(encode([make_room("r", 0, 0, 3, 5)], [], [], [sofa, book], rels, b))
+    assert a._grids.keys() != b._grids.keys() and a._orders.keys() != b._orders.keys()
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == "SolverConfig(grid_resolution=0.25, seed=3, max_backtracks=50000)"
+    fresh = dataclasses.replace(a)
+    assert fresh == a and fresh._grids == {} and fresh._orders == {}
+    with pytest.raises(TypeError):
+        SolverConfig(_orders={})
+
+
+def fixture_scene_solutions(selected, catalog, schema, records, config_of):
+    """The encoded problem and Solution of each selected fixture scene, the
+    i-th built under config_of(i)."""
+    import envcover.scene
+    from envcover.providers import ReplayChannel, SceneProvider
+    from envcover.scene import build_environment
+
+    problems, solutions = [], []
+
+    def keep(problem):
+        problems.append(problem)
+        solutions.append(solve_with_relaxation(problem))
+        return solutions[-1]
+
+    provider = SceneProvider(ReplayChannel(records))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(envcover.scene, "solve_with_relaxation", keep)
+        for i, trajectory in enumerate(selected):
+            build_environment(provider, catalog, schema, trajectory, f"env-{i:03d}", config_of(i))
+    return problems, solutions
+
+
+@pytest.mark.parametrize("grid", [0.2, 0.05])
+def test_the_scenes_of_a_build_solve_alike_under_one_config_or_one_each(
+    grid, selected_trajectories, catalog, task_schema, cassette_records
+):
+    _, selected = selected_trajectories
+    shared = SolverConfig(grid_resolution=grid)
+    inputs = (selected, catalog, task_schema, cassette_records)
+    problems, together = fixture_scene_solutions(*inputs, lambda i: shared)
+    _, apart = fixture_scene_solutions(*inputs, lambda i: SolverConfig(grid_resolution=grid))
+    assert len(together) == len(selected) > 1
+    # placements, door and window positions, relaxed lists and stats
+    assert together == apart
+    # the later scenes replayed orders and grid lists the first one made
+
+    def orders(p):
+        return {id(p.value_order(vid)) for vid in p.variables}
+
+    def grid_lists(p):
+        return {id(axis) for g in p.geo.grids.values() for axis in (g.xs, g.zs)}
+
+    first, later = problems[0], problems[1:]
+    assert any(orders(p) & orders(first) for p in later)
+    assert any(grid_lists(p) & grid_lists(first) for p in later)
 
 
 _SOLVE_ONE_SCENE = """
@@ -1340,6 +1409,22 @@ def test_pruners_change_no_search_outcome():
 # that means to alter search outcomes (a new search order, backjumping)
 # updates it on purpose, as it does PINNED_RUN_DIGESTS.
 PINNED_SEARCH_OUTCOMES = "a03c0654f95ed72fd03c77808b3f46bf79fdf55288afcc721045d3c1af616c18"
+
+
+def test_one_config_solves_each_problem_as_a_fresh_one_would():
+    instances = [(rooms, objects, relations) for rooms, objects, relations, _ in seeded_search_instances()]
+    shared = SolverConfig(grid_resolution=0.25, seed=5, max_backtracks=300)
+    fresh = [dataclasses.replace(shared) for _ in instances]
+    alone = [
+        relaxation_outcome(encode(rooms, [], [], objects, relations, config))
+        for (rooms, objects, relations), config in zip(instances, fresh)
+    ]
+    ids = list(range(len(instances)))
+    for i in ids + ids[::-1]:
+        rooms, objects, relations = instances[i]
+        assert relaxation_outcome(encode(rooms, [], [], objects, relations, shared)) == alone[i], i
+    # the instances reuse variable ids and room sides, so they shared orders
+    assert len(shared._orders) < sum(len(config._orders) for config in fresh)
 
 
 def test_search_outcomes_are_pinned():
