@@ -546,8 +546,8 @@ def record(plan_doc: list, task: TaskSpec, catalog, schema, actions, policies) -
         env = outcome.environment
         report = validate_physics(env)
         assert report.ok, [str(f.message) for f in report.failures]
-        valid, reasons = scenario_validity(env, schema, report)
-        assert valid, reasons
+        reasons = scenario_validity(env, schema, report)
+        assert not reasons, reasons
         environments[trajectory_signature(trajectory)] = (env, trajectory)
 
     for label, policy_doc in policies.items():

@@ -50,16 +50,6 @@ def embed_text(text: str, dim: int = EMBEDDING_DIM) -> list[float]:
     return [v / norm for v in vec]
 
 
-def cosine_similarity(a: list[float], b: list[float]) -> float:
-    if len(a) != len(b):
-        raise SchemaViolation(f"vector dimensions differ: {len(a)} vs {len(b)}")
-    na = math.sqrt(sum(v * v for v in a))
-    nb = math.sqrt(sum(v * v for v in b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return sum(x * y for x, y in zip(a, b)) / (na * nb)
-
-
 def encode_vector(vec: list[float]) -> str:
     return base64.b64encode(struct.pack(f"<{len(vec)}f", *vec)).decode("ascii")
 
@@ -157,8 +147,8 @@ def save_catalog(catalog: AssetCatalog, path) -> None:
 def _scores(catalog: AssetCatalog, query: str):
     """(asset, cosine similarity to the query) in asset id order.
 
-    Each score is cosine_similarity's bit for bit: the dot product skips only
-    zero products, which leave a float sum unchanged.
+    Each score equals the full-dot-product cosine bit for bit: the dot
+    product skips only zero products, which leave a float sum unchanged.
     """
     nonzero = [(i, v) for i, v in enumerate(embed_text(query, catalog.dim)) if v]
     query_norm = math.sqrt(sum(v * v for _, v in nonzero))

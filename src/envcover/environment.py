@@ -333,7 +333,7 @@ def support_location(env: EnvironmentSpec, obj: ObjectSpec, boxes: dict, mounted
         return "floor"
     if obj.id in mounted and box[1] > SUPPORT_EPS:
         direction = env.placement_of(obj.id).direction
-        if back_gap(box, direction, env.room_by_id(obj.room)) <= MOUNT_EPS:
+        if back_gap(box, direction, env.room_by_id(obj.room)) <= MOUNT_EPS + _TOL:
             return "wall"
     return "floating"
 

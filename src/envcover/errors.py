@@ -29,10 +29,6 @@ class EmptyPathSet(EnvcoverError):
     """A subtask contributed zero decision paths, so no trajectory exists."""
 
 
-class InstanceTooLarge(EnvcoverError):
-    """Exhaustive cover asked for more trajectories than its bound allows."""
-
-
 class EmptyCatalog(EnvcoverError):
     """Asset retrieval against a catalog with no records."""
 

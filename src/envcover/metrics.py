@@ -89,7 +89,7 @@ def selection_jaccard(trees: list[BehaviorPlanTree], trajectories: list[LogicalT
     return jaccard_index(covered_constraints(trajectories), path_universe(trees))
 
 
-def validity_rate(flags: list[bool]) -> float:
-    if not flags:
-        return 1.0
-    return sum(1 for f in flags if f) / len(flags)
+def share(flags: list[bool]) -> float:
+    """The fraction of flags that are true, 1.0 when there are none: the
+    physics pass rate, the validity rate and the fault detection rate."""
+    return sum(flags) / len(flags) if flags else 1.0

@@ -34,19 +34,13 @@ from .derivation import DerivationResult, derive
 from .environment import EnvironmentSpec, deserialize_environment, serialize_environment
 from .errors import ConfigError, MissingInput, SchemaViolation
 from .jsonio import parse_as, read_json, read_text, write_json, write_text
-from .metrics import (
-    logic_coverage,
-    logic_coverage_atomic,
-    selection_jaccard,
-    validity_rate,
-)
+from .metrics import logic_coverage, logic_coverage_atomic, selection_jaccard, share
 from .providers import PlanProvider, SceneProvider, open_channel, save_cassette
 from .scene import build_environment
 from .schema import load_schema
 from .simulation import (
     DEFAULT_BUDGET,
     detected,
-    fault_detection_rate,
     load_action_model,
     load_policy,
     run_policy,
@@ -63,7 +57,7 @@ from .trajectories import (
     paths_per_subtask,
     serialize_trajectory,
 )
-from .validator import physics_pass_rate, validate_physics
+from .validator import validate_physics
 
 REFERENCE_POLICY_LABEL = "correct"
 
@@ -301,24 +295,20 @@ def stage_validate(paths: RunPaths, bundle: TaskBundle, *, envs: _Scenes | None 
         envs = _load_environments(paths)
     physics = {}
     validity = {}
-    reports = []
-    flags = []
     for name, env in envs:
         report = validate_physics(env)
-        reports.append(report)
+        failed = {f.rule for f in report.failures}
         physics[name] = {
             "ok": report.ok,
-            "floor_plan_ok": report.floor_plan_ok,
-            "entity_ok": report.entity_ok,
-            "relation_ok": report.relation_ok,
+            # a dimension passes when none of the scene's failures carries its rule
+            **{f"{rule}_ok": rule not in failed for rule in ("floor_plan", "entity", "relation")},
             "failures": [asdict(f) for f in report.failures],
             "skipped_relations": report.skipped_relations,
         }
-        valid, reasons = scenario_validity(env, schema, report)
-        flags.append(valid)
-        validity[name] = {"valid": valid, "reasons": reasons}
-    physics_doc = {"pass_rate": physics_pass_rate(reports), "environments": physics}
-    validity_doc = {"rate": validity_rate(flags), "environments": validity}
+        reasons = scenario_validity(env, schema, report)
+        validity[name] = {"valid": not reasons, "reasons": reasons}
+    physics_doc = {"pass_rate": share([p["ok"] for p in physics.values()]), "environments": physics}
+    validity_doc = {"rate": share([v["valid"] for v in validity.values()]), "environments": validity}
     write_json(paths.reports / "physics.json", physics_doc)
     write_json(paths.reports / "validity.json", validity_doc)
     return {"physics": physics_doc, "validity": validity_doc}
@@ -359,7 +349,6 @@ def stage_simulate(
         policies[label] = (policy_file.name, policy)
 
     doc = {"budget": budget, "policies": {}}
-    detected_by_label = {}
     total_ticks = 0
     for label in sorted(policies):
         file_name, policy = policies[label]
@@ -380,15 +369,14 @@ def stage_simulate(
                 "ticks": outcome.ticks,
                 "detail": outcome.detail,
             }
-        detected_by_label[label] = outcomes
         doc["policies"][label] = {
             "file": file_name,
             "detected": detected(outcomes),
             "environments": per_env,
         }
-    faulty = {k: v for k, v in detected_by_label.items() if k != REFERENCE_POLICY_LABEL}
-    doc["faulty_policies"] = sorted(faulty)
-    doc["fault_detection_rate"] = fault_detection_rate(faulty)
+    faulty = sorted(set(policies) - {REFERENCE_POLICY_LABEL})
+    doc["faulty_policies"] = faulty
+    doc["fault_detection_rate"] = share([doc["policies"][label]["detected"] for label in faulty])
     doc["total_ticks"] = total_ticks
     write_json(paths.reports / "simulation.json", doc)
     return doc

@@ -328,10 +328,8 @@ def run_policy(
 # ---------------------------------------------------------------------------
 
 
-def scenario_validity(
-    env: EnvironmentSpec, schema: TaskSchema, physics: PhysicsReport
-) -> tuple[bool, list[str]]:
-    """Is this environment a usable test scenario?
+def scenario_validity(env: EnvironmentSpec, schema: TaskSchema, physics: PhysicsReport) -> list[str]:
+    """Why this environment is no usable test scenario; empty when it is.
 
     Physics must pass on all three dimensions and every required task entity
     must be present.
@@ -345,20 +343,9 @@ def scenario_validity(
     missing = [e for e in schema.required_entities if e not in placed]
     if missing:
         reasons.append("lacks task-related objects: " + ", ".join(missing))
-    return (not reasons, reasons)
+    return reasons
 
 
 def detected(outcomes: list[SimOutcome]) -> bool:
     """A faulty policy counts as detected when any environment trips it."""
     return any(o.verdict != VERDICT_PASS for o in outcomes)
-
-
-def fault_detection_rate(outcomes_by_policy: dict) -> float:
-    """Fraction of (faulty) policies detected across their environment runs.
-
-    Pass only the policies that actually carry a fault; 1.0 when empty.
-    """
-    if not outcomes_by_policy:
-        return 1.0
-    hits = sum(1 for outcomes in outcomes_by_policy.values() if detected(outcomes))
-    return hits / len(outcomes_by_policy)

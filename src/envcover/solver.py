@@ -51,11 +51,13 @@ bit ranges. The on_top_of pruner bisects for the rectangle of cells that
 overlap the reference at all and tests the support area on each cell inside
 it. A near or far mask depends only on the partner's cell, so its
 pruner computes it once per partner cell and every relaxation rung reuses
-it; _distance_keep sweeps the columns outward from the partner, bisects the
-first column of each side and walks each later column's run in from the
-previous one's. The predicates remain the reference: check_assignment and
-the tests' brute-force oracles call them, and so does forward checking, on
-each set bit, for the kinds without a pruner.
+it; _distance_keep keeps the cells within one closed bound (far keeps the
+rest of the grid under the float just below its limit), sweeps the columns
+outward from the partner, bisects the first column of each side and walks
+each later column's run in from the previous one's. The predicates remain
+the reference: check_assignment and the tests' brute-force oracles call
+them, and so does forward checking, on each set bit, for the kinds without
+a pruner.
 
 Before it searches, solve tries to prove the rung unsat from the fixed
 inputs alone (_static_core). It tests the height-only parts of above, in
@@ -592,17 +594,16 @@ def _resting_pruner(geo, s: str, r: str, enough):
     return prune
 
 
-def _distance_keep(grid: _Grid, px: float, pz: float, limit: float, within: bool) -> int:
+def _distance_keep(grid: _Grid, px: float, pz: float, bound: float) -> int:
     """The cells of grid whose squared center distance to (px, pz) is <=
-    limit (within) or >= limit, as a mask.
+    bound, as a mask.
 
     (x - px) ** 2 equals (px - x) ** 2 exactly: IEEE subtraction rounds
     symmetrically, so the operand order of the predicate does not matter.
     Along one column the distance falls and then rises with z, also in
     floats, because each rounding is monotone: the z below pz give a
     non-increasing sum, those from pz on a non-decreasing one. So the cells
-    of a column inside the limit (<= limit within, < limit else) are one run
-    [a, b) of rows; near keeps the run and far keeps the rest of the column.
+    of a column within the bound are one run [a, b) of rows.
 
     The columns are swept outward from kc, the first with x >= px: kc,
     kc + 1, ... on the right, then kc - 1, kc - 2, ... on the left. Along
@@ -612,31 +613,24 @@ def _distance_keep(grid: _Grid, px: float, pz: float, limit: float, within: bool
     the previous one's. Only the first column of a side is bisected, on
     each side of pz; each later column's run is found by moving a up and
     b down while the end row is outside, so a side costs its columns plus
-    its rows, not a bisection per column. Once dx2 alone is past the limit
-    no cell of that column or any later one is inside: near stops there,
-    and far keeps all of them with one column run.
+    its rows, not a bisection per column. Once dx2 alone is past the bound
+    no cell of that column or any later one is inside, and the side stops.
     """
     xs, zs, nz = grid.xs, grid.zs, grid.nz
     nx = len(xs)
     split = bisect_left(zs, pz)  # zs[:split] < pz <= zs[split:]
     kc = bisect_left(xs, px)  # xs[:kc] < px <= xs[kc:]
-    column = (1 << nz) - 1
     keep = 0
     for first, stop, step in ((kc, nx, 1), (kc - 1, -1, -1)):
         for k in range(first, stop, step):
             dx2 = (xs[k] - px) ** 2
-            if within:
-                if dx2 > limit:
-                    break  # adding dz ** 2 >= 0 cannot bring the sum back down
-            elif dx2 >= limit:
-                keep |= grid.column_run(k, nx) if step > 0 else grid.column_run(0, k + 1)
-                break
+            if dx2 > bound:
+                break  # adding dz ** 2 >= 0 cannot bring the sum back down
             if k == first:
                 lo, hi = 0, split  # first row of the left side that is inside
                 while lo < hi:
                     m = (lo + hi) // 2
-                    d = dx2 + (zs[m] - pz) ** 2
-                    if (d <= limit) if within else (d < limit):
+                    if dx2 + (zs[m] - pz) ** 2 <= bound:
                         hi = m
                     else:
                         lo = m + 1
@@ -644,30 +638,27 @@ def _distance_keep(grid: _Grid, px: float, pz: float, limit: float, within: bool
                 lo, hi = split, nz  # first row of the right side that is outside
                 while lo < hi:
                     m = (lo + hi) // 2
-                    d = dx2 + (zs[m] - pz) ** 2
-                    if (d <= limit) if within else (d < limit):
+                    if dx2 + (zs[m] - pz) ** 2 <= bound:
                         lo = m + 1
                     else:
                         hi = m
                 b = lo
-            elif within:
-                while a < b and dx2 + (zs[a] - pz) ** 2 > limit:
-                    a += 1
-                while a < b and dx2 + (zs[b - 1] - pz) ** 2 > limit:
-                    b -= 1
             else:
-                while a < b and dx2 + (zs[a] - pz) ** 2 >= limit:
+                while a < b and dx2 + (zs[a] - pz) ** 2 > bound:
                     a += 1
-                while a < b and dx2 + (zs[b - 1] - pz) ** 2 >= limit:
+                while a < b and dx2 + (zs[b - 1] - pz) ** 2 > bound:
                     b -= 1
-            run = ((1 << (b - a)) - 1) << a
-            keep |= (run if within else column ^ run) << (k * nz)
+            keep |= ((1 << (b - a)) - 1) << (a + k * nz)
     return keep
 
 
 def _distance_pruner(geo, s: str, r: str, limit: float, within: bool):
-    """Cells within (near) or beyond (far) limit of the placed partner, by
-    _distance_keep.
+    """Cells within (near) or beyond (far) limit of the placed partner.
+
+    Near keeps _distance_keep's cells, those with d <= limit. Far keeps
+    d >= limit, the rest of the grid once the cells with d < limit are
+    taken out; for finite floats d < limit holds exactly when d <=
+    nextafter(limit, -inf), so one closed bound serves both senses.
 
     The kept cells depend only on the moving endpoint and the partner's
     cell, not on the incoming mask, so the pruner computes each (u, partner
@@ -676,6 +667,7 @@ def _distance_pruner(geo, s: str, r: str, limit: float, within: bool):
     it holds at most one mask per partner cell per moving endpoint.
     """
     s_pos, r_pos = f"{s}.pos", f"{r}.pos"
+    bound = limit if within else math.nextafter(limit, -math.inf)
     keeps: dict[tuple[str, float, float], int] = {}
 
     def prune(assign, u, mask):
@@ -684,7 +676,10 @@ def _distance_pruner(geo, s: str, r: str, limit: float, within: bool):
         keep = keeps.get(key)
         if keep is None:
             grid = geo.grids[s if u == s_pos else r]
-            keep = keeps[key] = _distance_keep(grid, px, pz, limit, within)
+            keep = _distance_keep(grid, px, pz, bound)
+            if not within:
+                keep ^= grid.column_run(0, len(grid.xs))
+            keeps[key] = keep
         return mask & keep
 
     return prune
@@ -1029,10 +1024,10 @@ class CspProblem:
                     "east": a[0] - room.x_min,
                     "west": room.x_max - a[3],
                 }[direction]
-                return abs(back) <= MOUNT_EPS and a[1] > _TOL
+                return abs(back) <= MOUNT_EPS + _TOL and a[1] > _TOL
 
             if geo.y_span(s)[0] > _TOL:
-                prune = _wall_back_pruner(geo, s, room, MOUNT_EPS)
+                prune = _wall_back_pruner(geo, s, room, MOUNT_EPS + _TOL)
             else:
                 prune = _keep_none
 

@@ -153,21 +153,6 @@ def parse_behavior_plan(doc, subtask_ids=None) -> list[BehaviorPlanTree]:
     return trees
 
 
-def _serialize_node(node: Node):
-    if isinstance(node, Leaf):
-        return node.action
-    return {node.text: {resp: _serialize_node(child) for resp, child in node.branches}}
-
-
-def serialize_behavior_plan(trees: list[BehaviorPlanTree]) -> list:
-    """Inverse of parse_behavior_plan (branch order preserved).
-
-    Kept though the pipeline never writes a plan back: it is the inverse the
-    round-trip property tests check parse_behavior_plan against.
-    """
-    return [_serialize_node(tree.root) for tree in trees]
-
-
 # ---------------------------------------------------------------------------
 # Decision paths
 # ---------------------------------------------------------------------------

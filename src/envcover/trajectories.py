@@ -6,16 +6,16 @@ trajectory is expensive, so only a small subset whose paths still cover
 every path in the universe is kept. On the full product that subset has a
 closed form (cover_path_sets, the "each-choice" test set of combinatorial
 testing) and the product itself is never built. The general greedy
-(minimal_trajectory_selection) and the brute-force exhaustive_min_cover
-work on any trajectory list and stay as its oracles.
+(minimal_trajectory_selection) works on any trajectory list and stays as
+its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
-from .errors import EmptyPathSet, InstanceTooLarge, StructureError
+from .errors import EmptyPathSet, StructureError
 from .task_model import BehaviorPlanTree, DecisionPath, extract_paths
 
 
@@ -129,33 +129,6 @@ def covered_constraints(trajectories) -> set[str]:
     for trajectory in trajectories:
         out |= split_constraints(trajectory)
     return out
-
-
-def exhaustive_min_cover(trajectories, max_size: int = 20) -> list[LogicalTrajectory]:
-    """Smallest subset covering the union of constraints, by brute force.
-
-    Checks subsets in increasing size and, within a size, in lexicographic
-    index order, so ties resolve to the lexicographically smallest index set.
-    O(2^N); refuses inputs above ``max_size``. Kept deliberately independent
-    of minimal_trajectory_selection so the two can cross-check each other.
-    """
-    trajectories = list(trajectories)
-    if len(trajectories) > max_size:
-        raise InstanceTooLarge(
-            f"{len(trajectories)} trajectories exceeds the exhaustive bound of {max_size}"
-        )
-    universe = covered_constraints(trajectories)
-    if not universe:
-        return []
-    csets = [split_constraints(t) for t in trajectories]
-    for size in range(1, len(trajectories) + 1):
-        for idxs in combinations(range(len(trajectories)), size):
-            union: set[str] = set()
-            for i in idxs:
-                union |= csets[i]
-            if union == universe:
-                return [trajectories[i] for i in idxs]
-    return trajectories  # unreachable: the full set always covers its own union
 
 
 def jaccard_index(a, b) -> float:

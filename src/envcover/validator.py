@@ -1,7 +1,8 @@
 """Physics validation of placed environments.
 
-Checks a finished EnvironmentSpec along three dimensions and reports
-env-level pass/fail for each:
+Checks a finished EnvironmentSpec along three dimensions. The verdict is
+the list of violations found, and each violation's rule names its
+dimension, so a dimension passes exactly when no violation carries its rule:
 
 - floor_plan: rooms are well-formed rectangles that do not overlap,
   doorways sit on the shared wall of the rooms they connect, an exterior
@@ -59,15 +60,16 @@ from .task_model import Violation
 
 @dataclass
 class PhysicsReport:
-    floor_plan_ok: bool = True
-    entity_ok: bool = True
-    relation_ok: bool = True
+    """A scene's violations, floor_plan ones first, then entity, then
+    relation, and the relaxed relations it skipped. A dimension fails when a
+    failure carries its rule; the scene passes when there is no failure."""
+
     failures: list[Violation] = field(default_factory=list)
     skipped_relations: list[int] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.floor_plan_ok and self.entity_ok and self.relation_ok
+        return not self.failures
 
 
 def _box_center(box) -> tuple[float, float]:
@@ -263,7 +265,7 @@ def _relation_holds(env: EnvironmentSpec, idx: int) -> str | None:
     if rel.kind == "mounted_on_wall":
         placement = env.placement_of(rel.subject)
         gap = back_gap(sbox, placement.direction, room)
-        if gap > MOUNT_EPS:
+        if gap > MOUNT_EPS + _TOL:
             return f"back face is {gap:.3f} m off the wall"
         if sbox[1] <= _TOL:
             return "mounted object rests on the floor"
@@ -356,17 +358,4 @@ def validate_physics(env: EnvironmentSpec) -> PhysicsReport:
     floor = check_floor_plan(env)
     entity = check_entities(env)
     relation, skipped = check_relations(env)
-    return PhysicsReport(
-        floor_plan_ok=not floor,
-        entity_ok=not entity,
-        relation_ok=not relation,
-        failures=floor + entity + relation,
-        skipped_relations=skipped,
-    )
-
-
-def physics_pass_rate(reports: list[PhysicsReport]) -> float:
-    """Fraction of environments passing all three dimensions; 1.0 when empty."""
-    if not reports:
-        return 1.0
-    return sum(1 for r in reports if r.ok) / len(reports)
+    return PhysicsReport(floor + entity + relation, skipped)

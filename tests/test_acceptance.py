@@ -21,14 +21,13 @@ from envcover.environment import (
     SpatialRelation,
     make_room,
 )
-from envcover.metrics import logic_coverage, validity_rate
+from envcover.metrics import logic_coverage, share
 from envcover.pipeline import run_all
 from envcover.simulation import (
     VERDICT_CAUSAL,
     VERDICT_GOAL,
     VERDICT_PASS,
     detected,
-    fault_detection_rate,
     run_policy,
     scenario_validity,
 )
@@ -37,11 +36,11 @@ from envcover.task_model import DecisionPath, QueryResponse, extract_paths
 from envcover.trajectories import (
     cartesian_trajectories,
     covered_constraints,
-    exhaustive_min_cover,
     minimal_trajectory_selection,
     paths_per_subtask,
 )
-from envcover.validator import physics_pass_rate, validate_physics
+from envcover.validator import validate_physics
+from oracles import exhaustive_min_cover
 
 GRID = SolverConfig(grid_resolution=0.25, seed=0)
 
@@ -187,10 +186,8 @@ def test_c04_every_built_scene_passes_all_physics_dimensions(built_envs):
         reports.append(validate_physics(env))
 
     for report in reports:
-        assert report.floor_plan_ok and report.entity_ok and report.relation_ok, (
-            [f.message for f in report.failures]
-        )
-    assert physics_pass_rate(reports) == 1.0
+        assert report.ok, [f.message for f in report.failures]
+    assert share([r.ok for r in reports]) == 1.0
     assert time.perf_counter() - started < 120.0
 
 
@@ -243,8 +240,8 @@ def test_c06_each_defect_class_flips_exactly_its_dimension(built_envs):
     assert validate_physics(baseline).ok
 
     def dimensions(env):
-        report = validate_physics(env)
-        return (report.floor_plan_ok, report.entity_ok, report.relation_ok)
+        failed = {f.rule for f in validate_physics(env).failures}
+        return tuple(rule not in failed for rule in ("floor_plan", "entity", "relation"))
 
     overlapping = copy.deepcopy(baseline)
     overlapping.rooms.append(make_room("spare", 0.0, 0.0, 2.0, 2.0))
@@ -305,10 +302,10 @@ def test_c08_faulty_policies_need_the_full_scene_spread(
 
     validity_flags = []
     for env, _ in rows:
-        valid, reasons = scenario_validity(env, task_schema, validate_physics(env))
-        assert valid, reasons
-        validity_flags.append(valid)
-    assert validity_rate(validity_flags) == 1.0
+        reasons = scenario_validity(env, task_schema, validate_physics(env))
+        assert not reasons, reasons
+        validity_flags.append(not reasons)
+    assert share(validity_flags) == 1.0
 
     def outcomes(label):
         return [
@@ -319,7 +316,7 @@ def test_c08_faulty_policies_need_the_full_scene_spread(
     assert all(o.verdict == VERDICT_PASS for o in outcomes("correct"))
 
     by_label = {label: outcomes(label) for label in ("counterfactual", "unreachable", "lackbranch")}
-    assert fault_detection_rate(by_label) == 1.0
+    assert share([detected(runs) for runs in by_label.values()]) == 1.0
 
     failing = lambda runs: {o.verdict for o in runs if o.verdict != VERDICT_PASS}
     assert failing(by_label["counterfactual"]) == {VERDICT_CAUSAL}

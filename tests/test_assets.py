@@ -13,7 +13,6 @@ from envcover.assets import (
     AssetCatalog,
     _scores,
     build_catalog,
-    cosine_similarity,
     decode_vector,
     embed_text,
     encode_vector,
@@ -23,6 +22,7 @@ from envcover.assets import (
 )
 from envcover.errors import EmptyCatalog, SchemaViolation
 from envcover.pipeline import RunPaths, resolve_bundle, stage_build, stage_collect, stage_derive
+from oracles import cosine_similarity
 
 
 def oracle_cosine(a, b):

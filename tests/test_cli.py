@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from envcover.cli import main
+from envcover.environment import deserialize_environment, serialize_environment
 from envcover.errors import SchemaViolation
 from envcover.pipeline import RunPaths, stage_report
 
@@ -223,6 +225,53 @@ def test_a_report_input_without_a_read_key_exits_2(name, key, what, full_run, tm
     assert main(["report", "--out", str(run)]) == 2
     err = capsys.readouterr().err
     assert what in err and key in err
+
+
+def test_a_scene_off_its_room_fails_entity_and_relation_in_physics_and_validity(
+    full_run, living_room_dir, tmp_path
+):
+    # env-001's sofa moved out of its room: the dimension flags come from
+    # the rules of its failures, and the validity reason names them
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    path = run / "environments" / "env-001.json"
+    env = deserialize_environment(path.read_text())
+    i = next(i for i, p in enumerate(env.placements) if p.object == "sofa")
+    _, y, z = env.placements[i].position
+    env.placements[i] = dataclasses.replace(env.placements[i], position=(50.0, y, z))
+    path.write_text(serialize_environment(env))
+    assert main(["validate", "--task", str(living_room_dir), "--out", str(run)]) == 1
+    physics = json.loads((run / "reports" / "physics.json").read_text())
+    assert physics["pass_rate"] == 0.6666666666666666
+    scene = physics["environments"]["env-001"]
+    flags = [scene[k] for k in ("ok", "floor_plan_ok", "entity_ok", "relation_ok")]
+    assert flags == [False, True, False, False]
+    assert len(scene["failures"]) == 2
+    validity = json.loads((run / "reports" / "validity.json").read_text())
+    assert validity["rate"] == 0.6666666666666666
+    assert validity["environments"]["env-001"] == {
+        "reasons": ["physics validation failed: entity, relation"],
+        "valid": False,
+    }
+
+
+def test_a_faulty_policy_no_scene_detects_lowers_the_detection_rate(
+    full_run, living_room_dir, tmp_path
+):
+    # a fifth policy, masked, is the correct one relabelled: it is counted
+    # as faulty and passes everywhere
+    bundle = tmp_path / "bundle"
+    shutil.copytree(living_room_dir, bundle)
+    doc = json.loads((bundle / "policies" / "correct.json").read_text())
+    doc["label"] = "masked"
+    (bundle / "policies" / "masked.json").write_text(json.dumps(doc))
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    assert main(["simulate", "--task", str(bundle), "--out", str(run)]) == 0
+    simulation = json.loads((run / "reports" / "simulation.json").read_text())
+    assert simulation["fault_detection_rate"] == 0.75
+    assert simulation["faulty_policies"] == ["counterfactual", "lackbranch", "masked", "unreachable"]
+    assert simulation["policies"]["masked"]["detected"] is False
 
 
 @pytest.mark.parametrize(

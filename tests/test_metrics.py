@@ -9,7 +9,7 @@ from envcover.metrics import (
     logic_coverage_atomic,
     path_universe,
     selection_jaccard,
-    validity_rate,
+    share,
 )
 from envcover.task_model import (
     DecisionPath,
@@ -134,10 +134,23 @@ def test_selection_jaccard_full_and_partial():
     assert selection_jaccard(trees, universe[:1]) == pytest.approx(0.5)
 
 
-def test_validity_rate():
-    assert validity_rate([True, True, False, False]) == 0.5
-    assert validity_rate([True]) == 1.0
-    assert validity_rate([]) == 1.0
+@pytest.mark.parametrize(
+    "flags, rate",
+    [
+        # validity flags
+        ([True, True, False, False], 0.5),
+        ([True], 1.0),
+        ([], 1.0),
+        # physics: a clean scene and one whose plant floats
+        ([True, False], 0.5),
+        # three faulty policies, each detected; then a fourth that never fails
+        ([True, True, True], 1.0),
+        ([True, True, True, False], 0.75),
+    ],
+    ids=["validity", "one_valid", "none", "physics", "all_detected", "one_undetected"],
+)
+def test_share(flags, rate):
+    assert share(flags) == rate
 
 
 def test_coverage_stat_empty_universe_counts_as_full():

@@ -9,7 +9,7 @@ from envcover.simulation import (
     VERDICT_GOAL,
     VERDICT_PASS,
     _precondition_holds,
-    fault_detection_rate,
+    detected,
     initial_world,
     parse_action_model,
     parse_policy,
@@ -273,8 +273,8 @@ def test_unknown_condition_predicate_is_an_executor_error(env_rows, task_schema,
 def test_bundled_scenarios_are_valid(built_envs, task_schema):
     for env in built_envs:
         report = validate_physics(env)
-        valid, reasons = scenario_validity(env, task_schema, report)
-        assert valid, reasons
+        reasons = scenario_validity(env, task_schema, report)
+        assert not reasons, reasons
 
 
 def test_missing_required_entity_invalidates_the_scenario(built_envs, task_schema):
@@ -283,8 +283,7 @@ def test_missing_required_entity_invalidates_the_scenario(built_envs, task_schem
     env.placements = [p for p in env.placements if p.object != "stain"]
     env.metadata = {k: v for k, v in env.metadata.items() if k[0] != "stain"}
     report = validate_physics(env)
-    valid, reasons = scenario_validity(env, task_schema, report)
-    assert not valid
+    reasons = scenario_validity(env, task_schema, report)
     assert any("stain" in r for r in reasons)
     assert any("task-related" in r for r in reasons)
 
@@ -300,20 +299,17 @@ def test_failing_physics_invalidates_the_scenario(built_envs, task_schema):
         direction=victim.direction,
     )
     report = validate_physics(env)
-    valid, reasons = scenario_validity(env, task_schema, report)
-    assert not valid and reasons
+    assert scenario_validity(env, task_schema, report)
 
 
-def test_fault_detection_rate_counts_detected_policies(env_rows, task_schema, action_model, policies):
-    outcomes = {}
-    for label in ("counterfactual", "unreachable", "lackbranch"):
-        outcomes[label] = [
-            run_policy(policies[label], env, t, task_schema, action_model) for env, t in env_rows
-        ]
-    assert fault_detection_rate(outcomes) == 1.0
-    # a policy that never fails anywhere drags the rate down
-    outcomes["stealthy"] = [
-        run_policy(policies["correct"], env, t, task_schema, action_model) for env, t in env_rows
-    ]
-    assert fault_detection_rate(outcomes) == pytest.approx(3 / 4)
-    assert fault_detection_rate({}) == 1.0
+def test_detected_flags_each_faulty_policy_and_not_the_correct_one(
+    env_rows, task_schema, action_model, policies
+):
+    # these flags are what stage_simulate hands to share as the detection rate
+    flags = {
+        label: detected(
+            [run_policy(policies[label], env, t, task_schema, action_model) for env, t in env_rows]
+        )
+        for label in ("correct", "counterfactual", "unreachable", "lackbranch")
+    }
+    assert flags == {"correct": False, "counterfactual": True, "unreachable": True, "lackbranch": True}

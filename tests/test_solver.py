@@ -660,6 +660,14 @@ def distance_filter(grid, px, pz, limit, within):
     return mask_of(i for i, d in enumerate(d2) if (d <= limit if within else d >= limit))
 
 
+def distance_keep(grid, px, pz, limit, within):
+    """The cells _distance_pruner keeps for near (within) or far: far keeps
+    the complement of the cells within the float just below its limit."""
+    if within:
+        return _distance_keep(grid, px, pz, limit)
+    return mask_of(range(len(grid))) ^ _distance_keep(grid, px, pz, math.nextafter(limit, -math.inf))
+
+
 # quarter-metre coordinates: their differences and squares are exact, so a
 # limit can equal a cell's squared distance exactly
 SWEEP_GRID = _Grid([k / 4 for k in range(2, 15)], [j / 4 for j in range(1, 12)])
@@ -675,7 +683,7 @@ def test_distance_keep_sweeps_out_from_the_partner(within, px):
     for pz in (-0.4, 0.25, 1.3, 1.5, 2.75, 3.4):
         for limit in (0.0, 0.3, 1.5**2 + _TOL, 3.0**2 - _TOL, 6.0, 40.0):
             expected = distance_filter(SWEEP_GRID, px, pz, limit, within)
-            assert _distance_keep(SWEEP_GRID, px, pz, limit, within) == expected, (pz, limit)
+            assert distance_keep(SWEEP_GRID, px, pz, limit, within) == expected, (pz, limit)
 
 
 @pytest.mark.parametrize("within", [True, False])
@@ -689,7 +697,7 @@ def test_distance_keep_on_a_one_column_or_one_row_grid(within, xs, zs):
     for px, pz in itertools.product((-0.3, 0.0, 1.0, 1.1, 3.0), (-0.3, 1.0, 1.1, 2.5)):
         for limit in (0.0, 0.25, 1.5**2 + _TOL, 4.0):
             expected = distance_filter(grid, px, pz, limit, within)
-            assert _distance_keep(grid, px, pz, limit, within) == expected, (px, pz, limit)
+            assert distance_keep(grid, px, pz, limit, within) == expected, (px, pz, limit)
 
 
 def test_far_keeps_whole_columns_from_the_first_one_past_the_limit():
@@ -697,10 +705,10 @@ def test_far_keeps_whole_columns_from_the_first_one_past_the_limit():
     # is kept whole without a row test, while the other side is walked
     full = mask_of(range(len(SWEEP_GRID)))
     for px, pz, limit in [(6.0, 1.0, 4.0), (-2.0, 1.0, 4.0), (1.6, 1.0, 0.02), (1.4, 1.0, 0.02)]:
-        got = _distance_keep(SWEEP_GRID, px, pz, limit, False)
+        got = distance_keep(SWEEP_GRID, px, pz, limit, False)
         assert got == distance_filter(SWEEP_GRID, px, pz, limit, False), (px, limit)
-    assert _distance_keep(SWEEP_GRID, 6.0, 1.0, 4.0, False) == full
-    assert 0 < _distance_keep(SWEEP_GRID, 1.6, 1.0, 0.02, False) < full
+    assert distance_keep(SWEEP_GRID, 6.0, 1.0, 4.0, False) == full
+    assert 0 < distance_keep(SWEEP_GRID, 1.6, 1.0, 0.02, False) < full
 
 
 @pytest.mark.parametrize("within", [True, False])
@@ -720,7 +728,7 @@ def test_distance_keep_at_limits_attained_on_a_later_column(within, pz):
             attained = (xs[k] - px) ** 2 + (z - pz) ** 2
             for limit in (attained, math.nextafter(attained, math.inf), math.nextafter(attained, -math.inf)):
                 expected = distance_filter(SWEEP_GRID, px, pz, limit, within)
-                assert _distance_keep(SWEEP_GRID, px, pz, limit, within) == expected, (px, k, z, limit)
+                assert distance_keep(SWEEP_GRID, px, pz, limit, within) == expected, (px, k, z, limit)
                 checked += 1
     assert checked == 2 * 11 * 11 * 3
 
@@ -746,11 +754,11 @@ def test_relaxation_computes_each_distance_mask_once(monkeypatch):
     import envcover.solver
 
     computed = collections.Counter()
-    distance_keep = envcover.solver._distance_keep
+    original = envcover.solver._distance_keep
 
-    def counted(grid, px, pz, limit, within):
-        computed[(id(grid), px, pz, limit, within)] += 1
-        return distance_keep(grid, px, pz, limit, within)
+    def counted(grid, px, pz, bound):
+        computed[(id(grid), px, pz, bound)] += 1
+        return original(grid, px, pz, bound)
 
     monkeypatch.setattr(envcover.solver, "_distance_keep", counted)
     objects, rels = packed_distance_scene()

@@ -12,9 +12,9 @@ from envcover.task_model import (
     match_factors,
     normalize_text,
     parse_behavior_plan,
-    serialize_behavior_plan,
     validate_tree_grounding,
 )
+from oracles import serialize_behavior_plan
 
 
 def test_normalize_text_strips_case_punctuation_and_whitespace():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import envcover.trajectories as tj
 from envcover import task_model
-from envcover.errors import EmptyPathSet, InstanceTooLarge, StructureError
+from envcover.errors import EmptyPathSet, StructureError
 from envcover.jsonio import parse_as
 from envcover.metrics import logic_coverage_atomic
 from envcover.pipeline import RunPaths, stage_collect
@@ -21,12 +21,12 @@ from envcover.trajectories import (
     cartesian_trajectories,
     cover_path_sets,
     covered_constraints,
-    exhaustive_min_cover,
     jaccard_index,
     minimal_trajectory_selection,
     paths_per_subtask,
     split_constraints,
 )
+from oracles import InstanceTooLarge, exhaustive_min_cover
 
 
 def synthetic_path_sets(sizes):
