@@ -3,7 +3,7 @@
 One subcommand per pipeline stage plus run-all. Exit codes: 0 on success,
 1 when a stage fails on its inputs (unsatisfiable scene, failing physics,
 missing upstream artifacts), 2 for usage and configuration errors and for
-files that cannot be read or are not valid documents.
+files or provider responses that cannot be read or are not valid documents.
 """
 
 from __future__ import annotations

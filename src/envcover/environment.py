@@ -6,7 +6,10 @@ the spatial relations the layout was solved under, and a metadata map
 regenerated from the geometry. A Room is its rectangle, x_min..x_max by
 z_min..z_max in the x-z plane, from the provider's floor plan to the
 validator; only an environment document stores its four corners, and
-reading one checks that they span an axis-aligned rectangle.
+reading one checks that they span an axis-aligned rectangle. A part checks
+its own fields when it is built, raising SchemaViolation, so a malformed
+part never exists; check_references, which both the layout solver and
+EnvironmentSpec.validate call, checks the parts against each other.
 Serialization is canonical (sorted keys, fixed float rounding) so identical
 scenes are byte-identical on disk. An environment document and each of its
 parts is written and read through jsonio's typed records: one key per
@@ -16,7 +19,7 @@ support_location is the one statement, outside the layout solver, of what
 holds an object up; it writes each object's metadata location, and the
 physics validator reports an object as floating exactly when it answers
 "floating". The solver keeps its own support geometry and uses none of the
-helpers here, so a solver bug cannot pass its own check.
+geometry helpers here, so a solver bug cannot pass its own check.
 """
 
 from __future__ import annotations
@@ -66,13 +69,13 @@ class Room:
     wall_color: str = ""
     wall_material: str = ""
 
+    def __post_init__(self):
+        if self.x_max - self.x_min <= 0 or self.z_max - self.z_min <= 0:
+            raise SchemaViolation("room must have positive area")
+
     @property
     def center(self) -> tuple[float, float]:
         return ((self.x_min + self.x_max) / 2, (self.z_min + self.z_max) / 2)
-
-    def validate(self) -> None:
-        if self.x_max - self.x_min <= 0 or self.z_max - self.z_min <= 0:
-            raise SchemaViolation("room must have positive area", f"rooms[{self.id}]")
 
 
 make_room = Room  # the name bench/inputs.py imports
@@ -86,6 +89,12 @@ class Doorway:
     height: float
     position: tuple[float, float] | None = None  # solved center (x, z) on the wall
 
+    def __post_init__(self):
+        if self.connects[0] == self.connects[1]:
+            raise SchemaViolation("doorway must connect two distinct sides")
+        if self.width <= 0 or self.height <= 0:
+            raise SchemaViolation("doorway needs positive width and height")
+
 
 @dataclass(frozen=True)
 class Window:
@@ -97,6 +106,14 @@ class Window:
     sill_height: float
     position: tuple[float, float] | None = None  # solved center (x, z) on the wall
 
+    def __post_init__(self):
+        if self.orientation not in CARDINALS:
+            raise SchemaViolation(f"orientation must be one of {CARDINALS}")
+        if self.width <= 0 or self.height <= 0:
+            raise SchemaViolation("window needs positive width and height")
+        if self.sill_height < 0:
+            raise SchemaViolation("sill_height cannot be negative")
+
 
 @dataclass(frozen=True)
 class ObjectSpec:
@@ -107,6 +124,15 @@ class ObjectSpec:
     category: str  # task_related | enrichment
     attributes: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.category not in CATEGORIES:
+            raise SchemaViolation(f"unknown category {self.category!r}")
+        if any(s <= 0 for s in self.size):
+            raise SchemaViolation("object size must be positive")
+        for key, value in self.attributes.items():
+            if not isinstance(value, str):
+                raise SchemaViolation(f"attribute {key!r} must be a string")
+
 
 @dataclass(frozen=True)
 class SpatialRelation:
@@ -115,19 +141,18 @@ class SpatialRelation:
     reference: str | None = None
     priority: str = "task"
 
-    def validate(self) -> None:
-        where = f"relations[{self.kind} {self.subject}]"
+    def __post_init__(self):
         if self.kind not in RELATION_KINDS:
-            raise SchemaViolation(f"unknown relation kind {self.kind!r}", where)
+            raise SchemaViolation(f"unknown relation kind {self.kind!r}")
         if self.priority not in PRIORITIES:
-            raise SchemaViolation(f"unknown priority {self.priority!r}", where)
+            raise SchemaViolation(f"unknown priority {self.priority!r}")
         if self.kind in UNARY_KINDS:
             if self.reference is not None:
-                raise SchemaViolation("unary relation takes no reference", where)
+                raise SchemaViolation("unary relation takes no reference")
         elif self.reference is None:
-            raise SchemaViolation("binary relation needs a reference", where)
+            raise SchemaViolation("binary relation needs a reference")
         elif self.reference == self.subject:
-            raise SchemaViolation("relation cannot reference its own subject", where)
+            raise SchemaViolation("relation cannot reference its own subject")
 
 
 @dataclass(frozen=True)
@@ -135,6 +160,33 @@ class Placement:
     object: str
     position: tuple[float, float, float]  # footprint center x, bottom face y, center z
     direction: str
+
+    def __post_init__(self):
+        if self.direction not in CARDINALS:
+            raise SchemaViolation(f"direction must be one of {CARDINALS}")
+
+
+def check_references(rooms, doorways, windows, objects, relations) -> None:
+    """Room ids and object ids are unique, and every room and object that a
+    part names exists; else a SchemaViolation naming the part."""
+    room_ids = {r.id for r in rooms}
+    if len(room_ids) != len(rooms):
+        raise SchemaViolation("duplicate room ids", "rooms")
+    object_ids = {o.id for o in objects}
+    if len(object_ids) != len(objects):
+        raise SchemaViolation("duplicate object ids", "objects")
+    for door in doorways:
+        for side in door.connects:
+            if side != "exterior" and side not in room_ids:
+                raise SchemaViolation(f"unknown room {side!r}", f"doorways[{door.id}]")
+    for where, parts in (("windows", windows), ("objects", objects)):
+        for part in parts:
+            if part.room not in room_ids:
+                raise SchemaViolation(f"unknown room {part.room!r}", f"{where}[{part.id}]")
+    for i, rel in enumerate(relations):
+        for role, entity in (("subject", rel.subject), ("reference", rel.reference)):
+            if entity is not None and entity not in object_ids:
+                raise SchemaViolation(f"unknown {role} {entity!r}", f"relations[{i}]")
 
 
 def mount_height(obj: ObjectSpec) -> float:
@@ -197,64 +249,13 @@ class EnvironmentSpec:
         raise KeyError(object_id)
 
     def validate(self) -> None:
-        """Structural and cross-reference checks; raises SchemaViolation."""
-        room_ids = [r.id for r in self.rooms]
-        if len(set(room_ids)) != len(room_ids):
-            raise SchemaViolation("duplicate room ids", "rooms")
-        for room in self.rooms:
-            room.validate()
-        known_rooms = set(room_ids)
-        for door in self.doorways:
-            where = f"doorways[{door.id}]"
-            for side in door.connects:
-                if side != "exterior" and side not in known_rooms:
-                    raise SchemaViolation(f"unknown room {side!r}", where)
-            if door.connects[0] == door.connects[1]:
-                raise SchemaViolation("doorway must connect two distinct sides", where)
-            if door.width <= 0 or door.height <= 0:
-                raise SchemaViolation("doorway needs positive width and height", where)
-        for win in self.windows:
-            where = f"windows[{win.id}]"
-            if win.room not in known_rooms:
-                raise SchemaViolation(f"unknown room {win.room!r}", where)
-            if win.orientation not in CARDINALS:
-                raise SchemaViolation(f"orientation must be one of {CARDINALS}", where)
-            if win.width <= 0 or win.height <= 0:
-                raise SchemaViolation("window needs positive width and height", where)
-            if win.sill_height < 0:
-                raise SchemaViolation("sill_height cannot be negative", where)
-        object_ids = [o.id for o in self.objects]
-        if len(set(object_ids)) != len(object_ids):
-            raise SchemaViolation("duplicate object ids", "objects")
-        known_objects = set(object_ids)
-        for obj in self.objects:
-            where = f"objects[{obj.id}]"
-            if obj.room not in known_rooms:
-                raise SchemaViolation(f"unknown room {obj.room!r}", where)
-            if obj.category not in CATEGORIES:
-                raise SchemaViolation(f"unknown category {obj.category!r}", where)
-            if any(s <= 0 for s in obj.size):
-                raise SchemaViolation("object size must be positive", where)
-            for key, value in obj.attributes.items():
-                if not isinstance(value, str):
-                    raise SchemaViolation(
-                        f"attribute {key!r} must be a string", where
-                    )
-        for rel in self.relations:
-            rel.validate()
-            where = f"relations[{rel.kind} {rel.subject}]"
-            if rel.subject not in known_objects:
-                raise SchemaViolation(f"unknown subject {rel.subject!r}", where)
-            if rel.reference is not None and rel.reference not in known_objects:
-                raise SchemaViolation(f"unknown reference {rel.reference!r}", where)
-        placed = [p.object for p in self.placements]
-        if sorted(placed) != sorted(object_ids):
+        """check_references, then that the placements cover every object once
+        and each relaxed index names a relation; raises SchemaViolation."""
+        check_references(self.rooms, self.doorways, self.windows, self.objects, self.relations)
+        if sorted(p.object for p in self.placements) != sorted(o.id for o in self.objects):
             raise SchemaViolation(
                 "placements must cover every object exactly once", "placements"
             )
-        for p in self.placements:
-            if p.direction not in CARDINALS:
-                raise SchemaViolation(f"direction must be one of {CARDINALS}", f"placements[{p.object}]")
         for idx in self.relaxed_relations:
             if not 0 <= idx < len(self.relations):
                 raise SchemaViolation(f"relaxed relation index {idx} out of range", "relaxed_relations")
@@ -304,14 +305,15 @@ def rests_on(box, ob) -> bool:
 
 
 def inside(box, ob) -> bool:
-    """box lies within ob, up to SUPPORT_EPS on every face."""
+    """box lies within ob, up to SUPPORT_EPS and _TOL on every face."""
+    eps = SUPPORT_EPS + _TOL
     return (
-        box[0] >= ob[0] - SUPPORT_EPS
-        and box[2] >= ob[2] - SUPPORT_EPS
-        and box[3] <= ob[3] + SUPPORT_EPS
-        and box[5] <= ob[5] + SUPPORT_EPS
-        and box[1] >= ob[1] - SUPPORT_EPS
-        and box[4] <= ob[4] + SUPPORT_EPS
+        box[0] >= ob[0] - eps
+        and box[2] >= ob[2] - eps
+        and box[3] <= ob[3] + eps
+        and box[5] <= ob[5] + eps
+        and box[1] >= ob[1] - eps
+        and box[4] <= ob[4] + eps
     )
 
 

@@ -164,14 +164,6 @@ def _typed(kind: str, tp, response):
         raise ProviderError(str(exc)) from exc
 
 
-def _checked_factors(kind: str, response) -> tuple[UncertainFactor, ...]:
-    factors = _typed(kind, tuple[UncertainFactor, ...], response)
-    for f in factors:
-        if len(f.domain) < 2:
-            raise ProviderError(f"factor {f.name!r} needs a domain of at least two values")
-    return factors
-
-
 class PlanProvider:
     def __init__(self, channel):
         self.channel = channel
@@ -188,7 +180,8 @@ class PlanProvider:
 
     def identify_factors(self, task_id: str, subtask_id: str, summary: str) -> tuple[UncertainFactor, ...]:
         body = {"task_id": task_id, "subtask": {"id": subtask_id, "summary": summary}}
-        return _checked_factors(IDENTIFY_FACTORS, self.channel.send(IDENTIFY_FACTORS, body))
+        out = self.channel.send(IDENTIFY_FACTORS, body)
+        return _typed(IDENTIFY_FACTORS, tuple[UncertainFactor, ...], out)
 
     def generate_plan(self, task_id: str, subtask_id: str, factors):
         body = {
@@ -207,7 +200,7 @@ class PlanProvider:
         }
         out = self.channel.send(REFINE, body)
         if stage == "factors":
-            return _checked_factors(REFINE, out)
+            return _typed(REFINE, tuple[UncertainFactor, ...], out)
         return out
 
 

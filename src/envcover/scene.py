@@ -2,13 +2,13 @@
 
 The build walks the generation chain: ask the provider for a floor plan,
 then for objects (bounding boxes come from the asset catalog), then for
-spatial relations. The floor plan's rooms are read as Room records, bounds
-as sent, and one without positive area is a SchemaViolation. Proposed
-relations pass through deterministic compatibility rules; conflicts go back
-to the provider for revision, a bounded number of rounds. The surviving
-draft is encoded as a CSP and solved with relaxation; the placed result
-carries derived metadata and is checked against the trajectory's query
-conditions before it is returned.
+spatial relations. Each response is read as the environment's records,
+which check their own fields, so a malformed part is a SchemaViolation
+before anything is solved. Proposed relations pass through deterministic
+compatibility rules; conflicts go back to the provider for revision, a
+bounded number of rounds. The surviving draft is encoded as a CSP and
+solved with relaxation; the placed result carries derived metadata and is
+checked against the trajectory's query conditions before it is returned.
 
 Failures keep their causes apart: UnsatisfiableScene means geometry or
 relation sets that cannot be realized, TrajectoryMismatch means the scene
@@ -99,8 +99,6 @@ def parse_floor_plan(doc) -> tuple[list[Room], list[Doorway], list[Window]]:
     plan = parse_as(_FloorPlanResponse, doc, "floor plan")
     if not plan.rooms:
         raise SchemaViolation("floor plan has no rooms")
-    for room in plan.rooms:
-        room.validate()
     return list(plan.rooms), list(plan.doorways), list(plan.windows)
 
 
@@ -113,15 +111,17 @@ def resolve_objects(raw_objects, catalog: AssetCatalog) -> list[ObjectSpec]:
 def parse_relations(raw_relations, objects: list[ObjectSpec]) -> list[SpatialRelation]:
     """Relations from provider output; priority defaults to the subject's category."""
     category = {o.id: o.category for o in objects}
+    proposals = parse_as(tuple[_RelationProposal, ...], raw_relations, "relation list")
     out = []
-    for proposal in parse_as(tuple[_RelationProposal, ...], raw_relations, "relation list"):
+    for i, proposal in enumerate(proposals):
         priority = proposal.priority
         if priority is None:
             subject_cat = category.get(proposal.subject, "enrichment")
             priority = "task" if subject_cat == "task_related" else "enrichment"
-        rel = SpatialRelation(proposal.kind, proposal.subject, proposal.reference, priority)
-        rel.validate()
-        out.append(rel)
+        try:
+            out.append(SpatialRelation(proposal.kind, proposal.subject, proposal.reference, priority))
+        except SchemaViolation as exc:
+            raise SchemaViolation(f"malformed relation list: {exc}", f"[{i}]") from None
     return out
 
 
@@ -303,7 +303,6 @@ def build_environment(
         tracked_entities=sorted(schema.tracked_entities),
     )
     env.metadata = rebuild_metadata(env)
-    env.validate()
 
     failures = unmet_conditions(schema, trajectory, env.metadata)
     if failures:

@@ -8,11 +8,13 @@ with another room. Heights are not searched: an object's bottom height
 follows from its support relation (none puts it on the floor; on_top_of on
 the top face of its reference, in on the bottom of its container,
 mounted_on_wall at the mount height), so the support relations are the only
-support constraints and are never relaxed. Facts about the fixed inputs are
-checked once, at encode time: overlapping rooms, an opening or relation that
-cannot be placed or scoped, a doorway between detached rooms or an object
-that fits in no grid cell raise EncodingError before any search, so every
-constraint left for the search scopes one or two entities.
+support constraints and are never relaxed. encode first calls
+environment.check_references, so duplicate ids and a part that names an
+unknown room or object are a SchemaViolation. The physical facts about the
+fixed inputs are checked once, at encode time: overlapping rooms, an
+opening that cannot be placed, a doorway between detached rooms or an
+object that fits in no grid cell raise EncodingError before any search, so
+every constraint left for the search scopes one or two entities.
 
 The search is depth-first backtracking with forward checking (Haralick and
 Elliott, 1980). Variable order is largest footprint first (ties by id). The
@@ -55,9 +57,8 @@ it; _distance_keep keeps the cells within one closed bound (far keeps the
 rest of the grid under the float just below its limit), sweeps the columns
 outward from the partner, bisects the first column of each side and walks
 each later column's run in from the previous one's. The predicates remain
-the reference: check_assignment and the tests' brute-force oracles call
-them, and so does forward checking, on each set bit, for the kinds without
-a pruner.
+the reference: the tests' brute-force oracles call them, and so does
+forward checking, on each set bit, for the kinds without a pruner.
 
 Before it searches, solve tries to prove the rung unsat from the fixed
 inputs alone (_static_core). It tests the height-only parts of above, in
@@ -101,6 +102,7 @@ from .environment import (
     SUPPORT_KINDS,
     SpatialRelation,
     UNARY_KINDS,
+    check_references,
     footprint,
     mount_height,
 )
@@ -121,6 +123,8 @@ from .semantics import (
 )
 
 _TOL = 1e-9
+# how far an in subject's box may pass its container's on any face
+_IN_EPS = SUPPORT_EPS + _TOL
 
 # the most grid points along one axis of a room, far above the ~240 of a 0.025 m grid
 MAX_GRID_POINTS = 10_000
@@ -750,6 +754,7 @@ class CspProblem:
                 pts = grids[(lo, hi)] = _grid_points(lo, hi, res)
             return pts
 
+        check_references(self.rooms, self.doorways, self.windows, self.objects, self.relations)
         for i, a in enumerate(self.rooms):
             for b in self.rooms[i + 1 :]:
                 if (
@@ -758,20 +763,8 @@ class CspProblem:
                 ):
                     raise EncodingError(f"rooms {a.id!r} and {b.id!r} overlap")
         for o in self.objects:
-            if o.room not in self.geo.rooms:
-                raise EncodingError(f"object {o.id!r} names unknown room {o.room!r}")
             if o.size[1] > WALL_HEIGHT + _TOL:
                 raise EncodingError(f"object {o.id!r} is taller than the walls")
-        for idx, rel in enumerate(self.relations):
-            where = f"relation {idx} ({rel.kind} of {rel.subject!r})"
-            for entity in (rel.subject, rel.reference):
-                if entity is not None and entity not in self.geo.objects:
-                    raise EncodingError(f"{where} names unknown object {entity!r}")
-            if rel.reference is None and rel.kind not in UNARY_KINDS:
-                raise EncodingError(f"{where} needs a reference")
-            if rel.reference == rel.subject:
-                raise EncodingError(f"{where} references its own subject")
-        room_of = {o.id: self.geo.rooms[o.room] for o in self.objects}
         self.geo.base_y = _support_plan(self.objects, self.relations)
 
         # variables and domains
@@ -779,7 +772,7 @@ class CspProblem:
             self.objects, key=lambda o: (-(o.size[0] * o.size[2]), o.id)
         )
         for o in order:
-            room = room_of[o.id]
+            room = self.geo.rooms[o.room]
             fits_any = [
                 d
                 for d in DIRECTION_VECTORS
@@ -801,9 +794,6 @@ class CspProblem:
 
         for door in sorted(self.doorways, key=lambda d: d.id):
             a, b = door.connects
-            for r in (a, b):
-                if r not in self.geo.rooms and (r != "exterior" or a == b):
-                    raise EncodingError(f"doorway {door.id!r} names unknown room {r!r}")
             if "exterior" in (a, b):
                 room = self.geo.rooms[a if b == "exterior" else b]
                 # it opens to the outside, so onto no wall shared with a room
@@ -829,16 +819,10 @@ class CspProblem:
             self.domains[f"{door.id}.pos"] = cells
 
         for win in sorted(self.windows, key=lambda w: w.id):
-            room = self.geo.rooms.get(win.room)
-            if room is None:
-                raise EncodingError(f"window {win.id!r} names unknown room {win.room!r}")
-            if win.orientation not in DIRECTION_VECTORS:
-                raise EncodingError(
-                    f"window {win.id!r} faces {win.orientation!r}, which is not a cardinal"
-                )
             if win.sill_height + win.height > WALL_HEIGHT + _TOL:
                 raise EncodingError(f"window {win.id!r} does not fit under the wall height")
-            cells = _positions_on_wall(_wall_of(room, win.orientation), win.width, grid_points)
+            wall = _wall_of(self.geo.rooms[win.room], win.orientation)
+            cells = _positions_on_wall(wall, win.width, grid_points)
             if not cells:
                 raise EncodingError(f"window {win.id!r} is wider than its wall")
             self.variables.append(f"{win.id}.pos")
@@ -984,12 +968,12 @@ class CspProblem:
             def check(assign):
                 a, b = sbox(assign), rbox(assign)
                 return (
-                    a[0] >= b[0] - SUPPORT_EPS
-                    and a[2] >= b[2] - SUPPORT_EPS
-                    and a[3] <= b[3] + SUPPORT_EPS
-                    and a[5] <= b[5] + SUPPORT_EPS
-                    and a[1] >= b[1] - SUPPORT_EPS
-                    and a[4] <= b[4] + SUPPORT_EPS
+                    a[0] >= b[0] - _IN_EPS
+                    and a[2] >= b[2] - _IN_EPS
+                    and a[3] <= b[3] + _IN_EPS
+                    and a[5] <= b[5] + _IN_EPS
+                    and a[1] >= b[1] - _IN_EPS
+                    and a[4] <= b[4] + _IN_EPS
                 )
 
         elif rel.kind == "edge":
@@ -1073,7 +1057,7 @@ class CspProblem:
                     or abs(sz - rz) <= CENTER_ALIGNED_EPS + _TOL
                 )
 
-        elif rel.kind == "face_to":
+        else:  # face_to
 
             def check(assign):
                 a, b = sbox(assign), rbox(assign)
@@ -1083,8 +1067,6 @@ class CspProblem:
                     a, rx, rz, assign[f"{r}.dir"], None
                 )
 
-        else:
-            raise EncodingError(f"relation kind {rel.kind!r} has no solver semantics")
         return check, prune
 
     # -- evaluation helpers --------------------------------------------------
@@ -1104,15 +1086,6 @@ class CspProblem:
             rng = random.Random(f"{self.config.seed}:{vid}")
             order = orders[key] = _ValueOrder(rng, key[1])
         return order
-
-    def check_assignment(self, assignment: dict, skip: frozenset = frozenset()) -> bool:
-        """Evaluate every (non-skipped) constraint under a full assignment."""
-        for c in self.constraints:
-            if c.id in skip:
-                continue
-            if not c.check(assignment):
-                return False
-        return True
 
     def relax_order(self) -> list[CspConstraint]:
         """Relaxable constraints in drop order: distance, relative, unary."""
@@ -1186,7 +1159,8 @@ class _ValueOrder:
 
 
 def encode(rooms, doorways, windows, objects, relations, config: SolverConfig | None = None) -> CspProblem:
-    """Build the CSP for a scene draft; raises EncodingError when impossible."""
+    """Build the CSP for a scene draft; raises SchemaViolation where
+    check_references does and EncodingError when the draft is impossible."""
     return CspProblem(rooms, doorways, windows, objects, relations, config or SolverConfig())
 
 
@@ -1209,8 +1183,8 @@ def _host_bound(geo: _Geometry, s: str, r: str, kind: str) -> float:
     on_top_of or in: r's half-diagonal plus sqrt(2) times a slack per axis.
 
     Along x, with s's half-footprint hx, r's gx and the centers sx and rx:
-    in keeps s's span inside r's widened by SUPPORT_EPS, so |sx - rx| <= gx
-    - hx + SUPPORT_EPS. on_top_of keeps w * d >= f * W * D - _TOL, where w x
+    in keeps s's span inside r's widened by _IN_EPS, so |sx - rx| <= gx - hx
+    + _IN_EPS. on_top_of keeps w * d >= f * W * D - _TOL, where w x
     d is the overlap, W x D is s's footprint and f is SUPPORT_OVERLAP_FRAC;
     d <= D, so w >= f * W - _TOL / D. The overlap is at most the distance
     from s's near edge to r's far edge, w <= hx + gx - |sx - rx|, so |sx -
@@ -1223,7 +1197,7 @@ def _host_bound(geo: _Geometry, s: str, r: str, kind: str) -> float:
     r_x, _, r_z = geo.objects[r].size
     s_x, _, s_z = geo.objects[s].size
     if kind == "in":
-        slack = SUPPORT_EPS
+        slack = _IN_EPS
     else:
         least = min(s_x, s_z)
         slack = max(0.0, 1 - 2 * SUPPORT_OVERLAP_FRAC) * math.hypot(s_x, s_z) / 2
@@ -1267,7 +1241,7 @@ def _static_core(problem: CspProblem, skip: frozenset) -> frozenset | None:
             if s_lo < r_hi - SUPPORT_EPS:
                 return frozenset((c.id,))
             continue
-        if c.kind == "in" and not (s_lo >= r_lo - SUPPORT_EPS and s_hi <= r_hi + SUPPORT_EPS):
+        if c.kind == "in" and not (s_lo >= r_lo - _IN_EPS and s_hi <= r_hi + _IN_EPS):
             return frozenset((c.id,))
         if c.kind == "far":
             fars.append((s, r, c.id))

@@ -13,7 +13,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 
-from .errors import MalformedDocument, StructureError
+from .errors import MalformedDocument, SchemaViolation, StructureError
 
 _PUNCT = re.compile(r"[^\w\s]")
 _WS = re.compile(r"\s+")
@@ -45,6 +45,10 @@ class UncertainFactor:
     name: str
     domain: tuple[str, ...]
     aliases: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if len(self.domain) < 2:
+            raise SchemaViolation(f"factor {self.name!r} needs a domain of at least two values")
 
     def matches_query(self, query_text: str) -> bool:
         """True if the factor's name or an alias occurs in the query text."""

@@ -99,7 +99,7 @@ def _ray_reaches(origin_x: float, origin_z: float, direction: str, box, limit: f
 
 def _wall(room: Room, side: str) -> tuple[str, float, float, float]:
     """(axis, coord, lo, hi): the wall at axis == coord, spanning lo..hi
-    along the other axis. A side that is no cardinal reads as west."""
+    along the other axis."""
     if side == "north":
         return ("z", room.z_max, room.x_min, room.x_max)
     if side == "south":
@@ -322,15 +322,14 @@ def _relation_holds(env: EnvironmentSpec, idx: int) -> str | None:
         if abs(scx - rcx) > CENTER_ALIGNED_EPS + _TOL and abs(scz - rcz) > CENTER_ALIGNED_EPS + _TOL:
             return "centers share neither axis"
         return None
-    if rel.kind == "face_to":
-        sp = env.placement_of(rel.subject)
-        rp = env.placement_of(rel.reference)
-        if not _ray_reaches(scx, scz, sp.direction, rbox, None):
-            return "subject does not face the reference"
-        if not _ray_reaches(rcx, rcz, rp.direction, sbox, None):
-            return "reference does not face the subject"
-        return None
-    return f"unknown relation kind {rel.kind!r}"
+    # face_to
+    sp = env.placement_of(rel.subject)
+    rp = env.placement_of(rel.reference)
+    if not _ray_reaches(scx, scz, sp.direction, rbox, None):
+        return "subject does not face the reference"
+    if not _ray_reaches(rcx, rcz, rp.direction, sbox, None):
+        return "reference does not face the subject"
+    return None
 
 
 def check_relations(env: EnvironmentSpec) -> tuple[list[Violation], list[int]]:

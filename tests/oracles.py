@@ -66,3 +66,9 @@ def cosine_similarity(a: list[float], b: list[float]) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return sum(x * y for x, y in zip(a, b)) / (na * nb)
+
+
+def check_assignment(problem, assignment: dict, skip: frozenset = frozenset()) -> bool:
+    """Every constraint of a CspProblem outside skip holds under a full
+    assignment, by each constraint's own predicate."""
+    return all(c.check(assignment) for c in problem.constraints if c.id not in skip)

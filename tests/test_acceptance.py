@@ -40,7 +40,7 @@ from envcover.trajectories import (
     paths_per_subtask,
 )
 from envcover.validator import validate_physics
-from oracles import exhaustive_min_cover
+from oracles import check_assignment, exhaustive_min_cover
 
 GRID = SolverConfig(grid_resolution=0.25, seed=0)
 
@@ -199,7 +199,7 @@ def test_c05_unsat_verdicts_match_exhaustive_grid_enumeration():
         order = problem.variables
         domains = [problem.domains[vid] for vid in order]
         for combo in itertools.product(*domains):
-            if problem.check_assignment(dict(zip(order, combo))):
+            if check_assignment(problem, dict(zip(order, combo))):
                 return True
         return False
 

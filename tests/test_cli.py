@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -185,6 +186,27 @@ def test_a_catalog_of_dimension_zero_exits_2(living_room_dir, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "dim:" in err and "catalog.json" in err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"connects": ["living_room", "attic"]}, r"doorways\[front_door\]: unknown room 'attic'"),
+        ({"width": -0.9}, r"doorways\[0\]: .*positive width"),
+    ],
+    ids=["unknown_room", "negative_width"],
+)
+def test_a_provider_doorway_that_cannot_exist_exits_2(change, message, living_room_dir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(living_room_dir, bundle)
+    cassette = json.loads((bundle / "cassette.json").read_text())
+    for record in cassette["records"]:
+        if record["request_kind"] == "design_floor_plan":
+            record["response_body"]["doorways"][0].update(change)
+    (bundle / "cassette.json").write_text(json.dumps(cassette))
+    code = main(["run-all", "--task", str(bundle), "--out", str(tmp_path / "r"), "--grid", "0.2"])
+    assert code == 2
+    assert re.search(message, capsys.readouterr().err)
 
 
 @pytest.mark.parametrize(

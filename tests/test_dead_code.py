@@ -3,9 +3,8 @@
 A top-level function or class, or a method, of src/envcover that no code in
 src/envcover, bench/ or scripts/ names (as a Name, an Attribute or an import
 alias) is dead weight. Dunder methods are called by the language and are
-not checked. An oracle that only tests call lives in tests/oracles.py; the
-allowlist holds the one left in src, a method of the problem it checks, and
-names the test that reads it.
+not checked. An oracle that only tests call lives in tests/oracles.py, so
+no definition of src is read by the tests alone.
 """
 
 import ast
@@ -14,11 +13,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "envcover"
 READERS = (SRC, ROOT / "bench", ROOT / "scripts")
-
-TEST_ORACLES = {
-    # test_acceptance::test_c05_unsat_verdicts_match_exhaustive_grid_enumeration
-    "solver.CspProblem.check_assignment",
-}
 
 
 def definitions():
@@ -53,5 +47,5 @@ def referenced_names():
 def test_every_definition_in_envcover_is_referenced():
     names = referenced_names()
     unread = {dotted for dotted, name in definitions().items() if name not in names}
-    assert unread == TEST_ORACLES
+    assert unread == set()
 

@@ -232,7 +232,11 @@ def test_malformed_refine_factors_are_a_provider_error():
 def test_single_value_domain_is_a_provider_error():
     responses = two_subtask_responses()
     responses["identify_factors"][0] = [factor("first thing", "yes")]
-    with pytest.raises(ProviderError):
+    with pytest.raises(ProviderError, match="at least two values"):
+        derive(PlanProvider(ScriptedChannel(responses)), TASK)
+    responses = two_subtask_responses(s2_factor="first thing")
+    responses["refine"] = [[factor("second thing", "yes")]]
+    with pytest.raises(ProviderError, match=r"refine response: .*at least two values"):
         derive(PlanProvider(ScriptedChannel(responses)), TASK)
 
 

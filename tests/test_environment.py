@@ -193,12 +193,45 @@ def test_sample_env_is_structurally_valid():
             "direction",
         ),
         (lambda e: e.relaxed_relations.append(9), "out of range"),
+        (lambda e: e.rooms.__setitem__(0, Room("main", 0, 4, 4, 4)), "room must have positive area"),
+        (
+            lambda e: e.doorways.__setitem__(
+                0, Doorway(id="door", connects=("main", "exterior"), width=-0.9, height=2.0)
+            ),
+            "doorway needs positive width",
+        ),
+        (
+            lambda e: e.doorways.__setitem__(
+                0, Doorway(id="door", connects=("main", "exterior"), width=0.9, height=0.0)
+            ),
+            "doorway needs .* height",
+        ),
+        (
+            lambda e: e.windows.__setitem__(
+                0, Window(id="win", room="main", orientation="north", width=0, height=1, sill_height=0.9)
+            ),
+            "window needs positive width",
+        ),
+        (
+            lambda e: e.windows.__setitem__(
+                0, Window(id="win", room="main", orientation="north", width=1, height=-1, sill_height=0.9)
+            ),
+            "window needs .* height",
+        ),
+        (
+            lambda e: e.relations.__setitem__(
+                0, SpatialRelation(kind="near", subject="cup", reference="table", priority="urgent")
+            ),
+            "unknown priority",
+        ),
     ],
 )
 def test_validate_rejects_structural_defects(mutate, message):
+    # a part checks its own fields when it is built, so a field defect
+    # raises in mutate; validate rejects the defects between parts
     env = sample_env()
-    mutate(env)
     with pytest.raises(SchemaViolation, match=message):
+        mutate(env)
         env.validate()
 
 

@@ -97,7 +97,25 @@ def test_parse_floor_plan_rejects_rooms_without_area(bounds):
     # the bounds are read as they are sent, never reordered
     doc = copy.deepcopy(FLOOR_PLAN_DOC)
     doc["rooms"][0].update(bounds)
-    with pytest.raises(SchemaViolation, match=r"rooms\[living_room\]: room must have positive area"):
+    with pytest.raises(SchemaViolation, match=r"^rooms\[0\]: .*room must have positive area"):
+        parse_floor_plan(doc)
+
+
+@pytest.mark.parametrize(
+    "part, change, message",
+    [
+        ("doorways", {"width": -0.9}, "positive width"),
+        ("doorways", {"connects": ["living_room", "living_room"]}, "two distinct sides"),
+        ("windows", {"orientation": "up"}, "orientation must be one of"),
+        ("windows", {"sill_height": -0.5}, "sill_height cannot be negative"),
+    ],
+    ids=["door_width", "door_to_itself", "window_facing_up", "sill_below_floor"],
+)
+def test_parse_floor_plan_names_the_opening_a_field_defect_is_in(part, change, message):
+    # each is rejected with its path in the response before anything is solved
+    doc = copy.deepcopy(FLOOR_PLAN_DOC)
+    doc[part][0].update(change)
+    with pytest.raises(SchemaViolation, match=rf"^{part}\[0\]: .*{message}"):
         parse_floor_plan(doc)
 
 
@@ -181,7 +199,7 @@ def test_parse_relations_rejects_what_the_solver_cannot_scope(raw, message):
         ObjectSpec(id=i, description="", room="r", size=(1, 1, 1), category="enrichment")
         for i in ("a", "b")
     ]
-    with pytest.raises(SchemaViolation, match=message):
+    with pytest.raises(SchemaViolation, match=rf"^\[0\]: malformed relation list: .*{message}"):
         parse_relations([raw], objects)
 
 

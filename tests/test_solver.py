@@ -31,8 +31,8 @@ from envcover.environment import (
     make_room,
     rebuild_metadata,
 )
-from envcover.errors import ConfigError, CoreUnsat, EncodingError, SolverTimeout
-from envcover.semantics import DIRECTION_VECTORS, SIDE_LONG_MAX
+from envcover.errors import ConfigError, CoreUnsat, EncodingError, SchemaViolation, SolverTimeout
+from envcover.semantics import DIRECTION_VECTORS, SIDE_LONG_MAX, SUPPORT_EPS
 from envcover.solver import (
     _TOL,
     SolverConfig,
@@ -46,6 +46,7 @@ from envcover.solver import (
     solve_with_relaxation,
 )
 from envcover.validator import _relation_holds, check_entities
+from oracles import check_assignment
 
 GRID = SolverConfig(grid_resolution=0.25, seed=0)
 
@@ -70,7 +71,7 @@ def brute_force_sat(problem) -> bool:
     order = problem.variables
     domains = [problem.domains[vid] for vid in order]
     for combo in itertools.product(*domains):
-        if problem.check_assignment(dict(zip(order, combo))):
+        if check_assignment(problem, dict(zip(order, combo))):
             return True
     return False
 
@@ -121,8 +122,17 @@ def test_direction_swaps_rectangular_footprints():
 
 
 def test_unknown_room_is_an_encoding_error():
-    with pytest.raises(EncodingError):
+    # the shared reference check rejects it before anything is encoded
+    with pytest.raises(SchemaViolation, match=r"objects\[x\]: unknown room 'nope'"):
         encode([room4()], [], [], [obj("x", (1, 1, 1), room="nope")], [], GRID)
+
+
+def test_duplicate_ids_are_rejected_before_encoding():
+    twins = [obj("o", (0.5, 0.5, 0.5)), obj("o", (0.5, 0.5, 0.5))]
+    with pytest.raises(SchemaViolation, match="duplicate object ids"):
+        encode([room4()], [], [], twins, [], GRID)
+    with pytest.raises(SchemaViolation, match="duplicate room ids"):
+        encode([room4(), make_room("r", 4, 0, 8, 4)], [], [], [], [], GRID)
 
 
 def test_object_wider_than_room_is_an_encoding_error():
@@ -138,17 +148,20 @@ def test_object_taller_than_walls_is_an_encoding_error():
 @pytest.mark.parametrize(
     "relation",
     [
-        SpatialRelation(kind="near", subject="a"),  # binary kind, no reference
-        SpatialRelation(kind="on_top_of", subject="a"),  # support kind, no reference
-        SpatialRelation(kind="near", subject="a", reference="a"),
-        SpatialRelation(kind="far", subject="a", reference="ghost"),
-        SpatialRelation(kind="edge", subject="ghost"),
+        (dict(kind="near", subject="a"), "needs a reference"),  # binary kind
+        (dict(kind="on_top_of", subject="a"), "needs a reference"),  # support kind
+        (dict(kind="near", subject="a", reference="a"), "its own subject"),
+        (dict(kind="far", subject="a", reference="ghost"), r"relations\[0\]: unknown reference"),
+        (dict(kind="edge", subject="ghost"), r"relations\[0\]: unknown subject"),
     ],
 )
 def test_relation_the_solver_cannot_scope_is_an_encoding_error(relation):
+    # never encoded: the first three cannot be built, and the shared
+    # reference check rejects the other two
+    fields, message = relation
     objects = [obj("a", (1, 0.5, 1)), obj("b", (1, 0.5, 1))]
-    with pytest.raises(EncodingError, match="relation 0"):
-        encode([room4()], [], [], objects, [relation], GRID)
+    with pytest.raises(SchemaViolation, match=message):
+        encode([room4()], [], [], objects, [SpatialRelation(**fields)], GRID)
 
 
 def test_support_cycle_is_an_encoding_error():
@@ -358,16 +371,16 @@ def test_doorway_to_an_unknown_room_is_an_encoding_error(connects):
     from envcover.environment import Doorway
 
     door = Doorway(id="door", connects=connects, width=0.9, height=2.1)
-    with pytest.raises(EncodingError, match="doorway 'door' names unknown room 'nope'"):
+    with pytest.raises(SchemaViolation, match=r"doorways\[door\]: unknown room 'nope'"):
         encode([room4()], [door], [], [], [], GRID)
 
 
 def test_window_facing_no_cardinal_is_an_encoding_error():
     from envcover.environment import Window
 
-    win = Window(id="win", room="r", orientation="up", width=1.2, height=1.0, sill_height=0.9)
-    with pytest.raises(EncodingError, match="window 'win'"):
-        encode([room4()], [], [win], [], [], GRID)
+    # such a window cannot be built, so it never reaches the encoding
+    with pytest.raises(SchemaViolation, match="orientation"):
+        Window(id="win", room="r", orientation="up", width=1.2, height=1.0, sill_height=0.9)
 
 
 def test_window_wider_than_wall_is_an_encoding_error():
@@ -905,6 +918,20 @@ def test_relation_predicate_agrees_with_the_validator(kind):
             assert holds == (reason is None), (objects, env.placements, reason)
             outcomes[holds] += 1
     assert outcomes[True] > 300 and outcomes[False] > 300, outcomes
+
+
+def test_the_solver_keeps_an_in_tie_wherever_the_room_sits():
+    # the tie of test_an_in_tie_passes_wherever_the_room_sits: the solver's
+    # predicate gives it the validator's slack
+    rng = random.Random(0)
+    objects = [obj("crate", (0.5, 0.5, 0.5)), obj("toy", (0.2, 0.2, 0.2))]
+    relations = [SpatialRelation(kind="in", subject="toy", reference="crate")]
+    for dx, dz in [(0.0, 0.0)] + [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(2000)]:
+        problem = encode([make_room("r", dx, dz, 4 + dx, 4 + dz)], [], [], objects, relations, GRID)
+        check = next(c.check for c in problem.constraints if c.kind == "in")
+        x, z = 2 + dx, 2 + dz
+        tie = {"crate.pos": (x, z), "crate.dir": "north", "toy.dir": "north"}
+        assert check({**tie, "toy.pos": (x + 0.25 + SUPPORT_EPS - 0.1, z)}), (dx, dz)
 
 
 def support_scene(rng):
@@ -1576,7 +1603,7 @@ def test_an_above_ruled_out_by_fixed_heights_is_relaxed_without_search():
     )
     solution = solve_with_relaxation(problem)
     assert solution.relaxed == [above]
-    assert problem.check_assignment(solution.assignments, frozenset(solution.relaxed))
+    assert check_assignment(problem, solution.assignments, frozenset(solution.relaxed))
     assert time.perf_counter() - started < 1.0
 
 
@@ -1709,7 +1736,7 @@ def test_two_nears_that_just_span_a_far_are_not_proved():
     on_a_line = {"a.pos": (0.25, 2.0), "b.pos": (1.75, 2.0), "c.pos": (3.25, 2.0), "d.pos": (3.75, 3.75)}
     on_a_line |= {f"{o}.dir": "north" for o in "abcd"}
     assert all(on_a_line[vid] in problem.domains[vid] for vid in problem.variables)
-    assert problem.check_assignment(on_a_line)
+    assert check_assignment(problem, on_a_line)
 
 
 def test_room_bounds_reach_the_far_corners_of_both_grids():
@@ -1726,4 +1753,4 @@ def test_room_bounds_reach_the_far_corners_of_both_grids():
     assert _static_core(problem, frozenset()) is None
     corners = {"a.pos": (0.2, 0.2), "b.pos": (2.7, 2.2), "a.dir": "north", "b.dir": "north"}
     assert all(corners[vid] in problem.domains[vid] for vid in problem.variables)
-    assert problem.check_assignment(corners)
+    assert check_assignment(problem, corners)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envcover.errors import MalformedDocument, StructureError
+from envcover.errors import MalformedDocument, SchemaViolation, StructureError
 from envcover.task_model import (
     BehaviorPlanTree,
     Leaf,
@@ -179,6 +179,12 @@ TOY_FACTORS = (
     UncertainFactor("toy_on_floor", ("YES", "NO"), aliases=("there is a toy on the floor",)),
     UncertainFactor("toy_type", ("doll", "other types"), aliases=("type of the toy",)),
 )
+
+
+@pytest.mark.parametrize("domain", [(), ("YES",)], ids=["empty", "one_value"])
+def test_a_factor_needs_two_domain_values(domain):
+    with pytest.raises(SchemaViolation, match="'toy' needs a domain of at least two values"):
+        UncertainFactor("toy", domain)
 
 
 def test_grounding_passes_on_living_room_toy_tree(living_room_plan_doc):

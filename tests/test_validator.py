@@ -16,7 +16,7 @@ from envcover.environment import (
     make_room,
     rebuild_metadata,
 )
-from envcover.semantics import MOUNT_EPS
+from envcover.semantics import MOUNT_EPS, SUPPORT_EPS
 from envcover.validator import (
     check_entities,
     check_floor_plan,
@@ -319,6 +319,29 @@ def test_a_mount_tie_passes_wherever_the_room_sits(direction):
         )
         report = validate_physics(env)
         assert report.ok, (dx, dz, [v.message for v in report.failures])
+
+
+def test_an_in_tie_passes_wherever_the_room_sits():
+    # a 0.2 m toy in a 0.5 m crate with its east face exactly SUPPORT_EPS
+    # past the crate's: the overhang reads a few ulps above or below
+    # SUPPORT_EPS depending on the room's offset, and the _TOL slack keeps
+    # the verdict from depending on it
+    rng = random.Random(0)
+    offsets = [(0.0, 0.0)] + [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(2000)]
+    for dx, dz in offsets:
+        x, z = 2 + dx, 2 + dz
+        env = base_env(
+            rooms=[make_room("r", dx, dz, 4 + dx, 4 + dz)],
+            objects=[obj("crate", (0.5, 0.5, 0.5)), obj("toy", (0.2, 0.2, 0.2))],
+            placements=[
+                Placement(object="crate", position=(x, 0.0, z), direction="north"),
+                Placement(object="toy", position=(x + 0.25 + SUPPORT_EPS - 0.1, 0.0, z), direction="north"),
+            ],
+            relations=[SpatialRelation(kind="in", subject="toy", reference="crate")],
+        )
+        report = validate_physics(env)
+        assert report.ok, (dx, dz, [v.message for v in report.failures])
+        assert rebuild_metadata(env)[("toy", "location")] == "crate_in", (dx, dz)
 
 
 def test_stacked_object_with_thin_support_overlap_floats():
