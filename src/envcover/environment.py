@@ -167,14 +167,27 @@ class Placement:
 
 
 def check_references(rooms, doorways, windows, objects, relations) -> None:
-    """Room ids and object ids are unique, and every room and object that a
-    part names exists; else a SchemaViolation naming the part."""
+    """No two rooms, doorways, windows or objects share an id, and every room
+    and object that a part names exists; else a SchemaViolation naming the
+    part. An id is unique across kinds because the solver names an opening's
+    variable and an object's alike, ``<id>.pos``."""
+    kind_of = {}
+    for where, kind, parts in (
+        ("rooms", "room", rooms),
+        ("doorways", "doorway", doorways),
+        ("windows", "window", windows),
+        ("objects", "object", objects),
+    ):
+        for part in parts:
+            first = kind_of.get(part.id)
+            if first == kind:
+                raise SchemaViolation(f"duplicate {kind} ids", f"{where}[{part.id}]")
+            if first is not None:
+                message = f"{kind} id {part.id!r} is also a {first} id"
+                raise SchemaViolation(message, f"{where}[{part.id}]")
+            kind_of[part.id] = kind
     room_ids = {r.id for r in rooms}
-    if len(room_ids) != len(rooms):
-        raise SchemaViolation("duplicate room ids", "rooms")
     object_ids = {o.id for o in objects}
-    if len(object_ids) != len(objects):
-        raise SchemaViolation("duplicate object ids", "objects")
     for door in doorways:
         for side in door.connects:
             if side != "exterior" and side not in room_ids:

@@ -2,11 +2,16 @@
 
 Each stage reads its inputs from the run directory (or the task bundle) and
 writes its outputs back, so stages can run one at a time or chained by
-run_all. run_all reads the scene files once, after build, and hands the
-parsed list to validate, simulate and report through their ``envs``
-parameter; a stage run on its own reads them itself. The read is from disk,
-not from build's return value, because rounding on write makes the file's
-scene differ from the one in memory and the validator must check the file.
+run_all. run_all passes every stage one _Held record, the ``held``
+parameter, with what the run has parsed or made so far: the provider
+channel, so derive and build share one cassette load, the schema, and what
+each earlier stage returned (task, plans, selection, universe count and the
+physics, validity and simulation summaries). So one run_all reads each
+bundle file once and re-reads no document it wrote but the scene files. A
+stage run on its own gets an empty record and reads all its inputs itself.
+The scene files are read once, after build, and not taken from build's
+return value, because rounding on write makes the file's scene differ from
+the one in memory and the validator must check the file.
 Layout under the run root:
 
     plans/             task, plan document, factors, derivation report
@@ -128,6 +133,27 @@ def _read_as(tp, path: Path, what: str):
     return parse_as(tp, _read_json(path, what), what)
 
 
+class _Held:
+    """What one run has parsed or made so far, by name, for its later stages.
+
+    run_all makes one and passes it to every stage it calls; a stage called
+    on its own makes an empty one, so it reads each input from disk. Nothing
+    here outlives the call that made it.
+    """
+
+    def __init__(self):
+        self._values = {}
+
+    def get(self, name: str, read, *args):
+        """The value held under name, else read(*args), held from now on."""
+        if name not in self._values:
+            self._values[name] = read(*args)
+        return self._values[name]
+
+    def keep(self, name: str, value) -> None:
+        self._values[name] = value
+
+
 def _open_provider_channel(bundle: TaskBundle, live_endpoint: str | None):
     cassette = bundle.cassette_file
     if live_endpoint is None:
@@ -157,14 +183,19 @@ def stage_derive(
     bundle: TaskBundle,
     live_endpoint: str | None = None,
     max_rounds: int = 3,
+    *,
+    held: _Held | None = None,
 ) -> DerivationResult:
+    held = held or _Held()
     task = load_task(bundle.task_file)
-    channel = _open_provider_channel(bundle, live_endpoint)
+    channel = held.get("channel", _open_provider_channel, bundle, live_endpoint)
     paths.ensure()
     try:
         result = derive(PlanProvider(channel), task, max_rounds=max_rounds)
     finally:
         _finish_channel(channel, bundle, live_endpoint)
+    held.keep("task", task)
+    held.keep("plans", (result.subtasks, result.trees))
 
     write_json(paths.plans / "task.json", asdict(task))
     # response order in the plan's branch maps fixes the paths and so the selection
@@ -188,15 +219,16 @@ def _load_plans(paths: RunPaths):
     return subtasks, trees
 
 
-def stage_collect(paths: RunPaths) -> list:
+def stage_collect(paths: RunPaths, *, held: _Held | None = None) -> list:
+    held = held or _Held()
     paths.ensure()
-    _, trees = _load_plans(paths)
+    _, trees = held.get("plans", _load_plans, paths)
     path_sets = paths_per_subtask(trees)
     selected = cover_path_sets(path_sets)
-    write_json(
-        paths.trajectories / "universe.json",
-        {"count": math.prod(len(ps) for ps in path_sets)},
-    )
+    universe = _Universe(math.prod(len(ps) for ps in path_sets))
+    held.keep("selected", selected)
+    held.keep("universe", universe)
+    write_json(paths.trajectories / "universe.json", asdict(universe))
     write_json(
         paths.trajectories / "selected.json",
         {"count": len(selected), "trajectories": [serialize_trajectory(t) for t in selected]},
@@ -245,15 +277,18 @@ def stage_build(
     live_endpoint: str | None = None,
     seed: int = 0,
     grid: float = 0.1,
+    *,
+    held: _Held | None = None,
 ) -> list[EnvironmentSpec]:
     """One environment per selected trajectory, every scene solved under
     one config: its store of grid lists and value orders lives as long as
     the build, so a later scene replays what earlier ones rounded and drew."""
+    held = held or _Held()
     config = SolverConfig(grid_resolution=grid, seed=seed)
-    channel = _open_provider_channel(bundle, live_endpoint)
+    channel = held.get("channel", _open_provider_channel, bundle, live_endpoint)
     paths.ensure()
-    selected = _load_selected(paths)
-    schema = load_schema(bundle.schema_file)
+    selected = held.get("selected", _load_selected, paths)
+    schema = held.get("schema", load_schema, bundle.schema_file)
     catalog = load_catalog(bundle.catalog_file)
 
     provider = SceneProvider(channel)
@@ -287,12 +322,12 @@ def stage_build(
     return environments
 
 
-def stage_validate(paths: RunPaths, bundle: TaskBundle, *, envs: _Scenes | None = None) -> dict:
-    """Physics and validity of each scene; envs defaults to the files on disk."""
+def stage_validate(paths: RunPaths, bundle: TaskBundle, *, held: _Held | None = None) -> dict:
+    """Physics and validity of each scene."""
+    held = held or _Held()
     paths.ensure()
-    schema = load_schema(bundle.schema_file)
-    if envs is None:
-        envs = _load_environments(paths)
+    schema = held.get("schema", load_schema, bundle.schema_file)
+    envs = held.get("envs", _load_environments, paths)
     physics = {}
     validity = {}
     for name, env in envs:
@@ -311,6 +346,8 @@ def stage_validate(paths: RunPaths, bundle: TaskBundle, *, envs: _Scenes | None 
     validity_doc = {"rate": share([v["valid"] for v in validity.values()]), "environments": validity}
     write_json(paths.reports / "physics.json", physics_doc)
     write_json(paths.reports / "validity.json", validity_doc)
+    held.keep("physics", _PhysicsSummary(physics_doc["pass_rate"]))
+    held.keep("validity", _ValiditySummary(validity_doc["rate"]))
     return {"physics": physics_doc, "validity": validity_doc}
 
 
@@ -319,17 +356,17 @@ def stage_simulate(
     bundle: TaskBundle,
     budget: int = DEFAULT_BUDGET,
     *,
-    envs: _Scenes | None = None,
+    held: _Held | None = None,
 ) -> dict:
-    """Every policy against every scene; envs defaults to the files on disk."""
+    """Every policy against every scene."""
+    held = held or _Held()
     paths.ensure()
     if bundle.policies_dir is None:
         raise ConfigError(f"no policies directory next to {bundle.task_file}")
-    schema = load_schema(bundle.schema_file)
+    schema = held.get("schema", load_schema, bundle.schema_file)
     actions = load_action_model(bundle.action_model_file)
-    selected = _load_selected(paths)
-    if envs is None:
-        envs = _load_environments(paths)
+    selected = held.get("selected", _load_selected, paths)
+    envs = held.get("envs", _load_environments, paths)
     if len(selected) != len(envs):
         raise MissingInput(
             f"{len(envs)} environments but {len(selected)} selected trajectories; "
@@ -379,10 +416,12 @@ def stage_simulate(
     doc["fault_detection_rate"] = share([doc["policies"][label]["detected"] for label in faulty])
     doc["total_ticks"] = total_ticks
     write_json(paths.reports / "simulation.json", doc)
+    held.keep("simulation", _SimulationSummary(doc["fault_detection_rate"], total_ticks))
     return doc
 
 
-# the fields of the earlier stages' documents that stage_report reads
+# the fields of the earlier stages' documents that stage_report reads; in
+# run_all the stages that write them hold these for it
 
 
 @dataclass
@@ -406,19 +445,26 @@ class _SimulationSummary:
     total_ticks: int
 
 
-def stage_report(paths: RunPaths, *, envs: _Scenes | None = None) -> dict:
-    """The final report; envs defaults to the files on disk."""
+def stage_report(paths: RunPaths, *, held: _Held | None = None) -> dict:
+    """The final report."""
+    held = held or _Held()
     paths.ensure()
-    subtasks, trees = _load_plans(paths)
-    task = _read_as(TaskSpec, paths.plans / "task.json", "task echo")
-    universe = _read_as(_Universe, paths.trajectories / "universe.json", "trajectory universe")
-    selected = _load_selected(paths)
-    if envs is None:
-        envs = _load_environments(paths)
-    physics = _read_as(_PhysicsSummary, paths.reports / "physics.json", "physics report")
-    validity = _read_as(_ValiditySummary, paths.reports / "validity.json", "validity report")
-    simulation = _read_as(
-        _SimulationSummary, paths.reports / "simulation.json", "simulation report"
+    subtasks, trees = held.get("plans", _load_plans, paths)
+    task = held.get("task", _read_as, TaskSpec, paths.plans / "task.json", "task echo")
+    universe = held.get(
+        "universe", _read_as, _Universe, paths.trajectories / "universe.json", "trajectory universe"
+    )
+    selected = held.get("selected", _load_selected, paths)
+    envs = held.get("envs", _load_environments, paths)
+    reports = paths.reports
+    physics = held.get(
+        "physics", _read_as, _PhysicsSummary, reports / "physics.json", "physics report"
+    )
+    validity = held.get(
+        "validity", _read_as, _ValiditySummary, reports / "validity.json", "validity report"
+    )
+    simulation = held.get(
+        "simulation", _read_as, _SimulationSummary, reports / "simulation.json", "simulation report"
     )
 
     realized_ids = {env.trajectory_id for _, env in envs}
@@ -486,8 +532,9 @@ def run_all(
         timings.append({"name": name, "seconds": round(time.monotonic() - started, 3)})
         return result
 
+    held = _Held()
     derivation = timed(
-        "derive", lambda: stage_derive(paths, bundle, live_endpoint, max_rounds)
+        "derive", lambda: stage_derive(paths, bundle, live_endpoint, max_rounds, held=held)
     )
     if derivation.status != "ok":
         raise MissingInput(
@@ -495,17 +542,16 @@ def run_all(
             f"({len(derivation.violations)}); not building scenes from a "
             "failing plan"
         )
-    timed("collect", lambda: stage_collect(paths))
-    timed("build", lambda: stage_build(paths, bundle, live_endpoint, seed=seed, grid=grid))
-
-    def validate():
-        envs = _load_environments(paths)  # the files as build wrote them, read once
-        stage_validate(paths, bundle, envs=envs)
-        return envs
-
-    envs = timed("validate", validate)
-    timed("simulate", lambda: stage_simulate(paths, bundle, budget=budget, envs=envs))
-    report = timed("report", lambda: stage_report(paths, envs=envs))
+    timed("collect", lambda: stage_collect(paths, held=held))
+    timed(
+        "build",
+        lambda: stage_build(paths, bundle, live_endpoint, seed=seed, grid=grid, held=held),
+    )
+    # validate reads the scene files as build wrote them, and simulate and
+    # report take that parse
+    timed("validate", lambda: stage_validate(paths, bundle, held=held))
+    timed("simulate", lambda: stage_simulate(paths, bundle, budget=budget, held=held))
+    report = timed("report", lambda: stage_report(paths, held=held))
 
     manifest = {
         "task": str(bundle.task_file),

@@ -105,7 +105,14 @@ def parse_floor_plan(doc) -> tuple[list[Room], list[Doorway], list[Window]]:
 def resolve_objects(raw_objects, catalog: AssetCatalog) -> list[ObjectSpec]:
     """Fill bounding boxes from the catalog; keep provider order."""
     choices = parse_as(tuple[_ObjectChoice, ...], raw_objects, "object list")
-    return [ObjectSpec(size=retrieve_asset(catalog, c.description).size, **asdict(c)) for c in choices]
+    out = []
+    for k, choice in enumerate(choices):
+        size = retrieve_asset(catalog, choice.description).size
+        try:
+            out.append(ObjectSpec(size=size, **asdict(choice)))
+        except SchemaViolation as exc:
+            raise SchemaViolation(f"malformed object list: {exc}", f"[{k}]") from None
+    return out
 
 
 def parse_relations(raw_relations, objects: list[ObjectSpec]) -> list[SpatialRelation]:

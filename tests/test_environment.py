@@ -224,6 +224,14 @@ def test_sample_env_is_structurally_valid():
             ),
             "unknown priority",
         ),
+        (
+            lambda e: e.doorways.__setitem__(0, dataclasses.replace(e.doorways[0], id="main")),
+            "doorway id 'main' is also a room id",
+        ),
+        (
+            lambda e: e.windows.__setitem__(0, dataclasses.replace(e.windows[0], id="door")),
+            "window id 'door' is also a doorway id",
+        ),
     ],
 )
 def test_validate_rejects_structural_defects(mutate, message):
@@ -232,6 +240,16 @@ def test_validate_rejects_structural_defects(mutate, message):
     env = sample_env()
     with pytest.raises(SchemaViolation, match=message):
         mutate(env)
+        env.validate()
+
+
+def test_validate_rejects_an_object_that_shares_an_exterior_doorways_id():
+    env = sample_env()
+    assert env.doorways[0].connects == ("main", "exterior")
+    env.objects[1] = dataclasses.replace(env.objects[1], id="door")
+    env.placements[1] = placed("door", 1.0, 0.8, 1.0)
+    env.relations[0] = dataclasses.replace(env.relations[0], subject="door")
+    with pytest.raises(SchemaViolation, match=r"objects\[door\]: object id 'door' is also a doorway id"):
         env.validate()
 
 

@@ -1,6 +1,6 @@
 """Pipeline provider channels: record and live mode against a local endpoint,
-how often the build stage reads the cassette, and how often run_all and the
-stages run alone parse the environment files."""
+how often the build stage reads the cassette, and which files run_all and
+the stages run alone read and parse."""
 
 import json
 import shutil
@@ -148,6 +148,35 @@ def test_record_mode_keeps_the_live_answers_before_a_failure(
     ]
 
 
+def test_record_mode_from_no_cassette_saves_the_bundled_one(
+    living_room_dir, cassette_endpoint, live_requests, tmp_path
+):
+    # derive and build share one channel; what it saves is what separate
+    # channels, each saving and reloading the file, wrote
+    fresh = tmp_path / "recorded.json"
+    run_all(str(tmp_path / "live"), str(living_room_dir), cassette=str(fresh),
+            live_endpoint=cassette_endpoint, grid=0.2)
+    assert len(live_requests) == 16
+    assert fresh.read_bytes() == (living_room_dir / "cassette.json").read_bytes()
+
+
+def test_record_mode_keeps_derives_live_answers_when_build_fails(
+    living_room_dir, cassette_records, cassette_endpoint, live_requests, refused, tmp_path
+):
+    fresh = tmp_path / "recorded.json"
+    first_scene = cassette_records[7]
+    assert first_scene["request_kind"] == "design_floor_plan"
+    refused.add(first_scene["request_hash"])
+    with pytest.raises(ProviderError):
+        run_all(str(tmp_path / "live"), str(living_room_dir), cassette=str(fresh),
+                live_endpoint=cassette_endpoint, grid=0.2)
+
+    assert len(live_requests) == 8
+    assert [r["request_hash"] for r in load_cassette(fresh)] == [
+        r["request_hash"] for r in cassette_records[:7]
+    ]
+
+
 def test_live_mode_without_a_cassette_writes_none(
     living_room_dir, cassette_endpoint, live_requests, tmp_path, dir_digest
 ):
@@ -242,6 +271,46 @@ def test_run_all_rejects_a_non_finite_grid_before_writing(grid, living_room_dir,
 
 
 @pytest.fixture
+def file_reads(monkeypatch):
+    """The path of every file read from here on, counted at the file, so a
+    read from any module shows."""
+    reads = []
+    read_text = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    return reads
+
+
+POLICY_FILES = [f"policies/{name}.json" for name in ("correct", "counterfactual", "lackbranch", "unreachable")]
+BUNDLE_FILES = ["action_model.json", "cassette.json", "catalog.json", "schema.json", "task.json", *POLICY_FILES]
+SCENE_FILES = ["environments/env-000.json", "environments/env-001.json", "environments/env-002.json"]
+
+
+def under(root, names):
+    return sorted(Path(root) / name for name in names)
+
+
+def test_run_all_reads_each_bundle_and_scene_file_once(
+    living_room_dir, tmp_path, file_reads, monkeypatch
+):
+    loads = []
+    load = providers.load_cassette
+    monkeypatch.setattr(providers, "load_cassette", lambda path: loads.append(path) or load(path))
+    # two calls in one process: nothing read by the first serves the second
+    for name in ("a", "b"):
+        run_all(str(tmp_path / name), str(living_room_dir), grid=0.2)
+        expected = under(living_room_dir, BUNDLE_FILES) + under(tmp_path / name, SCENE_FILES)
+        assert sorted(file_reads) == sorted(expected)
+        assert len(loads) == 1
+        file_reads.clear()
+        loads.clear()
+
+
+@pytest.fixture
 def deserialized(monkeypatch):
     """One entry per pipeline.deserialize_environment call, from here on."""
     calls = []
@@ -263,18 +332,35 @@ def test_run_all_parses_each_environment_file_once(living_room_dir, tmp_path, de
         deserialized.clear()
 
 
-def test_a_stage_run_alone_parses_the_environment_files(living_room_dir, tmp_path, deserialized):
+def test_a_stage_run_alone_parses_the_environment_files(
+    living_room_dir, tmp_path, deserialized, file_reads
+):
     paths = RunPaths(tmp_path / "run")
     bundle = resolve_bundle(str(living_room_dir))
     run_all(str(paths.root), str(living_room_dir), grid=0.2)
-    for stage in (
-        lambda: stage_validate(paths, bundle),
-        lambda: stage_simulate(paths, bundle),
-        lambda: stage_report(paths),
+    for stage, bundle_inputs, run_inputs in (
+        (lambda: stage_validate(paths, bundle), ["schema.json"], []),
+        (
+            lambda: stage_simulate(paths, bundle),
+            ["action_model.json", "schema.json", *POLICY_FILES],
+            ["trajectories/selected.json"],
+        ),
+        (
+            lambda: stage_report(paths),
+            [],
+            [
+                "plans/plan_document.json", "plans/subtasks.json", "plans/task.json",
+                "reports/physics.json", "reports/simulation.json", "reports/validity.json",
+                "trajectories/selected.json", "trajectories/universe.json",
+            ],
+        ),
     ):
         deserialized.clear()
+        file_reads.clear()
         stage()
         assert len(deserialized) == 3
+        expected = under(living_room_dir, bundle_inputs) + under(paths.root, run_inputs + SCENE_FILES)
+        assert sorted(file_reads) == sorted(expected)
 
 
 def test_a_validate_after_run_all_reads_the_files_on_disk(living_room_dir, tmp_path, capsys):

@@ -161,6 +161,25 @@ def test_resolve_objects_rejects_a_mount_height_that_is_no_finite_number(catalog
         resolve_objects(raw, catalog)
 
 
+def test_resolve_objects_names_the_object_of_an_unknown_category(catalog):
+    raw = [
+        {
+            "id": "sofa",
+            "description": "a brown fabric two seater sofa",
+            "room": "living_room",
+            "category": "task_related",
+        },
+        {
+            "id": "picture",
+            "description": "a framed wall picture",
+            "room": "living_room",
+            "category": "decor",
+        },
+    ]
+    with pytest.raises(SchemaViolation, match=r"^\[1\]: malformed object list: unknown category 'decor'"):
+        resolve_objects(raw, catalog)
+
+
 def test_parse_relations_inherits_priority_from_subject_category():
     objects = [
         ObjectSpec(id="sofa", description="", room="r", size=(2, 0.8, 0.9), category="task_related"),

@@ -135,6 +135,15 @@ def test_duplicate_ids_are_rejected_before_encoding():
         encode([room4(), make_room("r", 4, 0, 8, 4)], [], [], [], [], GRID)
 
 
+def test_an_object_and_a_doorway_may_not_share_an_id():
+    # both would be the variable d.pos, and the object was placed half out of its room
+    from envcover.environment import Doorway
+
+    door = Doorway(id="d", connects=("r", "exterior"), width=0.9, height=2.1)
+    with pytest.raises(SchemaViolation, match=r"objects\[d\]: object id 'd' is also a doorway id"):
+        encode([room4()], [door], [], [obj("d", (0.5, 0.5, 0.5))], [], GRID)
+
+
 def test_object_wider_than_room_is_an_encoding_error():
     with pytest.raises(EncodingError):
         encode([room4()], [], [], [obj("x", (5.0, 1.0, 5.0))], [], GRID)
