@@ -5,6 +5,9 @@ catalog maps them to concrete assets with real bounding boxes. Matching uses
 a hashed bag-of-words embedding: each token is hashed into one of 256
 buckets, counts are L2-normalized, and retrieval picks the catalog entry
 with the highest cosine similarity (ties go to the smallest asset id).
+A query is embedded as its nonzero buckets only, a few per description,
+and scored against each stored vector from those; the dense vector that
+embed_text returns is the same embedding, spread over every bucket.
 
 Each catalog indexes itself once: it sorts its assets by id when it is
 built, and it keeps a map from every description it has resolved to the
@@ -37,17 +40,29 @@ def _tokens(text: str) -> list[str]:
     return normalize_text(text).split()
 
 
-def embed_text(text: str, dim: int = EMBEDDING_DIM) -> list[float]:
-    """Hashed bag-of-words vector, L2-normalized. Empty text embeds to zeros."""
-    vec = [0.0] * dim
+def _sparse_embedding(text: str, dim: int) -> list[tuple[int, float]]:
+    """embed_text's nonzero buckets, as (bucket, value) pairs in bucket order.
+
+    The norm sums the squares in bucket order, as over the dense vector:
+    the zero buckets it skips add 0.0, which leaves a float sum unchanged,
+    so every value equals its dense counterpart bit for bit.
+    """
+    counts: dict[int, float] = {}
     for token in _tokens(text):
         digest = hashlib.sha256(token.encode("utf-8")).digest()
         bucket = int.from_bytes(digest[:8], "big") % dim
-        vec[bucket] += 1.0
-    norm = math.sqrt(sum(v * v for v in vec))
-    if norm == 0.0:
-        return vec
-    return [v / norm for v in vec]
+        counts[bucket] = counts.get(bucket, 0.0) + 1.0
+    pairs = sorted(counts.items())
+    norm = math.sqrt(sum(v * v for _, v in pairs))
+    return [(i, v / norm) for i, v in pairs]
+
+
+def embed_text(text: str, dim: int = EMBEDDING_DIM) -> list[float]:
+    """Hashed bag-of-words vector, L2-normalized. Empty text embeds to zeros."""
+    vec = [0.0] * dim
+    for i, v in _sparse_embedding(text, dim):
+        vec[i] = v
+    return vec
 
 
 def encode_vector(vec: list[float]) -> str:
@@ -147,10 +162,13 @@ def save_catalog(catalog: AssetCatalog, path) -> None:
 def _scores(catalog: AssetCatalog, query: str):
     """(asset, cosine similarity to the query) in asset id order.
 
-    Each score equals the full-dot-product cosine bit for bit: the dot
-    product skips only zero products, which leave a float sum unchanged.
+    The query is scored from its nonzero buckets alone, so it costs its
+    tokens, not the catalog's dimension. Each score still equals the
+    full-dot-product cosine of embed_text's vector bit for bit: the dot
+    product and the query's norm skip only zero terms, which leave a float
+    sum unchanged.
     """
-    nonzero = [(i, v) for i, v in enumerate(embed_text(query, catalog.dim)) if v]
+    nonzero = _sparse_embedding(query, catalog.dim)
     query_norm = math.sqrt(sum(v * v for _, v in nonzero))
     for asset in catalog._by_id:
         vec = asset.embedding

@@ -48,6 +48,9 @@ DISTANCE_KINDS = frozenset({"near", "far"})
 RELATIVE_KINDS = frozenset({"above", "in_front_of", "side_of", "center_aligned", "face_to"})
 RELATION_KINDS = UNARY_KINDS | CONTACT_KINDS | DISTANCE_KINDS | RELATIVE_KINDS
 
+# the side of a doorway that opens to the outside; no room may take this id
+EXTERIOR = "exterior"
+
 PRIORITIES = ("task", "enrichment")
 CATEGORIES = ("task_related", "enrichment")
 
@@ -70,6 +73,8 @@ class Room:
     wall_material: str = ""
 
     def __post_init__(self):
+        if self.id == EXTERIOR:
+            raise SchemaViolation(f"room id {EXTERIOR!r} is reserved for a doorway's outside side")
         if self.x_max - self.x_min <= 0 or self.z_max - self.z_min <= 0:
             raise SchemaViolation("room must have positive area")
 
@@ -84,7 +89,7 @@ make_room = Room  # the name bench/inputs.py imports
 @dataclass(frozen=True)
 class Doorway:
     id: str
-    connects: tuple[str, str]  # room ids; "exterior" allowed on one side
+    connects: tuple[str, str]  # room ids; EXTERIOR allowed on one side
     width: float
     height: float
     position: tuple[float, float] | None = None  # solved center (x, z) on the wall
@@ -190,7 +195,7 @@ def check_references(rooms, doorways, windows, objects, relations) -> None:
     object_ids = {o.id for o in objects}
     for door in doorways:
         for side in door.connects:
-            if side != "exterior" and side not in room_ids:
+            if side != EXTERIOR and side not in room_ids:
                 raise SchemaViolation(f"unknown room {side!r}", f"doorways[{door.id}]")
     for where, parts in (("windows", windows), ("objects", objects)):
         for part in parts:
@@ -402,8 +407,9 @@ class _StoredRoom:
         return cls(r.id, corners, r.floor_color, r.floor_material, r.wall_color, r.wall_material)
 
     def room(self) -> Room:
-        """The rectangle the corners span; a SchemaViolation unless they are
-        the four corners of an axis-aligned rectangle."""
+        """The rectangle the corners span; a SchemaViolation naming the room
+        unless they are the four corners of an axis-aligned rectangle and
+        the Room is valid."""
         where = f"rooms[{self.id}]"
         if len(self.vertices) != 4:
             raise SchemaViolation("room must have 4 vertices", where)
@@ -411,7 +417,10 @@ class _StoredRoom:
         if len(set(map(_round, xs))) != 2 or len(set(map(_round, zs))) != 2:
             raise SchemaViolation("room vertices must form an axis-aligned rectangle", where)
         styles = (self.floor_color, self.floor_material, self.wall_color, self.wall_material)
-        return Room(self.id, min(xs), min(zs), max(xs), max(zs), *styles)
+        try:
+            return Room(self.id, min(xs), min(zs), max(xs), max(zs), *styles)
+        except SchemaViolation as exc:
+            raise SchemaViolation(str(exc), where) from None
 
 
 @dataclass

@@ -137,8 +137,9 @@ class _Held:
     """What one run has parsed or made so far, by name, for its later stages.
 
     run_all makes one and passes it to every stage it calls; a stage called
-    on its own makes an empty one, so it reads each input from disk. Nothing
-    here outlives the call that made it.
+    on its own makes an empty one, so it reads each input from disk and
+    makes the run directories itself. Nothing here outlives the call that
+    made it.
     """
 
     def __init__(self):
@@ -189,7 +190,7 @@ def stage_derive(
     held = held or _Held()
     task = load_task(bundle.task_file)
     channel = held.get("channel", _open_provider_channel, bundle, live_endpoint)
-    paths.ensure()
+    held.get("dirs", paths.ensure)
     try:
         result = derive(PlanProvider(channel), task, max_rounds=max_rounds)
     finally:
@@ -221,7 +222,7 @@ def _load_plans(paths: RunPaths):
 
 def stage_collect(paths: RunPaths, *, held: _Held | None = None) -> list:
     held = held or _Held()
-    paths.ensure()
+    held.get("dirs", paths.ensure)
     _, trees = held.get("plans", _load_plans, paths)
     path_sets = paths_per_subtask(trees)
     selected = cover_path_sets(path_sets)
@@ -286,7 +287,7 @@ def stage_build(
     held = held or _Held()
     config = SolverConfig(grid_resolution=grid, seed=seed)
     channel = held.get("channel", _open_provider_channel, bundle, live_endpoint)
-    paths.ensure()
+    held.get("dirs", paths.ensure)
     selected = held.get("selected", _load_selected, paths)
     schema = held.get("schema", load_schema, bundle.schema_file)
     catalog = load_catalog(bundle.catalog_file)
@@ -325,7 +326,7 @@ def stage_build(
 def stage_validate(paths: RunPaths, bundle: TaskBundle, *, held: _Held | None = None) -> dict:
     """Physics and validity of each scene."""
     held = held or _Held()
-    paths.ensure()
+    held.get("dirs", paths.ensure)
     schema = held.get("schema", load_schema, bundle.schema_file)
     envs = held.get("envs", _load_environments, paths)
     physics = {}
@@ -360,7 +361,7 @@ def stage_simulate(
 ) -> dict:
     """Every policy against every scene."""
     held = held or _Held()
-    paths.ensure()
+    held.get("dirs", paths.ensure)
     if bundle.policies_dir is None:
         raise ConfigError(f"no policies directory next to {bundle.task_file}")
     schema = held.get("schema", load_schema, bundle.schema_file)
@@ -448,7 +449,7 @@ class _SimulationSummary:
 def stage_report(paths: RunPaths, *, held: _Held | None = None) -> dict:
     """The final report."""
     held = held or _Held()
-    paths.ensure()
+    held.get("dirs", paths.ensure)
     subtasks, trees = held.get("plans", _load_plans, paths)
     task = held.get("task", _read_as, TaskSpec, paths.plans / "task.json", "task echo")
     universe = held.get(

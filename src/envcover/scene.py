@@ -18,7 +18,7 @@ is physically fine but does not realize the requested decision logic.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from .assets import AssetCatalog, retrieve_asset
 from .environment import (
@@ -103,13 +103,23 @@ def parse_floor_plan(doc) -> tuple[list[Room], list[Doorway], list[Window]]:
 
 
 def resolve_objects(raw_objects, catalog: AssetCatalog) -> list[ObjectSpec]:
-    """Fill bounding boxes from the catalog; keep provider order."""
+    """Fill bounding boxes from the catalog; keep provider order. Each
+    object takes the choice's fields and its own copy of the attributes."""
     choices = parse_as(tuple[_ObjectChoice, ...], raw_objects, "object list")
     out = []
     for k, choice in enumerate(choices):
         size = retrieve_asset(catalog, choice.description).size
         try:
-            out.append(ObjectSpec(size=size, **asdict(choice)))
+            out.append(
+                ObjectSpec(
+                    id=choice.id,
+                    description=choice.description,
+                    room=choice.room,
+                    size=size,
+                    category=choice.category,
+                    attributes=dict(choice.attributes),
+                )
+            )
         except SchemaViolation as exc:
             raise SchemaViolation(f"malformed object list: {exc}", f"[{k}]") from None
     return out

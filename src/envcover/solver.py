@@ -95,6 +95,7 @@ from typing import Callable
 
 from .environment import (
     DISTANCE_KINDS,
+    EXTERIOR,
     ObjectSpec,
     Placement,
     RELATIVE_KINDS,
@@ -571,9 +572,12 @@ def _resting_pruner(geo, s: str, r: str, enough):
 
     w x d is the overlap and width x depth is s's footprint. The cells that
     overlap at all lie in one touch run per axis; overlap and extent are
-    computed over those runs only, and the area test, which couples the
-    axes, runs on each cell of both. _overlap_1d is symmetric in its two
-    spans, so one pruner serves either moving endpoint.
+    computed over those runs only. The area test couples the axes, so the
+    prune walks the masked touch run one column at a time, with that
+    column's (w, width) fixed, and calls enough once on each set cell whose
+    row overlaps too: a mask that earlier prunes thinned costs less.
+    _overlap_1d is symmetric in its two spans, so one pruner serves either
+    moving endpoint.
     """
     s_pos = f"{s}.pos"
 
@@ -583,17 +587,27 @@ def _resting_pruner(geo, s: str, r: str, enough):
         hx, hz = geo.half_footprint(moving, assign)
         f = geo.placed_box(fixed, assign)
         grid = geo.grids[moving]
-        nz = grid.nz
         ax, bx = _touch_run(grid.xs, hx, f[0], f[3])
         az, bz = _touch_run(grid.zs, hz, f[2], f[5])
         spans_x = _overlap_spans(grid.xs[ax:bx], hx, f[0], f[3], None if s_moves else f[3] - f[0])
         spans_z = _overlap_spans(grid.zs[az:bz], hz, f[2], f[5], None if s_moves else f[5] - f[2])
-
-        def keep(i):
-            sx, sz = spans_x[i // nz - ax], spans_z[i % nz - az]
-            return sx is not None and sz is not None and enough(*sx, *sz)
-
-        return _filter_bits(mask & grid.column_run(ax, bx) & grid.row_run(az, bz), keep)
+        # bit j is row az + j, for the rows that overlap
+        rows = sum(1 << j for j, sz in enumerate(spans_z) if sz is not None)
+        kept = 0
+        shift = ax * grid.nz + az  # the bit of the column's row az
+        for sx in spans_x:
+            col = (mask >> shift) & rows if sx is not None else 0
+            if col:
+                w, width = sx
+                keep = 0
+                while col:
+                    low = col & -col
+                    if enough(w, width, *spans_z[low.bit_length() - 1]):
+                        keep |= low
+                    col ^= low
+                kept |= keep << shift
+            shift += grid.nz
+        return kept
 
     return prune
 
@@ -794,8 +808,8 @@ class CspProblem:
 
         for door in sorted(self.doorways, key=lambda d: d.id):
             a, b = door.connects
-            if "exterior" in (a, b):
-                room = self.geo.rooms[a if b == "exterior" else b]
+            if EXTERIOR in (a, b):
+                room = self.geo.rooms[a if b == EXTERIOR else b]
                 # it opens to the outside, so onto no wall shared with a room
                 shared = [
                     w

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from .environment import (
     _TOL,
+    EXTERIOR,
     EnvironmentSpec,
     Room,
     back_gap,
@@ -161,7 +162,7 @@ def check_floor_plan(env: EnvironmentSpec) -> list[Violation]:
         if door.height > WALL_HEIGHT + _TOL:
             out.append(Violation("floor_plan", loc, "doorway taller than the wall"))
         half = door.width / 2
-        side_rooms = [env.room_by_id(s) for s in door.connects if s != "exterior"]
+        side_rooms = [env.room_by_id(s) for s in door.connects if s != EXTERIOR]
         if len(side_rooms) == 2:
             if not any(_on_wall(door.position, half, w) for w in _shared_walls(*side_rooms)):
                 out.append(

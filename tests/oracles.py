@@ -4,11 +4,12 @@ cross-check each other."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 from itertools import combinations
 
 from envcover.errors import EnvcoverError, SchemaViolation
-from envcover.task_model import BehaviorPlanTree, Leaf, Node
+from envcover.task_model import BehaviorPlanTree, Leaf, Node, normalize_text
 from envcover.trajectories import LogicalTrajectory, covered_constraints, split_constraints
 
 
@@ -54,6 +55,17 @@ def serialize_behavior_plan(trees: list[BehaviorPlanTree]) -> list:
     never writes a plan back, and the round-trip tests check the parser
     against this."""
     return [_serialize_node(tree.root) for tree in trees]
+
+
+def dense_embedding(text: str, dim: int) -> list[float]:
+    """The hashed bag-of-words vector filled bucket by bucket and normalized
+    over every bucket; embed_text must equal it bit for bit."""
+    vec = [0.0] * dim
+    for token in normalize_text(text).split():
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        vec[int.from_bytes(digest[:8], "big") % dim] += 1.0
+    norm = math.sqrt(sum(v * v for v in vec))
+    return vec if norm == 0.0 else [v / norm for v in vec]
 
 
 def cosine_similarity(a: list[float], b: list[float]) -> float:

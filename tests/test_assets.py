@@ -23,7 +23,7 @@ from envcover.assets import (
 )
 from envcover.errors import EmptyCatalog, SchemaViolation
 from envcover.pipeline import RunPaths, resolve_bundle, stage_build, stage_collect, stage_derive
-from oracles import cosine_similarity
+from oracles import cosine_similarity, dense_embedding
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +216,16 @@ def test_a_loaded_catalog_starts_with_an_empty_query_map(tmp_path):
 
 @pytest.fixture
 def embedded(monkeypatch):
-    """Each text assets.embed_text embeds, from here on."""
+    """Each text embedded from here on: retrieval and embed_text both embed
+    through assets._sparse_embedding."""
     calls = []
+    sparse_embedding = assets._sparse_embedding
 
-    def counting(text, dim=EMBEDDING_DIM):
+    def counting(text, dim):
         calls.append(text)
-        return embed_text(text, dim)
+        return sparse_embedding(text, dim)
 
-    monkeypatch.setattr(assets, "embed_text", counting)
+    monkeypatch.setattr(assets, "_sparse_embedding", counting)
     return calls
 
 
@@ -283,17 +285,45 @@ def test_retrieval_scores_equal_cosine_similarity_bit_for_bit():
     def text(n):
         return " ".join(rng.choice(vocabulary) for _ in range(n))
 
-    catalog = build_catalog([(f"a{i:02d}", text(rng.randint(0, 40)), (1, 1, 1)) for i in range(12)])
-    for _ in range(200):
-        query = text(rng.randint(0, 40))
-        qvec = embed_text(query, catalog.dim)
-        # the second call scores the query afresh: retrieve_asset's map
-        # holds chosen assets, not embeddings
-        for _ in range(2):
-            scores = list(_scores(catalog, query))
-            assert [a.id for a, _ in scores] == sorted(a.id for a in catalog.assets)
-            for asset, score in scores:
-                assert score == cosine_similarity(qvec, list(asset.embedding)), (query, asset.id)
+    def component():
+        # stored vectors need not come from embed_text: negative, zero and
+        # negative-zero components too
+        return rng.choice([0.0, -0.0, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 0.0)])
+
+    texts = build_catalog([(f"a{i:02d}", text(rng.randint(0, 40)), (1, 1, 1)) for i in range(12)])
+    vectors = AssetCatalog(
+        assets=[
+            AssetRecord(f"v{i:02d}", "", (1, 1, 1), tuple(component() for _ in range(EMBEDDING_DIM)))
+            for i in range(10)
+        ]
+        + [AssetRecord("zero", "", (1, 1, 1), (0.0,) * EMBEDDING_DIM)]
+    )
+    queries = [text(rng.randint(0, 40)) for _ in range(200)]
+    queries += ["", "  !!  ", "word3", "Word3!", "sofa"] + vocabulary[:20]
+    for catalog in (texts, vectors):
+        for query in queries:
+            qvec = embed_text(query, catalog.dim)
+            # the second call scores the query afresh: retrieve_asset's map
+            # holds chosen assets, not embeddings
+            for _ in range(2):
+                scores = list(_scores(catalog, query))
+                assert [a.id for a, _ in scores] == sorted(a.id for a in catalog.assets)
+                for asset, score in scores:
+                    assert score == cosine_similarity(qvec, list(asset.embedding)), (query, asset.id)
+
+
+def test_embed_text_equals_the_dense_embedding_bit_for_bit():
+    # from no token to 400, and dimensions down to 1, where every token
+    # shares one bucket: the vector and its nonzero pairs are the dense
+    # reference's, bit for bit
+    rng = random.Random(3)
+    vocabulary = [f"w{i}" for i in range(300)]
+    for n in [0, 1, 2, 5, 40, 400]:
+        query = " ".join(rng.choice(vocabulary) for _ in range(n))
+        for dim in (1, 7, EMBEDDING_DIM):
+            vec = dense_embedding(query, dim)
+            assert embed_text(query, dim) == vec, (query, dim)
+            assert assets._sparse_embedding(query, dim) == [(i, v) for i, v in enumerate(vec) if v]
 
 
 def test_fixture_catalog_resolves_bundle_descriptions(catalog):

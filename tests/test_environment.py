@@ -194,6 +194,7 @@ def test_sample_env_is_structurally_valid():
         ),
         (lambda e: e.relaxed_relations.append(9), "out of range"),
         (lambda e: e.rooms.__setitem__(0, Room("main", 0, 4, 4, 4)), "room must have positive area"),
+        (lambda e: e.rooms.append(Room("exterior", 4, 0, 8, 4)), "room id 'exterior' is reserved"),
         (
             lambda e: e.doorways.__setitem__(
                 0, Doorway(id="door", connects=("main", "exterior"), width=-0.9, height=2.0)
@@ -399,6 +400,7 @@ MALFORMED_PARTS = {
         position=[[1.0, 0.0], 0.0, 1.0]
     ),
     "attributes_not_an_object": lambda d: d["objects"][0].update(attributes=["wood"]),
+    "room_named_exterior": lambda d: d["floor_plan"]["rooms"][0].update(id="exterior"),
 }
 
 
@@ -416,8 +418,9 @@ def test_deserialize_rejects_malformed_parts(mutate):
         ("room_with_three_corners", r"rooms\[main\]: room must have 4 vertices"),
         ("corners_not_a_rectangle", r"rooms\[main\]: room vertices must form an axis-aligned"),
         ("room_with_zero_width", "axis-aligned rectangle"),
+        ("room_named_exterior", r"rooms\[exterior\]: room id 'exterior' is reserved"),
     ],
-    ids=["three_corners", "not_a_rectangle", "zero_width"],
+    ids=["three_corners", "not_a_rectangle", "zero_width", "named_exterior"],
 )
 def test_stored_corners_are_checked_on_read(part, message):
     doc = json.loads(serialize_environment(sample_env()))

@@ -12,7 +12,7 @@ import pytest
 
 from envcover import pipeline, providers
 from envcover.cli import main
-from envcover.errors import ConfigError, ProviderError, StructureError
+from envcover.errors import ConfigError, MissingInput, ProviderError, StructureError
 from envcover.pipeline import (
     RunPaths,
     resolve_bundle,
@@ -361,6 +361,43 @@ def test_a_stage_run_alone_parses_the_environment_files(
         assert len(deserialized) == 3
         expected = under(living_room_dir, bundle_inputs) + under(paths.root, run_inputs + SCENE_FILES)
         assert sorted(file_reads) == sorted(expected)
+
+
+RUN_DIRS = ["", "plans", "trajectories", "environments", "reports"]
+
+
+def test_run_all_makes_each_run_directory_once(living_room_dir, tmp_path, monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting)
+    run_all(str(tmp_path / "run"), str(living_room_dir), grid=0.2)
+    assert sorted(made) == under(tmp_path / "run", RUN_DIRS)
+
+
+@pytest.mark.parametrize("stage", ["derive", "collect", "build", "validate", "simulate", "report"])
+def test_a_stage_run_alone_makes_the_run_directories(stage, living_room_dir, tmp_path):
+    paths = RunPaths(tmp_path / "run")
+    bundle = resolve_bundle(str(living_room_dir))
+    call = {
+        "derive": lambda: stage_derive(paths, bundle),
+        "collect": lambda: stage_collect(paths),
+        "build": lambda: stage_build(paths, bundle, grid=0.2),
+        "validate": lambda: stage_validate(paths, bundle),
+        "simulate": lambda: stage_simulate(paths, bundle),
+        "report": lambda: stage_report(paths),
+    }[stage]
+    if stage == "derive":
+        call()
+    else:
+        # the root is empty, so every later stage misses its inputs
+        with pytest.raises(MissingInput):
+            call()
+    assert all(d.is_dir() for d in under(paths.root, RUN_DIRS))
 
 
 def test_a_validate_after_run_all_reads_the_files_on_disk(living_room_dir, tmp_path, capsys):

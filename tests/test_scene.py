@@ -88,6 +88,16 @@ def test_parse_floor_plan_requires_room_bounds():
         parse_floor_plan(doc)
 
 
+def test_parse_floor_plan_rejects_a_room_named_exterior():
+    # the reserved name of a doorway's outside side: a doorway to such a
+    # room would be encoded as a door to the outside
+    doc = copy.deepcopy(FLOOR_PLAN_DOC)
+    doc["rooms"].append({"id": "exterior", "x_min": 6.0, "z_min": 0.0, "x_max": 9.0, "z_max": 5.0})
+    with pytest.raises(SchemaViolation, match=r"^rooms\[1\]: .*room id 'exterior' is reserved") as info:
+        parse_floor_plan(doc)
+    assert info.value.field == "rooms[1]"
+
+
 @pytest.mark.parametrize(
     "bounds",
     [{"x_min": 6.0, "x_max": 0.0}, {"z_min": 5.0, "z_max": 0.0}, {"x_max": 0.0}],

@@ -32,13 +32,14 @@ from envcover.environment import (
     rebuild_metadata,
 )
 from envcover.errors import ConfigError, CoreUnsat, EncodingError, SchemaViolation, SolverTimeout
-from envcover.semantics import DIRECTION_VECTORS, SIDE_LONG_MAX, SUPPORT_EPS
+from envcover.semantics import DIRECTION_VECTORS, SIDE_LONG_MAX, SUPPORT_EPS, SUPPORT_OVERLAP_FRAC
 from envcover.solver import (
     _TOL,
     SolverConfig,
     _distance_keep,
     _distance_pruner,
     _Grid,
+    _resting_pruner,
     _ValueOrder,
     _static_core,
     encode,
@@ -1096,6 +1097,77 @@ def test_resting_pruner_at_the_support_edges(room_side, a_size, b_size, moving):
             assign = {f"{moving}.dir": direction, f"{fixed}.dir": "north", f"{fixed}.pos": pos}
             got, expected = set_and_check(problem, c, assign, f"{moving}.pos")
             assert got == expected, (direction, pos)
+
+
+def resting_cells(grid, hx, hz, f, s_moves, mask, enough):
+    """The cells of mask whose footprint overlaps the fixed box f and that
+    enough(w, width, d, depth) keeps, tested one cell at a time."""
+    kept = 0
+    for i in range(mask.bit_length()):
+        if not mask >> i & 1:
+            continue
+        x, z = grid[i]
+        lo_x, hi_x, lo_z, hi_z = x - hx, x + hx, z - hz, z + hz
+        w = min(hi_x, f[3]) - max(lo_x, f[0])
+        d = min(hi_z, f[5]) - max(lo_z, f[2])
+        if w > 0 and d > 0:
+            width, depth = (hi_x - lo_x, hi_z - lo_z) if s_moves else (f[3] - f[0], f[5] - f[2])
+            if enough(w, width, d, depth):
+                kept |= 1 << i
+    return kept
+
+
+@pytest.mark.parametrize("step", [0.5, 0.25, 0.1, 0.05, 0.025])
+def test_resting_pruner_equals_a_per_cell_test_of_enough(step):
+    # seeded subjects and supports, thin ones among them, with either one
+    # moving, the fixed one inside the room or wholly outside it (an empty
+    # touch run), and masks from empty to full: the pruner keeps the cells
+    # the per-cell test keeps and calls enough on the same cells, in order
+    rng = random.Random(round(step * 1000))
+    seen = collections.Counter()
+
+    def extent():
+        if rng.random() < 0.2:
+            return rng.choice([1e-17, 1e-9])  # a point, and thinner than the rounding margin
+        return round(rng.uniform(0.05, 0.9), 2)
+
+    def recorder(calls):
+        def enough(w, width, d, depth):
+            calls.append((w, width, d, depth))
+            return w * d >= SUPPORT_OVERLAP_FRAC * width * depth - _TOL
+
+        return enough
+
+    for _ in range(16):
+        room = make_room("r", 0, 0, round(rng.uniform(1.0, 2.5), 2), round(rng.uniform(1.0, 2.5), 2))
+        objects = [obj("a", (extent(), 0.1, extent())), obj("b", (extent(), 0.5, extent()))]
+        relations = [SpatialRelation(kind="on_top_of", subject="a", reference="b")]
+        problem = encode([room], [], [], objects, relations, SolverConfig(grid_resolution=step))
+        geo = problem.geo
+        for moving, fixed in (("a", "b"), ("b", "a")):
+            grid = geo.grids[moving]
+            where = rng.choice(["inside", "inside", "west", "north"])
+            pos = {
+                "inside": (rng.uniform(0, room.x_max), rng.uniform(0, room.z_max)),
+                "west": (-10.0, rng.uniform(0, room.z_max)),
+                "north": (rng.uniform(0, room.x_max), 50.0),
+            }[where]
+            assign = {
+                f"{moving}.dir": rng.choice(sorted(DIRECTION_VECTORS)),
+                f"{fixed}.dir": rng.choice(sorted(DIRECTION_VECTORS)),
+                f"{fixed}.pos": pos,
+            }
+            share = rng.choice([0.0, 0.05, 0.5, 1.0])
+            mask = sum(1 << i for i in range(len(grid)) if rng.random() < share)
+            got_calls, want_calls = [], []
+            got = _resting_pruner(geo, "a", "b", recorder(got_calls))(assign, f"{moving}.pos", mask)
+            hx, hz = geo.half_footprint(moving, assign)
+            f = geo.placed_box(fixed, assign)
+            want = resting_cells(grid, hx, hz, f, moving == "a", mask, recorder(want_calls))
+            assert got == want, (moving, assign, share)
+            assert got_calls == want_calls, (moving, assign, share)
+            seen[where, bool(got)] += 1
+    assert seen["inside", True] and seen["west", False] + seen["north", False]
 
 
 def float_rank(v: float) -> int:
