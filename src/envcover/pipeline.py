@@ -11,7 +11,10 @@ bundle file once and re-reads no document it wrote but the scene files. A
 stage run on its own gets an empty record and reads all its inputs itself.
 The scene files are read once, after build, and not taken from build's
 return value, because rounding on write makes the file's scene differ from
-the one in memory and the validator must check the file.
+the one in memory and the validator must check the file. validate and
+simulate parse each scene in full, since their verdicts depend on its
+geometry; the report reads each scene as a _SceneRef, its trajectory id
+alone, and in run_all takes the refs of the scenes validate parsed.
 Layout under the run root:
 
     plans/             task, plan document, factors, derivation report
@@ -130,7 +133,7 @@ def _read_json(path: Path, what: str):
 
 def _read_as(tp, path: Path, what: str):
     """The run-dir document at path, read as a tp."""
-    return parse_as(tp, _read_json(path, what), what)
+    return parse_as(tp, _read_json(path, what), f"{what} {path}")
 
 
 class _Held:
@@ -255,13 +258,17 @@ def _env_file(paths: RunPaths, index: int) -> Path:
 _Scenes = list[tuple[str, EnvironmentSpec]]
 
 
-def _load_environments(paths: RunPaths) -> _Scenes:
+def _scene_files(paths: RunPaths) -> list[Path]:
     files = sorted(paths.environments.glob("env-*.json"))
     if not files:
         raise MissingInput(
             f"no environments under {paths.environments}; run the build stage first"
         )
-    return [(f.stem, _load_environment(f)) for f in files]
+    return files
+
+
+def _load_environments(paths: RunPaths) -> _Scenes:
+    return [(f.stem, _load_environment(f)) for f in _scene_files(paths)]
 
 
 def _load_environment(path: Path) -> EnvironmentSpec:
@@ -323,6 +330,24 @@ def stage_build(
     return environments
 
 
+def _trajectories_of(scenes, selected) -> dict[str, LogicalTrajectory]:
+    """The selected trajectory each scene realizes, by scene name.
+
+    scenes holds (file stem, scene) pairs, a scene being anything with a
+    trajectory_id: an EnvironmentSpec or a _SceneRef.
+    """
+    by_id = {t.trajectory_id: t for t in selected}
+    realized = {}
+    for name, scene in scenes:
+        if scene.trajectory_id not in by_id:
+            raise MissingInput(
+                f"environment {name} realizes {scene.trajectory_id!r}, which is not "
+                "in the selected trajectory set"
+            )
+        realized[name] = by_id[scene.trajectory_id]
+    return realized
+
+
 def stage_validate(paths: RunPaths, bundle: TaskBundle, *, held: _Held | None = None) -> dict:
     """Physics and validity of each scene."""
     held = held or _Held()
@@ -349,6 +374,7 @@ def stage_validate(paths: RunPaths, bundle: TaskBundle, *, held: _Held | None = 
     write_json(paths.reports / "validity.json", validity_doc)
     held.keep("physics", _PhysicsSummary(physics_doc["pass_rate"]))
     held.keep("validity", _ValiditySummary(validity_doc["rate"]))
+    held.keep("scene_refs", [(name, _SceneRef(env.trajectory_id)) for name, env in envs])
     return {"physics": physics_doc, "validity": validity_doc}
 
 
@@ -373,7 +399,6 @@ def stage_simulate(
             f"{len(envs)} environments but {len(selected)} selected trajectories; "
             "rerun the build stage"
         )
-    by_id = {t.trajectory_id: t for t in selected}
 
     policies = {}
     for policy_file in sorted(bundle.policies_dir.glob("*.json")):
@@ -385,6 +410,7 @@ def stage_simulate(
                 f"the label {label!r}"
             )
         policies[label] = (policy_file.name, policy)
+    trajectories = _trajectories_of(envs, selected)
 
     doc = {"budget": budget, "policies": {}}
     total_ticks = 0
@@ -393,13 +419,7 @@ def stage_simulate(
         per_env = {}
         outcomes = []
         for name, env in envs:
-            trajectory = by_id.get(env.trajectory_id)
-            if trajectory is None:
-                raise MissingInput(
-                    f"environment {name} realizes {env.trajectory_id!r}, which is not "
-                    "in the selected trajectory set"
-                )
-            outcome = run_policy(policy, env, trajectory, schema, actions, budget=budget)
+            outcome = run_policy(policy, env, trajectories[name], schema, actions, budget=budget)
             outcomes.append(outcome)
             total_ticks += outcome.ticks
             per_env[name] = {
@@ -421,8 +441,9 @@ def stage_simulate(
     return doc
 
 
-# the fields of the earlier stages' documents that stage_report reads; in
-# run_all the stages that write them hold these for it
+# the fields of the earlier stages' documents that stage_report reads, a
+# scene file's trajectory id (_SceneRef) among them; in run_all the stages
+# that write or parse them hold these for it
 
 
 @dataclass
@@ -446,6 +467,16 @@ class _SimulationSummary:
     total_ticks: int
 
 
+@dataclass
+class _SceneRef:
+    trajectory_id: str
+
+
+def _load_scene_refs(paths: RunPaths) -> list[tuple[str, _SceneRef]]:
+    """(file stem, _SceneRef) for each environments/env-*.json, in name order."""
+    return [(f.stem, _read_as(_SceneRef, f, "environment")) for f in _scene_files(paths)]
+
+
 def stage_report(paths: RunPaths, *, held: _Held | None = None) -> dict:
     """The final report."""
     held = held or _Held()
@@ -456,7 +487,7 @@ def stage_report(paths: RunPaths, *, held: _Held | None = None) -> dict:
         "universe", _read_as, _Universe, paths.trajectories / "universe.json", "trajectory universe"
     )
     selected = held.get("selected", _load_selected, paths)
-    envs = held.get("envs", _load_environments, paths)
+    refs = held.get("scene_refs", _load_scene_refs, paths)
     reports = paths.reports
     physics = held.get(
         "physics", _read_as, _PhysicsSummary, reports / "physics.json", "physics report"
@@ -468,7 +499,7 @@ def stage_report(paths: RunPaths, *, held: _Held | None = None) -> dict:
         "simulation", _read_as, _SimulationSummary, reports / "simulation.json", "simulation report"
     )
 
-    realized_ids = {env.trajectory_id for _, env in envs}
+    realized_ids = {t.trajectory_id for t in _trajectories_of(refs, selected).values()}
     realized = [t for t in selected if t.trajectory_id in realized_ids]
     paths_stat = logic_coverage(trees, realized)
     atomic_stat = logic_coverage_atomic(subtasks, realized)
@@ -498,7 +529,7 @@ def stage_report(paths: RunPaths, *, held: _Held | None = None) -> dict:
             "fault_detection_rate": simulation.fault_detection_rate,
             "total_ticks": simulation.total_ticks,
         },
-        "environments": sorted(name for name, _ in envs),
+        "environments": sorted(name for name, _ in refs),
     }
     write_json(paths.reports / "report.json", doc)
     return doc
@@ -548,8 +579,8 @@ def run_all(
         "build",
         lambda: stage_build(paths, bundle, live_endpoint, seed=seed, grid=grid, held=held),
     )
-    # validate reads the scene files as build wrote them, and simulate and
-    # report take that parse
+    # validate reads the scene files as build wrote them, simulate takes that
+    # parse and report the trajectory id of each scene in it
     timed("validate", lambda: stage_validate(paths, bundle, held=held))
     timed("simulate", lambda: stage_simulate(paths, bundle, budget=budget, held=held))
     report = timed("report", lambda: stage_report(paths, held=held))

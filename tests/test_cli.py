@@ -323,6 +323,64 @@ def test_an_unreadable_environment_file_exits_2(
     assert message in err and "env-001.json" in err
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [("truncated", "not valid JSON"), ("no_trajectory_id", "trajectory_id: malformed environment")],
+)
+def test_a_report_on_an_unreadable_scene_exits_2(damage, message, full_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    env = run / "environments" / "env-001.json"
+    if damage == "truncated":
+        env.write_text(env.read_text()[:40])
+    else:
+        doc = json.loads(env.read_text())
+        del doc["trajectory_id"]
+        env.write_text(json.dumps(doc))
+    assert main(["report", "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "env-001.json" in err
+
+
+def test_a_report_on_a_scene_of_no_selected_trajectory_exits_1(full_run, tmp_path, capsys):
+    # the report would otherwise list env-001 yet count only two realized
+    # trajectories, as simulate refuses to
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    env = run / "environments" / "env-001.json"
+    doc = json.loads(env.read_text())
+    doc["trajectory_id"] = "not/a/selected/trajectory"
+    env.write_text(json.dumps(doc))
+    report = (run / "reports" / "report.json").read_bytes()
+    assert main(["report", "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert "environment env-001 realizes 'not/a/selected/trajectory'" in err
+    assert (run / "reports" / "report.json").read_bytes() == report
+
+
+def test_stored_metadata_is_checked_by_validate_and_simulate_not_report(
+    full_run, living_room_dir, tmp_path, capsys
+):
+    # no number the report writes depends on a scene's geometry, so it
+    # does not re-derive the metadata
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    env = run / "environments" / "env-000.json"
+    doc = json.loads(env.read_text())
+    assert doc["metadata"]["book"]["location"] == "floor"
+    doc["metadata"]["book"]["location"] = "table_top"
+    env.write_text(json.dumps(doc))
+    task = ["--task", str(living_room_dir), "--out", str(run)]
+    for command in ("validate", "simulate"):
+        assert main([command, *task]) == 2
+        err = capsys.readouterr().err
+        assert "stored metadata disagrees" in err and "env-000.json" in err
+    report = run / "reports" / "report.json"
+    report.unlink()
+    assert main(["report", "--out", str(run)]) == 0
+    assert report.read_bytes() == (full_run / "reports" / "report.json").read_bytes()
+
+
 def test_a_universe_count_as_a_string_is_a_schema_violation(full_run, tmp_path):
     run = tmp_path / "run"
     shutil.copytree(full_run, run)

@@ -338,15 +338,18 @@ def test_a_stage_run_alone_parses_the_environment_files(
     paths = RunPaths(tmp_path / "run")
     bundle = resolve_bundle(str(living_room_dir))
     run_all(str(paths.root), str(living_room_dir), grid=0.2)
-    for stage, bundle_inputs, run_inputs in (
-        (lambda: stage_validate(paths, bundle), ["schema.json"], []),
+    # the report reads each scene file for its trajectory id alone
+    for stage, parses, bundle_inputs, run_inputs in (
+        (lambda: stage_validate(paths, bundle), 3, ["schema.json"], []),
         (
             lambda: stage_simulate(paths, bundle),
+            3,
             ["action_model.json", "schema.json", *POLICY_FILES],
             ["trajectories/selected.json"],
         ),
         (
             lambda: stage_report(paths),
+            0,
             [],
             [
                 "plans/plan_document.json", "plans/subtasks.json", "plans/task.json",
@@ -358,7 +361,7 @@ def test_a_stage_run_alone_parses_the_environment_files(
         deserialized.clear()
         file_reads.clear()
         stage()
-        assert len(deserialized) == 3
+        assert len(deserialized) == parses
         expected = under(living_room_dir, bundle_inputs) + under(paths.root, run_inputs + SCENE_FILES)
         assert sorted(file_reads) == sorted(expected)
 
