@@ -4,8 +4,9 @@ The build walks the generation chain: ask the provider for a floor plan,
 then for objects (bounding boxes come from the asset catalog), then for
 spatial relations. Each response is read as the environment's records,
 which check their own fields, so a malformed part is a SchemaViolation
-before anything is solved. Proposed relations pass through deterministic
-compatibility rules; conflicts go back to the provider for revision, a
+before anything is solved. The draft passes through the solver's
+pre-solve rules (solver.compatibility_conflicts, the checks encode
+enforces); their conflict records go back to the provider for revision, a
 bounded number of rounds. The surviving draft is encoded as a CSP and
 solved with relaxation; the placed result carries derived metadata and is
 checked against the trajectory's query conditions before it is returned.
@@ -22,24 +23,19 @@ from dataclasses import dataclass, field, replace
 
 from .assets import AssetCatalog, retrieve_asset
 from .environment import (
-    CONTACT_KINDS,
     Doorway,
     EnvironmentSpec,
     ObjectSpec,
-    RELATIVE_KINDS,
     Room,
-    SUPPORT_KINDS,
     SpatialRelation,
     Window,
-    mount_height,
     rebuild_metadata,
 )
 from .errors import CoreUnsat, SchemaViolation, TrajectoryMismatch, UnsatisfiableScene
 from .jsonio import parse_as
 from .providers import SceneProvider
 from .schema import TaskSchema, unmet_conditions
-from .semantics import SUPPORT_EPS, WALL_HEIGHT
-from .solver import SolverConfig, encode, solve_with_relaxation
+from .solver import SolverConfig, compatibility_conflicts, encode, solve_with_relaxation
 from .trajectories import LogicalTrajectory
 
 # revision rounds a conflicting relation set gets before the build gives up
@@ -77,7 +73,7 @@ class _ObjectChoice:
     attributes: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        # the solver and the compatibility rules read it as a number
+        # the solver's support plan reads it as a number
         height = self.attributes.get("mount_height", "0")
         try:
             finite = math.isfinite(float(height))
@@ -140,102 +136,6 @@ def parse_relations(raw_relations, objects: list[ObjectSpec]) -> list[SpatialRel
         except SchemaViolation as exc:
             raise SchemaViolation(f"malformed relation list: {exc}", f"[{i}]") from None
     return out
-
-
-# ---------------------------------------------------------------------------
-# compatibility rules
-# ---------------------------------------------------------------------------
-
-
-def _fits_inside(inner: ObjectSpec, outer: ObjectSpec) -> bool:
-    sx, sy, sz = inner.size
-    cx, cy, cz = outer.size
-    eps = SUPPORT_EPS
-    if sy > cy + eps:
-        return False
-    return (sx <= cx + eps and sz <= cz + eps) or (sz <= cx + eps and sx <= cz + eps)
-
-
-def compatibility_conflicts(objects: list[ObjectSpec], relations: list[SpatialRelation]) -> list[dict]:
-    """Deterministic pre-solver checks on a proposed relation set.
-
-    Returns conflict records: {"rule", "relations": [indices], "message"}.
-    """
-    by_id = {o.id: o for o in objects}
-    conflicts: list[dict] = []
-
-    def conflict(rule: str, indices: list[int], message: str) -> None:
-        conflicts.append({"rule": rule, "relations": indices, "message": message})
-
-    for i, rel in enumerate(relations):
-        missing = [e for e in (rel.subject, rel.reference) if e is not None and e not in by_id]
-        if missing:
-            conflict("unknown_entity", [i], f"relation {i} names unknown objects {missing}")
-
-    support_claims: dict[str, list[int]] = {}
-    for i, rel in enumerate(relations):
-        if rel.kind in SUPPORT_KINDS:
-            support_claims.setdefault(rel.subject, []).append(i)
-    for subject, indices in support_claims.items():
-        if len(indices) > 1:
-            kinds = [relations[i].kind for i in indices]
-            conflict(
-                "exclusive_support",
-                indices,
-                f"object {subject!r} has {len(indices)} support claims: {kinds}",
-            )
-
-    edges = {}
-    for i, rel in enumerate(relations):
-        if rel.kind in CONTACT_KINDS and rel.reference in by_id and rel.subject in by_id:
-            edges[rel.subject] = (rel.reference, i)
-    for start in edges:
-        seen = {start}
-        node = start
-        trail = []
-        while node in edges:
-            node, idx = edges[node]
-            trail.append(idx)
-            if node in seen:
-                conflict("support_cycle", sorted(set(trail)), f"support chain through {start!r} loops")
-                break
-            seen.add(node)
-
-    for i, rel in enumerate(relations):
-        if rel.kind != "in" or rel.subject not in by_id or rel.reference not in by_id:
-            continue
-        if not _fits_inside(by_id[rel.subject], by_id[rel.reference]):
-            conflict(
-                "containment_capacity",
-                [i],
-                f"object {rel.subject!r} does not fit inside {rel.reference!r} in any rotation",
-            )
-
-    for i, rel in enumerate(relations):
-        if rel.kind != "mounted_on_wall" or rel.subject not in by_id:
-            continue
-        obj = by_id[rel.subject]
-        height = mount_height(obj)
-        if height + obj.size[1] > WALL_HEIGHT + SUPPORT_EPS:
-            conflict(
-                "mountability",
-                [i],
-                f"object {rel.subject!r} mounted at {height} m would poke through the wall top",
-            )
-
-    for i, rel in enumerate(relations):
-        if rel.reference is None or rel.subject not in by_id or rel.reference not in by_id:
-            continue
-        if rel.kind in CONTACT_KINDS or rel.kind in RELATIVE_KINDS:
-            a, b = by_id[rel.subject], by_id[rel.reference]
-            if a.room != b.room:
-                conflict(
-                    "room_consistency",
-                    [i],
-                    f"{rel.kind} needs {rel.subject!r} and {rel.reference!r} in one room, "
-                    f"got {a.room!r} and {b.room!r}",
-                )
-    return conflicts
 
 
 # ---------------------------------------------------------------------------

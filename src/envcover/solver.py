@@ -11,10 +11,14 @@ mounted_on_wall at the mount height), so the support relations are the only
 support constraints and are never relaxed. encode first calls
 environment.check_references, so duplicate ids and a part that names an
 unknown room or object are a SchemaViolation. The physical facts about the
-fixed inputs are checked once, at encode time: overlapping rooms, an
-opening that cannot be placed, a doorway between detached rooms or an
-object that fits in no grid cell raise EncodingError before any search, so
-every constraint left for the search scopes one or two entities.
+fixed inputs are checked once, at encode time, and raise EncodingError
+before any search: first the pre-solve rules of compatibility_conflicts,
+which a scene build also asks the provider to revise against (a second
+support relation, a support cycle, an object whose top passes the wall
+height, an in its container cannot hold, a contact or relative relation
+across two rooms), then overlapping rooms, an opening that cannot be
+placed, a doorway between detached rooms or an object that fits in no grid
+cell. So every constraint left for the search scopes one or two entities.
 
 The search is depth-first backtracking with forward checking (Haralick and
 Elliott, 1980). Variable order is largest footprint first (ties by id). The
@@ -61,8 +65,8 @@ the reference: the tests' brute-force oracles call them, and so does
 forward checking, on each set bit, for the kinds without a pruner.
 
 Before it searches, solve tries to prove the rung unsat from the fixed
-inputs alone (_static_core). It tests the height-only parts of above, in
-and mounted_on_wall on the fixed bottom heights. When the rung keeps a far,
+inputs alone (_static_core). It tests the height-only parts of above and
+mounted_on_wall on the fixed bottom heights. When the rung keeps a far,
 it bounds each pair's center distance from above, by near, on_top_of, in
 and the extent of the two grids, closes the bounds under the triangle
 inequality (path consistency on distance graphs: Dechter, Meiri and Pearl,
@@ -254,49 +258,140 @@ class _Geometry:
         return y, y + self.objects[obj_id].size[1]
 
 
-def _support_plan(objects, relations) -> dict[str, float]:
-    """Each object's bottom height, from the support relation naming it.
+def _inside_span(lo: float, hi: float, outer_lo: float, outer_hi: float) -> bool:
+    """The in predicate along one axis: [lo, hi] lies inside [outer_lo,
+    outer_hi] widened by _IN_EPS."""
+    return lo >= outer_lo - _IN_EPS and hi <= outer_hi + _IN_EPS
+
+
+def _conflict(rule: str, indices: list[int], message: str) -> dict:
+    return {"rule": rule, "relations": indices, "message": message}
+
+
+def _support_plan(objects, relations) -> tuple[dict[str, float], list[dict]]:
+    """Each object's bottom height, from the support relation naming it, and
+    the conflict records one walk over the support chains finds.
 
     An object with no support relation stands on the floor; on_top_of puts
     it on the reference's top face, in on the container's bottom, and
-    mounted_on_wall at its mount height. Rejects a subject with more than
-    one support relation, since one height cannot satisfy two of them, and
-    support cycles.
+    mounted_on_wall at its mount height. A subject with more than one
+    support relation (one height cannot satisfy two of them) and a chain
+    that loops are records; such objects, those resting on them and those
+    whose host is unknown get no height. An object whose top passes the
+    wall height is a mountability record.
     """
-    support: dict[str, SpatialRelation] = {}
-    for rel in relations:
-        if rel.kind in SUPPORT_KINDS:
-            if rel.subject in support:
-                raise EncodingError(
-                    f"object {rel.subject!r} has more than one support relation: "
-                    f"{support[rel.subject].kind} and {rel.kind}"
-                )
-            support[rel.subject] = rel
     by_id = {o.id: o for o in objects}
-    base_y: dict[str, float] = {}
+    claims: dict[str, list[int]] = {}
+    for i, rel in enumerate(relations):
+        if rel.kind in SUPPORT_KINDS:
+            claims.setdefault(rel.subject, []).append(i)
+    conflicts = [
+        _conflict(
+            "exclusive_support",
+            indices,
+            f"object {subject!r} has more than one support relation: "
+            + " and ".join(relations[i].kind for i in indices),
+        )
+        for subject, indices in claims.items()
+        if len(indices) > 1
+    ]
+    base_y: dict[str, float | None] = {}
 
-    def resolve(obj_id: str, trail: tuple[str, ...]) -> float:
+    def resolve(obj_id: str, trail: tuple[str, ...]) -> float | None:
         if obj_id in base_y:
             return base_y[obj_id]
         if obj_id in trail:
-            raise EncodingError(
-                "support cycle: " + " -> ".join(trail + (obj_id,))
+            cycle = trail[trail.index(obj_id) :]
+            conflicts.append(
+                _conflict(
+                    "support_cycle",
+                    sorted(claims[o][0] for o in cycle),
+                    "support cycle: " + " -> ".join(cycle + (obj_id,)),
+                )
             )
-        rel = support.get(obj_id)
+            return None
+        indices = claims.get(obj_id, [])
+        rel = relations[indices[0]] if indices else None
         if rel is None:
             y = 0.0
-        elif rel.kind == "on_top_of":
-            y = resolve(rel.reference, trail + (obj_id,)) + by_id[rel.reference].size[1]
-        elif rel.kind == "in":
-            y = resolve(rel.reference, trail + (obj_id,))
-        else:  # mounted_on_wall
+        elif len(indices) > 1 or rel.reference is not None and rel.reference not in by_id:
+            y = None
+        elif rel.kind == "mounted_on_wall":
             y = mount_height(by_id[obj_id])
-        base_y[obj_id] = round(y, 6)
-        return base_y[obj_id]
+        else:
+            y = resolve(rel.reference, trail + (obj_id,))
+            if y is not None and rel.kind == "on_top_of":
+                y += by_id[rel.reference].size[1]
+        if y is not None:
+            y = round(y, 6)
+            top = y + by_id[obj_id].size[1]
+            if top > WALL_HEIGHT + _TOL:
+                conflicts.append(
+                    _conflict(
+                        "mountability",
+                        indices,
+                        f"object {obj_id!r} would reach {top:g} m, above the {WALL_HEIGHT:g} m walls",
+                    )
+                )
+        base_y[obj_id] = y
+        return y
 
     for o in objects:
         resolve(o.id, ())
-    return base_y
+    return {o: y for o, y in base_y.items() if y is not None}, conflicts
+
+
+def _draft_conflicts(objects, relations) -> tuple[list[dict], dict[str, float]]:
+    """compatibility_conflicts' records, and the support plan's heights."""
+    by_id = {o.id: o for o in objects}
+    base_y, conflicts = _support_plan(objects, relations)
+
+    def spans(a: float, b: float) -> bool:  # the in predicate on two centered extents
+        return _inside_span(-a / 2, a / 2, -b / 2, b / 2)
+
+    for i, rel in enumerate(relations):
+        missing = [e for e in (rel.subject, rel.reference) if e is not None and e not in by_id]
+        if missing:
+            conflicts.append(
+                _conflict("unknown_entity", [i], f"relation {i} names unknown objects {missing}")
+            )
+            continue
+        s, r = by_id[rel.subject], by_id.get(rel.reference)
+        # an in subject has a height exactly when in is its only support
+        if rel.kind == "in" and s.id in base_y:
+            (sx, sy, sz), (rx, ry, rz) = s.size, r.size
+            s_lo, r_lo = base_y[s.id], base_y[r.id]
+            if not (
+                _inside_span(s_lo, s_lo + sy, r_lo, r_lo + ry)
+                and (spans(sx, rx) and spans(sz, rz) or spans(sz, rx) and spans(sx, rz))
+            ):
+                conflicts.append(
+                    _conflict(
+                        "containment_capacity",
+                        [i],
+                        f"object {s.id!r} does not fit inside {r.id!r} in either quarter turn",
+                    )
+                )
+        # a contact or relative relation needs one room; near and far may span two
+        if r is not None and rel.kind not in DISTANCE_KINDS and s.room != r.room:
+            conflicts.append(
+                _conflict(
+                    "room_consistency",
+                    [i],
+                    f"{rel.kind} needs {s.id!r} and {r.id!r} in one room, got {s.room!r} and {r.room!r}",
+                )
+            )
+    return conflicts, base_y
+
+
+def compatibility_conflicts(objects: list[ObjectSpec], relations: list[SpatialRelation]) -> list[dict]:
+    """The pre-solve rules a draft breaks, as records {"rule", "relations":
+    [indices], "message"}: unknown_entity, exclusive_support, support_cycle
+    and mountability (see _support_plan), containment_capacity (the in
+    predicate's own tests fail on the support plan's heights or on the two
+    footprints in either quarter turn) and room_consistency (a contact or
+    relative relation spans two rooms). encode raises on any of them."""
+    return _draft_conflicts(objects, relations)[0]
 
 
 def _shared_wall(a: Room, b: Room):
@@ -769,6 +864,9 @@ class CspProblem:
             return pts
 
         check_references(self.rooms, self.doorways, self.windows, self.objects, self.relations)
+        conflicts, self.geo.base_y = _draft_conflicts(self.objects, self.relations)
+        if conflicts:
+            raise EncodingError("; ".join(c["message"] for c in conflicts))
         for i, a in enumerate(self.rooms):
             for b in self.rooms[i + 1 :]:
                 if (
@@ -776,10 +874,6 @@ class CspProblem:
                     and _overlap_1d(a.z_min, a.z_max, b.z_min, b.z_max) > _TOL
                 ):
                     raise EncodingError(f"rooms {a.id!r} and {b.id!r} overlap")
-        for o in self.objects:
-            if o.size[1] > WALL_HEIGHT + _TOL:
-                raise EncodingError(f"object {o.id!r} is taller than the walls")
-        self.geo.base_y = _support_plan(self.objects, self.relations)
 
         # variables and domains
         order = sorted(
@@ -982,12 +1076,9 @@ class CspProblem:
             def check(assign):
                 a, b = sbox(assign), rbox(assign)
                 return (
-                    a[0] >= b[0] - _IN_EPS
-                    and a[2] >= b[2] - _IN_EPS
-                    and a[3] <= b[3] + _IN_EPS
-                    and a[5] <= b[5] + _IN_EPS
-                    and a[1] >= b[1] - _IN_EPS
-                    and a[4] <= b[4] + _IN_EPS
+                    _inside_span(a[0], a[3], b[0], b[3])
+                    and _inside_span(a[2], a[5], b[2], b[5])
+                    and _inside_span(a[1], a[4], b[1], b[4])
                 )
 
         elif rel.kind == "edge":
@@ -1225,9 +1316,9 @@ def _static_core(problem: CspProblem, skip: frozenset) -> frozenset | None:
     proved without search, or None.
 
     Heights are fixed before the search, so the height-only tests of above
-    (a[1] < b[4] - SUPPORT_EPS fails it), in (its two y tests) and
-    mounted_on_wall (a[1] > _TOL) are evaluated once, with the predicates'
-    own float expressions; a failing one is a core by itself.
+    (a[1] < b[4] - SUPPORT_EPS fails it) and mounted_on_wall (a[1] > _TOL)
+    are evaluated once, with the predicates' own float expressions; a
+    failing one is a core by itself. (in's are a pre-solve rule.)
 
     When the rung keeps a far, every pair of the objects that near, far,
     on_top_of and in name gets an upper bound on its center distance: the
@@ -1250,13 +1341,10 @@ def _static_core(problem: CspProblem, skip: frozenset) -> frozenset | None:
                 return frozenset((c.id,))
             continue
         r = c.scope[1]
-        (s_lo, s_hi), (r_lo, r_hi) = geo.y_span(s), geo.y_span(r)
         if c.kind == "above":
-            if s_lo < r_hi - SUPPORT_EPS:
+            if geo.y_span(s)[0] < geo.y_span(r)[1] - SUPPORT_EPS:
                 return frozenset((c.id,))
             continue
-        if c.kind == "in" and not (s_lo >= r_lo - _IN_EPS and s_hi <= r_hi + _IN_EPS):
-            return frozenset((c.id,))
         if c.kind == "far":
             fars.append((s, r, c.id))
             continue

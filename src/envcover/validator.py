@@ -15,8 +15,9 @@ dimension, so a dimension passes exactly when no violation carries its rule:
   its metadata location, finds it neither inside a container on its
   bottom, nor resting on another object's top face, nor on the floor, nor
   mounted with its back on its wall.
-- relation: every declared spatial relation holds geometrically, except the
-  ones listed in relaxed_relations, which are skipped and reported.
+- relation: every declared spatial relation holds geometrically, and a
+  contact or relative one has its subject and reference in one room, except
+  the ones listed in relaxed_relations, which are skipped and reported.
 
 All geometry here is computed from the serialized placements, with the
 support and overlap helpers of environment.py. The layout solver has its
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 
 from .environment import (
     _TOL,
+    DISTANCE_KINDS,
     EXTERIOR,
     EnvironmentSpec,
     Room,
@@ -273,10 +275,12 @@ def _relation_holds(env: EnvironmentSpec, idx: int) -> str | None:
         return None
 
     reference = env.object_by_id(rel.reference)
+    if rel.kind not in DISTANCE_KINDS and reference.room != subject.room:
+        return f"subject in room {subject.room}, reference in room {reference.room}"
     rbox = placed_box(reference, env.placement_of(rel.reference))
     rcx, rcz = _box_center(rbox)
 
-    if rel.kind in ("near", "far"):
+    if rel.kind in DISTANCE_KINDS:
         dist = ((scx - rcx) ** 2 + (scz - rcz) ** 2) ** 0.5
         if rel.kind == "near" and dist > NEAR_MAX + _TOL:
             return f"centers are {dist:.3f} m apart (limit {NEAR_MAX})"

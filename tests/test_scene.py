@@ -386,6 +386,45 @@ def test_conflicted_relations_are_revised_once(doll_setup, catalog, task_schema)
     assert any(c["rule"] == "exclusive_support" for c in revise_calls[0]["conflicts"])
 
 
+def above_the_wall_draft(setup, draft):
+    """The doll scene's objects and relations with one object above the
+    wall top: the 0.45 m picture mounted at 2.6 m, or a 1.5 m lamp on a
+    1.8 m bookshelf; and the object that reaches too high."""
+    objects = copy.deepcopy(setup["objects"])
+    relations = copy.deepcopy(setup["relations"])
+    if draft == "mounted":
+        next(o for o in objects if o["id"] == "picture")["attributes"] = {"mount_height": "2.6"}
+        assert {"kind": "mounted_on_wall", "subject": "picture"} in relations
+        return objects, relations, "picture"
+    for oid, description in (("shelf", "a narrow wooden bookshelf"), ("lamp", "a tall floor lamp")):
+        objects.append(
+            {"id": oid, "description": description, "room": "living_room", "category": "enrichment"}
+        )
+    relations.append({"kind": "on_top_of", "subject": "lamp", "reference": "shelf"})
+    return objects, relations, "lamp"
+
+
+@pytest.mark.parametrize("draft", ["mounted", "stacked"])
+def test_an_object_above_the_wall_top_is_revised_once(doll_setup, catalog, task_schema, draft):
+    objects, relations, high = above_the_wall_draft(doll_setup, draft)
+    # the revision drops the high object's support, so it stands on the floor
+    revised = [r for r in relations if r.get("subject") != high]
+    responses = {
+        "design_floor_plan": [doll_setup["floor_plan"]],
+        "select_objects": [objects],
+        "propose_relations": [relations],
+        "revise_relations": [revised],
+    }
+    outcome, channel = build_with(responses, doll_setup, catalog, task_schema)
+    assert outcome.revision_rounds == 1
+    revise_calls = [body for kind, body in channel.calls if kind == "revise_relations"]
+    assert len(revise_calls) == 1
+    assert [(c["rule"], c["relations"]) for c in revise_calls[0]["conflicts"]] == [
+        ("mountability", [relations.index(next(r for r in relations if r["subject"] == high))])
+    ]
+    assert outcome.environment.metadata[(high, "location")] == "floor"
+
+
 def test_unresolvable_conflicts_raise_after_the_revision_budget(doll_setup, catalog, task_schema):
     conflicted = doll_setup["relations"] + [
         {"kind": "in", "subject": "wet_wipes", "reference": "red_box"}

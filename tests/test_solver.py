@@ -42,11 +42,12 @@ from envcover.solver import (
     _resting_pruner,
     _ValueOrder,
     _static_core,
+    compatibility_conflicts,
     encode,
     solve,
     solve_with_relaxation,
 )
-from envcover.validator import _relation_holds, check_entities
+from envcover.validator import _relation_holds, check_entities, validate_physics
 from oracles import check_assignment
 
 GRID = SolverConfig(grid_resolution=0.25, seed=0)
@@ -193,6 +194,52 @@ def test_two_support_relations_for_one_subject_are_an_encoding_error():
     ]
     with pytest.raises(EncodingError, match="'book' has more than one support relation"):
         encode([room4()], [], [], [sofa, table, book], rels, GRID)
+
+
+def test_an_object_mounted_above_the_wall_top_is_an_encoding_error():
+    # a 1.0 m picture mounted at 2.5 m would reach 3.5 m: the validator
+    # finds it poking through the ceiling, so it must never come back sat
+    picture = obj("picture", (1.0, 1.0, 0.05), mount_height="2.5")
+    rels = [SpatialRelation(kind="mounted_on_wall", subject="picture")]
+    with pytest.raises(EncodingError, match="'picture' would reach 3.5 m, above the 3 m walls"):
+        encode([room4()], [], [], [picture], rels, GRID)
+
+
+def test_an_object_stacked_above_the_wall_top_is_an_encoding_error():
+    # each fits under the walls alone; a 1.5 m lamp on a 2.0 m shelf does not
+    lamp, shelf = obj("lamp", (0.3, 1.5, 0.3)), obj("shelf", (0.8, 2.0, 0.4))
+    rels = [SpatialRelation(kind="on_top_of", subject="lamp", reference="shelf")]
+    with pytest.raises(EncodingError, match="'lamp' would reach 3.5 m"):
+        encode([room4()], [], [], [lamp, shelf], rels, GRID)
+    assert compatibility_conflicts([lamp, shelf], rels) == [
+        {
+            "rule": "mountability",
+            "relations": [0],
+            "message": "object 'lamp' would reach 3.5 m, above the 3 m walls",
+        }
+    ]
+
+
+def test_a_contact_or_relative_relation_across_two_rooms_is_an_encoding_error():
+    rooms = [make_room("w", 0, 0, 4, 4), make_room("e", 4, 0, 8, 4)]
+    a, b = obj("a", (0.4, 0.4, 0.4), room="w"), obj("b", (0.4, 0.4, 0.4), room="e")
+    for kind in ("side_of", "on_top_of"):
+        rels = [SpatialRelation(kind=kind, subject="a", reference="b")]
+        with pytest.raises(EncodingError, match=f"{kind} needs 'a' and 'b' in one room"):
+            encode(rooms, [], [], [a, b], rels, GRID)
+    # a distance relation may span two rooms
+    near = [SpatialRelation(kind="near", subject="a", reference="b")]
+    assert solve(encode(rooms, [], [], [a, b], near, GRID)).status == "sat"
+
+
+def test_an_in_subject_taller_than_its_container_is_an_encoding_error():
+    # the footprint fits in a quarter turn; the height does not
+    toy, crate = obj("toy", (0.45, 0.35, 0.2)), obj("crate", (0.25, 0.3, 0.5))
+    rels = [SpatialRelation(kind="in", subject="toy", reference="crate")]
+    with pytest.raises(EncodingError, match="'toy' does not fit inside 'crate'"):
+        encode([room4()], [], [], [toy, crate], rels, GRID)
+    low = obj("toy", (0.45, 0.3 + SUPPORT_EPS, 0.2))
+    assert solve(encode([room4()], [], [], [low, crate], rels, GRID)).status == "sat"
 
 
 @pytest.mark.parametrize("step", [float("nan"), float("inf"), float("-inf"), 0.0, -0.1])
@@ -907,7 +954,12 @@ def test_relation_predicate_agrees_with_the_validator(kind):
     outcomes = collections.Counter()
     for _ in range(150):
         objects, relations = agreement_scene(rng, kind)
-        problem = encode([room4()], [], [], objects, relations, GRID)
+        try:
+            problem = encode([room4()], [], [], objects, relations, GRID)
+        except EncodingError:
+            # a draft the pre-solve rules reject never reaches the predicate
+            assert compatibility_conflicts(objects, relations), objects
+            continue
         check = next(c.check for c in problem.constraints if c.relation_index == len(relations) - 1)
         for _ in range(20):
             a_pos, a_dir, b_pos, b_dir = agreement_placement(rng, kind, problem.geo)
@@ -1835,3 +1887,93 @@ def test_room_bounds_reach_the_far_corners_of_both_grids():
     corners = {"a.pos": (0.2, 0.2), "b.pos": (2.7, 2.2), "a.dir": "north", "b.dir": "north"}
     assert all(corners[vid] in problem.domains[vid] for vid in problem.variables)
     assert check_assignment(problem, corners)
+
+
+# ---------------------------------------------------------------------------
+# the pre-solve rules against encode and the validator
+# ---------------------------------------------------------------------------
+
+
+def pre_solve_draft(rng):
+    """A seeded draft in one room or two adjacent ones: a support chain,
+    an in pair drawn about its container's size, a picture mounted near the
+    wall top, and relations whose two objects may sit in different rooms.
+    Now and then an object gets a second support or a chain loops."""
+    rooms = [make_room("r", 0, 0, 4, 4)]
+    if rng.random() < 0.5:
+        rooms.append(make_room("s", 4, 0, 4 + rng.choice([3, 4]), 4))
+
+    def size(lo, hi, h_lo, h_hi):
+        return tuple(rng.randint(*span) / 100 for span in ((lo, hi), (h_lo, h_hi), (lo, hi)))
+
+    def room(host=None):
+        return host.room if host is not None and rng.random() < 0.9 else rng.choice(rooms).id
+
+    floor = [obj("f0", size(50, 100, 40, 150), room=room())]
+    floor += [obj(f"f{i}", size(50, 100, 40, 150), room=room(floor[0])) for i in (1, 2)]
+    top = obj("top", size(20, 50, 20, 100), room=room(floor[0]))
+    cup = obj("cup", size(10, 20, 5, 80), room=room(floor[0]))
+    box = floor[1]
+    toy = obj("toy", tuple(round(v * rng.uniform(0.3, 1.05), 2) for v in box.size), room=room(box))
+    height = rng.randint(20, 120) / 100
+    mount = round(3.0 - height + rng.choice([-1.0, -0.5, -0.01, 0.0, 0.0, 0.005, 0.01, 0.3]), 3)
+    picture = obj("picture", (0.6, height, 0.05), room=room(floor[0]), mount_height=str(max(mount, 0.1)))
+    objects = floor + [top, cup, toy, picture]
+    relations = [
+        SpatialRelation(kind="on_top_of", subject="top", reference="f0"),
+        SpatialRelation(kind="on_top_of", subject="cup", reference=rng.choice(["top", "f0"])),
+        SpatialRelation(kind="in", subject="toy", reference="f1"),
+        SpatialRelation(kind="mounted_on_wall", subject="picture"),
+    ]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["near", "far", "side_of", "in_front_of", "center_aligned", "above"])
+        a, b = rng.sample(["f0", "f1", "f2"], 2)
+        priority = rng.choice(["task", "enrichment"])
+        relations.append(SpatialRelation(kind=kind, subject=a, reference=b, priority=priority))
+    roll = rng.random()
+    if roll < 0.1:
+        relations.append(SpatialRelation(kind="on_top_of", subject="toy", reference="f2"))
+    elif roll < 0.2:
+        relations.append(SpatialRelation(kind="on_top_of", subject="f0", reference="cup"))
+    return rooms, objects, relations
+
+
+def test_encode_rejects_exactly_the_flagged_drafts_and_every_sat_scene_validates():
+    # a differential check of the one rule set: encode raises EncodingError
+    # exactly when compatibility_conflicts returns a record, and a scene the
+    # solver places passes the validator's entity and relation checks
+    started = time.perf_counter()
+    rng = random.Random("pre-solve")
+    outcomes = collections.Counter()
+    rules = collections.Counter()
+    for trial in range(300):
+        rooms, objects, relations = pre_solve_draft(rng)
+        conflicts = compatibility_conflicts(objects, relations)
+        rules.update(c["rule"] for c in conflicts)
+        config = SolverConfig(grid_resolution=0.5, seed=trial, max_backtracks=1000)
+        try:
+            problem = encode(rooms, [], [], objects, relations, config)
+        except EncodingError:
+            assert conflicts, (trial, relations)
+            outcomes["rejected"] += 1
+            continue
+        assert not conflicts, (trial, conflicts)
+        try:
+            solution = solve_with_relaxation(problem)
+        except (CoreUnsat, SolverTimeout) as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        index_of = {c.id: c.relation_index for c in problem.constraints}
+        env = EnvironmentSpec(
+            id="e", task_id="t", trajectory_id="x", rooms=rooms, objects=objects,
+            relations=relations, placements=solution.placements,
+            relaxed_relations=sorted(index_of[cid] for cid in solution.relaxed),
+        )
+        failures = [f for f in validate_physics(env).failures if f.rule in ("entity", "relation")]
+        assert failures == [], (trial, failures)
+        outcomes["sat"] += 1
+    assert outcomes["rejected"] >= 100 and outcomes["sat"] >= 30, outcomes
+    assert set(rules) >= {
+        "exclusive_support", "support_cycle", "mountability", "containment_capacity", "room_consistency"
+    }, rules
+    assert time.perf_counter() - started < 30.0

@@ -13,8 +13,10 @@ from envcover.environment import (
     Placement,
     SpatialRelation,
     Window,
+    deserialize_environment,
     make_room,
     rebuild_metadata,
+    serialize_environment,
 )
 from envcover.semantics import MOUNT_EPS, SUPPORT_EPS
 from envcover.validator import (
@@ -475,6 +477,30 @@ def test_violated_distance_relation_flips_only_relations():
     report = validate_physics(env)
     assert dims(report) == (True, True, False)
     assert any(v.rule == "relation" for v in report.failures)
+
+
+def test_a_side_of_across_two_rooms_flips_only_the_relation_dimension(tmp_path):
+    # the chair stands 0.6 m beside the cabinet, but a wall runs between
+    # them: contact and relative relations hold within one room only
+    env = base_env(
+        rooms=[make_room("r", 0, 0, 4, 4), make_room("r2", 4, 0, 8, 4)],
+        objects=[obj("chair", (0.4, 0.8, 0.4)), obj("cabinet", (0.4, 0.8, 0.4), room="r2")],
+        placements=[
+            Placement(object="chair", position=(3.7, 0.0, 2.0), direction="north"),
+            Placement(object="cabinet", position=(4.3, 0.0, 2.0), direction="north"),
+        ],
+        relations=[SpatialRelation(kind="side_of", subject="chair", reference="cabinet")],
+    )
+    scene = tmp_path / "env-000.json"
+    scene.write_text(serialize_environment(env))
+    report = validate_physics(deserialize_environment(scene.read_text()))
+    assert dims(report) == (True, True, False)
+    assert [f.message for f in report.failures] == [
+        "side_of(chair, cabinet): subject in room r, reference in room r2"
+    ]
+    # a distance relation may span the wall
+    env.relations = [SpatialRelation(kind="near", subject="chair", reference="cabinet")]
+    assert validate_physics(env).ok
 
 
 def test_relaxed_relation_is_skipped_and_reported():
