@@ -30,7 +30,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .errors import EmptyCatalog, SchemaViolation
-from .jsonio import as_record, parse_as, read_json, write_json
+from .jsonio import parse_as, read_json, record_text, write_text
 from .task_model import normalize_text
 
 EMBEDDING_DIM = 256
@@ -90,7 +90,8 @@ class AssetRecord:
     norm: float = field(init=False, repr=False, compare=False)  # the embedding's L2 norm
 
     def __post_init__(self):
-        object.__setattr__(self, "norm", math.sqrt(sum(v * v for v in self.embedding)))
+        # sums only nonzero squares, as _sparse_embedding does: a zero's adds 0.0
+        object.__setattr__(self, "norm", math.sqrt(sum(v * v for v in self.embedding if v)))
 
 
 @dataclass
@@ -156,7 +157,7 @@ def save_catalog(catalog: AssetCatalog, path) -> None:
         _StoredAsset(a.id, a.description, a.size, encode_vector(list(a.embedding)))
         for a in catalog.assets
     ]
-    write_json(path, as_record(_StoredCatalog(assets=tuple(stored), dim=catalog.dim)))
+    write_text(path, record_text(_StoredCatalog(assets=tuple(stored), dim=catalog.dim)))
 
 
 def _scores(catalog: AssetCatalog, query: str):

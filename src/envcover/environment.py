@@ -8,11 +8,14 @@ z_min..z_max in the x-z plane, from the provider's floor plan to the
 validator; only an environment document stores its four corners, and
 reading one checks that they span an axis-aligned rectangle. A part checks
 its own fields when it is built, raising SchemaViolation, so a malformed
-part never exists; check_references, which both the layout solver and
-EnvironmentSpec.validate call, checks the parts against each other.
+part never exists; every number of a part is finite. check_references,
+which both the layout solver and EnvironmentSpec.validate call, checks the
+parts against each other. A document stores six decimals, so
+serialize_environment refuses a scene with an extent that would be written
+as zero, whose text could not be read back.
 Serialization is canonical (sorted keys, fixed float rounding) so identical
-scenes are byte-identical on disk. An environment document and each of its
-parts is written and read through jsonio's typed records: one key per
+scenes are byte-identical on disk. An environment document is one record,
+written by jsonio.record_text in one walk and read by parse_as: one key per
 dataclass field, and a field with a default may be left out.
 
 support_location is the one statement, outside the layout solver, of what
@@ -25,10 +28,11 @@ geometry helpers here, so a solver bug cannot pass its own check.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import SchemaViolation
-from .jsonio import _round, as_record, json_text, parse_as
+from .jsonio import _round, parse_as, record_text
 from .semantics import (
     CARDINALS,
     MOUNT_EPS,
@@ -73,6 +77,8 @@ class Room:
     wall_material: str = ""
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.z_min, self.x_max, self.z_max))):
+            raise SchemaViolation("room corners must be finite numbers")
         if self.id == EXTERIOR:
             raise SchemaViolation(f"room id {EXTERIOR!r} is reserved for a doorway's outside side")
         if self.x_max - self.x_min <= 0 or self.z_max - self.z_min <= 0:
@@ -95,6 +101,8 @@ class Doorway:
     position: tuple[float, float] | None = None  # solved center (x, z) on the wall
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.width, self.height, *(self.position or ())))):
+            raise SchemaViolation("doorway width, height and position must be finite numbers")
         if self.connects[0] == self.connects[1]:
             raise SchemaViolation("doorway must connect two distinct sides")
         if self.width <= 0 or self.height <= 0:
@@ -112,6 +120,8 @@ class Window:
     position: tuple[float, float] | None = None  # solved center (x, z) on the wall
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.width, self.height, self.sill_height, *(self.position or ())))):
+            raise SchemaViolation("window width, height, sill_height and position must be finite numbers")
         if self.orientation not in CARDINALS:
             raise SchemaViolation(f"orientation must be one of {CARDINALS}")
         if self.width <= 0 or self.height <= 0:
@@ -130,6 +140,8 @@ class ObjectSpec:
     attributes: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.size)):
+            raise SchemaViolation("object size must be finite numbers")
         if self.category not in CATEGORIES:
             raise SchemaViolation(f"unknown category {self.category!r}")
         if any(s <= 0 for s in self.size):
@@ -167,6 +179,8 @@ class Placement:
     direction: str
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.position)):
+            raise SchemaViolation("placement position must be finite numbers")
         if self.direction not in CARDINALS:
             raise SchemaViolation(f"direction must be one of {CARDINALS}")
 
@@ -454,9 +468,29 @@ def _nested(meta: dict) -> dict:
     return nested
 
 
+def _require_storable(env: EnvironmentSpec) -> None:
+    """A SchemaViolation naming the first part with an extent that a
+    document's six decimals would store as zero: its text would not read
+    back."""
+    for r in env.rooms:
+        if _round(r.x_max) <= _round(r.x_min) or _round(r.z_max) <= _round(r.z_min):
+            raise SchemaViolation("room area rounds to zero", f"rooms[{r.id}]")
+    # a positive extent can round to zero only below 1e-6
+    for where, parts in (("doorways", env.doorways), ("windows", env.windows)):
+        for part in parts:
+            extent = min(part.width, part.height)
+            if extent < 1e-6 and _round(extent) <= 0:
+                raise SchemaViolation("width or height rounds to zero", f"{where}[{part.id}]")
+    for o in env.objects:
+        extent = min(o.size)
+        if extent < 1e-6 and _round(extent) <= 0:
+            raise SchemaViolation("size rounds to zero", f"objects[{o.id}]")
+
+
 def serialize_environment(env: EnvironmentSpec) -> str:
     """Canonical JSON text; embeds freshly rebuilt metadata."""
     env.validate()
+    _require_storable(env)
     doc = _Document(
         schema_version=SCHEMA_VERSION,
         id=env.id,
@@ -472,7 +506,7 @@ def serialize_environment(env: EnvironmentSpec) -> str:
         tracked_entities=tuple(sorted(env.tracked_entities)),
         metadata=_nested(rebuild_metadata(env)),
     )
-    return json_text(as_record(doc))
+    return record_text(doc)
 
 
 def deserialize_environment(text: str) -> EnvironmentSpec:

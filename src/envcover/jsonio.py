@@ -1,11 +1,11 @@
 """The one JSON reader and writer of the package, for files and for records.
 
 Every JSON file of a task bundle or a run directory is read by read_json and
-written by write_json, environment documents aside: environment.py decides
-what goes into one and writes its text with json_text, and that text is
-written by write_text and read by read_text. A file that cannot be read or
-written is a ConfigError, and text that is not UTF-8 or not JSON is a
-SchemaViolation (the CLI exits 2 on both).
+written by write_json, or by write_text with record_text's text when it
+holds records; environment.py decides what goes into an environment document
+and reads its text with read_text. A file that cannot be read or written is
+a ConfigError, and text that is not UTF-8 or not JSON is a SchemaViolation
+(the CLI exits 2 on both).
 
 json_text is the one canonical text: json.dumps(doc, indent=2, sort_keys=not
 ordered) plus a newline, byte for byte, built in one pass. json.dumps takes
@@ -19,7 +19,9 @@ unknown keys are ignored. A float takes a finite JSON number and an int a
 JSON integer, never a bool or a numeric string. A value of the wrong shape,
 or one a dataclass's __post_init__ rejects with a SchemaViolation, is a
 SchemaViolation that names its JSON path, such as ``rooms[0].x_min``.
-as_record writes a dataclass as its record, float-typed values rounded.
+record_text writes a dataclass by the same types, straight to json_text's
+text of its record: float-typed values rounded by _round, object-typed ones
+as they are.
 """
 
 from __future__ import annotations
@@ -78,24 +80,32 @@ def json_text(doc, ordered: bool = False) -> str:
     doc holds dicts with str keys, lists, tuples, str, int, float, bool and
     None, of exactly those types; any other key or value is a TypeError.
     """
+    return _text(doc, "\n", not ordered) + "\n"
+
+
+def record_text(part, ordered: bool = False) -> str:
+    """json_text(part, ordered), where part may also hold dataclass records,
+    each written by its fields' declared types (see the module docstring)."""
+    return _text(part, "\n", not ordered, _text_writer) + "\n"
+
+
+def _text(value, newline: str, sort: bool, record=None) -> str:
     out: list[str] = []
-    _emit(doc, "\n", not ordered, out.append)
-    out.append("\n")
+    _emit(value, newline, sort, out.append, record)
     return "".join(out)
 
 
 def _float_text(v: float) -> str:
+    if v - v == 0.0:  # finite
+        return float.__repr__(v)
     if v != v:
         return "NaN"
-    if v == math.inf:
-        return "Infinity"
-    if v == -math.inf:
-        return "-Infinity"
-    return float.__repr__(v)
+    return "Infinity" if v > 0 else "-Infinity"
 
 
-def _emit(value, newline: str, sort: bool, put) -> None:
-    """Put value's text, its nested lines indented from ``newline`` on."""
+def _emit(value, newline: str, sort: bool, put, record=None) -> None:
+    """Put value's text, its nested lines indented from ``newline`` on, and a
+    dataclass's as record(its type, sort) writes it, when record is given."""
     t = type(value)
     if t is str:
         put(_escape(value))
@@ -109,7 +119,7 @@ def _emit(value, newline: str, sort: bool, put) -> None:
             if type(key) is not str:
                 raise TypeError(f"no JSON text for key {key!r}")
             put(sep + _escape(key) + ": ")
-            _emit(v, inner, sort, put)
+            _emit(v, inner, sort, put, record)
             sep = "," + inner
         put(newline + "}")
     elif t is list or t is tuple:
@@ -120,7 +130,7 @@ def _emit(value, newline: str, sort: bool, put) -> None:
         sep = "[" + inner
         for v in value:
             put(sep)
-            _emit(v, inner, sort, put)
+            _emit(v, inner, sort, put, record)
             sep = "," + inner
         put(newline + "]")
     elif t is float:
@@ -133,6 +143,8 @@ def _emit(value, newline: str, sort: bool, put) -> None:
         put("false")
     elif value is None:
         put("null")
+    elif record is not None and is_dataclass(t):
+        put(record(t, sort)(value, newline))
     else:
         raise TypeError(f"no JSON text for a {t.__name__}")
 
@@ -272,29 +284,54 @@ def parse_as(tp, doc, what: str):
         raise SchemaViolation(f"malformed {what}: {exc}", path) from None
 
 
+def _bracketed(open_: str, texts: list, newline: str, close: str) -> str:
+    inner = newline + "  "
+    return open_ + inner + ("," + inner).join(texts) + newline + close if texts else open_ + close
+
+
+def _rounded_text(value, newline: str) -> str:
+    return _float_text(round(float(value), 6))  # _round's expression
+
+
 @functools.cache
-def _writer(tp):
-    """The function that writes a tp as a JSON value."""
+def _text_writer(tp, sort: bool):
+    """The function (value, newline) -> text that writes a tp as record_text
+    does, its nested lines indented from ``newline`` on."""
     if tp is float:
-        return _round
+        return _rounded_text
+    if tp is str:
+        return lambda value, newline: _escape(value)
     if tp in _SCALARS or tp is object:
-        return _same
+        return lambda value, newline: _text(value, newline, sort)
+    if is_dataclass(tp):
+        fields_ = sorted(_record_fields(tp)) if sort else _record_fields(tp)
+        specs = [(name, _escape(name) + ": ", _text_writer(t, sort)) for name, t, _ in fields_]
+
+        def record(value, newline):
+            inner = newline + "  "
+            texts = [key + write(getattr(value, name), inner) for name, key, write in specs]
+            return _bracketed("{", texts, newline, "}")
+
+        return record
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is None:
-        return as_record
-    if origin is tuple and args[-1] is Ellipsis:
-        item = _writer(args[0])
-        return lambda value: [item(v) for v in value]
     if origin is tuple:
-        items = [_writer(t) for t in args]
-        return lambda value: [write(v) for write, v in zip(items, value)]
+        writers = [_text_writer(t, sort) for t in args if t is not Ellipsis]
+        repeated = args[-1] is Ellipsis
+
+        def items(value, newline):
+            inner = newline + "  "
+            pairs = zip(writers * len(value) if repeated else writers, value)
+            return _bracketed("[", [write(v, inner) for write, v in pairs], newline, "]")
+
+        return items
     if origin is dict:
-        item = _writer(args[1])
-        return lambda value: {key: item(v) for key, v in value.items()}
-    item = _writer(_optional_of(tp))
-    return lambda value: None if value is None else item(value)
+        item = _text_writer(args[1], sort)
 
+        def members(value, newline):
+            inner = newline + "  "
+            pairs = sorted(value.items()) if sort else value.items()
+            return _bracketed("{", [_escape(key) + ": " + item(v, inner) for key, v in pairs], newline, "}")
 
-def as_record(part) -> dict:
-    """A dataclass as its JSON record, float-typed values rounded by _round."""
-    return {name: _writer(tp)(getattr(part, name)) for name, tp, _ in _record_fields(type(part))}
+        return members
+    item = _text_writer(_optional_of(tp), sort)
+    return lambda value, newline: "null" if value is None else item(value, newline)

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ProviderError, SchemaViolation
-from .jsonio import as_record, parse_as, read_json, write_json
+from .jsonio import parse_as, read_json, write_json
 from .task_model import SubtaskSpec, UncertainFactor
 
 # request kinds, plan side
@@ -128,7 +128,8 @@ class _Cassette:
 
 def load_cassette(path) -> list[dict]:
     cassette = parse_as(_Cassette, read_json(path, "cassette"), f"cassette {path}")
-    return [as_record(exchange) for exchange in cassette.records]
+    # each exchange's fields in declared order, the order save_cassette keeps
+    return [vars(exchange) for exchange in cassette.records]
 
 
 def save_cassette(path, records) -> None:

@@ -1255,9 +1255,14 @@ class _ValueOrder:
 
     def __iter__(self):
         drawn, moved, n = self.drawn, self._moved, self.n
+        getrandbits = self._rng.getrandbits
         for k in range(n):
             if k == len(drawn):
-                j = k + self._rng.randrange(n - k)
+                # k + randrange(n - k), drawn as randrange does on Python 3.10-3.13
+                bits = (n - k).bit_length()
+                j = k + getrandbits(bits)
+                while j >= n:
+                    j = k + getrandbits(bits)
                 drawn.append(moved.get(j, j))
                 moved[j] = moved.pop(k, k)
             yield drawn[k]

@@ -6,9 +6,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import dataclasses
+import typing
 from itertools import combinations
 
 from envcover.errors import EnvcoverError, SchemaViolation
+from envcover.jsonio import json_text
 from envcover.task_model import BehaviorPlanTree, Leaf, Node, normalize_text
 from envcover.trajectories import LogicalTrajectory, covered_constraints, split_constraints
 
@@ -84,3 +87,46 @@ def check_assignment(problem, assignment: dict, skip: frozenset = frozenset()) -
     """Every constraint of a CspProblem outside skip holds under a full
     assignment, by each constraint's own predicate."""
     return all(c.check(assignment) for c in problem.constraints if c.id not in skip)
+
+
+def _plain_value(tp, value):
+    if tp is float:
+        return round(float(value), 6)
+    if tp in (str, int, bool, object):
+        return value
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is None:
+        return plain_record(value)
+    if origin is tuple and args[-1] is Ellipsis:
+        return [_plain_value(args[0], v) for v in value]
+    if origin is tuple:
+        return [_plain_value(t, v) for t, v in zip(args, value)]
+    if origin is dict:
+        return {key: _plain_value(args[1], v) for key, v in value.items()}
+    inner, _ = args  # T | None
+    return None if value is None else _plain_value(inner, value)
+
+
+def plain_record(part) -> dict:
+    """A dataclass as a tree of plain JSON values, field by field, each value
+    converted by its declared type: a float rounded to 6 places, a tuple
+    made a list, a nested dataclass a dict, an object-typed value kept."""
+    hints = typing.get_type_hints(type(part))
+    return {f.name: _plain_value(hints[f.name], getattr(part, f.name)) for f in dataclasses.fields(part)}
+
+
+def _plain_tree(value):
+    if dataclasses.is_dataclass(value):
+        return plain_record(value)
+    if type(value) in (list, tuple):
+        return [_plain_tree(v) for v in value]
+    if type(value) is dict:
+        return {key: _plain_tree(v) for key, v in value.items()}
+    return value
+
+
+def two_pass_record_text(part, ordered: bool = False) -> str:
+    """The text of a record, or of plain values holding records, built as
+    the plain tree first, then written by json_text; jsonio.record_text must
+    equal it byte for byte."""
+    return json_text(_plain_tree(part), ordered)

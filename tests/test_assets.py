@@ -326,6 +326,38 @@ def test_embed_text_equals_the_dense_embedding_bit_for_bit():
             assert assets._sparse_embedding(query, dim) == [(i, v) for i, v in enumerate(vec) if v]
 
 
+def _dense_norm(vec) -> float:
+    return math.sqrt(sum(v * v for v in vec))
+
+
+def test_a_stored_norm_equals_the_dense_norm_bit_for_bit(catalog):
+    # the norm sums only the nonzero squares; on the fixture catalog as
+    # loaded and as the dense reference embeds it, and on vectors of zeros,
+    # negative zeros and subnormals, it is the dense sum, sign of zero included
+    for asset in catalog.assets:
+        assert asset.norm.hex() == _dense_norm(asset.embedding).hex(), asset.id
+    vectors = [dense_embedding(a.description, catalog.dim) for a in catalog.assets]
+    vectors += [
+        [],
+        [0.0] * 8,
+        [-0.0, 0.0, -0.0],
+        [5e-324, -5e-324, 0.0],
+        [1e-160, -0.0, 1e-170, 3.0],
+        [0.0, 2.2250738585072014e-308, -1.5, -0.0, 0.25],
+        [1e-155] * 4,
+    ]
+    rng = random.Random(5)
+    special = [0.0, -0.0, 5e-324, -1e-310, 1e-160, 2.2250738585072014e-308]
+    for _ in range(200):
+        vec = [0.0] * EMBEDDING_DIM
+        for i in rng.sample(range(EMBEDDING_DIM), rng.randint(0, 9)):
+            vec[i] = rng.choice(special) if rng.random() < 0.5 else rng.uniform(-1.0, 1.0)
+        vectors.append(vec)
+    for vec in vectors:
+        stored = AssetRecord("a", "a", (1.0, 1.0, 1.0), tuple(vec))
+        assert stored.norm.hex() == _dense_norm(vec).hex(), vec
+
+
 def test_fixture_catalog_resolves_bundle_descriptions(catalog):
     hit = retrieve_asset(catalog, "a brown fabric two seater sofa")
     assert hit.id == "sofa_fabric"

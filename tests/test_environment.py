@@ -1,8 +1,9 @@
 import dataclasses
 import json
+import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from envcover.environment import (
@@ -21,6 +22,7 @@ from envcover.environment import (
     serialize_environment,
 )
 from envcover.errors import SchemaViolation
+from envcover.semantics import CARDINALS
 from envcover.validator import check_entities
 
 
@@ -494,3 +496,194 @@ def test_bundle_environments_round_trip(built_envs):
     for env in built_envs:
         text = serialize_environment(env)
         assert serialize_environment(deserialize_environment(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# every number of a part is finite, and every scene reads back
+# ---------------------------------------------------------------------------
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "corners",
+    [(NAN, 0, 4, 3), (0, 0, INF, 3), (0, -INF, 4, 3), (0, 0, 4, NAN)],
+    ids=["x_min_nan", "x_max_inf", "z_min_minus_inf", "z_max_nan"],
+)
+def test_a_room_rejects_a_non_finite_corner(corners):
+    with pytest.raises(SchemaViolation, match="room corners must be finite"):
+        Room("r", *corners)
+
+
+@pytest.mark.parametrize(
+    "size", [(NAN, 1, 1), (1, INF, 1), (1, 1, -INF)], ids=["x_nan", "y_inf", "z_minus_inf"]
+)
+def test_an_object_rejects_a_non_finite_size(size):
+    with pytest.raises(SchemaViolation, match="object size must be finite"):
+        obj("box", size)
+
+
+@pytest.mark.parametrize(
+    "position", [(NAN, 0, 1), (0, INF, 1), (0, 0, -INF)], ids=["x_nan", "y_inf", "z_minus_inf"]
+)
+def test_a_placement_rejects_a_non_finite_position(position):
+    with pytest.raises(SchemaViolation, match="placement position must be finite"):
+        Placement("box", position, "north")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"width": NAN}, {"height": INF}, {"position": (NAN, 0.0)}],
+    ids=["width_nan", "height_inf", "position_nan"],
+)
+def test_a_doorway_rejects_a_non_finite_number(fields):
+    with pytest.raises(SchemaViolation, match="doorway width, height and position must be finite"):
+        Doorway(**{"id": "door", "connects": ("r", "exterior"), "width": 0.9, "height": 2.0, **fields})
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"sill_height": NAN}, {"width": INF}, {"height": NAN}, {"position": (1.0, INF)}],
+    ids=["sill_nan", "width_inf", "height_nan", "position_inf"],
+)
+def test_a_window_rejects_a_non_finite_number(fields):
+    base = {"id": "win", "room": "r", "orientation": "north", "width": 1.0, "height": 1.0, "sill_height": 0.9}
+    with pytest.raises(SchemaViolation, match="window .* must be finite"):
+        Window(**{**base, **fields})
+
+
+ROOM_R = Room("r", 0.0, 0.0, 4.0, 4.0)
+
+
+@pytest.mark.parametrize(
+    "env, where",
+    [
+        (EnvironmentSpec("e", "t", "j", rooms=[Room("r", 0.0, 0.0, 4e-7, 3.0)]), "rooms[r]"),
+        (
+            EnvironmentSpec(
+                "e", "t", "j", rooms=[ROOM_R],
+                objects=[obj("chip", (0.1, 4e-7, 0.1), room="r")],
+                placements=[placed("chip", 1.0, 0.0, 1.0)],
+            ),
+            "objects[chip]",
+        ),
+        (
+            EnvironmentSpec(
+                "e", "t", "j", rooms=[ROOM_R],
+                doorways=[Doorway("slit", ("r", "exterior"), width=1e-9, height=2.0)],
+            ),
+            "doorways[slit]",
+        ),
+    ],
+    ids=["room", "object", "doorway"],
+)
+def test_serialize_refuses_an_extent_its_six_decimals_store_as_zero(env, where):
+    with pytest.raises(SchemaViolation, match="rounds to zero") as excinfo:
+        serialize_environment(env)
+    assert excinfo.value.field == where
+
+
+def _mostly(common, rare):
+    """common in seven draws of eight, else rare."""
+    return st.tuples(st.integers(0, 7), common, rare).map(lambda t: t[2] if t[0] == 7 else t[1])
+
+
+# one draw in eight is a number a part refuses or a document's six decimals
+# store as zero
+_specials = st.sampled_from([NAN, INF, -INF, -0.0, 4e-7, 5e-324, 1e16])
+_numbers = _mostly(st.floats(-50, 50), _specials)
+_extents = _mostly(st.floats(1e-6, 50), _specials.map(abs))
+_labels = st.text(st.characters(max_codepoint=0x2FF), max_size=4)
+
+
+def _built(make, *args, **kwargs):
+    """make(*args, **kwargs), or None when the part refuses its fields."""
+    try:
+        return make(*args, **kwargs)
+    except SchemaViolation:
+        return None
+
+
+@st.composite
+def constructible_scenes(draw):
+    """Scenes of parts drawn from any numbers; a part that refuses its
+    fields is left out, so every scene drawn can be built."""
+    number, extent = _numbers, _extents
+    rooms = []
+    for rid in ("a", "b")[: draw(st.integers(1, 2))]:
+        x, z = draw(number), draw(number)
+        rooms.append(_built(Room, rid, x, z, x + draw(extent), z + draw(extent)))
+    rooms = [r for r in rooms if r]
+    assume(rooms)
+    in_a_room = st.sampled_from([r.id for r in rooms])
+    position = st.none() | st.tuples(number, number)
+    doorways = [
+        _built(Doorway, f"door{k}", (draw(in_a_room), "exterior"), draw(extent), draw(extent), draw(position))
+        for k in range(draw(st.integers(0, 2)))
+    ]
+    windows = [
+        _built(
+            Window, f"win{k}", draw(in_a_room), draw(st.sampled_from(CARDINALS)),
+            draw(extent), draw(extent), draw(extent), draw(position),
+        )
+        for k in range(draw(st.integers(0, 2)))
+    ]
+    objects, placements = [], []
+    for k in range(draw(st.integers(0, 5))):
+        attributes = draw(st.dictionaries(_labels, _labels, max_size=2))
+        size = (draw(extent), draw(extent), draw(extent))
+        category = draw(st.sampled_from(["task_related", "enrichment"]))
+        part = _built(ObjectSpec, f"o{k}", draw(_labels), draw(in_a_room), size, category, attributes)
+        position = (draw(number), draw(number), draw(number))
+        if placements and draw(st.booleans()):  # on top of, or inside, an earlier object
+            below = draw(st.sampled_from(range(len(placements))))
+            x, y, z = placements[below].position
+            position = (x, y + draw(st.sampled_from([0.0, objects[below].size[1]])), z)
+        spot = _built(Placement, f"o{k}", position, draw(st.sampled_from(CARDINALS)))
+        if part and spot:
+            objects.append(part)
+            placements.append(spot)
+    ids = [o.id for o in objects]
+    relations = []
+    if ids:
+        for subject in draw(st.lists(st.sampled_from(ids), max_size=3)):
+            kind = draw(st.sampled_from(["mounted_on_wall", "on_top_of", "in", "near"]))
+            others = [i for i in ids if i != subject]
+            if kind == "mounted_on_wall":
+                relations.append(SpatialRelation(kind, subject))
+            elif others:
+                relations.append(SpatialRelation(kind, subject, draw(st.sampled_from(others))))
+    return EnvironmentSpec(
+        id=draw(_labels),
+        task_id=draw(_labels),
+        trajectory_id=draw(_labels),
+        rooms=rooms,
+        doorways=[d for d in doorways if d],
+        windows=[w for w in windows if w],
+        objects=objects,
+        relations=relations,
+        placements=draw(st.permutations(placements)),
+        relaxed_relations=draw(st.lists(st.integers(0, len(relations) - 1), max_size=2)) if relations else [],
+        tracked_entities=draw(st.lists(st.sampled_from([*ids, "ghost"]), max_size=3, unique=True)),
+    )
+
+
+@given(env=constructible_scenes())
+def test_every_constructible_scene_reads_back_to_its_own_text(env):
+    try:
+        text = serialize_environment(env)
+    except SchemaViolation as exc:
+        assert "rounds to zero" in str(exc)
+        return
+    assert "NaN" not in text and "Infinity" not in text
+    assert serialize_environment(deserialize_environment(text)) == text
+
+
+def test_a_scene_with_a_non_finite_placement_cannot_be_built():
+    # such a placement was accepted once, and its scene's text held NaN
+    with pytest.raises(SchemaViolation, match="placement position must be finite"):
+        EnvironmentSpec(
+            "e", "t", "j", rooms=[ROOM_R],
+            objects=[obj("box", (1.0, 1.0, 1.0), room="r")],
+            placements=[placed("box", NAN, 0.0, 1.0)],
+        )

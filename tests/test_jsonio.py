@@ -1,5 +1,6 @@
 """The typed record reader and writer: shapes, the error contract, rounding,
-and the canonical text writer against json.dumps."""
+the canonical text writer against json.dumps, and the record writer against
+the plain tree that json_text writes."""
 
 import json
 import math
@@ -10,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from envcover.errors import SchemaViolation
-from envcover.jsonio import as_record, json_text, parse_as
+from envcover.jsonio import json_text, parse_as, record_text
+from oracles import two_pass_record_text
 
 
 @dataclass(frozen=True)
@@ -78,17 +80,17 @@ def test_a_mismatch_is_a_schema_violation_naming_its_path(doc, path, problem):
     assert problem in str(excinfo.value)
 
 
-def test_as_record_rounds_floats_and_writes_tuples_as_lists():
+def test_record_text_rounds_floats_and_writes_tuples_as_lists():
     tree = Tree(leaves=(Leaf("a", 1 / 3, 2),), point=(1, 2.0000004), tags={"k": "v"}, raw=(1 / 3,))
-    record = as_record(tree)
+    record = json.loads(record_text(tree))
     assert record == {
         "leaves": [{"name": "a", "size": 0.333333, "count": 2, "flag": False}],
         "point": [1.0, 2.0],
         "tags": {"k": "v"},
-        "raw": (1 / 3,),
+        "raw": [1 / 3],
     }
     assert parse_as(Tree, {**record, "raw": None}, "tree").point == (1.0, 2.0)
-    assert as_record(Tree(leaves=()))["point"] is None
+    assert json.loads(record_text(Tree(leaves=())))["point"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -131,3 +133,94 @@ def test_json_text_is_indented_json_dumps(ordered, doc):
 def test_json_text_rejects_other_types(doc):
     with pytest.raises(TypeError):
         json_text(doc)
+
+
+# ---------------------------------------------------------------------------
+# the record writer against the two-pass oracle
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Part:
+    label: str
+    weight: float
+    note: str | None = None
+    limit: float | None = None
+
+
+@dataclass(frozen=True)
+class Whole:
+    name: str
+    size: float
+    count: int
+    flag: bool
+    point: tuple[float, float, float]
+    pair: tuple[str, float]
+    words: tuple[str, ...]
+    values: tuple[float, ...]
+    corners: tuple[tuple[float, float], ...]
+    parts: tuple[Part, ...]
+    tags: dict[str, str]
+    table: dict[str, dict[str, float]]
+    child: Part | None
+    raw: object
+
+
+@dataclass(frozen=True)
+class Empty:
+    pass
+
+
+# a float field takes floats that round to -0.0, to a subnormal's 0.0 or to
+# themselves, and ints and bools
+numbers = (
+    st.floats()
+    | st.sampled_from([-0.0, -1e-7, -4.9e-7, 5e-7, 1e16, 1e-7, 5e-324, 2.2e-308, 123.4567895])
+    | st.integers(-(2**53), 2**53)
+    | st.booleans()
+)
+texts_with_brackets = texts | st.sampled_from(['"[{}]"', "}{][", "\\\""])
+parts = st.builds(
+    Part,
+    label=texts_with_brackets,
+    weight=numbers,
+    note=st.none() | texts_with_brackets,
+    limit=st.none() | numbers,
+)
+wholes = st.builds(
+    Whole,
+    name=texts_with_brackets,
+    size=numbers,
+    count=st.integers(),
+    flag=st.booleans(),
+    point=st.tuples(numbers, numbers, numbers),
+    pair=st.tuples(texts, numbers),
+    words=st.lists(texts_with_brackets, max_size=3).map(tuple),
+    values=st.lists(numbers, max_size=3).map(tuple),
+    corners=st.lists(st.tuples(numbers, numbers), max_size=3).map(tuple),
+    parts=st.lists(parts, max_size=3).map(tuple),
+    tags=st.dictionaries(texts_with_brackets, texts, max_size=3),
+    table=st.dictionaries(texts, st.dictionaries(texts, numbers, max_size=2), max_size=2),
+    child=st.none() | parts,
+    raw=documents,
+)
+# records in the plain containers a report wraps them in
+wrapped = st.recursive(
+    wholes | parts | st.builds(Empty) | scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(texts, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize("ordered", [False, True], ids=["sorted", "ordered"])
+@given(part=wholes)
+def test_record_text_equals_the_two_pass_text(ordered, part):
+    assert record_text(part, ordered) == two_pass_record_text(part, ordered)
+
+
+@pytest.mark.parametrize("ordered", [False, True], ids=["sorted", "ordered"])
+@given(doc=wrapped)
+def test_record_text_writes_records_inside_plain_containers(ordered, doc):
+    assert record_text(doc, ordered) == two_pass_record_text(doc, ordered)
