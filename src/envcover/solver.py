@@ -43,37 +43,47 @@ nothing. No clock is read, so the outcome does not depend on machine load.
 Each constraint is one CspConstraint: its scope's variables in search order
 (at least two), its predicate over a full assignment and, for the kinds that
 dominate the solver's runtime (containment, non_collision, near, far, edge,
-side_of, on_top_of, mounted_on_wall), a pruner. In a static variable order
-all but a constraint's last variable are assigned exactly when its
-second-to-last one is, so solve plans per rung which constraints forward
-checking runs after each assignment; each filters its last variable's domain
-mask, and a value that survives satisfies the constraint. A pruner keeps
-exactly the bits that setting each value and calling the predicate keeps: it
-evaluates the same float expressions. Where the predicate splits into an x
-test and a z test, the coordinates that pass each test form one run of the
-sorted grid coordinates (or a prefix and a suffix), so the pruner finds the
-run's ends by bisection, with a few tests per axis, and builds the mask from
-bit ranges. The on_top_of pruner bisects for the rectangle of cells that
-overlap the reference at all and tests the support area on each cell inside
-it. A near or far mask depends only on the partner's cell, so its
-pruner computes it once per partner cell and every relaxation rung reuses
-it; _distance_keep keeps the cells within one closed bound (far keeps the
-rest of the grid under the float just below its limit), sweeps the columns
-outward from the partner, bisects the first column of each side and walks
-each later column's run in from the previous one's. The predicates remain
-the reference: the tests' brute-force oracles call them, and so does
-forward checking, on each set bit, for the kinds without a pruner.
+side_of, on_top_of, mounted_on_wall), a pruner. encode appends each object's
+.dir and .pos next to each other, in search order, so a scope's variables in
+search order are its objects' names with the one searched first leading;
+near, far and center_aligned read centers only and take the .pos names.
+encode makes each object's names, rank and height span once, so it pays per
+object, not per pair, and a pair whose heights do not overlap gets a
+non_collision pruner that keeps every cell. Constraints are plain slotted
+records: nothing assigns or hashes one. In a static variable order all but a
+constraint's last variable are assigned exactly when its second-to-last one
+is, so solve plans per rung which constraints forward checking runs after
+each assignment; each filters its last variable's domain mask, and a value
+that survives satisfies the constraint. A pruner keeps exactly the bits that
+setting each value and calling the predicate keeps: it evaluates the same
+float expressions. Where the predicate splits into an x test and a z test,
+the coordinates that pass each test form one run of the sorted grid
+coordinates (or a prefix and a suffix), so the pruner finds the run's ends
+by bisection, with a few tests per axis, and builds the mask from bit
+ranges. The on_top_of pruner bisects for the rectangle of cells that overlap
+the reference at all and tests the support area on each cell inside it. A
+near or far mask depends only on the partner's cell, so its pruner computes
+it once per partner cell and every relaxation rung reuses it; _distance_keep
+keeps the cells within one closed bound (far keeps the rest of the grid
+under the float just below its limit), sweeps the columns outward from the
+partner, bisects the first column of each side and walks each later column's
+run in from the previous one's. The predicates remain the reference: the
+tests' brute-force oracles call them, and so does forward checking, on each
+set bit, for the kinds without a pruner.
 
 Before it searches, solve tries to prove the rung unsat from the fixed
 inputs alone (_static_core). It tests the height-only parts of above and
-mounted_on_wall on the fixed bottom heights. When the rung keeps a far,
-it bounds each pair's center distance from above, by near, on_top_of, in
-and the extent of the two grids, closes the bounds under the triangle
-inequality (path consistency on distance graphs: Dechter, Meiri and Pearl,
-AIJ 49, 1991; triangle bound smoothing: Crippen and Havel, 1988), and
-compares each far with its pair's closed bound. The bounds hold in the
-continuous room, so a rung they rule out has no grid solution either, and
-solve returns it unsat with zero stats and no search.
+mounted_on_wall on the fixed bottom heights, and an in that no pair of grid
+cells satisfies, in any directions, is unsat whatever else the rung keeps
+(encode decides this once per problem, per axis by bisection:
+_in_cells_exist). When the rung keeps a far, it bounds each pair's center
+distance from above, by near, on_top_of, in and the extent of the two grids,
+closes the bounds under the triangle inequality (path consistency on
+distance graphs: Dechter, Meiri and Pearl, AIJ 49, 1991; triangle bound
+smoothing: Crippen and Havel, 1988), and compares each far with its pair's
+closed bound. The bounds hold in the continuous room, so a rung they rule
+out has no grid solution either, and solve returns it unsat with zero stats
+and no search.
 
 solve_with_relaxation drops the relaxable constraints one at a time, in
 relax_order. An unsat Solution carries pruning, an unsat core: the rung
@@ -171,7 +181,7 @@ class SolverConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CspConstraint:
     id: str
     kind: str  # a relation kind, or a physical kind
@@ -205,19 +215,18 @@ class Solution:
 
 def _grid_points(lo: float, hi: float, res: float) -> list[float]:
     count = (hi + _TOL - lo) / res
-    if count > MAX_GRID_POINTS:  # else the walk below may never end, or fill memory first
+    if count > MAX_GRID_POINTS:  # else the list below may fill memory
         raise ConfigError(
             f"grid resolution {res} puts {count:.3g} points on one axis, over {MAX_GRID_POINTS}"
         )
-    pts = []
-    k = 0
-    while True:
-        v = lo + k * res
-        if v > hi + _TOL:
-            break
-        pts.append(round(v, 6))
-        k += 1
-    return pts
+    # the points are lo + k * res for every k with lo + k * res <= hi + _TOL;
+    # that test is monotone in k, so it corrects the closed-form count
+    n = math.floor(count) + 1 if count >= 0 else 0
+    while n and lo + (n - 1) * res > hi + _TOL:
+        n -= 1
+    while lo + n * res <= hi + _TOL:
+        n += 1
+    return [round(lo + k * res, 6) for k in range(n)]
 
 
 def _overlap_1d(a0, a1, b0, b1) -> float:
@@ -626,10 +635,10 @@ def _overlap_run(cs: list[float], h: float, f0: float, f1: float) -> tuple[int, 
     return a, b
 
 
-def _non_collision_pruner(geo, a: str, b: str):
-    if _overlap_1d(*geo.y_span(a), *geo.y_span(b)) <= _TOL:
-        return _keep_all
-    a_pos = f"{a}.pos"
+def _non_collision_pruner(geo, a: str, a_pos: str, b: str):
+    """Cells where the moving box's footprint stays off the fixed one's, for
+    a pair whose y spans overlap (encode gives any other pair _keep_all).
+    a_pos is a's position variable."""
 
     def prune(assign, u, mask):
         moving, fixed = (a, b) if u == a_pos else (b, a)
@@ -848,6 +857,8 @@ class CspProblem:
         self.variables: list[str] = []  # variable ids in search order
         self.domains: dict[str, Sequence] = {}
         self.constraints: list[CspConstraint] = []
+        # the ids of the in constraints that no pair of grid cells satisfies
+        self.cellless_in: set[str] = set()
         self._encode()
 
     # -- construction -------------------------------------------------------
@@ -879,6 +890,7 @@ class CspProblem:
         order = sorted(
             self.objects, key=lambda o: (-(o.size[0] * o.size[2]), o.id)
         )
+        names: dict[str, tuple[str, str]] = {}  # (.dir, .pos) per object, in search order
         for o in order:
             room = self.geo.rooms[o.room]
             fits_any = [
@@ -895,10 +907,11 @@ class CspProblem:
             zs = grid_points(room.z_min + min_fz / 2, room.z_max - min_fz / 2)
             if not xs or not zs:
                 raise EncodingError(f"no grid cell fits object {o.id!r} in room {room.id!r}")
-            grid = self.geo.grids[o.id] = _Grid(xs, zs)
-            self.variables += [f"{o.id}.dir", f"{o.id}.pos"]
-            self.domains[f"{o.id}.dir"] = list(DIRECTION_VECTORS)
-            self.domains[f"{o.id}.pos"] = grid
+            self.geo.grids[o.id] = _Grid(xs, zs)
+            dir_var, pos_var = names[o.id] = f"{o.id}.dir", f"{o.id}.pos"
+            self.variables += names[o.id]
+            self.domains[dir_var] = list(DIRECTION_VECTORS)
+            self.domains[pos_var] = self.geo.grids[o.id]
 
         for door in sorted(self.doorways, key=lambda d: d.id):
             a, b = door.connects
@@ -936,22 +949,25 @@ class CspProblem:
             self.variables.append(f"{win.id}.pos")
             self.domains[f"{win.id}.pos"] = cells
 
-        self._emit_constraints()
+        self._emit_constraints(names)
 
-    def _emit_constraints(self) -> None:
+    def _emit_constraints(self, names: dict[str, tuple[str, str]]) -> None:
         geo = self.geo
-        rank = {vid: i for i, vid in enumerate(self.variables)}
+        constraints = self.constraints
+        # _encode appends each object's .dir and .pos next to each other, in
+        # search order, so a scope's variables in search order are its
+        # objects' names, the lower-ranked object's first. Distance and
+        # alignment predicates read footprint centers only, so their scope
+        # takes no direction variable: forward checking then prunes a
+        # position domain as soon as the other endpoint's position is known
+        rank = {o: k for k, o in enumerate(names)}
 
-        def add(cid, kind, scope, check, prune=None, relaxable=False, rel_idx=None):
-            # distance and alignment predicates read footprint centers only,
-            # so their scope takes no direction variable: forward checking
-            # then prunes a position domain as soon as the other endpoint's
-            # position is known
-            parts = (".pos",) if kind in _POSITION_ONLY_KINDS else (".dir", ".pos")
-            variables = sorted((e + part for e in scope for part in parts), key=rank.__getitem__)
-            self.constraints.append(
-                CspConstraint(cid, kind, tuple(scope), tuple(variables), check, prune, relaxable, rel_idx)
-            )
+        def pair_variables(a: str, b: str, kind: str) -> tuple[str, ...]:
+            if rank[a] > rank[b]:
+                a, b = b, a
+            if kind in _POSITION_ONLY_KINDS:
+                return names[a][1], names[b][1]
+            return names[a] + names[b]
 
         for o in self.objects:
             room = geo.rooms[o.room]
@@ -965,54 +981,72 @@ class CspProblem:
                     and box[5] <= room.z_max + _TOL
                 )
 
-            add(
-                f"phys:containment:{o.id}",
-                "room_containment",
-                (o.id,),
-                contained,
-                _containment_pruner(geo, o.id, room),
+            constraints.append(
+                CspConstraint(
+                    f"phys:containment:{o.id}",
+                    "room_containment",
+                    (o.id,),
+                    names[o.id],
+                    contained,
+                    _containment_pruner(geo, o.id, room),
+                )
             )
 
         # relations come before the pairwise non-collision constraints, so
         # forward checking first cuts a supported object's position domain
         # down to the cells over its host
         for idx, rel in enumerate(self.relations):
-            scope = (rel.subject,) if rel.reference is None else (rel.subject, rel.reference)
-            add(
-                f"rel[{idx}]:{rel.kind}:{rel.subject}",
-                rel.kind,
-                scope,
-                *self._relation(rel),
-                relaxable=rel.priority == "enrichment" and rel.kind not in SUPPORT_KINDS,
-                rel_idx=idx,
+            s, r = rel.subject, rel.reference
+            cid = f"rel[{idx}]:{rel.kind}:{s}"
+            if rel.kind == "in" and not _in_cells_exist(geo, s, r):
+                self.cellless_in.add(cid)
+            constraints.append(
+                CspConstraint(
+                    cid,
+                    rel.kind,
+                    (s,) if r is None else (s, r),
+                    names[s] if r is None else pair_variables(s, r, rel.kind),
+                    *self._relation(rel),
+                    rel.priority == "enrichment" and rel.kind not in SUPPORT_KINDS,
+                    idx,
+                )
             )
 
-        in_pairs = {frozenset((r.subject, r.reference)) for r in self.relations if r.kind == "in"}
-        by_room: dict[str, list[ObjectSpec]] = {}
+        in_pairs = {(rel.subject, rel.reference) for rel in self.relations if rel.kind == "in"}
+        spans = {o.id: geo.y_span(o.id) for o in self.objects}
+        by_room: dict[str, list[str]] = {}
         for o in self.objects:
-            by_room.setdefault(o.room, []).append(o)
+            by_room.setdefault(o.room, []).append(o.id)
         for room_objects in by_room.values():
-            for i in range(len(room_objects)):
-                for j in range(i + 1, len(room_objects)):
-                    a, b = room_objects[i], room_objects[j]
-                    if frozenset((a.id, b.id)) in in_pairs:
+            for i, a in enumerate(room_objects):
+                a_lo, a_hi = spans[a]
+                for b in room_objects[i + 1 :]:
+                    if (a, b) in in_pairs or (b, a) in in_pairs:
                         continue  # containment implies overlap by design
 
                     def apart(assign, a=a, b=b):
-                        ba = geo.placed_box(a.id, assign)
-                        bb = geo.placed_box(b.id, assign)
+                        ba = geo.placed_box(a, assign)
+                        bb = geo.placed_box(b, assign)
                         return (
                             _overlap_1d(ba[0], ba[3], bb[0], bb[3]) <= _TOL
                             or _overlap_1d(ba[1], ba[4], bb[1], bb[4]) <= _TOL
                             or _overlap_1d(ba[2], ba[5], bb[2], bb[5]) <= _TOL
                         )
 
-                    add(
-                        f"phys:non_collision:{a.id}+{b.id}",
-                        "non_collision",
-                        (a.id, b.id),
-                        apart,
-                        _non_collision_pruner(geo, a.id, b.id),
+                    # boxes whose heights do not overlap never collide
+                    if _overlap_1d(a_lo, a_hi, *spans[b]) <= _TOL:
+                        prune = _keep_all
+                    else:
+                        prune = _non_collision_pruner(geo, a, names[a][1], b)
+                    constraints.append(
+                        CspConstraint(
+                            f"phys:non_collision:{a}+{b}",
+                            "non_collision",
+                            (a, b),
+                            pair_variables(a, b, "non_collision"),
+                            apart,
+                            prune,
+                        )
                     )
 
     # -- relation predicates (solver-side geometry) -------------------------
@@ -1316,6 +1350,46 @@ def _host_bound(geo: _Geometry, s: str, r: str, kind: str) -> float:
     return math.hypot(r_x, r_z) / 2 + math.sqrt(2) * slack
 
 
+def _inside_run_exists(cs: list[float], hc: float, ps: list[float], hp: float) -> bool:
+    """Do some c in cs and p in ps put [c - hc, c + hc] inside [p - hp, p +
+    hp] by _inside_span? For each p, c - hc >= p - hp - _IN_EPS turns true
+    once along the sorted cs and c + hc <= p + hp + _IN_EPS turns false once,
+    so the c that pass are one run: the first c that passes the low test
+    passes both, or no c does."""
+    for p in ps:
+        lo, hi = p - hp, p + hp
+        i = _first(cs, lambda c: c - hc >= lo - _IN_EPS)
+        if i < len(cs) and _inside_span(cs[i] - hc, cs[i] + hc, lo, hi):
+            return True
+    return False
+
+
+def _in_cells_exist(geo: _Geometry, s: str, r: str) -> bool:
+    """Does some pair of cells of s's and r's grids, in some pair of
+    directions, satisfy s in r?
+
+    The in predicate is one _inside_span test per axis on geo.box's
+    extents. The y extents are fixed, and the x (z) extents of a pair of
+    directions depend on the two x (z) coordinates alone, so each axis is
+    decided on its own, per pair of footprints, by bisection on one grid's
+    coordinates for each of the other's, never over the product of the
+    two domains.
+    """
+    if not _inside_span(*geo.y_span(s), *geo.y_span(r)):
+        return False
+    gs, gr = geo.grids[s], geo.grids[r]
+    shapes = {
+        (geo.footprints[(s, ds)], geo.footprints[(r, dr)])
+        for ds in DIRECTION_VECTORS
+        for dr in DIRECTION_VECTORS
+    }
+    return any(
+        _inside_run_exists(gs.xs, fsx / 2, gr.xs, frx / 2)
+        and _inside_run_exists(gs.zs, fsz / 2, gr.zs, frz / 2)
+        for (fsx, fsz), (frx, frz) in shapes
+    )
+
+
 def _static_core(problem: CspProblem, skip: frozenset) -> frozenset | None:
     """An unsat core of the rung that keeps every constraint outside skip,
     proved without search, or None.
@@ -1323,7 +1397,9 @@ def _static_core(problem: CspProblem, skip: frozenset) -> frozenset | None:
     Heights are fixed before the search, so the height-only tests of above
     (a[1] < b[4] - SUPPORT_EPS fails it) and mounted_on_wall (a[1] > _TOL)
     are evaluated once, with the predicates' own float expressions; a
-    failing one is a core by itself. (in's are a pre-solve rule.)
+    failing one is a core by itself. (in's are a pre-solve rule.) So is an
+    in that encode found no pair of grid cells to satisfy, in any
+    directions (problem.cellless_in).
 
     When the rung keeps a far, every pair of the objects that near, far,
     on_top_of and in name gets an upper bound on its center distance: the
@@ -1353,6 +1429,8 @@ def _static_core(problem: CspProblem, skip: frozenset) -> frozenset | None:
         if c.kind == "far":
             fars.append((s, r, c.id))
             continue
+        if c.id in problem.cellless_in:
+            return frozenset((c.id,))
         bound = _NEAR_BOUND if c.kind == "near" else _host_bound(geo, s, r, c.kind)
         pair = (s, r) if s < r else (r, s)
         if pair not in upper or bound < upper[pair][0]:

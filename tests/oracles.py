@@ -10,8 +10,10 @@ import dataclasses
 import typing
 from itertools import combinations
 
-from envcover.errors import EnvcoverError, SchemaViolation
+from envcover.environment import SUPPORT_KINDS
+from envcover.errors import ConfigError, EnvcoverError, SchemaViolation
 from envcover.jsonio import json_text
+from envcover.solver import _TOL, MAX_GRID_POINTS
 from envcover.task_model import BehaviorPlanTree, Leaf, Node, normalize_text
 from envcover.trajectories import LogicalTrajectory, covered_constraints, split_constraints
 
@@ -130,3 +132,61 @@ def two_pass_record_text(part, ordered: bool = False) -> str:
     the plain tree first, then written by json_text; jsonio.record_text must
     equal it byte for byte."""
     return json_text(_plain_tree(part), ordered)
+
+
+def walked_grid_points(lo: float, hi: float, res: float) -> list[float]:
+    """The grid points of one axis, walked one at a time: lo + k * res for
+    k = 0, 1, ... until a point passes hi + _TOL, each rounded to 6 places,
+    after the same MAX_GRID_POINTS refusal; solver._grid_points must equal
+    it element for element."""
+    count = (hi + _TOL - lo) / res
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid resolution {res} puts {count:.3g} points on one axis, over {MAX_GRID_POINTS}"
+        )
+    pts = []
+    k = 0
+    while True:
+        v = lo + k * res
+        if v > hi + _TOL:
+            break
+        pts.append(round(v, 6))
+        k += 1
+    return pts
+
+
+def emitted_constraints(problem) -> list[tuple]:
+    """Each constraint a CspProblem should hold, as (id, kind, scope,
+    variables, relaxable, relation_index, keeps_all), by the generic rule:
+    a containment per object, then a constraint per relation, then a
+    non_collision per pair of objects in one room that no in relation
+    joins; a scope's variables are its objects' .pos (near, far,
+    center_aligned) or .dir and .pos names, sorted by their index in
+    problem.variables; keeps_all says a non_collision pair's y spans, from
+    geo.y_span, overlap by at most _TOL, so its pruner keeps every cell.
+    Compare with the constraints' fields and `prune is _keep_all`."""
+    rank = {vid: i for i, vid in enumerate(problem.variables)}
+    geo = problem.geo
+
+    def census(cid, kind, scope, relaxable=False, relation_index=None, keeps_all=False):
+        parts = (".pos",) if kind in ("near", "far", "center_aligned") else (".dir", ".pos")
+        variables = sorted((e + part for e in scope for part in parts), key=rank.__getitem__)
+        return (cid, kind, tuple(scope), tuple(variables), relaxable, relation_index, keeps_all)
+
+    out = [census(f"phys:containment:{o.id}", "room_containment", (o.id,)) for o in problem.objects]
+    for idx, rel in enumerate(problem.relations):
+        scope = (rel.subject,) if rel.reference is None else (rel.subject, rel.reference)
+        relaxable = rel.priority == "enrichment" and rel.kind not in SUPPORT_KINDS
+        out.append(census(f"rel[{idx}]:{rel.kind}:{rel.subject}", rel.kind, scope, relaxable, idx))
+    in_pairs = {frozenset((r.subject, r.reference)) for r in problem.relations if r.kind == "in"}
+    by_room: dict[str, list] = {}
+    for o in problem.objects:
+        by_room.setdefault(o.room, []).append(o.id)
+    for ids in by_room.values():
+        for a, b in combinations(ids, 2):
+            if frozenset((a, b)) in in_pairs:
+                continue
+            (a_lo, a_hi), (b_lo, b_hi) = geo.y_span(a), geo.y_span(b)
+            keeps_all = min(a_hi, b_hi) - max(a_lo, b_lo) <= _TOL
+            out.append(census(f"phys:non_collision:{a}+{b}", "non_collision", (a, b), keeps_all=keeps_all))
+    return out

@@ -34,11 +34,18 @@ from envcover.environment import (
 from envcover.errors import ConfigError, CoreUnsat, EncodingError, SchemaViolation, SolverTimeout
 from envcover.semantics import DIRECTION_VECTORS, SIDE_LONG_MAX, SUPPORT_EPS, SUPPORT_OVERLAP_FRAC
 from envcover.solver import (
+    _IN_EPS,
     _TOL,
+    MAX_GRID_POINTS,
     SolverConfig,
     _distance_keep,
     _distance_pruner,
+    _grid_points,
     _Grid,
+    _in_cells_exist,
+    _inside_run_exists,
+    _inside_span,
+    _keep_all,
     _resting_pruner,
     _ValueOrder,
     _static_core,
@@ -48,7 +55,7 @@ from envcover.solver import (
     solve_with_relaxation,
 )
 from envcover.validator import _relation_holds, check_entities, validate_physics
-from oracles import check_assignment
+from oracles import check_assignment, emitted_constraints, walked_grid_points
 
 GRID = SolverConfig(grid_resolution=0.25, seed=0)
 
@@ -114,6 +121,46 @@ def test_encoding_census_for_one_room_two_objects_one_relation():
     assert relation[0].scope == ("book", "sofa")
     assert relation[0].variables == ("sofa.dir", "sofa.pos", "book.dir", "book.pos")
     assert not relation[0].relaxable  # contact relations are never dropped
+
+
+def constraint_census(problem) -> list[tuple]:
+    """emitted_constraints' fields, read from the problem's constraints."""
+    return [
+        (c.id, c.kind, c.scope, c.variables, c.relaxable, c.relation_index, c.prune is _keep_all)
+        for c in problem.constraints
+    ]
+
+
+def test_encode_emits_the_constraints_of_the_generic_rule(
+    selected_trajectories, catalog, task_schema, cassette_records
+):
+    # the seeded pre-solve drafts that encode accepts, the differential
+    # instances and the three fixture scenes
+    problems = []
+    rng = random.Random("pre-solve")
+    for trial in range(300):
+        rooms, objects, relations = pre_solve_draft(rng)
+        try:
+            problems.append(encode(rooms, [], [], objects, relations, SolverConfig(grid_resolution=0.5)))
+        except EncodingError:
+            pass
+    rng = random.Random(20261018)
+    for _ in range(40):
+        rooms, objects, relations = differential_instance(rng)
+        problems.append(encode(rooms, [], [], objects, relations, GRID))
+    _, selected = selected_trajectories
+    fixture, _ = fixture_scene_solutions(
+        selected, catalog, task_schema, cassette_records, lambda i: SolverConfig(grid_resolution=0.2)
+    )
+    assert len(fixture) == 3
+    for problem in problems + fixture:
+        assert constraint_census(problem) == emitted_constraints(problem)
+    # the census covers pairs whose subject is searched first and last, both
+    # variable shapes, and pruned and unpruned non_collision pairs
+    pairs = [c for p in problems + fixture for c in p.constraints if len(c.scope) == 2]
+    assert {c.variables[0].startswith(c.scope[0] + ".") for c in pairs} == {True, False}
+    assert {len(c.variables) for c in pairs} == {2, 4}
+    assert {c.prune is _keep_all for c in pairs if c.kind == "non_collision"} == {True, False}
 
 
 def test_direction_swaps_rectangular_footprints():
@@ -256,6 +303,71 @@ def test_a_grid_too_fine_for_its_room_is_a_config_error(step):
     with pytest.raises(ConfigError, match=rf"grid resolution {step} puts .* points on one axis"):
         encode([room4()], [], [], [sofa], [], config)
     assert config._grids == {} and config._orders == {}
+
+
+def end_on(lo: float, res: float, k: int) -> float:
+    """An hi whose hi + _TOL is point k, lo + k * res, exactly where a float
+    within a few ulps of it gives that, else the nearest one tried."""
+    target = lo + k * res
+    hi = target - _TOL
+    for _ in range(8):
+        if hi + _TOL == target:
+            break
+        hi = math.nextafter(hi, -math.inf if hi + _TOL > target else math.inf)
+    return hi
+
+
+def same_grid_points(lo: float, hi: float, res: float) -> None:
+    """_grid_points equals the walk element for element, or both refuse
+    with the same message."""
+    try:
+        expected = walked_grid_points(lo, hi, res)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as refused:
+            _grid_points(lo, hi, res)
+        assert str(refused.value) == str(exc)
+        return
+    assert list(map(repr, _grid_points(lo, hi, res))) == list(map(repr, expected))
+
+
+@st.composite
+def grid_axes(draw):
+    """(lo, hi, res): spans the step may not divide, ends on a point to the
+    float, ends below lo, and point counts near MAX_GRID_POINTS."""
+    res = draw(st.sampled_from([0.025, 0.05, 0.1, 0.2, 0.25, 1 / 3, 0.7]) | st.floats(1e-3, 2.0))
+    lo = draw(st.sampled_from([0.0, 0.2, 0.45, -1.3, 1e6]) | st.floats(-1e3, 1e3))
+    shape = draw(st.sampled_from(["span", "on_a_point", "reversed", "near_max"]))
+    if shape == "span":
+        return lo, lo + draw(st.floats(0.0, 40.0)), res
+    if shape == "on_a_point":
+        return lo, end_on(lo, res, draw(st.integers(0, 400))), res
+    if shape == "reversed":
+        return lo, lo - draw(st.floats(1e-12, 40.0)), res
+    k = MAX_GRID_POINTS + draw(st.integers(-2, 2))
+    return lo, end_on(lo, res, k) + draw(st.sampled_from([-1e-12, 0.0, 1e-12])), res
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis=grid_axes())
+def test_grid_points_equal_the_walk(axis):
+    same_grid_points(*axis)
+
+
+def test_grid_points_keep_a_point_exactly_on_the_end_and_drop_it_one_ulp_short():
+    hits = 0
+    for lo, res in [(0.2, 0.1), (0.45, 0.05), (1 / 3, 0.25), (0.075, 0.2), (-1.3, 0.7), (0.0, 0.025)]:
+        for k in range(60):
+            hi = end_on(lo, res, k)
+            if hi + _TOL != lo + k * res:
+                continue
+            hits += 1
+            below = math.nextafter(hi, -math.inf)
+            for end in (hi, below):
+                same_grid_points(lo, end, res)
+            assert len(_grid_points(lo, hi, res)) == k + 1
+            if below + _TOL < lo + k * res:
+                assert len(_grid_points(lo, below, res)) == k
+    assert hits >= 300
 
 
 # ---------------------------------------------------------------------------
@@ -1576,7 +1688,7 @@ def test_pruners_change_no_search_outcome():
 # status, assignments, stats and relaxed list, or the exception. A change
 # that means to alter search outcomes (a new search order, backjumping)
 # updates it on purpose, as it does PINNED_RUN_DIGESTS.
-PINNED_SEARCH_OUTCOMES = "a03c0654f95ed72fd03c77808b3f46bf79fdf55288afcc721045d3c1af616c18"
+PINNED_SEARCH_OUTCOMES = "c049cc7560ff49cf994cff22db3d8cb3c213b557dba3dde3419068a4ee548bf1"
 
 
 def test_one_config_solves_each_problem_as_a_fresh_one_would():
@@ -1887,6 +1999,97 @@ def test_room_bounds_reach_the_far_corners_of_both_grids():
     corners = {"a.pos": (0.2, 0.2), "b.pos": (2.7, 2.2), "a.dir": "north", "b.dir": "north"}
     assert all(corners[vid] in problem.domains[vid] for vid in problem.variables)
     assert check_assignment(problem, corners)
+
+
+def in_instance(rng):
+    """A toy in a crate about its size, and a table, in a small room on a
+    coarse grid: the crate's and the toy's grids are offset by a fraction
+    of the step, so a toy that fits the crate may fit it at no pair of
+    cells."""
+    room = make_room("r", 0, 0, rng.choice([1.0, 1.25, 1.5]), rng.choice([1.0, 1.25]))
+    crate = obj("crate", (rng.randint(30, 70) / 100, 0.4, rng.randint(30, 70) / 100))
+    toy = obj("toy", tuple(round(v * rng.uniform(0.4, 1.02), 2) for v in crate.size))
+    table = obj("table", (0.3, 0.5, 0.3))
+    grid = SolverConfig(grid_resolution=rng.choice([0.2, 0.25, 0.3]))
+    return [room], [crate, toy, table], [SpatialRelation(kind="in", subject="toy", reference="crate")], grid
+
+
+def test_the_in_proof_agrees_with_enumerating_both_grids():
+    # both senses: no pair of cells in any directions satisfies the in
+    # predicate exactly when encode records the in constraint as cellless
+    rng = random.Random("in-cells")
+    outcomes = collections.Counter()
+    for trial in range(80):
+        rooms, objects, relations, grid = in_instance(rng)
+        try:
+            problem = encode(rooms, [], [], objects, relations, grid)
+        except EncodingError:
+            continue
+        (c,) = (c for c in problem.constraints if c.kind == "in")
+        satisfied = any(
+            c.check(dict(zip(c.variables, values)))
+            for values in itertools.product(*(problem.domains[v] for v in c.variables))
+        )
+        assert _in_cells_exist(problem.geo, "toy", "crate") == satisfied, trial
+        assert (c.id in problem.cellless_in) == (not satisfied), trial
+        assert (_static_core(problem, frozenset()) == {c.id}) == (not satisfied), trial
+        outcomes[satisfied] += 1
+    assert outcomes[True] >= 25 and outcomes[False] >= 25, outcomes
+
+
+def test_an_in_axis_is_decided_as_enumerating_both_coordinate_lists_decides_it():
+    # one edge of the in predicate's window put on a difference of two
+    # cells, to a few ulps, so that the float rounding of each point
+    # decides; on some lists a later partner cell passes where the first
+    # one does not
+    rng = random.Random("in-axis")
+    decided = collections.Counter()
+    for _ in range(2000):
+        side, res = rng.choice([1.0, 1.25, 1.5, 2.0]), rng.choice([0.1, 0.15, 0.2, 0.25, 0.3])
+        toy, crate = rng.randint(20, 60) / 100, rng.randint(30, 80) / 100
+        cs = _grid_points(toy / 2, side - toy / 2, res)
+        ps = _grid_points(crate / 2, side - crate / 2, res)
+        hc, d = toy / 2, rng.choice(cs) - rng.choice(ps)
+        hp = hc - _IN_EPS - d if rng.random() < 0.5 else d + hc - _IN_EPS
+        for _ in range(rng.randint(0, 3)):
+            hp = math.nextafter(hp, math.inf)
+        if hp <= 0:
+            continue
+        expected = any(_inside_span(c - hc, c + hc, p - hp, p + hp) for c in cs for p in ps)
+        assert _inside_run_exists(cs, hc, ps, hp) == expected, (cs, hc, ps, hp)
+        first = any(_inside_span(c - hc, c + hc, ps[0] - hp, ps[0] + hp) for c in cs)
+        decided[expected, first] += 1
+    assert decided[True, True] >= 100 and decided[False, False] >= 100, decided
+    assert decided[True, False] >= 10, decided
+
+
+def test_an_in_no_pair_of_cells_satisfies_is_core_unsat_without_search():
+    # the toy fits the crate by 0.2 m along one axis and 0.25 m along the
+    # other, but the two grids are 0.125 m apart: in either quarter turn one
+    # axis is off by more than _IN_EPS at every pair of cells
+    crate, toy = obj("crate", (0.4, 0.4, 0.4)), obj("toy", (0.2, 0.2, 0.15))
+    others = [obj(f"o{i}", (0.9, 0.8, 0.6)) for i in range(3)]
+    relations = [
+        SpatialRelation(kind="in", subject="toy", reference="crate"),
+        SpatialRelation(kind="near", subject="o0", reference="crate", priority="enrichment"),
+        SpatialRelation(kind="edge", subject="o1", priority="enrichment"),
+    ]
+    config = SolverConfig(grid_resolution=0.25, max_backtracks=300)
+    problem = encode([room4()], [], [], [crate, toy, *others], relations, config)
+    first = solve(problem)
+    assert (first.status, first.stats, first.pruning) == (
+        "unsat",
+        {"backtracks": 0, "assignments": 0},
+        frozenset({"rel[0]:in:toy"}),
+    )
+    with pytest.raises(CoreUnsat):
+        solve_with_relaxation(problem)
+    # without the proof, the search runs out of its budget instead
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(envcover.solver, "_in_cells_exist", lambda geo, s, r: True)
+        unproved = encode([room4()], [], [], [crate, toy, *others], relations, config)
+        with pytest.raises(SolverTimeout):
+            solve_with_relaxation(unproved)
 
 
 # ---------------------------------------------------------------------------
