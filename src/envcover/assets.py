@@ -30,7 +30,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .errors import EmptyCatalog, SchemaViolation
-from .jsonio import parse_as, read_json, record_text, write_text
+from .jsonio import parse_as, read_json, write_json
 from .task_model import normalize_text
 
 EMBEDDING_DIM = 256
@@ -157,7 +157,7 @@ def save_catalog(catalog: AssetCatalog, path) -> None:
         _StoredAsset(a.id, a.description, a.size, encode_vector(list(a.embedding)))
         for a in catalog.assets
     ]
-    write_text(path, record_text(_StoredCatalog(assets=tuple(stored), dim=catalog.dim)))
+    write_json(path, _StoredCatalog(assets=tuple(stored), dim=catalog.dim))
 
 
 def _scores(catalog: AssetCatalog, query: str):

@@ -9,11 +9,11 @@ files or provider responses that cannot be read or are not valid documents.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 from .errors import ConfigError, EnvcoverError, SchemaViolation
+from .jsonio import json_text
 from .pipeline import (
     RunPaths,
     resolve_bundle,
@@ -102,7 +102,7 @@ def _validate_numbers(args) -> None:
 
 
 def _dispatch(args) -> dict | None:
-    paths = RunPaths(args.out) if hasattr(args, "out") else None
+    paths = RunPaths(args.out)
     if args.command == "collect":
         selected = stage_collect(paths)
         return {"selected": len(selected)}
@@ -119,7 +119,7 @@ def _dispatch(args) -> dict | None:
             "violations": len(result.violations),
         }
         if result.status != "ok":
-            print(json.dumps(summary, indent=2, sort_keys=True))
+            print(json_text(summary), end="")
             raise EnvcoverError("derivation kept violations after refinement")
         return summary
     if args.command == "build":
@@ -132,7 +132,7 @@ def _dispatch(args) -> dict | None:
             "validity_rate": result["validity"]["rate"],
         }
         if result["physics"]["pass_rate"] < 1.0:
-            print(json.dumps(summary, indent=2, sort_keys=True))
+            print(json_text(summary), end="")
             raise EnvcoverError("at least one scene failed the physics check")
         return summary
     if args.command == "simulate":
@@ -170,7 +170,7 @@ def main(argv=None) -> int:
         print(f"envcover: {exc}", file=sys.stderr)
         return FAILURE_EXIT
     if summary is not None:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        print(json_text(summary), end="")
     return 0
 
 

@@ -15,7 +15,7 @@ serialize_environment refuses a scene with an extent that would be written
 as zero, whose text could not be read back.
 Serialization is canonical (sorted keys, fixed float rounding) so identical
 scenes are byte-identical on disk. An environment document is one record,
-written by jsonio.record_text in one walk and read by parse_as: one key per
+written by jsonio.json_text in one walk and read by parse_as: one key per
 dataclass field, and a field with a default may be left out.
 
 support_location is the one statement, outside the layout solver, of what
@@ -27,12 +27,11 @@ geometry helpers here, so a solver bug cannot pass its own check.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 from .errors import SchemaViolation
-from .jsonio import _round, parse_as, record_text
+from .jsonio import _round, json_text, parse_as, parse_json
 from .semantics import (
     CARDINALS,
     MOUNT_EPS,
@@ -506,14 +505,11 @@ def serialize_environment(env: EnvironmentSpec) -> str:
         tracked_entities=tuple(sorted(env.tracked_entities)),
         metadata=_nested(rebuild_metadata(env)),
     )
-    return record_text(doc)
+    return json_text(doc)
 
 
 def deserialize_environment(text: str) -> EnvironmentSpec:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise SchemaViolation(f"not valid JSON: {exc}") from exc
+    doc = parse_json(text, "environment document")
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise SchemaViolation(f"unsupported schema_version {version!r}", "schema_version")

@@ -1,15 +1,17 @@
 """The one JSON reader and writer of the package, for files and for records.
 
-Every JSON file of a task bundle or a run directory is read by read_json and
-written by write_json, or by write_text with record_text's text when it
-holds records; environment.py decides what goes into an environment document
-and reads its text with read_text. A file that cannot be read or written is
-a ConfigError, and text that is not UTF-8 or not JSON is a SchemaViolation
+Every JSON document of the package, the provider's wire formats aside, is
+read from text by parse_json and written to text by json_text; read_json and
+write_json do both for files, and environment.py decides what goes into an
+environment document. A file that cannot be read or written is a
+ConfigError, and text that is not UTF-8 or not JSON is a SchemaViolation
 (the CLI exits 2 on both).
 
 json_text is the one canonical text: json.dumps(doc, indent=2, sort_keys=not
 ordered) plus a newline, byte for byte, built in one pass. json.dumps takes
-its pure-Python path whenever indent is set.
+its pure-Python path whenever indent is set. A dataclass record in doc is
+written by its fields' declared types, as parse_as reads them: one key per
+field, float-typed values rounded by _round and object-typed ones as they are.
 
 parse_as reads a parsed document as a typed value, driven by the annotated
 types: str, int, float, bool, tuple[T, ...], fixed tuples, dict[str, T],
@@ -19,9 +21,6 @@ unknown keys are ignored. A float takes a finite JSON number and an int a
 JSON integer, never a bool or a numeric string. A value of the wrong shape,
 or one a dataclass's __post_init__ rejects with a SchemaViolation, is a
 SchemaViolation that names its JSON path, such as ``rooms[0].x_min``.
-record_text writes a dataclass by the same types, straight to json_text's
-text of its record: float-typed values rounded by _round, object-typed ones
-as they are.
 """
 
 from __future__ import annotations
@@ -47,12 +46,17 @@ def read_text(path, what: str) -> str:
         raise SchemaViolation(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
+def parse_json(text: str, what: str):
+    """The JSON document text holds; ``what`` names it in the error."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise SchemaViolation(f"{what} is not valid JSON: {exc}") from exc
+
+
 def read_json(path, what: str):
     """The JSON document at path; ``what`` names it in the error."""
-    try:
-        return json.loads(read_text(path, what))
-    except ValueError as exc:
-        raise SchemaViolation(f"{what} {path} is not valid JSON: {exc}") from exc
+    return parse_json(read_text(path, what), f"{what} {path}")
 
 
 def write_json(path, doc, ordered: bool = False) -> None:
@@ -77,21 +81,17 @@ def write_text(path, text: str) -> None:
 def json_text(doc, ordered: bool = False) -> str:
     """json.dumps(doc, indent=2, sort_keys=not ordered) plus a newline.
 
-    doc holds dicts with str keys, lists, tuples, str, int, float, bool and
-    None, of exactly those types; any other key or value is a TypeError.
+    doc holds dicts with str keys, lists, tuples, str, int, float, bool,
+    None and dataclass records, of exactly those types; any other key or
+    value is a TypeError. A record is written by its fields' declared types
+    (see the module docstring).
     """
     return _text(doc, "\n", not ordered) + "\n"
 
 
-def record_text(part, ordered: bool = False) -> str:
-    """json_text(part, ordered), where part may also hold dataclass records,
-    each written by its fields' declared types (see the module docstring)."""
-    return _text(part, "\n", not ordered, _text_writer) + "\n"
-
-
-def _text(value, newline: str, sort: bool, record=None) -> str:
+def _text(value, newline: str, sort: bool) -> str:
     out: list[str] = []
-    _emit(value, newline, sort, out.append, record)
+    _emit(value, newline, sort, out.append)
     return "".join(out)
 
 
@@ -103,9 +103,8 @@ def _float_text(v: float) -> str:
     return "Infinity" if v > 0 else "-Infinity"
 
 
-def _emit(value, newline: str, sort: bool, put, record=None) -> None:
-    """Put value's text, its nested lines indented from ``newline`` on, and a
-    dataclass's as record(its type, sort) writes it, when record is given."""
+def _emit(value, newline: str, sort: bool, put) -> None:
+    """Put value's text, its nested lines indented from ``newline`` on."""
     t = type(value)
     if t is str:
         put(_escape(value))
@@ -119,7 +118,7 @@ def _emit(value, newline: str, sort: bool, put, record=None) -> None:
             if type(key) is not str:
                 raise TypeError(f"no JSON text for key {key!r}")
             put(sep + _escape(key) + ": ")
-            _emit(v, inner, sort, put, record)
+            _emit(v, inner, sort, put)
             sep = "," + inner
         put(newline + "}")
     elif t is list or t is tuple:
@@ -130,7 +129,7 @@ def _emit(value, newline: str, sort: bool, put, record=None) -> None:
         sep = "[" + inner
         for v in value:
             put(sep)
-            _emit(v, inner, sort, put, record)
+            _emit(v, inner, sort, put)
             sep = "," + inner
         put(newline + "]")
     elif t is float:
@@ -143,8 +142,8 @@ def _emit(value, newline: str, sort: bool, put, record=None) -> None:
         put("false")
     elif value is None:
         put("null")
-    elif record is not None and is_dataclass(t):
-        put(record(t, sort)(value, newline))
+    elif is_dataclass(t):
+        put(_text_writer(t, sort)(value, newline))
     else:
         raise TypeError(f"no JSON text for a {t.__name__}")
 
@@ -295,7 +294,7 @@ def _rounded_text(value, newline: str) -> str:
 
 @functools.cache
 def _text_writer(tp, sort: bool):
-    """The function (value, newline) -> text that writes a tp as record_text
+    """The function (value, newline) -> text that writes a tp as json_text
     does, its nested lines indented from ``newline`` on."""
     if tp is float:
         return _rounded_text

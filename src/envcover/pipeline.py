@@ -41,7 +41,7 @@ from .assets import load_catalog
 from .derivation import DerivationResult, derive
 from .environment import EnvironmentSpec, deserialize_environment, serialize_environment
 from .errors import ConfigError, MissingInput, SchemaViolation
-from .jsonio import parse_as, read_json, read_text, record_text, write_json, write_text
+from .jsonio import parse_as, read_json, read_text, write_json, write_text
 from .metrics import logic_coverage, logic_coverage_atomic, selection_jaccard, share
 from .providers import PlanProvider, SceneProvider, open_channel, save_cassette
 from .scene import build_environment
@@ -201,12 +201,12 @@ def stage_derive(
     held.keep("task", task)
     held.keep("plans", (result.subtasks, result.trees))
 
-    write_text(paths.plans / "task.json", record_text(task))
+    write_json(paths.plans / "task.json", task)
     # response order in the plan's branch maps fixes the paths and so the selection
     write_json(paths.plans / "plan_document.json", result.plan_document, ordered=True)
-    write_text(paths.plans / "subtasks.json", record_text(result.subtasks))
+    write_json(paths.plans / "subtasks.json", result.subtasks)
     report = {"status": result.status, "rounds_used": result.rounds_used, "violations": result.violations}
-    write_text(paths.plans / "derivation_report.json", record_text(report))
+    write_json(paths.plans / "derivation_report.json", report)
     return result
 
 
@@ -226,7 +226,7 @@ def stage_collect(paths: RunPaths, *, held: _Held | None = None) -> list:
     universe = _Universe(math.prod(len(ps) for ps in path_sets))
     held.keep("selected", selected)
     held.keep("universe", universe)
-    write_text(paths.trajectories / "universe.json", record_text(universe))
+    write_json(paths.trajectories / "universe.json", universe)
     write_json(
         paths.trajectories / "selected.json",
         {"count": len(selected), "trajectories": [serialize_trajectory(t) for t in selected]},
@@ -364,7 +364,7 @@ def stage_validate(paths: RunPaths, bundle: TaskBundle, *, held: _Held | None = 
         validity[name] = {"valid": not reasons, "reasons": reasons}
     physics_doc = {"pass_rate": share([p["ok"] for p in physics.values()]), "environments": physics}
     validity_doc = {"rate": share([v["valid"] for v in validity.values()]), "environments": validity}
-    write_text(paths.reports / "physics.json", record_text(physics_doc))
+    write_json(paths.reports / "physics.json", physics_doc)
     write_json(paths.reports / "validity.json", validity_doc)
     held.keep("physics", _PhysicsSummary(physics_doc["pass_rate"]))
     held.keep("validity", _ValiditySummary(validity_doc["rate"]))

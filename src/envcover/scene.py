@@ -199,9 +199,7 @@ def build_environment(
         ) from exc
 
     relation_index_of = {c.id: c.relation_index for c in problem.constraints}
-    relaxed = sorted(
-        relation_index_of[cid] for cid in solution.relaxed if relation_index_of[cid] is not None
-    )
+    relaxed = sorted(relation_index_of[cid] for cid in solution.relaxed)
 
     placed_doorways = [replace(d, position=solution.door_positions[d.id]) for d in doorways]
     placed_windows = [replace(w, position=solution.window_positions[w.id]) for w in windows]

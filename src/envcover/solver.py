@@ -1369,14 +1369,12 @@ def _in_cells_exist(geo: _Geometry, s: str, r: str) -> bool:
     directions, satisfy s in r?
 
     The in predicate is one _inside_span test per axis on geo.box's
-    extents. The y extents are fixed, and the x (z) extents of a pair of
-    directions depend on the two x (z) coordinates alone, so each axis is
-    decided on its own, per pair of footprints, by bisection on one grid's
-    coordinates for each of the other's, never over the product of the
-    two domains.
+    extents. encode has already refused a draft whose fixed y extents fail
+    it (containment_capacity). The x (z) extents of a pair of directions
+    depend on the two x (z) coordinates alone, so each axis is decided on
+    its own, per pair of footprints, by bisection on one grid's coordinates
+    for each of the other's, never over the product of the two domains.
     """
-    if not _inside_span(*geo.y_span(s), *geo.y_span(r)):
-        return False
     gs, gr = geo.grids[s], geo.grids[r]
     shapes = {
         (geo.footprints[(s, ds)], geo.footprints[(r, dr)])

@@ -129,8 +129,8 @@ def _plain_tree(value):
 
 def two_pass_record_text(part, ordered: bool = False) -> str:
     """The text of a record, or of plain values holding records, built as
-    the plain tree first, then written by json_text; jsonio.record_text must
-    equal it byte for byte."""
+    the plain tree first, then written by json_text; json_text of the record
+    itself, in one walk, must equal it byte for byte."""
     return json_text(_plain_tree(part), ordered)
 
 

@@ -7,10 +7,12 @@ import sys
 
 import pytest
 
+from envcover import cli
 from envcover.cli import main
 from envcover.environment import deserialize_environment, serialize_environment
 from envcover.errors import SchemaViolation
-from envcover.pipeline import RunPaths, stage_report
+from envcover.pipeline import RunPaths, stage_derive, stage_report
+from envcover.task_model import Violation
 
 EXPECTED_FILES = [
     "plans/task.json",
@@ -249,6 +251,15 @@ def test_a_report_input_without_a_read_key_exits_2(name, key, what, full_run, tm
     assert what in err and key in err
 
 
+def move_the_sofa_out_of_its_room(run):
+    path = run / "environments" / "env-001.json"
+    env = deserialize_environment(path.read_text())
+    i = next(i for i, p in enumerate(env.placements) if p.object == "sofa")
+    _, y, z = env.placements[i].position
+    env.placements[i] = dataclasses.replace(env.placements[i], position=(50.0, y, z))
+    path.write_text(serialize_environment(env))
+
+
 def test_a_scene_off_its_room_fails_entity_and_relation_in_physics_and_validity(
     full_run, living_room_dir, tmp_path
 ):
@@ -256,12 +267,7 @@ def test_a_scene_off_its_room_fails_entity_and_relation_in_physics_and_validity(
     # the rules of its failures, and the validity reason names them
     run = tmp_path / "run"
     shutil.copytree(full_run, run)
-    path = run / "environments" / "env-001.json"
-    env = deserialize_environment(path.read_text())
-    i = next(i for i, p in enumerate(env.placements) if p.object == "sofa")
-    _, y, z = env.placements[i].position
-    env.placements[i] = dataclasses.replace(env.placements[i], position=(50.0, y, z))
-    path.write_text(serialize_environment(env))
+    move_the_sofa_out_of_its_room(run)
     assert main(["validate", "--task", str(living_room_dir), "--out", str(run)]) == 1
     physics = json.loads((run / "reports" / "physics.json").read_text())
     assert physics["pass_rate"] == 0.6666666666666666
@@ -275,6 +281,41 @@ def test_a_scene_off_its_room_fails_entity_and_relation_in_physics_and_validity(
         "reasons": ["physics validation failed: entity, relation"],
         "valid": False,
     }
+
+
+def test_a_failing_derive_and_validate_print_their_summary_before_exiting_1(
+    full_run, living_room_dir, tmp_path, capsys, monkeypatch
+):
+    def summary_text(doc):
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    # derive: the fixture's derivation with one violation left after refinement
+    def derive_with_a_violation(*args, **kwargs):
+        result = stage_derive(*args, **kwargs)
+        result.violations.append(Violation("grounding", "s1", "kept on purpose"))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "stage_derive", derive_with_a_violation)
+        code = main(["derive", "--task", str(living_room_dir), "--out", str(tmp_path / "d")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "derivation kept violations" in captured.err
+    assert captured.out == summary_text(
+        {"status": "exhausted_rounds", "rounds_used": 1, "subtasks": 3, "violations": 1}
+    )
+
+    # validate: env-001's sofa moved out of its room
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    move_the_sofa_out_of_its_room(run)
+    code = main(["validate", "--task", str(living_room_dir), "--out", str(run)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "failed the physics check" in captured.err
+    assert captured.out == summary_text(
+        {"physics_pass_rate": 0.6666666666666666, "validity_rate": 0.6666666666666666}
+    )
 
 
 def test_a_faulty_policy_no_scene_detects_lowers_the_detection_rate(
