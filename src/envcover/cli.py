@@ -31,18 +31,34 @@ USAGE_EXIT = 2
 FAILURE_EXIT = 1
 
 
-def _add_task_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--task",
-        required=True,
-        help="task bundle: task.json or the directory holding it",
-    )
-    parser.add_argument("--cassette", help="exchange cassette (default: cassette.json next to the task)")
-    parser.add_argument("--catalog", help="asset catalog (default: catalog.json next to the task)")
+# each option once, with its help; a subcommand takes those its stage reads
+_OPTIONS = {
+    "--task": dict(required=True, help="task bundle: task.json or the directory holding it"),
+    "--cassette": dict(help="exchange cassette (default: cassette.json next to the task)"),
+    "--catalog": dict(help="asset catalog (default: catalog.json next to the task)"),
+    "--out": dict(required=True, help="run directory"),
+    "--live-endpoint": dict(help="HTTP endpoint for live generation"),
+    "--seed": dict(type=int, default=0, help="solver seed"),
+    "--grid": dict(type=float, default=0.1, help="placement grid step in meters"),
+    "--budget": dict(type=int, default=DEFAULT_BUDGET, help="tick budget per run"),
+    "--max-rounds": dict(type=int, default=3, help="derivation rounds, the first plus refinements"),
+}
 
-
-def _add_out_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", required=True, help="run directory")
+_COMMANDS = {
+    "derive": (
+        "turn the task into checked decision plans",
+        ("--task", "--cassette", "--out", "--live-endpoint", "--max-rounds"),
+    ),
+    "collect": ("pick a minimal trajectory set that covers every path", ("--out",)),
+    "build": (
+        "solve a scene for each selected trajectory",
+        ("--task", "--cassette", "--catalog", "--out", "--live-endpoint", "--seed", "--grid"),
+    ),
+    "validate": ("re-check built scenes for physical plausibility", ("--task", "--out")),
+    "simulate": ("run every bundled policy against every scene", ("--task", "--out", "--budget")),
+    "report": ("aggregate coverage and outcome metrics", ("--out",)),
+    "run-all": ("all stages in order", tuple(_OPTIONS)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,43 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
         "check scenes, and exercise policies against them",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("derive", help="turn the task into checked decision plans")
-    _add_task_flags(p)
-    _add_out_flag(p)
-    p.add_argument("--live-endpoint", help="HTTP endpoint for live plan generation")
-    p.add_argument("--max-rounds", type=int, default=3)
-
-    p = sub.add_parser("collect", help="pick a minimal trajectory set that covers every path")
-    _add_out_flag(p)
-
-    p = sub.add_parser("build", help="solve a scene for each selected trajectory")
-    _add_task_flags(p)
-    _add_out_flag(p)
-    p.add_argument("--live-endpoint", help="HTTP endpoint for live scene generation")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=float, default=0.1, help="placement grid step in meters")
-
-    p = sub.add_parser("validate", help="re-check built scenes for physical plausibility")
-    _add_task_flags(p)
-    _add_out_flag(p)
-
-    p = sub.add_parser("simulate", help="run every bundled policy against every scene")
-    _add_task_flags(p)
-    _add_out_flag(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="tick budget per run")
-
-    p = sub.add_parser("report", help="aggregate coverage and outcome metrics")
-    _add_out_flag(p)
-
-    p = sub.add_parser("run-all", help="all stages in order")
-    _add_task_flags(p)
-    _add_out_flag(p)
-    p.add_argument("--live-endpoint", help="HTTP endpoint for live generation")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=float, default=0.1)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--max-rounds", type=int, default=3)
+    for command, (summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -109,7 +92,10 @@ def _dispatch(args) -> dict | None:
     if args.command == "report":
         return stage_report(paths)
 
-    bundle = resolve_bundle(args.task, cassette=args.cassette, catalog=args.catalog)
+    # validate and simulate read neither the cassette nor the catalog
+    bundle = resolve_bundle(
+        args.task, cassette=getattr(args, "cassette", None), catalog=getattr(args, "catalog", None)
+    )
     if args.command == "derive":
         result = stage_derive(paths, bundle, args.live_endpoint, args.max_rounds)
         summary = {
@@ -142,19 +128,17 @@ def _dispatch(args) -> dict | None:
             "fault_detection_rate": doc["fault_detection_rate"],
             "total_ticks": doc["total_ticks"],
         }
-    if args.command == "run-all":
-        return run_all(
-            args.out,
-            args.task,
-            cassette=args.cassette,
-            catalog=args.catalog,
-            live_endpoint=args.live_endpoint,
-            seed=args.seed,
-            grid=args.grid,
-            budget=args.budget,
-            max_rounds=args.max_rounds,
-        )
-    raise ConfigError(f"unknown command {args.command!r}")
+    return run_all(
+        args.out,
+        args.task,
+        cassette=args.cassette,
+        catalog=args.catalog,
+        live_endpoint=args.live_endpoint,
+        seed=args.seed,
+        grid=args.grid,
+        budget=args.budget,
+        max_rounds=args.max_rounds,
+    )
 
 
 def main(argv=None) -> int:

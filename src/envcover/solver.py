@@ -61,15 +61,14 @@ the coordinates that pass each test form one run of the sorted grid
 coordinates (or a prefix and a suffix), so the pruner finds the run's ends
 by bisection, with a few tests per axis, and builds the mask from bit
 ranges. The on_top_of pruner bisects for the rectangle of cells that overlap
-the reference at all and tests the support area on each cell inside it. A
-near or far mask depends only on the partner's cell, so its pruner computes
-it once per partner cell and every relaxation rung reuses it; _distance_keep
-keeps the cells within one closed bound (far keeps the rest of the grid
-under the float just below its limit), sweeps the columns outward from the
-partner, bisects the first column of each side and walks each later column's
-run in from the previous one's. The predicates remain the reference: the
-tests' brute-force oracles call them, and so does forward checking, on each
-set bit, for the kinds without a pruner.
+the reference at all and tests the support area on each cell inside it. The
+near and far pruners call _distance_keep, which keeps the cells within one
+closed bound (far keeps the rest of the grid under the float just below its
+limit), sweeps the columns outward from the partner, bisects the first
+column of each side and walks each later column's run in from the previous
+one's. The predicates remain the reference: the tests' brute-force oracles
+call them, and so does forward checking, on each set bit, for the kinds
+without a pruner.
 
 Before it searches, solve tries to prove the rung unsat from the fixed
 inputs alone (_static_core). It tests the height-only parts of above and
@@ -781,27 +780,16 @@ def _distance_pruner(geo, s: str, r: str, limit: float, within: bool):
     d >= limit, the rest of the grid once the cells with d < limit are
     taken out; for finite floats d < limit holds exactly when d <=
     nextafter(limit, -inf), so one closed bound serves both senses.
-
-    The kept cells depend only on the moving endpoint and the partner's
-    cell, not on the incoming mask, so the pruner computes each (u, partner
-    cell) mask once and returns mask & keep after that. The memo lives as
-    long as the problem: every rung of solve_with_relaxation reuses it, and
-    it holds at most one mask per partner cell per moving endpoint.
     """
     s_pos, r_pos = f"{s}.pos", f"{r}.pos"
     bound = limit if within else math.nextafter(limit, -math.inf)
-    keeps: dict[tuple[str, float, float], int] = {}
 
     def prune(assign, u, mask):
         px, pz = assign[r_pos if u == s_pos else s_pos]
-        key = (u, px, pz)
-        keep = keeps.get(key)
-        if keep is None:
-            grid = geo.grids[s if u == s_pos else r]
-            keep = _distance_keep(grid, px, pz, bound)
-            if not within:
-                keep ^= grid.column_run(0, len(grid.xs))
-            keeps[key] = keep
+        grid = geo.grids[s if u == s_pos else r]
+        keep = _distance_keep(grid, px, pz, bound)
+        if not within:
+            keep ^= grid.column_run(0, len(grid.xs))
         return mask & keep
 
     return prune
@@ -1090,9 +1078,9 @@ class CspProblem:
         elif rel.kind == "on_top_of":
 
             def check(assign):
+                # no height test: _support_plan puts s's bottom at r's top,
+                # rounded to 6 places, far inside SUPPORT_EPS
                 a, b = sbox(assign), rbox(assign)
-                if abs(a[1] - b[4]) > SUPPORT_EPS:
-                    return False
                 w = _overlap_1d(a[0], a[3], b[0], b[3])
                 d = _overlap_1d(a[2], a[5], b[2], b[5])
                 if w <= 0 or d <= 0:
@@ -1102,7 +1090,6 @@ class CspProblem:
             def enough(w, width, d, depth):
                 return w * d >= SUPPORT_OVERLAP_FRAC * width * depth - _TOL
 
-            # no height test: _support_plan puts s's bottom on r's top
             prune = _resting_pruner(geo, s, r, enough)
 
         elif rel.kind == "in":

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import re
@@ -485,6 +486,49 @@ def test_jobs_is_not_an_option(living_room_dir, tmp_path, capsys):
         main(["build", "--task", str(living_room_dir), "--out", str(tmp_path / "r"), "--jobs", "2"])
     assert excinfo.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+# the options each stage reads, and run-all all of them
+STAGE_OPTIONS = {
+    "derive": {"--task", "--cassette", "--out", "--live-endpoint", "--max-rounds"},
+    "collect": {"--out"},
+    "build": {"--task", "--cassette", "--catalog", "--out", "--live-endpoint", "--seed", "--grid"},
+    "validate": {"--task", "--out"},
+    "simulate": {"--task", "--out", "--budget"},
+    "report": {"--out"},
+}
+STAGE_OPTIONS["run-all"] = set().union(*STAGE_OPTIONS.values())
+
+
+def test_each_subcommand_takes_exactly_the_options_its_stage_reads():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    taken = {
+        command: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+        for command, sub in commands.choices.items()
+    }
+    assert taken == STAGE_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("derive", "--catalog"),
+        ("validate", "--catalog"),
+        ("validate", "--cassette"),
+        ("simulate", "--catalog"),
+        ("simulate", "--cassette"),
+    ],
+)
+def test_an_option_the_stage_does_not_read_is_a_usage_error(
+    command, option, living_room_dir, tmp_path, capsys
+):
+    out = tmp_path / "r"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--task", str(living_room_dir), "--out", str(out), option, "x"])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {option} x" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_required_flag_is_a_usage_error(capsys):

@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import random
 from pathlib import Path
@@ -248,6 +249,33 @@ def test_reasonable_window_passes():
         sill_height=0.9, position=(2.0, 4.0),
     )
     assert validate_physics(base_env(windows=[win])).ok
+
+
+@pytest.mark.parametrize(
+    "opening, field, value, message",
+    [
+        ("doorways", "height", 3.2, "doorway taller than the wall"),
+        ("windows", "position", None, "window has no position"),
+    ],
+    ids=["doorway_taller_than_the_wall", "window_without_position"],
+)
+def test_an_edited_opening_in_a_scene_file_flips_only_the_floor_plan(
+    opening, field, value, message, tmp_path
+):
+    # the solver never writes either opening, so only an edited file holds one
+    door = Doorway(id="d", connects=("r", "exterior"), width=0.9, height=2.1, position=(2.0, 0.0))
+    win = Window(
+        id="w", room="r", orientation="north", width=1.2, height=1.0,
+        sill_height=0.9, position=(2.0, 4.0),
+    )
+    scene = tmp_path / "env-000.json"
+    scene.write_text(serialize_environment(base_env(doorways=[door], windows=[win])))
+    doc = json.loads(scene.read_text())
+    doc["floor_plan"][opening][0][field] = value
+    scene.write_text(json.dumps(doc))
+    report = validate_physics(deserialize_environment(scene.read_text()))
+    assert dims(report) == (False, True, True)
+    assert [f.message for f in report.failures] == [message]
 
 
 # ---------------------------------------------------------------------------
