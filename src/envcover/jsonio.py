@@ -7,6 +7,16 @@ environment document. A file that cannot be read or written is a
 ConfigError, and text that is not UTF-8 or not JSON is a SchemaViolation
 (the CLI exits 2 on both).
 
+write_text is the one function of the package that writes a file. It
+rewrites an existing file in place and never truncates it to zero first:
+ext4's auto_da_alloc starts writing back a file truncated to zero when it
+is closed, and a stage rerun into the same run directory overwrites every
+artifact. The bytes, the inode, the permission bits, hard links and a
+symlink's target are what a truncating write leaves. A crash between the
+write and the final truncate leaves the new text followed by the old tail,
+where a truncating write leaves an empty or short file; neither parses,
+and no write is synced to disk.
+
 json_text is the one canonical text: json.dumps(doc, indent=2, sort_keys=not
 ordered) plus a newline, byte for byte, built in one pass. json.dumps takes
 its pure-Python path whenever indent is set. A dataclass record in doc is
@@ -28,6 +38,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _escape
@@ -71,9 +82,20 @@ def write_json(path, doc, ordered: bool = False) -> None:
 
 
 def write_text(path, text: str) -> None:
-    """text as the UTF-8 file at path."""
+    """text as the UTF-8 file at path, rewritten in place.
+
+    The file is opened without O_TRUNC and cut to the new length after the
+    write, so an existing file never passes through length zero. A new file
+    gets 0o666 & ~umask, as open(path, "w") gives it; an existing one keeps
+    its inode and permission bits, its hard links see the new bytes, and a
+    symlink is written through to its target. See the module docstring for
+    the crash window.
+    """
+    data = text.encode("utf-8")
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            f.write(data)
+            f.truncate()
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 

@@ -319,7 +319,10 @@ def stage_build(
     written = {_env_file(paths, i) for i in range(len(outcomes))}
     for path in paths.environments.glob("env-*.json"):
         if path not in written:
-            path.unlink()
+            try:
+                path.unlink()
+            except OSError as exc:
+                raise ConfigError(f"cannot remove stale scene {path}: {exc}") from exc
     write_json(paths.reports / "build_stats.json", {"environments": stats})
     return environments
 

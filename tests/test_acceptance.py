@@ -1,4 +1,5 @@
-"""Acceptance suite: ten end-to-end guarantees, one test per criterion.
+"""Acceptance suite: ten end-to-end guarantees, one test per criterion and
+a second one for c10's rerun into a used run directory.
 
 Each test states its tolerance and wall-clock budget inline; `pytest -v`
 prints one pass/fail line per criterion. The checks run entirely on the
@@ -406,3 +407,23 @@ def test_c10_reruns_are_byte_identical_outside_the_manifest(living_room_dir, tmp
     manifest = json.loads((first / "manifest.json").read_text())
     assert {s["name"] for s in manifest["stages"]} >= {"derive", "build", "simulate"}
     assert time.perf_counter() - started < 300.0
+
+
+def test_c10_a_rerun_into_a_used_run_directory_reads_the_pinned_digests(
+    living_room_dir, tmp_path, dir_digest
+):
+    # budget: one run at grid 0.05 and one at 0.1 into the same directory,
+    # every artifact outside manifest.json equal to a fresh run's, < 2 min.
+    # Each scene at grid 0.05 and seed 5 is longer than at grid 0.1, so the
+    # rerun shrinks every scene file in place.
+    started = time.perf_counter()
+    out = tmp_path / "run"
+    run_all(str(out), str(living_room_dir), grid=0.05, seed=5)
+    old = {p.name: p.read_bytes() for p in out.glob("environments/env-*.json")}
+    run_all(str(out), str(living_room_dir), grid=0.1)
+    new = {p.name: p.read_bytes() for p in out.glob("environments/env-*.json")}
+    assert sorted(old) == sorted(new) and old
+    for name in old:
+        assert len(old[name]) > len(new[name]), name
+    assert dir_digest(out) == PINNED_RUN_DIGESTS[0.1]
+    assert time.perf_counter() - started < 120.0

@@ -284,6 +284,39 @@ def test_a_scene_off_its_room_fails_entity_and_relation_in_physics_and_validity(
     }
 
 
+def lift_the_wet_wipes_off_the_table(run):
+    path = run / "environments" / "env-000.json"
+    env = deserialize_environment(path.read_text())
+    i = next(i for i, p in enumerate(env.placements) if p.object == "wet_wipes")
+    x, y, z = env.placements[i].position
+    env.placements[i] = dataclasses.replace(env.placements[i], position=(x, y + 0.1, z))
+    path.write_text(serialize_environment(env))
+
+
+def test_an_object_lifted_off_its_support_fails_on_top_of_by_its_height(
+    full_run, living_room_dir, tmp_path
+):
+    # env-000's wet wipes 0.1 m above the table top: the entity check finds
+    # them floating, and on_top_of names both heights
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    lift_the_wet_wipes_off_the_table(run)
+    assert main(["validate", "--task", str(living_room_dir), "--out", str(run)]) == 1
+    physics = json.loads((run / "reports" / "physics.json").read_text())
+    assert physics["environments"]["env-000"]["failures"] == [
+        {
+            "location": "wet_wipes",
+            "message": "object wet_wipes floats at height 0.600 with no support",
+            "rule": "entity",
+        },
+        {
+            "location": "relations[0]",
+            "message": "on_top_of(wet_wipes, table): bottom at 0.600, top of reference at 0.500",
+            "rule": "relation",
+        },
+    ]
+
+
 def test_a_failing_derive_and_validate_print_their_summary_before_exiting_1(
     full_run, living_room_dir, tmp_path, capsys, monkeypatch
 ):
@@ -479,6 +512,19 @@ def test_an_environment_file_that_cannot_be_written_exits_2(living_room_dir, tmp
     capsys.readouterr()
     assert main(["build", *task]) == 2
     assert f"cannot write {out / 'environments' / 'env-000.json'}" in capsys.readouterr().err
+
+
+def test_a_stale_scene_that_cannot_be_removed_exits_2(living_room_dir, tmp_path, capsys):
+    out = tmp_path / "r"
+    task = ["--task", str(living_room_dir), "--out", str(out)]
+    assert main(["derive", *task]) == 0
+    assert main(["collect", "--out", str(out)]) == 0
+    stale = out / "environments" / "env-009.json"
+    stale.mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["build", *task]) == 2
+    assert f"cannot remove stale scene {stale}" in capsys.readouterr().err
+    assert stale.is_dir()
 
 
 def test_jobs_is_not_an_option(living_room_dir, tmp_path, capsys):

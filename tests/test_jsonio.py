@@ -1,9 +1,12 @@
 """The typed record reader and the canonical text writer: shapes, the error
-contract, rounding, json_text against json.dumps on plain documents, and
-json_text on records against the two-pass oracle's plain tree."""
+contract, rounding, json_text against json.dumps on plain documents,
+json_text on records against the two-pass oracle's plain tree, and
+write_text's in-place rewrite of a file."""
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from envcover.errors import SchemaViolation
-from envcover.jsonio import json_text, parse_as
+from envcover.jsonio import json_text, parse_as, write_text
 from oracles import two_pass_record_text
 
 
@@ -224,3 +227,61 @@ def test_record_text_equals_the_two_pass_text(ordered, part):
 @given(doc=wrapped)
 def test_record_text_writes_records_inside_plain_containers(ordered, doc):
     assert json_text(doc, ordered) == two_pass_record_text(doc, ordered)
+
+
+def test_a_rewrite_that_shrinks_a_file_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "doc.json"
+    write_text(path, "a longer first text\n")
+    write_text(path, "short\n")
+    assert path.read_bytes() == b"short\n"
+    write_text(path, "é\n")
+    assert path.read_bytes() == "é\n".encode("utf-8")
+    write_text(path, "")
+    assert path.read_bytes() == b""
+
+
+def test_a_rewrite_keeps_the_inode_and_the_permission_bits(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("old text\n")
+    path.chmod(0o640)
+    inode = path.stat().st_ino
+    write_text(path, "new\n")
+    assert path.stat().st_ino == inode
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.read_text() == "new\n"
+
+
+def test_a_hard_link_sees_the_new_bytes(tmp_path):
+    path, link = tmp_path / "doc.json", tmp_path / "link.json"
+    path.write_text("old text\n")
+    os.link(path, link)
+    write_text(path, "new\n")
+    assert link.read_text() == "new\n"
+
+
+def test_a_symlinked_path_is_written_through_to_its_target(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old text\n")
+    link.symlink_to(target)
+    write_text(link, "new\n")
+    assert link.is_symlink()
+    assert target.read_text() == "new\n"
+
+
+def test_a_dangling_symlink_creates_its_target(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    link.symlink_to(target)
+    write_text(link, "new\n")
+    assert link.is_symlink()
+    assert target.read_text() == "new\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+def test_a_new_file_gets_0o666_less_the_umask(umask, tmp_path):
+    path = tmp_path / "doc.json"
+    old = os.umask(umask)
+    try:
+        write_text(path, "new\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
